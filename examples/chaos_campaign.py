@@ -46,7 +46,7 @@ print(f"costliest fault kind: {worst_kind} "
       f"({dist.count} incidents, mean downtime {dist.mean / 60:.0f} min)")
 
 # The whole campaign is a deterministic document: same seeds -> same
-# bytes, whether run serially, in parallel, or from the naive
-# reference path.  Uncomment to persist it:
+# bytes, whether run serially, in parallel, or from a persistent
+# cache.  Uncomment to persist it:
 # with open("campaign.json", "w") as fh:
 #     fh.write(result.to_json())

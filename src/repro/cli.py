@@ -19,6 +19,10 @@ run did is collected into one
 :class:`~repro.observability.TelemetryHub` and exported as a unified
 Perfetto-loadable document (one pid lane per subsystem) plus a
 ``.metrics.jsonl`` sidecar.
+
+Invalid input — a bad flag value, a missing file, a configuration the
+simulator rejects with ``ValueError`` — exits 2 with one
+``repro: error: ...`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -30,10 +34,26 @@ from typing import List, Optional
 import numpy as np
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``repro: error:`` line."""
+
+    def error(self, message: str):
+        self.exit(2, f"repro: error: {message}\n")
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_job_args(parser: argparse.ArgumentParser) -> None:
+    from .model import MODEL_CATALOG
+
     parser.add_argument("--gpus", type=int, default=1024)
     parser.add_argument("--batch", type=int, default=768)
-    parser.add_argument("--model", default="gpt-175b")
+    parser.add_argument("--model", choices=sorted(MODEL_CATALOG), default="gpt-175b")
     parser.add_argument("--tp", type=int, default=8)
     parser.add_argument("--pp", type=int, default=8)
     parser.add_argument("--vpp", type=int, default=6)
@@ -316,7 +336,6 @@ def cmd_tune(args) -> int:
         top_k=args.top,
         gpus_per_node=args.gpus_per_node,
         max_micro_batch=args.max_micro_batch,
-        max_candidates=args.max_candidates,
         workers=args.workers,
         hub=hub,
         cache=cache,
@@ -327,11 +346,6 @@ def cmd_tune(args) -> int:
         print(f"#{i}  {result.describe()}")
     print()
     print(stats.describe())
-    if stats.capped:
-        print(
-            f"WARNING: --max-candidates dropped {stats.capped} feasible "
-            "candidates; the leaderboard may miss the true optimum."
-        )
     if cache is not None:
         print(f"persistent cache: {len(cache)} priced points at {cache.path}")
     _save_hub(hub, args)
@@ -357,8 +371,6 @@ def cmd_mc(args) -> int:
         seeds=range(args.seeds),
         weeks=args.weeks,
         workers=args.workers,
-        sampler=args.sampler,
-        reference=args.reference,
         spec=spec,
         cache=cache,
     )
@@ -366,8 +378,7 @@ def cmd_mc(args) -> int:
     print(result.describe())
     print()
     mode = "serial" if args.workers == 0 else f"{args.workers} workers"
-    path = "reference" if args.reference else "optimized"
-    print(f"{args.seeds} seeds in {elapsed:.2f}s ({mode}, {path} path)")
+    print(f"{args.seeds} seeds in {elapsed:.2f}s ({mode})")
     if result.stats is not None and result.stats.persistent_hits:
         print(f"{result.stats.persistent_hits} seeds served from the persistent cache")
     if cache is not None:
@@ -467,7 +478,7 @@ def cmd_calibrate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="MegaScale (NSDI 2024) reproduction: simulate LLM training at scale.",
     )
@@ -500,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correlated", action="store_true",
                    help="include rack/ToR/leaf-link fault domains, a finite "
                         "spare pool, and flaky checkpoint storage")
-    p.add_argument("--spares", type=int, default=16,
+    p.add_argument("--spares", type=non_negative_int, default=16,
                    help="spare-pool size when --correlated (0 forces the elastic path)")
     _add_job_args(p)
     p.add_argument("--weeks", type=float, default=2.0)
@@ -551,15 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chaos-campaign cluster size in nodes (default 512)")
     p.add_argument("--policy", choices=["priority", "fifo"], default="priority",
                    help="scheduler-campaign arbitration policy")
-    p.add_argument("--sampler", choices=["auto", "vectorized", "reference"],
-                   default="auto",
-                   help="fault sampler: batched numpy draws (auto/vectorized) "
-                        "or the per-event oracle loop (reference); both "
-                        "produce identical events per seed")
-    p.add_argument("--reference", action="store_true",
-                   help="run the naive baseline end to end: per-event "
-                        "sampling and per-seed fixture rebuilds (what the "
-                        "benchmark compares against)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persist per-seed results across runs in "
                         "DIR/mc-campaign.pkl (versioned, safe to delete)")
@@ -624,9 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest micro-batch size searched")
     p.add_argument("--workers", type=int, default=0,
                    help="worker processes for candidate evaluation (0 = serial)")
-    p.add_argument("--max-candidates", type=int, default=None,
-                   help="legacy cap on the candidate list (warns when it drops "
-                        "candidates; the default searches the full space exactly)")
     p.add_argument("--exhaustive", action="store_true",
                    help="price every feasible candidate (disables pruning; "
                         "useful to verify the pruned search)")
@@ -674,8 +673,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        message = " ".join(str(exc).split())
+        parser.exit(2, f"repro: error: {message}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -199,51 +199,27 @@ def reset_caches() -> None:
 
 # -- persistent cross-run cache ----------------------------------------------
 
-# Modules whose source text defines the priced quantities.  Changing any
-# of them changes what a cached result *means*, so their joint hash
-# versions every persistent cache.  Import-name strings (not module
-# objects) keep this module dependency-free within repro.
-_COST_MODEL_MODULES = (
-    "repro.hardware.gpu",
-    "repro.hardware.nic",
-    "repro.model.blocks",
-    "repro.model.flops",
-    "repro.model.memory",
-    "repro.model.operators",
-    "repro.collectives.primitives",
-    "repro.collectives.groups",
-    "repro.collectives.fabric",
-    "repro.network.ecmp",
-    "repro.network.flow",
-    "repro.network.topology",
-    "repro.parallel.zero",
-    "repro.parallel.pipeline",
-    "repro.training.iteration",
-    "repro.training.overlap",
-    "repro.training.datapipe",
-)
-
-
 def cost_model_fingerprint() -> str:
-    """A hash that changes whenever any cost-model module's source does.
+    """A hash that changes whenever any module of the ``repro`` package does.
 
     Persistent caches embed this fingerprint; a mismatch on load makes
-    the cache start empty, so stale prices can never leak across code
-    changes.  Falls back to the package version for module sources that
-    cannot be read (zipped installs).
+    the cache start empty, so a result computed by older code is never
+    served.  Every ``*.py`` under the package directory is hashed, in
+    order of relative path, so no module a cached result depends on can
+    be left out; the cost is that any source edit cold-starts the
+    on-disk caches.
     """
     import hashlib
-    import importlib
+    from pathlib import Path
 
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for module_name in _COST_MODEL_MODULES:
-        digest.update(module_name.encode())
-        try:
-            module = importlib.import_module(module_name)
-            with open(module.__file__, "rb") as fh:  # type: ignore[arg-type]
-                digest.update(fh.read())
-        except (ImportError, OSError, TypeError):
-            digest.update(b"unreadable")
+    sources = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*.py"))
+    for relative, path in sources:
+        digest.update(relative.encode() + b"\0")
+        digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
 

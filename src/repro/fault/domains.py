@@ -178,10 +178,8 @@ class CorrelatedFaultInjector(FaultInjector):
     All streams draw from the one seeded generator in a fixed order
     (node catalog first, then each domain in declaration order), so the
     merged event list is a deterministic function of the seed.  Each
-    stream is sampled count-first (see :class:`FaultInjector`): the
-    vectorized path batches every domain's times and indices into one
-    numpy draw per phase, and the per-event reference loop consumes the
-    identical generator stream, so both return identical events.
+    stream is sampled count-first (see :class:`FaultInjector`): every
+    domain's times and indices are one numpy draw per phase.
     """
 
     def __init__(
@@ -192,14 +190,9 @@ class CorrelatedFaultInjector(FaultInjector):
         rng: Optional[np.random.Generator] = None,
         catalog: Optional[List[FaultKind]] = None,
         rate_multiplier: float = 1.0,
-        sampler: str = "auto",
     ) -> None:
         super().__init__(
-            n_nodes,
-            rng=rng,
-            catalog=catalog,
-            rate_multiplier=rate_multiplier,
-            sampler=sampler,
+            n_nodes, rng=rng, catalog=catalog, rate_multiplier=rate_multiplier
         )
         self.topology = topology or DomainTopology(n_nodes=n_nodes)
         if self.topology.n_nodes != n_nodes:
@@ -224,7 +217,7 @@ class CorrelatedFaultInjector(FaultInjector):
             domain=f"{domain.scope}{index}",
         )
 
-    def _extra_events(self, horizon: float, vectorized: bool) -> List[FaultEvent]:
+    def _extra_events(self, horizon: float) -> List[FaultEvent]:
         events: List[FaultEvent] = []
         for domain in self.domains:
             rate = self.domain_rate_per_second(domain)
@@ -232,17 +225,10 @@ class CorrelatedFaultInjector(FaultInjector):
                 continue
             n_domains = self.topology.n_domains(domain.scope)
             n = int(self.rng.poisson(rate * horizon))
-            if vectorized:
-                times = horizon * self.rng.random(n)
-                indices = self.rng.integers(0, n_domains, size=n)
-                events.extend(
-                    self._domain_event(domain, float(times[i]), int(indices[i]))
-                    for i in range(n)
-                )
-            else:
-                times = [horizon * float(self.rng.random()) for _ in range(n)]
-                indices = [int(self.rng.integers(0, n_domains)) for _ in range(n)]
-                events.extend(
-                    self._domain_event(domain, times[i], indices[i]) for i in range(n)
-                )
+            times = horizon * self.rng.random(n)
+            indices = self.rng.integers(0, n_domains, size=n)
+            events.extend(
+                self._domain_event(domain, float(times[i]), int(indices[i]))
+                for i in range(n)
+            )
         return events

@@ -136,9 +136,6 @@ def event_order(event: FaultEvent) -> Tuple[float, str, int]:
     return (event.time, event.kind.name, event.node_index)
 
 
-SAMPLERS = ("auto", "vectorized", "reference")
-
-
 class FaultInjector:
     """Samples fault arrivals for a cluster over a time horizon.
 
@@ -146,14 +143,12 @@ class FaultInjector:
     as one Poisson variate, then the arrival times, kinds and victims are
     drawn as flat phases (all times, then all kinds, then all nodes) —
     the standard conditional construction of a Poisson process (counts
-    are Poisson, arrivals given the count are i.i.d. uniforms).  Because
-    NumPy's ``Generator`` fills an array with exactly the draws a scalar
-    loop would make, the vectorized path (one array op per phase) and the
-    per-event reference loop consume identical generator streams and
-    return identical events; ``sampler="reference"`` keeps the Python
-    loop alive as the property-tested oracle, ``"vectorized"`` (what
-    ``"auto"`` resolves to) is the production path the Monte Carlo
-    campaign engine leans on.
+    are Poisson, arrivals given the count are i.i.d. uniforms).  Each
+    phase is one numpy draw.  Because NumPy's ``Generator`` fills an
+    array with exactly the draws a scalar loop would make, this consumes
+    the same generator stream as a per-event Python loop and returns the
+    same events; that loop is the test oracle in
+    ``tests/oracles/fault_sampler.py``.
     """
 
     def __init__(
@@ -162,19 +157,15 @@ class FaultInjector:
         rng: Optional[np.random.Generator] = None,
         catalog: Optional[List[FaultKind]] = None,
         rate_multiplier: float = 1.0,
-        sampler: str = "auto",
     ) -> None:
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if rate_multiplier <= 0:
             raise ValueError("rate_multiplier must be positive")
-        if sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
         self.n_nodes = n_nodes
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.catalog = catalog if catalog is not None else FAULT_CATALOG
         self.rate_multiplier = rate_multiplier
-        self.sampler = sampler
 
     def cluster_rate_per_second(self) -> float:
         """Aggregate fault rate across all nodes and kinds."""
@@ -185,29 +176,8 @@ class FaultInjector:
         weights = np.array([k.weekly_rate_per_node for k in self.catalog], dtype=float)
         return np.cumsum(weights / weights.sum())
 
-    # -- the two equivalent samplers ---------------------------------------
-
-    def _node_events_reference(self, horizon: float) -> List[FaultEvent]:
-        """Per-event Python loop in the canonical phase order (the oracle)."""
-        rate = self.cluster_rate_per_second()
-        if rate <= 0:
-            return []
-        n = int(self.rng.poisson(rate * horizon))
-        cdf = self._kind_cdf()
-        last = len(self.catalog) - 1
-        times = [horizon * float(self.rng.random()) for _ in range(n)]
-        kinds = [
-            min(int(np.searchsorted(cdf, self.rng.random(), side="right")), last)
-            for _ in range(n)
-        ]
-        nodes = [int(self.rng.integers(0, self.n_nodes)) for _ in range(n)]
-        return [
-            FaultEvent(time=times[i], kind=self.catalog[kinds[i]], node_index=nodes[i])
-            for i in range(n)
-        ]
-
-    def _node_events_vectorized(self, horizon: float) -> List[FaultEvent]:
-        """One numpy draw per phase; stream-identical to the reference."""
+    def _node_events(self, horizon: float) -> List[FaultEvent]:
+        """The single-node stream: one numpy draw per phase."""
         rate = self.cluster_rate_per_second()
         if rate <= 0:
             return []
@@ -227,7 +197,7 @@ class FaultInjector:
             for i in range(n)
         ]
 
-    def _extra_events(self, horizon: float, vectorized: bool) -> List[FaultEvent]:
+    def _extra_events(self, horizon: float) -> List[FaultEvent]:
         """Hook for subclasses that sample additional streams (domains)."""
         return []
 
@@ -235,30 +205,10 @@ class FaultInjector:
         """Poisson arrivals over ``[0, horizon)`` seconds, time-ordered."""
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        vectorized = self.sampler != "reference"
-        if vectorized:
-            events = self._node_events_vectorized(horizon)
-        else:
-            events = self._node_events_reference(horizon)
-        events.extend(self._extra_events(horizon, vectorized))
+        events = self._node_events(horizon)
+        events.extend(self._extra_events(horizon))
         events.sort(key=event_order)
         return events
-
-    def sample_reference(self, horizon: float) -> List[FaultEvent]:
-        """Force the per-event oracle path regardless of ``sampler``."""
-        saved, self.sampler = self.sampler, "reference"
-        try:
-            return self.sample(horizon)
-        finally:
-            self.sampler = saved
-
-    def sample_vectorized(self, horizon: float) -> List[FaultEvent]:
-        """Force the batched numpy path regardless of ``sampler``."""
-        saved, self.sampler = self.sampler, "vectorized"
-        try:
-            return self.sample(horizon)
-        finally:
-            self.sampler = saved
 
     def expected_faults(self, horizon: float) -> float:
         return self.cluster_rate_per_second() * horizon

@@ -11,9 +11,8 @@ to deterministic distributions, built on three layers:
    (cluster, parallel plan, checkpoint planner, domain topology) are
    built once and shared across every seed, because a
    :class:`~repro.fault.driver.ProductionRun` only reads them.  Fault
-   timelines come from the vectorized count-first sampler
-   (:class:`~repro.fault.faults.FaultInjector`), with the per-event
-   reference loop kept as the oracle a campaign can be replayed against.
+   timelines come from the batched count-first sampler
+   (:class:`~repro.fault.faults.FaultInjector`).
 2. **Aggregation** — workers return scalar metrics plus bounded
    :class:`~repro.observability.telemetry.PercentileDigest` sketches of
    the within-run distributions (incident downtime, detection latency);
@@ -24,9 +23,10 @@ to deterministic distributions, built on three layers:
    tabulates incidents per fault kind.
 
 Determinism contract: ``run_campaign`` output depends only on
-``(scenario, spec, seeds, weeks)`` — never on ``workers``, ``sampler``
-or caching — and ``CampaignResult.to_json`` is byte-identical across all
-execution paths.
+``(scenario, spec, seeds, weeks)`` — never on ``workers`` or caching —
+and ``CampaignResult.to_json`` is byte-identical across all execution
+paths.  ``tests/montecarlo/`` also replays campaigns with the per-event
+oracle sampler and unshared fixtures and expects the same bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..exec.memo import PersistentMemo
 from ..fault.checkpoint import FLAKY_HDFS, CheckpointPlanner
 from ..fault.domains import CorrelatedFaultInjector, DomainTopology
 from ..fault.driver import ProductionRun, ProductionRunConfig
-from ..fault.faults import SAMPLERS
 from ..hardware.cluster import Cluster
 from ..model import GPT_175B
 from ..observability.telemetry import PercentileDigest
@@ -109,10 +108,6 @@ class SeedTask:
     spec: CampaignSpec
     seed: int
     weeks: float
-    sampler: str = "auto"
-    # False = the naive baseline: rebuild every fixture from scratch for
-    # this seed instead of reusing the per-process shared set.
-    share_fixtures: bool = True
 
 
 # Per-process fixture cache: one expensive build per (process, spec).
@@ -121,9 +116,9 @@ class SeedTask:
 _FIXTURES: Dict[Tuple, Tuple] = {}
 
 
-def _chaos_fixtures(spec: CampaignSpec, share: bool) -> Tuple:
+def _chaos_fixtures(spec: CampaignSpec) -> Tuple:
     key = ("chaos", spec.fingerprint())
-    if share and key in _FIXTURES:
+    if key in _FIXTURES:
         return _FIXTURES[key]
     plan = plan_for_gpus(
         spec.n_nodes * spec.gpus_per_node, tp=spec.tp, pp=spec.pp, vpp=spec.vpp
@@ -136,21 +131,19 @@ def _chaos_fixtures(spec: CampaignSpec, share: bool) -> Tuple:
         nodes_per_pod=spec.nodes_per_pod,
     )
     fixtures = (plan, planner, cluster, topology)
-    if share:
-        _FIXTURES[key] = fixtures
+    _FIXTURES[key] = fixtures
     return fixtures
 
 
 def _run_chaos_seed(task: SeedTask) -> dict:
     """One production run under correlated chaos; returns plain data."""
     spec = task.spec
-    plan, planner, cluster, topology = _chaos_fixtures(spec, task.share_fixtures)
+    plan, planner, cluster, topology = _chaos_fixtures(spec)
     injector = CorrelatedFaultInjector(
         n_nodes=spec.n_nodes,
         topology=topology,
         rng=np.random.default_rng(task.seed),
         rate_multiplier=spec.rate_multiplier,
-        sampler=task.sampler,
     )
     run = ProductionRun(
         plan,
@@ -201,12 +194,7 @@ def _run_chaos_seed(task: SeedTask) -> dict:
 
 def _run_scheduler_seed(task: SeedTask) -> dict:
     """One multi-tenant arbitration run; returns plain data."""
-    report, _scheduler = run_policy(
-        task.seed,
-        task.spec.policy,
-        days=task.weeks * 7.0,
-        sampler=task.sampler,
-    )
+    report, _scheduler = run_policy(task.seed, task.spec.policy, days=task.weeks * 7.0)
     jobs = list(report.per_job.values())
     total_weight = sum(j.weight for j in jobs)
     up = sum(s.duration for s in report.segments if s.goodput > 0)
@@ -247,44 +235,25 @@ def run_campaign(
     seeds: Sequence[int] = tuple(range(32)),
     weeks: float = 1.0,
     workers: int = 0,
-    sampler: str = "auto",
-    reference: bool = False,
     spec: Optional[CampaignSpec] = None,
     cache: Optional[PersistentMemo] = None,
     hub: Optional[object] = None,
 ) -> CampaignResult:
-    """Run one many-seed campaign and reduce it to distributions.
-
-    ``reference=True`` selects the naive baseline the benchmark compares
-    against: per-event oracle sampling and per-seed fixture rebuilds.
-    Both paths return byte-identical results — that equivalence is what
-    ``benchmarks/bench_mc.py`` and the ``mc-smoke`` CI job enforce.
-    """
+    """Run one many-seed campaign and reduce it to distributions."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; known: {SCENARIOS}")
-    if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if not seeds:
         raise ValueError("campaign needs at least one seed")
     if weeks <= 0:
         raise ValueError("weeks must be positive")
     spec = spec or CampaignSpec()
-    if reference:
-        sampler = "reference"
     tasks = [
-        SeedTask(
-            scenario=scenario,
-            spec=spec,
-            seed=int(seed),
-            weeks=float(weeks),
-            sampler=sampler,
-            share_fixtures=not reference,
-        )
+        SeedTask(scenario=scenario, spec=spec, seed=int(seed), weeks=float(weeks))
         for seed in seeds
     ]
-    # The cache key deliberately omits sampler/sharing/workers: every
-    # execution path computes the same per-seed result, so any of them
-    # may serve a later campaign from disk.
+    # The cache key deliberately omits workers: every execution path
+    # computes the same per-seed result, so any of them may serve a
+    # later campaign from disk.
     cache_key = None
     if cache is not None:
         prefix = f"{_CACHE_SCHEMA}/{scenario}/{spec.fingerprint()}/{weeks:g}"

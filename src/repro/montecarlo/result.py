@@ -148,7 +148,7 @@ class CampaignResult:
     """Everything a many-seed campaign reports.
 
     ``to_json`` contains only simulation outputs and the campaign's
-    defining inputs — never worker counts, sampler modes or wall-clock
+    defining inputs — never worker counts, cache hits or wall-clock
     times — so re-running the same seeds through any execution path must
     reproduce it byte-for-byte.
     """

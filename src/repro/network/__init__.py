@@ -15,7 +15,6 @@ from .flow import (
     IncrementalMaxMinSolver,
     TrafficMatrix,
     max_min_fair_rates,
-    max_min_fair_rates_reference,
     transfer_time,
 )
 from .link import DuplexLink, Link
@@ -70,7 +69,6 @@ __all__ = [
     "flap_statistics",
     "hash_flows_onto_uplinks",
     "max_min_fair_rates",
-    "max_min_fair_rates_reference",
     "max_uplink_load",
     "port_split_benefit",
     "shared_fabric",

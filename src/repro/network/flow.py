@@ -5,19 +5,14 @@ traversing a list of links.  The classic water-filling algorithm assigns
 each flow its max-min fair rate; the collective layer then derives
 transfer times from the bottleneck rate.
 
-Two interchangeable solvers compute the same allocation:
-
-* :func:`max_min_fair_rates_reference` — the original per-flow Python
-  water-filling, kept as the correctness oracle.
-* the vectorized numpy water-fill (the default behind
-  :func:`max_min_fair_rates`) — one per-link flow-count/capacity matrix
-  per saturation level instead of per-flow dict loops, which is what
-  makes ``backend="fabric"`` usable at the paper's 12,288 GPUs.
-
-The numpy solver replays the reference's arithmetic (same share
-divisions, same flow-major subtraction order, same bottleneck
-tolerance), so the two agree to the last bit on well-conditioned inputs
-and within 1e-9 relative everywhere (property-tested).
+:func:`max_min_fair_rates` water-fills in numpy: one per-link
+flow-count/capacity matrix per saturation level instead of per-flow dict
+loops, which is what makes ``backend="fabric"`` usable at the paper's
+12,288 GPUs.  It replays the arithmetic of the original per-flow loop
+(same share divisions, same flow-major subtraction order, same
+bottleneck tolerance).  That loop is the test oracle in
+``tests/oracles/flow.py``; a property test holds the two within 1e-9
+relative.
 
 :class:`IncrementalMaxMinSolver` keeps the link-indexing structure
 alive across solves: ring steps that reuse one flow configuration pay
@@ -36,7 +31,7 @@ import numpy as np
 from .link import Link
 
 # Relative tolerance deciding whether a link sits at the bottleneck
-# water level (shared by both solvers so they freeze identical batches).
+# water level (shared with the test oracle so both freeze identical batches).
 BOTTLENECK_RTOL = 1e-9
 
 
@@ -70,84 +65,12 @@ def _assign_local_rates(flows: Sequence[Flow]) -> Dict[int, Flow]:
     return remaining
 
 
-def max_min_fair_rates_reference(flows: Sequence[Flow]) -> Dict[int, float]:
-    """Water-filling oracle: repeatedly saturate the most-constrained link.
-
-    Returns ``flow_id -> rate`` and also stores the rate on each flow.
-    Flows with empty paths (same-node traffic) get their full demand.
-    This is the original per-flow Python implementation, kept as the
-    reference the vectorized solver is property-tested against.
-    """
-    remaining = _assign_local_rates(flows)
-
-    capacity: Dict[Link, float] = {}
-    users: Dict[Link, List[Flow]] = {}
-    for f in remaining.values():
-        for link in f.path:
-            if not link.up:
-                raise RuntimeError(f"flow {f.flow_id} routed over down link {link.name}")
-            capacity.setdefault(link, link.bandwidth)
-            users.setdefault(link, []).append(f)
-
-    allocated: Dict[int, float] = {}
-    active = set(remaining)
-    while active:
-        # Fair share each link could still give its active users.
-        bottleneck_share: Optional[float] = None
-        for link, flows_on_link in users.items():
-            live = [f for f in flows_on_link if f.flow_id in active]
-            if not live:
-                continue
-            share = capacity[link] / len(live)
-            if bottleneck_share is None or share < bottleneck_share:
-                bottleneck_share = share
-        if bottleneck_share is None:
-            break
-        # Demand-limited flows below the share finish first.
-        demand_limited = [
-            f for f in remaining.values()
-            if f.flow_id in active and f.demand <= bottleneck_share
-        ]
-        batch = demand_limited or [
-            f
-            for f in remaining.values()
-            if f.flow_id in active and _is_bottlenecked(f, users, capacity, active, bottleneck_share)
-        ]
-        if not batch:  # numerical fallback: finish everything at the share
-            batch = [remaining[fid] for fid in active]
-        for f in batch:
-            rate = min(f.demand, bottleneck_share)
-            allocated[f.flow_id] = rate
-            f.rate = rate
-            active.discard(f.flow_id)
-            for link in f.path:
-                capacity[link] = max(0.0, capacity[link] - rate)
-    return allocated
-
-
-def _is_bottlenecked(
-    flow: Flow,
-    users: Dict[Link, List[Flow]],
-    capacity: Dict[Link, float],
-    active: set,
-    share: float,
-) -> bool:
-    for link in flow.path:
-        live = sum(1 for f in users[link] if f.flow_id in active)
-        if live and abs(capacity[link] / live - share) < BOTTLENECK_RTOL * max(1.0, share):
-            return True
-    return False
-
-
-# -- vectorized solver --------------------------------------------------------
-
-
 def _index_links(
     ordered: Sequence[Flow],
 ) -> Tuple[List[Link], np.ndarray, np.ndarray, np.ndarray]:
     """(links, edge_flow, edge_link, capacities) of a routed flow set.
 
-    Edges are laid out flow-major — the same order the reference walks —
+    Edges are laid out flow-major — the same order the oracle walks —
     so the unbuffered ``np.subtract.at`` accumulations below reproduce
     its floating-point sequence exactly.
     """
@@ -186,8 +109,8 @@ def _waterfill(
     share is ``capacity / live-user-count`` computed for every link at
     once, demand-limited flows below the bottleneck share finish first,
     otherwise every flow touching a bottleneck-level link freezes at
-    the share.  Identical batch selection and subtraction order as
-    :func:`max_min_fair_rates_reference`.
+    the share.  Identical batch selection and subtraction order as the
+    per-flow oracle.
     """
     n_flows = demand.shape[0]
     n_links = capacity.shape[0]
@@ -210,7 +133,7 @@ def _waterfill(
             touches = np.zeros(n_flows, dtype=bool)
             np.logical_or.at(touches, edge_flow[live_edge], at_level[edge_link[live_edge]])
             batch = active & touches
-            if not batch.any():  # numerical fallback, as in the reference
+            if not batch.any():  # numerical fallback, as in the oracle
                 batch = active.copy()
         flow_rate = np.minimum(demand, bottleneck)
         rates[batch] = flow_rate[batch]
@@ -221,7 +144,13 @@ def _waterfill(
     return rates
 
 
-def _max_min_fair_rates_vectorized(flows: Sequence[Flow]) -> Dict[int, float]:
+def max_min_fair_rates(flows: Sequence[Flow]) -> Dict[int, float]:
+    """Max-min fair rates of a flow set (``flow_id -> rate``).
+
+    Rates are also stored on each flow.  Flows with empty paths
+    (same-node traffic) get their full demand — including an unbounded
+    one — so local transfers price as latency-only.
+    """
     remaining = _assign_local_rates(flows)
     ordered = list(remaining.values())
     if not ordered:
@@ -245,26 +174,6 @@ def _max_min_fair_rates_vectorized(flows: Sequence[Flow]) -> Dict[int, float]:
         f.rate = rate
         allocated[f.flow_id] = rate
     return allocated
-
-
-SOLVERS = ("auto", "vectorized", "reference")
-
-
-def max_min_fair_rates(flows: Sequence[Flow], solver: str = "auto") -> Dict[int, float]:
-    """Max-min fair rates of a flow set (``flow_id -> rate``).
-
-    Rates are also stored on each flow.  Flows with empty paths
-    (same-node traffic) get their full demand — including an unbounded
-    one — so local transfers price as latency-only.  ``solver`` picks
-    the implementation: ``"auto"``/``"vectorized"`` run the numpy
-    water-fill, ``"reference"`` the per-flow Python oracle; both
-    compute the same allocation.
-    """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    if solver == "reference":
-        return max_min_fair_rates_reference(flows)
-    return _max_min_fair_rates_vectorized(flows)
 
 
 class IncrementalMaxMinSolver:

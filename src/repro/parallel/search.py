@@ -73,15 +73,14 @@ class CandidateBounds:
 class SearchStats:
     """Where every enumerated candidate went, plus the incumbent path.
 
-    ``evaluated + persistent_hits + bound_pruned + dominance_pruned +
-    capped`` accounts for every feasible candidate; nothing is dropped
-    silently.  ``incumbent`` records ``(candidates priced so far, best
-    exact time, k-th best exact time)`` each time the frontier tightens.
+    ``evaluated + persistent_hits + bound_pruned + dominance_pruned``
+    accounts for every feasible candidate; nothing is dropped silently.
+    ``incumbent`` records ``(candidates priced so far, best exact time,
+    k-th best exact time)`` each time the frontier tightens.
     """
 
     enumerated: int = 0  # structurally valid plans
     feasible: int = 0  # survived memory / divisibility screening
-    capped: int = 0  # dropped by a legacy max_candidates cap
     dominance_pruned: int = 0  # k candidates certified strictly better
     bound_pruned: int = 0  # lower bound above the incumbent
     evaluated: int = 0  # full IterationEngine.simulate pricings
@@ -97,7 +96,7 @@ class SearchStats:
 
     @property
     def brute_force_evaluations(self) -> int:
-        """Engine calls an exhaustive (uncapped) search would make."""
+        """Engine calls an exhaustive search would make."""
         return self.feasible
 
     @property
@@ -109,8 +108,7 @@ class SearchStats:
 
     def describe(self) -> str:
         lines = [
-            f"plan search: {self.enumerated} enumerated, {self.feasible} feasible"
-            + (f" ({self.capped} dropped by legacy cap)" if self.capped else ""),
+            f"plan search: {self.enumerated} enumerated, {self.feasible} feasible",
             f"  pruned: {self.dominance_pruned} by dominance, "
             f"{self.bound_pruned} by bound ({self.prune_rate:.0%} of feasible)",
             f"  priced: {self.evaluated} engine evaluations"
@@ -279,7 +277,6 @@ def search_plans(
     features: FeatureSet = MEGASCALE_ISO_BATCH,
     gpu: GpuSpec = AMPERE,
     top_k: int = 5,
-    max_candidates: Optional[int] = None,
     pp_limit: int = 64,
     gpus_per_node: int = 8,
     max_micro_batch: int = 2,
@@ -297,12 +294,9 @@ def search_plans(
     benchmarking) while calling the iteration engine only for candidates
     the analytic bounds cannot exclude.
 
-    ``max_candidates`` exists only for legacy compatibility: when set,
-    the canonical candidate list is truncated *before* searching, which
-    can drop the true optimum; :func:`repro.parallel.tuner.tune` warns
-    when that happens.  ``workers`` fans exact pricing out in batches —
-    the result is identical, but batch dispatch can price a few more
-    candidates than the fully sequential incumbent tightening.
+    ``workers`` fans exact pricing out in batches — the result is
+    identical, but batch dispatch can price a few more candidates than
+    the fully sequential incumbent tightening.
     """
     from .tuner import TunedPlan, candidate_plans, evaluate_plan, feasible
 
@@ -327,9 +321,6 @@ def search_plans(
         raise ValueError(
             f"no feasible plan for {model.name} on {n_gpus} GPUs at batch {global_batch}"
         )
-    if max_candidates is not None and len(screened) > max_candidates:
-        stats.capped = len(screened) - max_candidates
-        screened = screened[:max_candidates]
 
     price: Callable[[ParallelPlan], TunedPlan] = functools.partial(
         evaluate_plan,
@@ -425,7 +416,6 @@ def _emit_search_telemetry(hub, stats: SearchStats, priced, top_k: int) -> None:
     """
     hub.count("exec", "search_enumerated", stats.enumerated)
     hub.count("exec", "search_feasible", stats.feasible)
-    hub.count("exec", "search_capped", stats.capped)
     hub.count("exec", "search_dominance_pruned", stats.dominance_pruned)
     hub.count("exec", "search_bound_pruned", stats.bound_pruned)
     hub.count("exec", "search_evaluated", stats.evaluated)

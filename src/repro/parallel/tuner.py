@@ -10,7 +10,7 @@ as an ablation harness for "what if we had chosen differently".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from ..core.features import MEGASCALE_ISO_BATCH, FeatureSet
 from ..hardware.gpu import AMPERE, GpuSpec
@@ -147,7 +147,6 @@ def tune_with_stats(
     features: FeatureSet = MEGASCALE_ISO_BATCH,
     gpu: GpuSpec = AMPERE,
     top_k: int = 5,
-    max_candidates: Optional[int] = None,
     pp_limit: int = 64,
     gpus_per_node: int = 8,
     max_micro_batch: int = 2,
@@ -163,11 +162,8 @@ def tune_with_stats(
     Returns ``(results, SearchStats)`` — see :func:`tune` for the
     ranking semantics and :mod:`repro.parallel.search` for how pruning
     preserves exactness.  The stats report enumerated / feasible /
-    dominance-pruned / bound-pruned / evaluated candidate counts, so no
-    truncation is ever silent.
+    dominance-pruned / bound-pruned / evaluated candidate counts.
     """
-    import warnings
-
     from .search import search_plans
 
     result = search_plans(
@@ -177,7 +173,6 @@ def tune_with_stats(
         features=features,
         gpu=gpu,
         top_k=top_k,
-        max_candidates=max_candidates,
         pp_limit=pp_limit,
         gpus_per_node=gpus_per_node,
         max_micro_batch=max_micro_batch,
@@ -188,15 +183,6 @@ def tune_with_stats(
         backend=backend,
         profile=profile,
     )
-    if result.stats.capped:
-        warnings.warn(
-            f"max_candidates={max_candidates} dropped {result.stats.capped} of "
-            f"{result.stats.feasible} feasible candidates before the search — "
-            "the true optimum may be among them.  Bound-and-prune makes the "
-            "full search affordable; drop the cap (max_candidates=None) to "
-            "search exactly.",
-            stacklevel=3,
-        )
     return result.top, result.stats
 
 
@@ -207,7 +193,6 @@ def tune(
     features: FeatureSet = MEGASCALE_ISO_BATCH,
     gpu: GpuSpec = AMPERE,
     top_k: int = 5,
-    max_candidates: Optional[int] = None,
     pp_limit: int = 64,
     gpus_per_node: int = 8,
     max_micro_batch: int = 2,
@@ -227,9 +212,7 @@ def tune(
     — identical to MFU descending, since every candidate fills the same
     ``n_gpus`` — with exact ties in the canonical candidate order.
 
-    ``max_candidates`` is a legacy cap on the candidate list; passing it
-    warns when candidates were dropped (results may then miss the true
-    optimum).  ``pp_limit`` bounds the pipeline depth searched;
+    ``pp_limit`` bounds the pipeline depth searched;
     ``gpus_per_node`` and ``max_micro_batch`` widen or narrow the space
     itself (forwarded to :func:`candidate_plans`).  ``workers`` fans
     exact pricing out over worker processes via :mod:`repro.exec`;
@@ -251,7 +234,6 @@ def tune(
         features=features,
         gpu=gpu,
         top_k=top_k,
-        max_candidates=max_candidates,
         pp_limit=pp_limit,
         gpus_per_node=gpus_per_node,
         max_micro_batch=max_micro_batch,

@@ -100,7 +100,7 @@ def build_scheduler(
     )
 
 
-def build_injector(seed: int, sampler: str = "auto") -> CorrelatedFaultInjector:
+def build_injector(seed: int) -> CorrelatedFaultInjector:
     return CorrelatedFaultInjector(
         n_nodes=TESTBED_NODES,
         topology=DomainTopology(
@@ -110,7 +110,6 @@ def build_injector(seed: int, sampler: str = "auto") -> CorrelatedFaultInjector:
         rng=np.random.default_rng(seed),
         catalog=list(CHAOS_CATALOG),
         rate_multiplier=CHAOS_RATE_MULTIPLIER,
-        sampler=sampler,
     )
 
 
@@ -119,11 +118,10 @@ def run_policy(
     policy: str,
     days: float = 3.0,
     hub: Optional[object] = None,
-    sampler: str = "auto",
 ) -> Tuple[MultiJobReport, ClusterScheduler]:
     """One full multi-tenant run under one arbitration policy."""
     scheduler = build_scheduler(seed, policy, hub=hub)
-    report = scheduler.run(build_injector(seed, sampler=sampler), duration=days * 86400.0)
+    report = scheduler.run(build_injector(seed), duration=days * 86400.0)
     return report, scheduler
 
 

@@ -139,3 +139,24 @@ def test_compare_command_fabric_backend(capsys):
     argv = ["compare", "--gpus", "256", "--batch", "768", "--backend", "fabric"]
     assert main(argv) == 0
     assert "speedup" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["production", "--spares", "-3"],
+        ["trace", "no-such-trace.json"],
+        ["mc", "--seeds", "0"],
+        ["mc", "--weeks", "-1"],
+        ["tune", "--model", "X"],
+    ],
+    ids=["negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model"],
+)
+def test_invalid_input_is_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error:"), captured.err
+    assert "Traceback" not in captured.err + captured.out

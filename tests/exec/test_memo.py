@@ -272,25 +272,56 @@ def test_cost_model_fingerprint_is_stable_and_short():
     assert len(fp) == 16 and all(c in "0123456789abcdef" for c in fp)
 
 
-def test_fingerprint_covers_hardware_modules():
-    from repro.exec.memo import _COST_MODEL_MODULES
+def _package_copy(tmp_path, monkeypatch):
+    """A copy of the ``repro`` sources that the fingerprint reads instead."""
+    import shutil
+    from pathlib import Path
 
-    assert "repro.hardware.gpu" in _COST_MODEL_MODULES
-    assert "repro.hardware.nic" in _COST_MODEL_MODULES
+    import repro
+
+    source = Path(repro.__file__).resolve().parent
+    copy = tmp_path / "repro"
+    shutil.copytree(source, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+    return copy
+
+
+def _edit(copy, module):
+    with open(copy / module, "a", encoding="utf-8") as fh:
+        fh.write("\n# edited\n")
 
 
 def test_fingerprint_changes_on_gpu_source_byte_change(tmp_path, monkeypatch):
     """Editing a calibration constant in gpu.py must version persistent caches.
 
-    Regression: gpu.py/nic.py were missing from _COST_MODEL_MODULES, so a
-    gemm_flops_half edit left cost_model_fingerprint() unchanged and stale
-    prices leaked out of PersistentMemo.
+    Regression: gpu.py/nic.py were once missing from a hand-kept module
+    list, so a gemm_flops_half edit left cost_model_fingerprint()
+    unchanged and stale prices leaked out of PersistentMemo.
     """
-    import repro.hardware.gpu as gpu_mod
-
     baseline = cost_model_fingerprint()
-    original = open(gpu_mod.__file__, "rb").read()
-    mutated = tmp_path / "gpu.py"
-    mutated.write_bytes(original + b"\n# gemm_flops_half tweaked\n")
-    monkeypatch.setattr(gpu_mod, "__file__", str(mutated))
+    copy = _package_copy(tmp_path, monkeypatch)
+    assert cost_model_fingerprint() == baseline  # content, not location
+    _edit(copy, "hardware/gpu.py")
     assert cost_model_fingerprint() != baseline
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["fault/faults.py", "scheduler/scheduler.py", "network/pfc.py"],
+    ids=["faults", "scheduler", "pfc"],
+)
+def test_module_edit_misses_persistent_cache(module, tmp_path, monkeypatch):
+    """Regression: the fingerprint once hashed a 17-module list that left
+    out the fault, scheduler and PFC models, so after an edit to one of
+    them ``mc --cache-dir`` still served the old campaign."""
+    copy = _package_copy(tmp_path, monkeypatch)
+    path = str(tmp_path / "memo.pkl")
+    with PersistentMemo(path) as memo:
+        memo.put("campaign", 42)
+    before = cost_model_fingerprint()
+    _edit(copy, module)
+    assert cost_model_fingerprint() != before
+    reloaded = PersistentMemo(path)
+    assert reloaded.stale_dropped > 0
+    assert reloaded.get("campaign") is None
+    assert reloaded.misses == 1

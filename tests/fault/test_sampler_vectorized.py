@@ -1,12 +1,12 @@
-"""The vectorized fault sampler must reproduce the per-event oracle."""
+"""The batched fault sampler must reproduce the per-event oracle."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fault.domains import CorrelatedFaultInjector, DomainTopology
 from repro.fault.faults import FaultInjector, event_order
+from tests.oracles import fault_sampler
 
 WEEK = 7 * 86400.0
 
@@ -23,30 +23,36 @@ def _assert_same_events(ref, vec):
 
 def test_node_injector_matches_oracle_across_seed_grid():
     for seed in range(50):
-        ref = FaultInjector(
-            n_nodes=128, rng=np.random.default_rng(seed), rate_multiplier=20.0
-        ).sample_reference(WEEK)
+        ref = fault_sampler.sample(
+            FaultInjector(
+                n_nodes=128, rng=np.random.default_rng(seed), rate_multiplier=20.0
+            ),
+            WEEK,
+        )
         vec = FaultInjector(
             n_nodes=128, rng=np.random.default_rng(seed), rate_multiplier=20.0
-        ).sample_vectorized(WEEK)
+        ).sample(WEEK)
         _assert_same_events(ref, vec)
 
 
 def test_correlated_injector_matches_oracle_across_seed_grid():
     topology = DomainTopology(n_nodes=128, nodes_per_rack=4, nodes_per_pod=16)
     for seed in range(50):
-        ref = CorrelatedFaultInjector(
-            n_nodes=128,
-            topology=topology,
-            rng=np.random.default_rng(seed),
-            rate_multiplier=20.0,
-        ).sample_reference(WEEK)
+        ref = fault_sampler.sample(
+            CorrelatedFaultInjector(
+                n_nodes=128,
+                topology=topology,
+                rng=np.random.default_rng(seed),
+                rate_multiplier=20.0,
+            ),
+            WEEK,
+        )
         vec = CorrelatedFaultInjector(
             n_nodes=128,
             topology=topology,
             rng=np.random.default_rng(seed),
             rate_multiplier=20.0,
-        ).sample_vectorized(WEEK)
+        ).sample(WEEK)
         _assert_same_events(ref, vec)
 
 
@@ -58,16 +64,19 @@ def test_correlated_injector_matches_oracle_across_seed_grid():
     weeks=st.floats(min_value=0.05, max_value=4.0),
 )
 def test_sampler_equivalence_property(seed, n_nodes, rate_multiplier, weeks):
-    ref = FaultInjector(
-        n_nodes=n_nodes,
-        rng=np.random.default_rng(seed),
-        rate_multiplier=rate_multiplier,
-    ).sample_reference(weeks * WEEK)
+    ref = fault_sampler.sample(
+        FaultInjector(
+            n_nodes=n_nodes,
+            rng=np.random.default_rng(seed),
+            rate_multiplier=rate_multiplier,
+        ),
+        weeks * WEEK,
+    )
     vec = FaultInjector(
         n_nodes=n_nodes,
         rng=np.random.default_rng(seed),
         rate_multiplier=rate_multiplier,
-    ).sample_vectorized(weeks * WEEK)
+    ).sample(weeks * WEEK)
     _assert_same_events(ref, vec)
 
 
@@ -81,24 +90,9 @@ def test_sample_is_time_ordered_and_in_horizon():
     assert all(0 <= e.node_index < 64 for e in events)
 
 
-def test_forced_sampler_modes_restore_configured_sampler():
-    injector = FaultInjector(n_nodes=8, sampler="auto")
-    injector.sample_reference(1000.0)
-    assert injector.sampler == "auto"
-    injector.sample_vectorized(1000.0)
-    assert injector.sampler == "auto"
-
-
 def test_reference_sampler_is_seed_deterministic():
     runs = [
-        FaultInjector(
-            n_nodes=32, rng=np.random.default_rng(3), sampler="reference"
-        ).sample(WEEK)
+        fault_sampler.sample(FaultInjector(n_nodes=32, rng=np.random.default_rng(3)), WEEK)
         for _ in range(2)
     ]
     _assert_same_events(runs[0], runs[1])
-
-
-def test_unknown_sampler_rejected():
-    with pytest.raises(ValueError, match="sampler"):
-        FaultInjector(n_nodes=4, sampler="fast")

@@ -6,17 +6,43 @@ import numpy as np
 import pytest
 
 from repro.exec.memo import PersistentMemo
+from repro.fault.faults import FaultInjector
 from repro.montecarlo import (
     CampaignSpec,
     MetricSummary,
     bootstrap_ci,
+    engine,
     run_campaign,
 )
+from tests.oracles import fault_sampler
 
 # Small enough to keep the suite fast, big enough to produce incidents.
 SPEC = CampaignSpec(n_nodes=64)
 SEEDS = range(6)
 WEEKS = 0.25
+
+
+class _NeverKeeps(dict):
+    """A fixture store that keeps no entry, so every seed rebuilds its own."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _use_oracle_path(monkeypatch):
+    """Per-event oracle sampling and unshared fixtures for serial campaigns.
+
+    Returns the list of horizons the oracle sampled, one per injector.
+    """
+    calls = []
+
+    def oracle(injector, horizon):
+        calls.append(horizon)
+        return fault_sampler.sample(injector, horizon)
+
+    monkeypatch.setattr(FaultInjector, "sample", oracle)
+    monkeypatch.setattr(engine, "_FIXTURES", _NeverKeeps())
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -29,17 +55,19 @@ def test_same_seeds_identical_json_serial_vs_parallel(chaos_serial):
     assert chaos_serial.to_json() == parallel.to_json()
 
 
-def test_reference_path_matches_optimized_byte_for_byte(chaos_serial):
-    reference = run_campaign(
-        "chaos", seeds=SEEDS, weeks=WEEKS, spec=SPEC, reference=True
-    )
+def test_reference_path_matches_optimized_byte_for_byte(chaos_serial, monkeypatch):
+    calls = _use_oracle_path(monkeypatch)
+    reference = run_campaign("chaos", seeds=SEEDS, weeks=WEEKS, spec=SPEC, workers=0)
+    assert len(calls) == len(SEEDS)
     assert chaos_serial.to_json() == reference.to_json()
 
 
-def test_scheduler_campaign_deterministic_across_workers():
+def test_scheduler_campaign_deterministic_across_workers(monkeypatch):
     serial = run_campaign("scheduler", seeds=range(4), weeks=0.25)
     parallel = run_campaign("scheduler", seeds=range(4), weeks=0.25, workers=4)
-    reference = run_campaign("scheduler", seeds=range(4), weeks=0.25, reference=True)
+    calls = _use_oracle_path(monkeypatch)
+    reference = run_campaign("scheduler", seeds=range(4), weeks=0.25, workers=0)
+    assert len(calls) == 4
     assert serial.to_json() == parallel.to_json() == reference.to_json()
 
 
@@ -86,14 +114,14 @@ def test_persistent_cache_serves_second_campaign(tmp_path):
     assert first.to_json() == second.to_json()
 
 
-def test_cache_key_excludes_execution_path(tmp_path):
-    """A reference campaign may be served from an optimized run's cache."""
+def test_cache_key_excludes_execution_path(tmp_path, monkeypatch):
+    """An oracle-path campaign may be served from an optimized run's cache."""
     cache = PersistentMemo(str(tmp_path / "mc.pkl"))
     run_campaign("chaos", seeds=range(2), weeks=WEEKS, spec=SPEC, cache=cache)
-    served = run_campaign(
-        "chaos", seeds=range(2), weeks=WEEKS, spec=SPEC, cache=cache, reference=True
-    )
+    calls = _use_oracle_path(monkeypatch)
+    served = run_campaign("chaos", seeds=range(2), weeks=WEEKS, spec=SPEC, cache=cache)
     assert served.stats.persistent_hits == 2
+    assert calls == []
 
 
 def test_spec_changes_change_results():
@@ -117,8 +145,6 @@ def test_describe_renders_all_metrics(chaos_serial):
 def test_validation_errors():
     with pytest.raises(ValueError, match="scenario"):
         run_campaign("prod", seeds=range(2))
-    with pytest.raises(ValueError, match="sampler"):
-        run_campaign("chaos", seeds=range(2), sampler="fast")
     with pytest.raises(ValueError, match="seed"):
         run_campaign("chaos", seeds=())
     with pytest.raises(ValueError, match="weeks"):

@@ -1,4 +1,7 @@
-"""Tests for the vectorized max-min solver and its incremental wrapper."""
+"""Tests for the numpy max-min solver and its incremental wrapper.
+
+The per-flow oracle they are held to lives in ``tests/oracles/flow.py``.
+"""
 
 import pickle
 
@@ -11,9 +14,9 @@ from repro.network import (
     IncrementalMaxMinSolver,
     Link,
     max_min_fair_rates,
-    max_min_fair_rates_reference,
     transfer_time,
 )
+from tests.oracles.flow import max_min_fair_rates_reference
 
 
 def _links(bandwidths):
@@ -60,7 +63,7 @@ def test_vectorized_matches_reference(flow_set):
     ref_flows = _build(bandwidths, specs)
     vec_flows = _build(bandwidths, specs)
     ref = max_min_fair_rates_reference(ref_flows)
-    vec = max_min_fair_rates(vec_flows, solver="vectorized")
+    vec = max_min_fair_rates(vec_flows)
     assert set(ref) == set(vec)
     for fid, ref_rate in ref.items():
         assert vec[fid] == pytest.approx(ref_rate, rel=1e-9), (
@@ -84,7 +87,7 @@ def test_multi_bottleneck_levels_match():
     ref = [Flow(flow_id=i, path=list(p)) for i, p in enumerate(specs)]
     vec = [Flow(flow_id=i, path=list(p)) for i, p in enumerate(specs)]
     r = max_min_fair_rates_reference(ref)
-    v = max_min_fair_rates(vec, solver="vectorized")
+    v = max_min_fair_rates(vec)
     assert r == v
     assert v[0] == pytest.approx(2.0)
     assert v[1] == pytest.approx(4.0)
@@ -96,13 +99,13 @@ def test_repeated_link_in_path_counts_twice():
     # in both the general water-fill and the single-flow closed form.
     link = _links([10.0])[0]
     lone = [Flow(flow_id=0, path=[link, link])]
-    assert max_min_fair_rates(lone, solver="vectorized")[0] == pytest.approx(5.0)
+    assert max_min_fair_rates(lone)[0] == pytest.approx(5.0)
     pair = [
         Flow(flow_id=0, path=[link, link]),
         Flow(flow_id=1, path=[link]),
     ]
     ref = max_min_fair_rates_reference([Flow(f.flow_id, list(f.path)) for f in pair])
-    vec = max_min_fair_rates(pair, solver="vectorized")
+    vec = max_min_fair_rates(pair)
     for fid in ref:
         assert vec[fid] == pytest.approx(ref[fid], rel=1e-9)
 
@@ -112,27 +115,19 @@ def test_empty_path_unbounded_demand_prices_latency_only():
     # used to get rate 0.0, making transfer_time raise for healthy
     # local traffic.  It must price as latency-only instead.
     flow = Flow(flow_id=0, path=[])
-    for solver in ("vectorized", "reference"):
+    for solver in (max_min_fair_rates, max_min_fair_rates_reference):
         flow.rate = 0.0
-        max_min_fair_rates([flow], solver=solver)
+        solver([flow])
         assert flow.rate == float("inf")
         assert transfer_time(1e9, flow) == 0.0
-
-
-def test_solver_dispatch_validates_name():
-    with pytest.raises(ValueError):
-        max_min_fair_rates([], solver="quantum")
 
 
 def test_vectorized_raises_on_down_link():
     dead = Link(src="a", dst="b", bandwidth=1e9, up=False)
     with pytest.raises(RuntimeError):
-        max_min_fair_rates([Flow(flow_id=0, path=[dead])], solver="vectorized")
+        max_min_fair_rates([Flow(flow_id=0, path=[dead])])
     with pytest.raises(RuntimeError):
-        max_min_fair_rates(
-            [Flow(flow_id=0, path=[dead]), Flow(flow_id=1, path=[dead])],
-            solver="vectorized",
-        )
+        max_min_fair_rates([Flow(flow_id=0, path=[dead]), Flow(flow_id=1, path=[dead])])
 
 
 # -- incremental solver --------------------------------------------------------

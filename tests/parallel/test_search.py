@@ -49,7 +49,7 @@ def test_search_accounting_is_complete(model, n_gpus, batch, features):
     assert s.feasible <= s.enumerated
     assert (
         s.dominance_pruned + s.bound_pruned + s.evaluated + s.persistent_hits
-        == s.feasible - s.capped
+        == s.feasible
     )
     assert 0.0 <= s.prune_rate <= 1.0
     assert "plan search" in s.describe()
@@ -184,15 +184,7 @@ def test_dominance_partition_preserves_everything():
     assert sorted(c.index for c in kept + dropped) == list(range(12))
 
 
-# -- legacy cap + canonical order ---------------------------------------------
-
-
-def test_max_candidates_cap_is_recorded_not_silent():
-    full = search_plans(GPT_13B, 16, 64, top_k=3)
-    capped = search_plans(GPT_13B, 16, 64, top_k=3, max_candidates=4)
-    assert full.stats.capped == 0
-    assert capped.stats.capped == full.stats.feasible - 4
-    assert "dropped by legacy cap" in capped.stats.describe()
+# -- canonical order ----------------------------------------------------------
 
 
 def test_canonical_key_orders_small_model_parallel_first():

@@ -110,29 +110,19 @@ def test_tune_parallel_matches_serial():
     assert parallel == serial
 
 
-# -- search accounting + the legacy max_candidates cap -------------------------
+# -- search accounting ---------------------------------------------------------
 
 
 def test_tune_with_stats_accounts_for_every_candidate():
     results, stats = tune_with_stats(GPT_13B, n_gpus=16, global_batch=64, top_k=3)
     assert results == tune(GPT_13B, n_gpus=16, global_batch=64, top_k=3)
     assert stats.enumerated >= stats.feasible > 0
-    assert stats.capped == 0
     assert (
         stats.dominance_pruned + stats.bound_pruned + stats.evaluated
         == stats.feasible
     )
     # Pruning must actually bite on this space.
     assert stats.evaluated < stats.feasible
-
-
-def test_tune_warns_when_legacy_cap_drops_candidates():
-    with pytest.warns(UserWarning, match="max_candidates=4 dropped"):
-        results, stats = tune_with_stats(
-            GPT_13B, n_gpus=16, global_batch=64, top_k=3, max_candidates=4
-        )
-    assert stats.capped > 0
-    assert results  # still returns the best of what survived the cap
 
 
 def test_tune_uncapped_by_default_no_warning():
