@@ -678,8 +678,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        message = " ".join(str(exc).split())
-        parser.exit(2, f"repro: error: {message}\n")
+        parser.error(" ".join(str(exc).split()))
 
 
 if __name__ == "__main__":  # pragma: no cover

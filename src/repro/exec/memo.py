@@ -204,10 +204,11 @@ def cost_model_fingerprint() -> str:
 
     Persistent caches embed this fingerprint; a mismatch on load makes
     the cache start empty, so a result computed by older code is never
-    served.  Every ``*.py`` under the package directory is hashed, in
-    order of relative path, so no module a cached result depends on can
-    be left out; the cost is that any source edit cold-starts the
-    on-disk caches.
+    served.  Every ``*.py`` file under the package directory is hashed,
+    in order of relative path, so no module a cached result depends on
+    can be left out; the cost is that any source edit cold-starts the
+    on-disk caches.  Entries that are not regular files (an editor's
+    dangling ``.#cli.py`` lock symlink) are skipped.
     """
     import hashlib
     from pathlib import Path
@@ -216,7 +217,11 @@ def cost_model_fingerprint() -> str:
 
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    sources = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*.py"))
+    sources = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+        if path.is_file()
+    )
     for relative, path in sources:
         digest.update(relative.encode() + b"\0")
         digest.update(path.read_bytes())

@@ -305,6 +305,18 @@ def test_fingerprint_changes_on_gpu_source_byte_change(tmp_path, monkeypatch):
     assert cost_model_fingerprint() != baseline
 
 
+def test_fingerprint_skips_dangling_editor_lock(tmp_path, monkeypatch):
+    """Regression: an editor's lock symlink (``.#cli.py`` pointing at
+    nothing) made the fingerprint raise, so ``--cache-dir`` runs failed
+    while a module was open in the editor."""
+    baseline = cost_model_fingerprint()
+    copy = _package_copy(tmp_path, monkeypatch)
+    (copy / ".#cli.py").symlink_to("user@host.1234")
+    assert cost_model_fingerprint() == baseline
+    with PersistentMemo(str(tmp_path / "memo.pkl")) as memo:
+        memo.put("plan", 1)
+
+
 @pytest.mark.parametrize(
     "module",
     ["fault/faults.py", "scheduler/scheduler.py", "network/pfc.py"],

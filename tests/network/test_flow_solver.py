@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.network import (
+    ClosFabric,
     Flow,
     IncrementalMaxMinSolver,
     Link,
@@ -73,6 +74,33 @@ def test_vectorized_matches_reference(flow_set):
     for rf, vf in zip(ref_flows, vec_flows):
         assert vf.rate == pytest.approx(rf.rate, rel=1e-9)
         assert rf.demand == float("inf") or rf.rate <= rf.demand * (1 + 1e-9)
+
+
+def _ring_flows(fabric, n_flows):
+    """Cross-pod neighbour flows: each hops one pod ahead on its own rail,
+    so paths share ToR uplinks, aggs and spines, and many links saturate
+    at the same water level."""
+    flows = []
+    for i in range(n_flows):
+        src = i % fabric.n_nodes
+        dst = (src + fabric.nodes_per_pod) % fabric.n_nodes
+        path = fabric.path(src, dst, rail=i % fabric.rails, flow_id=i)
+        flows.append(Flow(flow_id=i, path=path, demand=fabric.nic_rate))
+    return flows
+
+
+@pytest.mark.parametrize("n_nodes,n_flows", [(256, 512), (1536, 2048)])
+def test_vectorized_matches_reference_on_routed_fabric_flows(n_nodes, n_flows):
+    fabric = ClosFabric(n_nodes=n_nodes, nodes_per_pod=64)
+    ref = max_min_fair_rates_reference(_ring_flows(fabric, n_flows))
+    vec = max_min_fair_rates(_ring_flows(fabric, n_flows))
+    assert set(vec) == set(ref) == set(range(n_flows))
+    for fid, ref_rate in ref.items():
+        assert vec[fid] == pytest.approx(ref_rate, rel=1e-9), (
+            f"flow {fid}: vectorized {vec[fid]} vs reference {ref_rate}"
+        )
+    # Congested: the fabric, not the NIC demand, limits the flows.
+    assert min(ref.values()) < fabric.nic_rate
 
 
 def test_multi_bottleneck_levels_match():
