@@ -48,15 +48,22 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_job_args(parser: argparse.ArgumentParser) -> None:
     from .model import MODEL_CATALOG
 
-    parser.add_argument("--gpus", type=int, default=1024)
-    parser.add_argument("--batch", type=int, default=768)
+    parser.add_argument("--gpus", type=positive_int, default=1024)
+    parser.add_argument("--batch", type=positive_int, default=768)
     parser.add_argument("--model", choices=sorted(MODEL_CATALOG), default="gpt-175b")
-    parser.add_argument("--tp", type=int, default=8)
-    parser.add_argument("--pp", type=int, default=8)
-    parser.add_argument("--vpp", type=int, default=6)
+    parser.add_argument("--tp", type=positive_int, default=8)
+    parser.add_argument("--pp", type=positive_int, default=8)
+    parser.add_argument("--vpp", type=positive_int, default=6)
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
@@ -490,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="Table 2 strong-scaling sweep")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=non_negative_int, default=0,
                    help="worker processes (0 = serial, the default)")
     _add_backend_arg(p)
     p.add_argument("--stats", action="store_true",
@@ -555,10 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of seeds (0..N-1) to simulate (default 256)")
     p.add_argument("--weeks", type=float, default=1.0,
                    help="simulated horizon per seed in weeks (default 1)")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=non_negative_int, default=0,
                    help="worker processes fanning out seeds (0 = serial; "
                         "results are byte-identical either way)")
-    p.add_argument("--nodes", type=int, default=512,
+    p.add_argument("--nodes", type=positive_int, default=512,
                    help="chaos-campaign cluster size in nodes (default 512)")
     p.add_argument("--policy", choices=["priority", "fifo"], default="priority",
                    help="scheduler-campaign arbitration policy")
@@ -581,17 +588,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="fabric-vs-analytic agreement report (alpha-beta degeneration, "
              "placement deltas, port-split benefit)",
     )
-    p.add_argument("--gpus", type=int, default=12288,
+    p.add_argument("--gpus", type=positive_int, default=12288,
                    help="cluster size; nodes = gpus / gpus-per-node (default 12288, "
                         "the paper's scale)")
-    p.add_argument("--gpus-per-node", type=int, default=8)
-    p.add_argument("--nodes", type=int, default=None,
+    p.add_argument("--gpus-per-node", type=positive_int, default=8)
+    p.add_argument("--nodes", type=positive_int, default=None,
                    help="node count, overriding --gpus/--gpus-per-node")
-    p.add_argument("--nodes-per-pod", type=int, default=64)
+    p.add_argument("--nodes-per-pod", type=positive_int, default=64)
     p.add_argument("--group-size", type=int, default=8,
                    help="ring size priced under each placement")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200,
+    p.add_argument("--trials", type=positive_int, default=200,
                    help="Monte-Carlo trials for the ECMP conflict model")
     p.add_argument("--max-rel-error", type=float, default=1e-9,
                    help="fail (exit 1) if the same-ToR fabric price deviates "
@@ -619,12 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="auto-tune 3D parallelism (exact bound-and-prune search)")
     _add_job_args(p)
     _add_backend_arg(p)
-    p.add_argument("--top", type=int, default=5)
-    p.add_argument("--gpus-per-node", type=int, default=8,
+    p.add_argument("--top", type=positive_int, default=5)
+    p.add_argument("--gpus-per-node", type=positive_int, default=8,
                    help="node size constraining tensor parallelism")
-    p.add_argument("--max-micro-batch", type=int, default=2,
+    p.add_argument("--max-micro-batch", type=positive_int, default=2,
                    help="largest micro-batch size searched")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=non_negative_int, default=0,
                    help="worker processes for candidate evaluation (0 = serial)")
     p.add_argument("--exhaustive", action="store_true",
                    help="price every feasible candidate (disables pruning; "
@@ -665,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="overwrite the committed baseline with this report")
     p.add_argument("--drift-tolerance", type=float, default=0.02,
                    help="relative prediction drift allowed vs baseline")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=non_negative_int, default=0,
                    help="worker processes for anchor prediction (0 = serial)")
     p.set_defaults(func=cmd_calibrate)
 

@@ -15,12 +15,11 @@ actual CLOS paths into account:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..exec.memo import memoized
 from ..hardware.node import NodeSpec
 from ..network.topology import ClosFabric, shared_fabric
-from ..parallel.placement import Placement
 from ..parallel.plan import ParallelPlan
 from .fabric import FabricCostModel, fabric_collective_cost
 from .primitives import (
@@ -54,7 +53,7 @@ def cross_pod_conflict_factor(active_nodes_per_pod: int = 64, uplinks: int = 32)
 
 @dataclass
 class GroupCommModel:
-    """Prices collectives for one (plan, placement, fabric) deployment.
+    """Prices collectives for one (plan, fabric) deployment.
 
     ``backend`` selects the pricing model (see
     :data:`~repro.collectives.primitives.COST_BACKENDS`): ``"analytic"``
@@ -65,7 +64,6 @@ class GroupCommModel:
 
     plan: ParallelPlan
     fabric: ClosFabric
-    placement: Optional[Placement] = None
     node_spec: Optional[NodeSpec] = None
     cc_efficiency: float = DEFAULT_CC_EFFICIENCY
     inter_node_latency: float = INTER_NODE_LATENCY
@@ -80,7 +78,9 @@ class GroupCommModel:
             raise ValueError("inter_node_latency must be non-negative")
         validate_backend(self.backend)
         self._nic_rate = self.node_spec.nic_spec.line_rate
-        self._conflict_factor = cross_pod_conflict_factor()
+        # Ring pricing relies on NVLink >= NIC*cc >= NIC*cc*conflict.
+        if self.node_spec.gpu_spec.nvlink_bandwidth < self._nic_rate:
+            raise ValueError("NVLink bandwidth must be >= the NIC line rate")
         self._fabric_model = None
         if self.backend == "fabric":
             self._fabric_model = FabricCostModel(
@@ -101,22 +101,31 @@ class GroupCommModel:
             return self.node_spec.gpu_spec.nvlink_bandwidth
         rate = self._nic_rate * self.cc_efficiency
         if not self.fabric.same_tor(node_a, node_b):
-            rate *= self._conflict_factor
+            rate *= cross_pod_conflict_factor()
         return rate
 
-    def ring_bandwidth(self, ranks: List[int]) -> float:
-        """Slowest neighbour-pair bandwidth around the ring."""
+    def ring_bandwidth(self, ranks: Sequence[int]) -> float:
+        """Slowest neighbour-pair bandwidth around the ring, in O(1) for a range.
+
+        Nodes and pods hold contiguous rank blocks, so a ring's ranks
+        share one node (or pod) exactly when its lowest and highest rank
+        do, and a ring that spans two nodes (pods) has a neighbour pair
+        crossing between them.  With NVLink >= NIC*cc >= NIC*cc*conflict
+        the slowest pair is therefore the pair (lowest, highest).  A
+        ``range`` — every :meth:`~repro.parallel.plan.ParallelPlan.dp_group`
+        — has its extremes at its ends.
+        """
         if len(ranks) < 2:
             return float("inf")
-        rate = float("inf")
-        for i, rank in enumerate(ranks):
-            nxt = ranks[(i + 1) % len(ranks)]
-            rate = min(rate, self._pair_bandwidth(rank, nxt))
-        return rate
+        if isinstance(ranks, range):
+            return self._pair_bandwidth(ranks[0], ranks[-1])
+        return self._pair_bandwidth(min(ranks), max(ranks))
 
     # -- DP collectives --------------------------------------------------------
 
-    def dp_collective_time(self, kind: str, size: float, ranks: Optional[List[int]] = None) -> float:
+    def dp_collective_time(
+        self, kind: str, size: float, ranks: Optional[Sequence[int]] = None
+    ) -> float:
         """Time of one DP collective of ``size`` bytes (full tensor)."""
         if kind not in ("all_gather", "reduce_scatter", "all_reduce"):
             raise ValueError(f"unknown DP collective {kind!r}")
@@ -172,12 +181,14 @@ def build_comm_model(
     inter_node_latency: float = INTER_NODE_LATENCY,
     backend: str = "analytic",
 ) -> GroupCommModel:
-    """Convenience constructor: build a right-sized fabric for the plan.
+    """Convenience constructor: a comm model on a right-sized fabric.
 
     Fabrics are interned via :func:`~repro.network.topology.shared_fabric`,
     so plan-search loops that price hundreds of candidates on the same
-    cluster shape reuse one fabric (and its warm cost memo) instead of
-    rebuilding tens of thousands of links per candidate.
+    cluster shape reuse one fabric (and its warm cost memo).  The
+    analytic backend only asks the fabric node-to-pod questions, so it
+    never builds the fabric's link graph; the fabric backend builds it
+    on its first route.
     """
     node_spec = node_spec or NodeSpec()
     n_nodes = -(-plan.world_size // node_spec.gpus_per_node)

@@ -19,7 +19,7 @@ rings do) stays on one rail: two hops inside a pod, six hops across pods.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .link import Link
@@ -27,9 +27,38 @@ from .routing import ecmp_choice
 from .switch import Switch, SwitchRole, agg_role, spine_role, tor_role
 
 
-@dataclass
+class _LinkGraph:
+    """A link-graph attribute of :class:`ClosFabric`, built on first read.
+
+    The first read builds the whole graph as instance attributes, which
+    shadow this (non-data) descriptor from then on: later reads are
+    plain attribute loads.  Unlike ``functools.cached_property`` it
+    never touches the instance ``__dict__``: once materialized, that
+    dict makes every later attribute read of the fabric slower, and
+    routing reads many.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, fabric: Optional["ClosFabric"], owner: type) -> Any:
+        if fabric is None:
+            return self
+        fabric._build()
+        return getattr(fabric, self.name)
+
+
+@dataclass(eq=False)  # identity equality: same-config fabrics can differ in link state
 class ClosFabric:
-    """A built fabric: devices, links, and path computation."""
+    """A fabric's shape, placement arithmetic and (built lazily) its links.
+
+    ``pod_of``, ``same_tor``, ``hops`` and ``nodes_in_pod`` answer by
+    arithmetic.  The link graph — ``switches``, ``links`` and
+    ``parallel_links`` — is built the first time one of them is read,
+    which only routing (:meth:`path`) and link-state consumers do: about
+    49k :class:`~repro.network.link.Link` objects at 12,288 GPUs that an
+    analytic comm model never needs.
+    """
 
     n_nodes: int
     nodes_per_pod: int = 64
@@ -41,10 +70,10 @@ class ClosFabric:
     split_tor_downlinks: bool = True
     nic_rate: float = 0.0  # derived from the ToR role if 0
 
-    switches: Dict[str, Switch] = field(default_factory=dict)
-    links: Dict[Tuple[str, str], Link] = field(default_factory=dict)
+    switches = _LinkGraph()
+    links = _LinkGraph()
     # Parallel links between switch pairs for ECMP: (src, dst) -> [Link].
-    parallel_links: Dict[Tuple[str, str], List[Link]] = field(default_factory=dict)
+    parallel_links = _LinkGraph()
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -56,9 +85,8 @@ class ClosFabric:
         self._spine = spine_role()
         if self.nic_rate == 0.0:
             self.nic_rate = self._tor.downlink_rate
-        self._build()
         self._fingerprint_cache: Optional[Tuple] = None
-        self._watch_links()
+        self._built = False
 
     def _watch_links(self) -> None:
         """Invalidate the cached fingerprint on any link up/down flip.
@@ -86,7 +114,8 @@ class ClosFabric:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._fingerprint_cache = None
-        self._watch_links()  # link watchers don't survive pickling
+        if self._built:
+            self._watch_links()  # link watchers don't survive pickling
 
     # -- construction -----------------------------------------------------
 
@@ -102,6 +131,10 @@ class ClosFabric:
         return f"tor{pod}.{rail}"
 
     def _build(self) -> None:
+        self._built = True
+        self.switches: Dict[str, Switch] = {}
+        self.links: Dict[Tuple[str, str], Link] = {}
+        self.parallel_links: Dict[Tuple[str, str], List[Link]] = {}
         for pod in range(self.n_pods):
             for rail in range(self.rails):
                 self._add_switch(self.tor_name(pod, rail), self._tor)
@@ -129,6 +162,7 @@ class ClosFabric:
                     spine = f"spine{s}"
                     for k in range(self.agg_uplinks_per_spine):
                         self._add_parallel(agg, spine, k, self._agg.uplink_rate)
+        self._watch_links()
 
     def _add_switch(self, name: str, role: SwitchRole) -> None:
         self.switches[name] = Switch(role=role, name=name)
@@ -153,12 +187,14 @@ class ClosFabric:
             raise ValueError(f"node {node} outside fabric of {self.n_nodes}")
 
     def fingerprint(self) -> Tuple:
-        """Hashable identity of the built fabric, for memoization keys.
+        """Hashable identity of the fabric, for memoization keys.
 
         Covers the constructor configuration plus the up/down state of
         every link, so prices cached against one fabric are reused by
         any identically-configured healthy fabric but never survive a
-        degraded (or differently-built) one.
+        degraded (or differently-built) one.  A fabric whose link graph
+        is not built yet has no down links, so its fingerprint equals a
+        built healthy fabric's, and reading it builds nothing.
 
         The value is cached — the O(links) scan would otherwise run on
         every memo lookup — and invalidated by link up/down transitions
@@ -196,10 +232,11 @@ class ClosFabric:
         return tuple(n - offset for n in nodes)
 
     def _compute_fingerprint(self) -> Tuple:
+        graph = self.parallel_links if self._built else {}  # unbuilt: nothing down
         down = tuple(
             sorted(
                 f"{src}->{dst}#{i}"
-                for (src, dst), links in self.parallel_links.items()
+                for (src, dst), links in graph.items()
                 for i, link in enumerate(links)
                 if not link.up
             )
@@ -302,14 +339,15 @@ def shared_fabric(
 ) -> ClosFabric:
     """A process-shared :class:`ClosFabric` for the given configuration.
 
-    Building a paper-scale fabric is O(links) — ~50k link objects at
-    1,536 nodes — which dominated plan search when every candidate's
-    comm model rebuilt its own copy.  Identically-configured fabrics
-    are immutable for pricing purposes, so read-only consumers
-    (``build_comm_model``, ``validation_report``) share one instance
-    per configuration, interned in the ``"clos_fabric"`` memo cache
-    (hit/miss counters surface in sweep stats; LRU-bounded so scale
-    sweeps don't pin every size in memory).
+    Identically-configured fabrics are immutable for pricing purposes,
+    so read-only consumers (``build_comm_model``, ``validation_report``)
+    share one instance per configuration, interned in the
+    ``"clos_fabric"`` memo cache (hit/miss counters surface in sweep
+    stats; LRU-bounded so scale sweeps don't pin every size in memory).
+    Interning costs O(1): the link graph (~49k link objects at 1,536
+    nodes) is built on the shared instance's first route, so analytic
+    comm models, which never route, never build it, and fabric-backend
+    plan search builds it once per shape instead of once per candidate.
 
     Callers that intend to *degrade* links must build a private
     ``ClosFabric`` instead — flapping a shared instance would leak the

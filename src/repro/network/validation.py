@@ -130,6 +130,11 @@ def validation_report(
     }
     if group_size < 2:
         raise ValueError("group_size must be >= 2 (a 1-ring has no communication)")
+    if group_size > nodes_per_pod:
+        raise ValueError(
+            f"group of {group_size} does not fit the same-ToR placement "
+            f"in one pod of {nodes_per_pod} nodes"
+        )
     # Interned: at the paper's 12,288-GPU scale (1,536 nodes, ~49k
     # links) rebuilding the fabric would dwarf the pricing itself.
     fabric = shared_fabric(n_nodes=n_nodes, nodes_per_pod=nodes_per_pod)

@@ -76,9 +76,17 @@ class ParallelPlan:
         pp_rank, dp_rank, _ = self.coords(rank)
         return [self.rank_of(pp_rank, dp_rank, t) for t in range(self.tp)]
 
-    def dp_group(self, rank: int) -> List[int]:
+    def dp_group(self, rank: int) -> range:
+        """Ranks of ``rank``'s DP group, ascending.
+
+        The layout puts DP peers a fixed stride apart (``tp``, or
+        ``pp * tp`` with pp before dp), so the group is a ``range``:
+        O(1) to build, and its ends are its lowest and highest rank.
+        """
         pp_rank, _, tp_rank = self.coords(rank)
-        return [self.rank_of(pp_rank, d, tp_rank) for d in range(self.dp)]
+        stride = self.tp if self.dp_before_pp else self.pp * self.tp
+        start = self.rank_of(pp_rank, 0, tp_rank)
+        return range(start, start + self.dp * stride, stride)
 
     def pp_group(self, rank: int) -> List[int]:
         _, dp_rank, tp_rank = self.coords(rank)

@@ -142,21 +142,29 @@ def test_compare_command_fabric_backend(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, blames",
     [
-        ["production", "--spares", "-3"],
-        ["trace", "no-such-trace.json"],
-        ["mc", "--seeds", "0"],
-        ["mc", "--weeks", "-1"],
-        ["tune", "--model", "X"],
+        (["production", "--spares", "-3"], "--spares"),
+        (["trace", "no-such-trace.json"], "no-such-trace.json"),
+        (["mc", "--seeds", "0"], "seed"),
+        (["mc", "--weeks", "-1"], "weeks"),
+        (["tune", "--model", "X"], "--model"),
+        (["compare", "--tp", "0"], "--tp"),
+        (["compare", "--pp", "0"], "--pp"),
+        (["validate", "--gpus-per-node", "0"], "--gpus-per-node"),
+        (["tune", "--gpus-per-node", "0"], "--gpus-per-node"),
     ],
-    ids=["negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model"],
+    ids=[
+        "negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
+        "zero-tp", "zero-pp", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
+    ],
 )
-def test_invalid_input_is_one_error_line(argv, capsys):
+def test_invalid_input_is_one_error_line(argv, blames, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("repro: error:"), captured.err
+    assert blames in lines[0], captured.err  # names the bad input, not a symptom
     assert "Traceback" not in captured.err + captured.out

@@ -134,3 +134,38 @@ def test_duplex_link_state():
 def test_fabric_validation():
     with pytest.raises(ValueError):
         ClosFabric(n_nodes=0)
+
+
+# -- lazy link graph -------------------------------------------------------------
+
+
+def test_placement_queries_build_no_link_graph():
+    fabric = make_fabric(n_nodes=128)
+    assert fabric.same_tor(0, 63) and fabric.hops(0, 64) == 6
+    assert fabric.nodes_in_pod(1)[0] == 64
+    assert not fabric.degraded()
+    assert "links" not in vars(fabric)
+    assert len(fabric.links) > 0  # first read builds it
+
+
+def test_unbuilt_fingerprint_equals_built_healthy_fingerprint():
+    lazy, built = make_fabric(n_nodes=128), make_fabric(n_nodes=128)
+    assert built.links
+    assert lazy.fingerprint() == built.fingerprint()
+    assert "links" not in vars(lazy)
+
+
+def test_unbuilt_fabric_survives_pickling_then_builds_and_flaps():
+    import pickle
+
+    fabric = make_fabric(n_nodes=16, nodes_per_pod=8)
+    clean = fabric.fingerprint()
+    clone = pickle.loads(pickle.dumps(fabric))
+    assert "links" not in vars(clone) and clone.fingerprint() == clean
+    link = clone.parallel_links[("tor0.0", "agg0.0")][0]
+    link.set_state(False)  # the build registered the fingerprint watchers
+    assert clone.degraded() and clone.fingerprint() != clean
+    assert clone.path(0, 9, rail=0, flow_id=1)
+    link.up = True
+    assert clone.fingerprint() == clean
+    assert "links" not in vars(fabric)  # the original is untouched

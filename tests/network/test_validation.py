@@ -58,7 +58,14 @@ def test_validation_rejects_degenerate_setups():
     with pytest.raises(ValueError):
         _report(kinds=("broadcast",))
     with pytest.raises(ValueError):
-        _report(group_size=40)  # cross-pod placement does not fit
+        _report(n_nodes=9)  # cross-pod placement does not fit a 1-node second pod
+
+
+def test_group_wider_than_a_pod_is_rejected_not_mislabelled():
+    # Ranks 0..9 over pods of 8 would cross a pod yet be priced as the
+    # "same_tor" placement, failing the alpha-beta agreement check.
+    with pytest.raises(ValueError, match="same-ToR"):
+        _report(group_size=10)
 
 
 def test_cc_efficiency_constant_matches_collectives():

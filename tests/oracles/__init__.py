@@ -5,4 +5,6 @@ optimized production paths are held to.
   bandwidth sharing) behind :func:`repro.network.flow.max_min_fair_rates`.
 * :mod:`tests.oracles.fault_sampler` — the per-event fault sampler (§4
   failure model) behind :meth:`repro.fault.faults.FaultInjector.sample`.
+* :mod:`tests.oracles.groups` — the per-pair ring scan behind
+  :meth:`repro.collectives.groups.GroupCommModel.ring_bandwidth`.
 """

@@ -1,6 +1,8 @@
 """Tests for the 3D parallel plan and rank mapping."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.parallel import ParallelPlan, plan_for_gpus
 
@@ -34,7 +36,7 @@ def test_dp_before_pp_keeps_dp_groups_contiguous():
     # With dp-before-pp, DP peers of rank 0 are tp-stride apart (nearby),
     # spanning only dp*tp = 32 ranks.
     group = plan.dp_group(0)
-    assert group == [0, 8, 16, 24]
+    assert list(group) == [0, 8, 16, 24]
     assert max(group) - min(group) == (plan.dp - 1) * plan.tp
 
 
@@ -47,7 +49,18 @@ def test_pp_last_means_pp_groups_far_apart():
 def test_legacy_pp_before_dp_order():
     plan = make_plan(dp_before_pp=False)
     assert plan.pp_group(0) == [0, 8, 16, 24, 32, 40, 48, 56]
-    assert plan.dp_group(0) == [0, 64, 128, 192]
+    assert list(plan.dp_group(0)) == [0, 64, 128, 192]
+
+
+@given(
+    dp=st.integers(1, 12), tp=st.integers(1, 8), pp=st.integers(1, 6), dp_before_pp=st.booleans()
+)
+def test_dp_group_range_lists_every_dp_rank(dp, tp, pp, dp_before_pp):
+    plan = ParallelPlan(dp=dp, tp=tp, pp=pp, dp_before_pp=dp_before_pp)
+    for rank in range(plan.world_size):
+        pp_rank, _, tp_rank = plan.coords(rank)
+        expected = [plan.rank_of(pp_rank, d, tp_rank) for d in range(dp)]
+        assert list(plan.dp_group(rank)) == expected
 
 
 def test_groups_partition_world():
