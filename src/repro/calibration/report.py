@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -206,8 +207,8 @@ def check_drift(
     * each ``must_match`` anchor must be within its own tolerance of the
       *published* value.
     """
-    if drift_tolerance <= 0:
-        raise ValueError("drift_tolerance must be positive")
+    if not (math.isfinite(drift_tolerance) and drift_tolerance > 0):
+        raise ValueError(f"drift_tolerance must be finite and positive, got {drift_tolerance}")
     current: Dict[str, ReportRow] = {r.anchor_id: r for r in report.rows}
     violations: List[DriftViolation] = []
     for entry in baseline.get("anchors", []):

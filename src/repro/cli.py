@@ -28,6 +28,7 @@ simulator rejects with ``ValueError`` — exits 2 with one
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -52,6 +53,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spares", type=non_negative_int, default=16,
                    help="spare-pool size when --correlated (0 forces the elastic path)")
     _add_job_args(p)
-    p.add_argument("--weeks", type=float, default=2.0)
+    p.add_argument("--weeks", type=positive_float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="PATH",
                    help="collect spans/metrics from every subsystem (training, "
@@ -538,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spare arbitration policy: priority-weighted with "
                         "preemption/shrink (default) or the naive FIFO-stall "
                         "baseline")
-    p.add_argument("--days", type=float, default=3.0,
+    p.add_argument("--days", type=positive_float, default=3.0,
                    help="simulated horizon in days (default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compare", action="store_true",
@@ -560,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "arbitration run")
     p.add_argument("--seeds", type=int, default=256,
                    help="number of seeds (0..N-1) to simulate (default 256)")
-    p.add_argument("--weeks", type=float, default=1.0,
+    p.add_argument("--weeks", type=positive_float, default=1.0,
                    help="simulated horizon per seed in weeks (default 1)")
     p.add_argument("--workers", type=non_negative_int, default=0,
                    help="worker processes fanning out seeds (0 = serial; "
@@ -600,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=positive_int, default=200,
                    help="Monte-Carlo trials for the ECMP conflict model")
-    p.add_argument("--max-rel-error", type=float, default=1e-9,
+    p.add_argument("--max-rel-error", type=positive_float, default=1e-9,
                    help="fail (exit 1) if the same-ToR fabric price deviates "
                         "from the alpha-beta closed form by this much or more")
     p.set_defaults(func=cmd_validate)
@@ -670,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: <fixtures>/baseline_report.json)")
     p.add_argument("--save-baseline", action="store_true",
                    help="overwrite the committed baseline with this report")
-    p.add_argument("--drift-tolerance", type=float, default=0.02,
+    p.add_argument("--drift-tolerance", type=positive_float, default=0.02,
                    help="relative prediction drift allowed vs baseline")
     p.add_argument("--workers", type=non_negative_int, default=0,
                    help="worker processes for anchor prediction (0 = serial)")

@@ -1,17 +1,25 @@
 """Pipeline-parallel schedules: GPipe, 1F1B, interleaved 1F1B (§2, Fig. 2).
 
-A schedule is a per-stage ordered list of :class:`PipelineTask`; the
-event-driven executor in :mod:`repro.training.iteration` walks the list,
-blocking on cross-stage activation dependencies, so bubbles emerge from
-the dependency structure rather than from a closed-form formula.  The
-closed forms are still provided for analysis (`bubble_fraction`) and are
-property-tested against the executor.
+A schedule is a per-stage ordered list of :class:`PipelineTask`, and
+:func:`forward_dependency` / :func:`backward_dependency` name the
+upstream task each one consumes.  These are the readable definition.
+The iteration engine prices the schedule from :func:`compile_schedule`:
+the same tasks and dependencies compiled once per (p, v, m) into
+per-stage integer arrays (each task's dependency position and a small
+(kind, chunk, phase) slot id), so a makespan is one pass over integers
+in which bubbles emerge from the dependency structure rather than from
+a closed-form formula.  The closed forms are still provided for
+analysis (`bubble_fraction`) and are property-tested against that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+import numpy as np
+
+from ..exec.memo import memoized
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,7 @@ def interleaved_schedule(p: int, v: int, m: int, stage: int) -> List[PipelineTas
     _validate(p, v, m, stage)
     if v == 1:
         return one_f_one_b_schedule(p, m, stage)
-    if m % p != 0:
-        raise ValueError(f"interleaving requires microbatches ({m}) % stages ({p}) == 0")
+    _validate_interleaving(p, m)
     total = m * v
     warmup = min((p - stage - 1) * 2 + (v - 1) * p, total)
 
@@ -129,6 +136,88 @@ def backward_dependency(
     return None  # last virtual stage starts from the loss
 
 
+PHASES = ("warmup", "steady", "cooldown")
+
+
+def schedule_slots(v: int) -> List[Tuple[str, int, str]]:
+    """(kind, chunk, phase) of every slot id of a ``v``-chunk schedule.
+
+    A task's cost depends on its stage and these three alone, so a
+    makespan prices ``6·v`` slots per stage instead of every task.
+    """
+    return [(kind, chunk, phase) for kind in ("F", "B") for chunk in range(v) for phase in PHASES]
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledSchedule:
+    """:func:`interleaved_schedule` of every stage, as read-only integer
+    arrays of shape ``(p, 2·m·v)``.
+
+    Task ``i`` of stage ``s`` has the flat index ``s·2·m·v + i``.
+    ``slots[s, i]`` is its slot id (an index into :func:`schedule_slots`)
+    and ``deps[s, i]`` the flat index of the task whose output it
+    consumes (-1 when it reads input data or starts from the loss).  A
+    task is in the warm-up phase before its stage's first backward and
+    in cool-down after its last forward.  Arrays, not lists, so a cached
+    shape holds 16 bytes per task rather than an int object per entry.
+    """
+
+    slots: np.ndarray
+    deps: np.ndarray
+
+
+@memoized("pipeline_schedule", maxsize=16)
+def compile_schedule(p: int, v: int, m: int) -> CompiledSchedule:
+    """The interleaved-1F1B schedule of shape (p, v, m), built by arithmetic.
+
+    Stage ``s`` runs ``w`` warm-up forwards, then (forward, backward)
+    pairs, then the remaining backwards, so a position maps to the
+    stage's forward or backward counter ``k`` in closed form, and ``k``
+    to (micro-batch, chunk) as in :func:`interleaved_schedule`.  The
+    dependency rules of :func:`forward_dependency` and
+    :func:`backward_dependency` keep ``k`` (or step it back by ``p`` where
+    they wrap to the neighbouring chunk), and the inverse map gives the
+    dependency's position on its stage.  Memoized per shape in a
+    bounded cache; ``clear_caches()`` empties it.
+    """
+    _validate(p, v, m, 0)
+    if v > 1:
+        _validate_interleaving(p, m)
+    total = m * v
+    n = 2 * total
+    stage = np.arange(p)[:, None]
+    lead = (p - 1 - stage) if v == 1 else 2 * (p - 1 - stage) + (v - 1) * p
+    w = np.minimum(lead, total)  # warm-up forwards
+    tail = 2 * total - w  # first position past the last (F, B) pair
+    i = np.arange(n)
+    j = i - w
+    forward = (i < w) | ((i < tail) & (j % 2 == 0))
+    k = np.where(i < w, i, np.where(i >= tail, i - total, np.where(forward, w + j // 2, j // 2)))
+    c = (k // p) % v
+    chunk = np.where(forward, c, v - 1 - c)
+    # The first backward sits at w + 1 (at ``total`` when w == total);
+    # the last forward at tail - 2 (at total - 1).
+    phase = np.where(i < np.minimum(w + 1, total), 0, np.where(i >= np.maximum(tail - 1, total), 2, 1))
+    slots = (np.where(forward, 0, v) + chunk) * 3 + phase
+
+    first, last = stage == 0, stage == p - 1
+    dep_stage = np.where(forward, np.where(first, p - 1, stage - 1), np.where(last, 0, stage + 1))
+    wraps = np.where(forward, first, last)  # to the neighbouring chunk
+    kd = np.where(wraps, k - p, k)
+    wd = w[dep_stage, 0]
+    # Forward k sits at k during warm-up, then at 2k - w; backward k at
+    # w + 2k + 1 while (F, B) pairs last, then at k + total.
+    position = np.where(
+        forward,
+        np.where(kd < wd, kd, 2 * kd - wd),
+        np.where(kd < total - wd, wd + 2 * kd + 1, kd + total),
+    )
+    none = wraps & (chunk == np.where(forward, 0, v - 1))
+    deps = np.where(none, -1, dep_stage * n + position)
+    slots.flags.writeable = deps.flags.writeable = False
+    return CompiledSchedule(slots, deps)
+
+
 def bubble_fraction(p: int, v: int, m: int) -> float:
     """Paper's §3.1 bubble ratio for interleaved 1F1B: (p-1)/(v*m)."""
     _validate(p, v, m, 0)
@@ -159,6 +248,11 @@ def schedule_for(p: int, v: int, m: int, stage: int, kind: str = "interleaved") 
     if kind == "interleaved":
         return interleaved_schedule(p, v, m, stage)
     raise ValueError(f"unknown schedule kind {kind!r}")
+
+
+def _validate_interleaving(p: int, m: int) -> None:
+    if m % p != 0:
+        raise ValueError(f"interleaving requires microbatches ({m}) % stages ({p}) == 0")
 
 
 def _validate(p: int, v: int, m: int, stage: int) -> None:

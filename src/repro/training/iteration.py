@@ -2,16 +2,18 @@
 
 Executes one optimizer step of a 3D-parallel job on the simulated
 substrate and returns its wall time with a full breakdown.  The pipeline
-is executed task-by-task against the real interleaved-1F1B dependency
-structure (bubbles, warm-up stalls and straggler effects *emerge*; they
-are not closed-form estimates); TP/SP and DP communication exposure come
-from the overlap models of :mod:`repro.training.overlap`.
+phase runs the real interleaved-1F1B dependency structure, compiled once
+per (p, v, m) into integer arrays, as one pass in which every task starts
+at the later of its stage's clock and its upstream task's end plus a p2p
+hop (bubbles, warm-up stalls and straggler effects *emerge*; they are not
+closed-form estimates); TP/SP and DP communication exposure come from
+the overlap models of :mod:`repro.training.overlap`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..collectives.groups import GroupCommModel, build_comm_model
 from ..collectives.primitives import validate_backend
@@ -20,11 +22,7 @@ from ..hardware.gpu import AMPERE, GpuSpec
 from ..model.blocks import activation_bytes, block_cost, embedding_cost, logits_block_cost
 from ..model.flops import iteration_model_flops
 from ..model.transformer import ModelSpec
-from ..parallel.pipeline import (
-    backward_dependency,
-    forward_dependency,
-    interleaved_schedule,
-)
+from ..parallel.pipeline import PHASES, compile_schedule, interleaved_schedule, schedule_slots
 from ..parallel.plan import ParallelPlan
 from ..parallel.zero import dp_comm_events, optimizer_step_time
 from .datapipe import data_pipeline_cost, overlap_window
@@ -226,9 +224,14 @@ class IterationEngine:
     ) -> Tuple[float, float]:
         """(makespan, max per-stage serial compute) for ``m`` micro-batches.
 
-        Executes every stage's interleaved-1F1B task list against the
-        cross-stage activation/gradient dependencies.  ``stage_speed``
-        derates each stage's compute (straggler hosts).  Pass a
+        Runs the interleaved-1F1B schedule compiled once per (p, v, m) by
+        :func:`~repro.parallel.pipeline.compile_schedule` as one pass over
+        its integer arrays.  Only each stage's (kind, chunk, phase) slots
+        are priced.  A task starts once its stage is free and its
+        upstream task's output has arrived (its end plus one p2p hop);
+        the stages are polled in order, each running until its next task
+        waits on an unfinished upstream task.  ``stage_speed`` derates
+        each stage's compute (straggler hosts).  Pass a
         :class:`~repro.sim.TraceRecorder` as ``trace`` to record every
         task as a span (rank = pipeline stage) for the Figure 8 timeline.
         """
@@ -238,53 +241,53 @@ class IterationEngine:
             raise ValueError(f"need {p} stage speed factors, got {len(speeds)}")
         if any(s <= 0 for s in speeds):
             raise ValueError("stage speed factors must be positive")
+        schedule = compile_schedule(p, v, m)
+        # Python lists: indexing one is several times cheaper than a numpy array.
+        stage_deps, stage_slots = schedule.deps.tolist(), schedule.slots.tolist()
+        labels = [interleaved_schedule(p, v, m, s) for s in range(p)] if trace is not None else None
 
-        schedules = [interleaved_schedule(p, v, m, s) for s in range(p)]
-        warmup_end = [next((i for i, t in enumerate(sch) if t.kind == "B"), len(sch)) for sch in schedules]
-        cooldown_start = [
-            max((i for i, t in enumerate(sch) if t.kind == "F"), default=-1) + 1
-            for sch in schedules
-        ]
+        # Each stage's seconds per slot: compute, then the sender-side
+        # block of its p2p send.
+        p2p = self.p2p_time
+        slots = schedule_slots(v)
+        phase_block = {phase: self.pp.sender_block_time(p2p, phase) for phase in PHASES}
+        durations, blocks = [], []
+        for s in range(p):
+            durations.append([self.task_time(s, kind, chunk) / speeds[s] for kind, chunk, _ in slots])
+            blocks.append([
+                phase_block[phase] if self._task_sends(s, kind, chunk) else 0.0
+                for kind, chunk, phase in slots
+            ])
 
-        done: Dict[Tuple[int, str, int, int], float] = {}
+        n = 2 * m * v
+        done: List[Optional[float]] = [None] * (p * n)
         ptr = [0] * p
         clock = [0.0] * p
         busy = [0.0] * p
-        total_tasks = sum(len(s) for s in schedules)
-        completed = 0
-        while completed < total_tasks:
-            progressed = False
+        remaining = p * n
+        while remaining:
+            before = remaining
             for s in range(p):
-                while ptr[s] < len(schedules[s]):
-                    task = schedules[s][ptr[s]]
-                    if task.kind == "F":
-                        dep = forward_dependency(p, v, s, task)
+                i = ptr[s]
+                deps, slot_ids = stage_deps[s], stage_slots[s]
+                duration, block = durations[s], blocks[s]
+                now, work, base = clock[s], busy[s], s * n
+                while i < n:
+                    d = deps[i]
+                    if d < 0:
+                        ready = 0.0
                     else:
-                        dep = backward_dependency(p, v, s, task)
-                    ready = 0.0
-                    if dep is not None:
-                        dep_stage, dep_task = dep
-                        key = (dep_stage,) + dep_task.key
-                        if key not in done:
+                        ready = done[d]
+                        if ready is None:
                             break  # blocked on an upstream task
-                        ready = done[key] + self.p2p_time
-                    duration = self.task_time(s, task.kind, task.chunk) / speeds[s]
-                    index = ptr[s]
-                    if index < warmup_end[s]:
-                        phase = "warmup"
-                    elif index >= cooldown_start[s]:
-                        phase = "cooldown"
-                    else:
-                        phase = "steady"
-                    send_block = (
-                        self.pp.sender_block_time(self.p2p_time, phase)
-                        if self._task_sends(s, task.kind, task.chunk)
-                        else 0.0
-                    )
-                    start = max(clock[s], ready)
-                    end = start + duration
-                    done[(s,) + task.key] = end
-                    if trace is not None:
+                        ready += p2p
+                    k = slot_ids[i]
+                    start = ready if ready > now else now  # max(now, ready), minus a call
+                    end = start + duration[k]
+                    done[base + i] = end
+                    send_block = block[k]
+                    if labels is not None:
+                        task = labels[s][i]
                         trace.record(
                             task.kind,
                             rank=s,
@@ -295,19 +298,13 @@ class IterationEngine:
                             chunk=task.chunk,
                         )
                         if send_block:
-                            trace.record(
-                                "send",
-                                rank=s,
-                                start=end,
-                                end=end + send_block,
-                                stream="comm",
-                            )
-                    clock[s] = end + send_block
-                    busy[s] += duration + send_block
-                    ptr[s] += 1
-                    completed += 1
-                    progressed = True
-            if not progressed:
+                            trace.record("send", rank=s, start=end, end=end + send_block, stream="comm")
+                    now = end + send_block
+                    work += duration[k] + send_block
+                    i += 1
+                remaining -= i - ptr[s]
+                ptr[s], clock[s], busy[s] = i, now, work
+            if remaining == before:
                 raise RuntimeError("pipeline deadlocked: invalid schedule/dependency")
         return max(clock), max(busy)
 

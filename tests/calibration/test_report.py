@@ -104,6 +104,17 @@ def test_drift_gate_catches_must_match_miss():
         check_drift(report, report.to_dict(), drift_tolerance=0.0)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_drift_gate_rejects_non_finite_tolerance(tolerance):
+    """A NaN tolerance used to pass every anchor: no comparison with NaN
+    is true, so no drift was ever "greater"."""
+    report = calibration_report(small_anchors())
+    baseline = report.to_dict()
+    baseline["anchors"][0]["predicted"] *= 1.10
+    with pytest.raises(ValueError, match="drift_tolerance"):
+        check_drift(report, baseline, drift_tolerance=tolerance)
+
+
 def test_committed_profile_and_baseline_gate(tmp_path):
     """The committed artifacts pass their own gate, and the headline
     175B/12,288-GPU anchor matches the paper within tolerance."""

@@ -141,6 +141,10 @@ def test_compare_command_fabric_backend(capsys):
     assert "speedup" in capsys.readouterr().out
 
 
+# A validation report small enough to finish in well under a second.
+_SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trials", "5"]
+
+
 @pytest.mark.parametrize(
     "argv, blames",
     [
@@ -153,10 +157,19 @@ def test_compare_command_fabric_backend(capsys):
         (["compare", "--pp", "0"], "--pp"),
         (["validate", "--gpus-per-node", "0"], "--gpus-per-node"),
         (["tune", "--gpus-per-node", "0"], "--gpus-per-node"),
+        (["calibrate", "--check", "--drift-tolerance", "nan"], "--drift-tolerance"),
+        (["calibrate", "--check", "--drift-tolerance", "-1"], "--drift-tolerance"),
+        (_SMALL_VALIDATE + ["--max-rel-error", "nan"], "--max-rel-error"),
+        (_SMALL_VALIDATE + ["--max-rel-error", "inf"], "--max-rel-error"),
+        (["mc", "--seeds", "2", "--nodes", "8", "--weeks", "nan"], "--weeks"),
+        (["production", "--gpus", "64", "--weeks", "inf"], "--weeks"),
+        (["schedule", "--days", "nan"], "--days"),
     ],
     ids=[
         "negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
         "zero-tp", "zero-pp", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
+        "nan-drift-tolerance", "negative-drift-tolerance", "nan-max-rel-error",
+        "inf-max-rel-error", "nan-weeks", "inf-weeks", "nan-days",
     ],
 )
 def test_invalid_input_is_one_error_line(argv, blames, capsys):

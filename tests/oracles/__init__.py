@@ -7,4 +7,7 @@ optimized production paths are held to.
   failure model) behind :meth:`repro.fault.faults.FaultInjector.sample`.
 * :mod:`tests.oracles.groups` — the per-pair ring scan behind
   :meth:`repro.collectives.groups.GroupCommModel.ring_bandwidth`.
+* :mod:`tests.oracles.pipeline` — the stage-polling task loop (§3.1
+  interleaved 1F1B) behind
+  :meth:`repro.training.iteration.IterationEngine.pipeline_makespan`.
 """

@@ -3,17 +3,21 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel import (
     PipelineTask,
     backward_dependency,
     bubble_fraction,
+    compile_schedule,
     forward_dependency,
     gpipe_schedule,
     interleaved_schedule,
     lamb_bubble_reduction,
     one_f_one_b_schedule,
     schedule_for,
+    schedule_slots,
 )
 
 
@@ -152,3 +156,47 @@ def test_task_validation():
         one_f_one_b_schedule(p=4, m=8, stage=4)
     with pytest.raises(ValueError):
         bubble_fraction(0, 1, 1)
+
+
+@st.composite
+def interleaved_shapes(draw):
+    p = draw(st.integers(1, 10))
+    v = draw(st.integers(1, 4))
+    m = p * draw(st.integers(1, 4)) if v > 1 else draw(st.integers(1, 16))
+    return p, v, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=interleaved_shapes())
+def test_compiled_schedule_matches_readable_definition(shape):
+    """Every compiled slot and dependency position is the one that
+    interleaved_schedule and forward/backward_dependency define."""
+    p, v, m = shape
+    schedules = [interleaved_schedule(p, v, m, stage) for stage in range(p)]
+    n = 2 * m * v
+    flat = {(stage,) + task.key: stage * n + i
+            for stage, tasks in enumerate(schedules) for i, task in enumerate(tasks)}
+    slots = schedule_slots(v)
+    compiled = compile_schedule(p, v, m)
+    assert compiled.slots.shape == compiled.deps.shape == (p, n)
+    for stage, tasks in enumerate(schedules):
+        kinds = [task.kind for task in tasks]
+        warmup_end = kinds.index("B")
+        cooldown_start = n - kinds[::-1].index("F")
+        expected_slots, expected_deps = [], []
+        for i, task in enumerate(tasks):
+            phase = "warmup" if i < warmup_end else "cooldown" if i >= cooldown_start else "steady"
+            expected_slots.append(slots.index((task.kind, task.chunk, phase)))
+            rule = forward_dependency if task.kind == "F" else backward_dependency
+            dep = rule(p, v, stage, task)
+            expected_deps.append(-1 if dep is None else flat[(dep[0],) + dep[1].key])
+        assert compiled.slots[stage].tolist() == expected_slots
+        assert compiled.deps[stage].tolist() == expected_deps
+
+
+def test_compile_schedule_validation():
+    with pytest.raises(ValueError, match="interleaving requires"):
+        compile_schedule(4, 2, 6)
+    with pytest.raises(ValueError, match=">= 1"):
+        compile_schedule(4, 1, 0)
+    assert compile_schedule(4, 1, 6).slots.shape == (4, 12)  # plain 1F1B takes any m
