@@ -4,14 +4,12 @@ from .pipeline import (
     PipelineTask,
     backward_dependency,
     bubble_fraction,
-    compile_schedule,
     forward_dependency,
     gpipe_schedule,
     interleaved_schedule,
     lamb_bubble_reduction,
     one_f_one_b_schedule,
     schedule_for,
-    schedule_slots,
 )
 from .placement import Placement, packed_placement, validate_placement
 from .plan import ParallelPlan, plan_for_gpus
@@ -55,7 +53,6 @@ __all__ = [
     "candidate_bounds",
     "chunk_grad_bytes",
     "chunk_param_bytes",
-    "compile_schedule",
     "dominance_prune",
     "dp_comm_events",
     "plan_cache_key",
@@ -76,7 +73,6 @@ __all__ = [
     "tune_with_stats",
     "shrink_dp_plans",
     "schedule_for",
-    "schedule_slots",
     "sharded_state_summary",
     "validate_placement",
 ]

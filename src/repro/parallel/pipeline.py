@@ -166,6 +166,8 @@ class CompiledSchedule:
     deps: np.ndarray
 
 
+# 16 shapes hold every distinct shape of one plan search (at most 14 per
+# catalog query) and of ``calibrate --check`` (15 over its 32 anchors).
 @memoized("pipeline_schedule", maxsize=16)
 def compile_schedule(p: int, v: int, m: int) -> CompiledSchedule:
     """The interleaved-1F1B schedule of shape (p, v, m), built by arithmetic.

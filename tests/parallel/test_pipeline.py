@@ -10,15 +10,14 @@ from repro.parallel import (
     PipelineTask,
     backward_dependency,
     bubble_fraction,
-    compile_schedule,
     forward_dependency,
     gpipe_schedule,
     interleaved_schedule,
     lamb_bubble_reduction,
     one_f_one_b_schedule,
     schedule_for,
-    schedule_slots,
 )
+from repro.parallel.pipeline import compile_schedule, schedule_slots
 
 
 def _task_counts(tasks):

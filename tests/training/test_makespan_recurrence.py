@@ -12,7 +12,8 @@ from repro.calibration import load_anchors
 from repro.core.features import MEGASCALE, MEGASCALE_ISO_BATCH, MEGATRON_LM
 from repro.exec.memo import clear_caches, registered_caches
 from repro.model.transformer import ModelSpec
-from repro.parallel import ParallelPlan, compile_schedule
+from repro.parallel import ParallelPlan
+from repro.parallel.pipeline import compile_schedule
 from repro.sim import TraceRecorder
 from repro.training import IterationEngine
 from tests.oracles.pipeline import pipeline_makespan_reference
