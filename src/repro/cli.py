@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="what each seed simulates: a correlated-fault "
                         "production run (default) or a multi-tenant "
                         "arbitration run")
-    p.add_argument("--seeds", type=int, default=256,
+    p.add_argument("--seeds", type=positive_int, default=256,
                    help="number of seeds (0..N-1) to simulate (default 256)")
     p.add_argument("--weeks", type=positive_float, default=1.0,
                    help="simulated horizon per seed in weeks (default 1)")
@@ -664,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", action="store_true",
                    help="refit the profile against the fit=true anchors "
                         "(minutes; CI loads the committed profile instead)")
-    p.add_argument("--max-evals", type=int, default=120,
+    p.add_argument("--max-evals", type=positive_int, default=120,
                    help="objective-evaluation budget for the fit")
     p.add_argument("--save-profile", action="store_true",
                    help="with --fit: write the fitted profile to --profile")

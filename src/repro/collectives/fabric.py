@@ -179,10 +179,10 @@ def price_routed_step(
 ) -> RoutedStepCost:
     """Step cost of already-solved flows (rates assigned, paths non-empty).
 
-    Split out of :func:`routed_step_cost` so callers that keep a live
-    :class:`~repro.network.flow.IncrementalMaxMinSolver` (the event
-    runtime, which reuses one allocation across identical ring steps)
-    can price steps without re-solving max-min sharing each time.
+    Split out of :func:`routed_step_cost` so a caller that solved its
+    flows once with :func:`~repro.network.flow.max_min_fair_rates` (the
+    event runtime, whose ring steps are identical) can price every step
+    from that one allocation.
     """
     if not flows:
         return RoutedStepCost(software_latency, 0, 0, 0.0, 0.0, 0, 0)
@@ -384,8 +384,10 @@ def fabric_collective_cost(
 
     Keyed by every pricing parameter plus
     :meth:`~repro.network.topology.ClosFabric.fingerprint`, so two
-    identically-configured healthy fabrics share entries while a
-    degraded or re-built fabric never reuses them.  On a healthy fabric
+    identically-configured healthy fabrics share entries while a fabric
+    degraded through
+    :meth:`~repro.network.topology.ClosFabric.set_link_state` never
+    reuses them.  On a healthy fabric
     the node group is first canonicalized
     (:meth:`~repro.network.topology.ClosFabric.canonical_node_offsets`):
     groups that differ only by a within-pod offset route link-for-link

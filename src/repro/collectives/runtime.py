@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..network.flow import Flow, IncrementalMaxMinSolver, max_min_fair_rates
+from ..network.flow import Flow, check_links_up, max_min_fair_rates
 from ..network.link import Link
 from ..network.topology import ClosFabric
 from ..sim import Process, Simulator
@@ -112,8 +112,11 @@ class RingCollectiveRuntime:
 
         Each ring step is a barrier: all pairwise transfers proceed
         concurrently with max-min shared bandwidth, and the step ends when
-        the slowest finishes (NCCL's synchronous ring pipeline).  With a
-        :class:`~repro.observability.TelemetryHub` as ``hub`` the whole
+        the slowest finishes (NCCL's synchronous ring pipeline).  A step
+        whose flows cross a down link raises ``RuntimeError``, also when
+        another process on ``sim`` takes the link down mid-collective
+        (:meth:`~repro.network.topology.ClosFabric.set_link_state`).
+        With a :class:`~repro.observability.TelemetryHub` as ``hub`` the whole
         collective lands as one span on the ``collectives`` lane (row
         ``rank``) with bytes/algorithm attributes plus congestion evidence
         (``max_link_load``/``paused_flows``), offset by ``at`` so callers
@@ -137,18 +140,19 @@ class RingCollectiveRuntime:
 
         sim = sim or Simulator()
         start = sim.now
-        # One flow set serves every step: the solver caches the max-min
-        # allocation across the ring's identical steps and re-solves only
-        # if a link flaps mid-collective (link watchers invalidate it).
+        # The ring's steps are identical: one flow set and one max-min
+        # allocation serve them all.  A link taken down mid-collective
+        # fails the next step that crosses it instead of reusing the
+        # allocation.
         flows = self._step_flows()
-        solver = IncrementalMaxMinSolver(flows)
+        max_min_fair_rates(flows)
         segment = size / n
         steps: List[RingStepResult] = []
         done = {"t": 0.0}
 
         def driver():
             for step in range(n_steps):
-                solver.solve()
+                check_links_up(flows)
                 cost = price_routed_step(
                     flows,
                     segment,
@@ -170,8 +174,10 @@ class RingCollectiveRuntime:
                 yield sim.timeout(cost.duration)
             done["t"] = sim.now
 
-        Process(sim, driver(), name=f"{kind}-ring")
+        ring = Process(sim, driver(), name=f"{kind}-ring")
         sim.run()
+        if ring.exception is not None:
+            raise ring.exception
         run = CollectiveRun(kind=kind, n_ranks=n, total_time=done["t"] - start, steps=steps)
         self._emit_telemetry(hub, run, size, rank, start=start + at)
         return run

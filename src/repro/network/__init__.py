@@ -10,13 +10,7 @@ from .congestion import (
 )
 from .ecmp import ConflictStats, conflict_stats, expected_conflict_stats, port_split_benefit
 from .flapping import FlapEvent, LinkFlapper, flap_downtime_in_window, flap_statistics
-from .flow import (
-    Flow,
-    IncrementalMaxMinSolver,
-    TrafficMatrix,
-    max_min_fair_rates,
-    transfer_time,
-)
+from .flow import Flow, max_min_fair_rates, transfer_time
 from .link import DuplexLink, Link
 from .pfc import PfcState
 from .routing import ecmp_choice, hash_flows_onto_uplinks, max_uplink_load
@@ -44,7 +38,6 @@ __all__ = [
     "DuplexLink",
     "FlapEvent",
     "Flow",
-    "IncrementalMaxMinSolver",
     "Link",
     "LinkFlapper",
     "MegaScaleControl",
@@ -56,7 +49,6 @@ __all__ = [
     "SwitchSpec",
     "TOMAHAWK4",
     "TUNED_NCCL",
-    "TrafficMatrix",
     "Transfer",
     "TransferEngine",
     "ValidationReport",

@@ -14,17 +14,15 @@ bottleneck tolerance).  That loop is the test oracle in
 ``tests/oracles/flow.py``; a property test holds the two within 1e-9
 relative.
 
-:class:`IncrementalMaxMinSolver` keeps the link-indexing structure
-alive across solves: ring steps that reuse one flow configuration pay
-for a single solve, and a step that shifts flows between links updates
-only the touched flows' bookkeeping before the next vectorized
-water-fill.
+A flow routed over a down link is an error, never a zero rate: the
+solver raises ``RuntimeError`` rather than price a path the fabric
+could not carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +45,14 @@ class Flow:
     def __post_init__(self) -> None:
         if self.demand <= 0:
             raise ValueError("flow demand must be positive")
+
+
+def check_links_up(flows: Sequence[Flow]) -> None:
+    """Raise ``RuntimeError`` naming the first flow routed over a down link."""
+    for f in flows:
+        for link in f.path:
+            if not link.up:
+                raise RuntimeError(f"flow {f.flow_id} routed over down link {link.name}")
 
 
 def _assign_local_rates(flows: Sequence[Flow]) -> Dict[int, Flow]:
@@ -80,8 +86,6 @@ def _index_links(
     edge_link: List[int] = []
     for fi, f in enumerate(ordered):
         for link in f.path:
-            if not link.up:
-                raise RuntimeError(f"flow {f.flow_id} routed over down link {link.name}")
             li = link_index.get(link)
             if li is None:
                 li = link_index[link] = len(links)
@@ -155,13 +159,12 @@ def max_min_fair_rates(flows: Sequence[Flow]) -> Dict[int, float]:
     ordered = list(remaining.values())
     if not ordered:
         return {}
+    check_links_up(ordered)
     if len(ordered) == 1:
         # Closed form: a lone flow takes its narrowest link (or demand).
         f = ordered[0]
         occurrences: Dict[Link, int] = {}
         for link in f.path:
-            if not link.up:
-                raise RuntimeError(f"flow {f.flow_id} routed over down link {link.name}")
             occurrences[link] = occurrences.get(link, 0) + 1
         rate = min(f.demand, min(l.bandwidth / c for l, c in occurrences.items()))
         f.rate = rate
@@ -176,135 +179,6 @@ def max_min_fair_rates(flows: Sequence[Flow]) -> Dict[int, float]:
     return allocated
 
 
-class IncrementalMaxMinSolver:
-    """Max-min shares maintained across flow-set edits.
-
-    Keeps the link-indexing structure (distinct links, per-flow link
-    indices, capacities) alive between solves so that:
-
-    * an unchanged flow set returns the cached allocation outright —
-      ring collectives whose steps reuse one flow configuration pay for
-      a single solve, not one per step;
-    * :meth:`move_flow` (a step shifting a flow onto different links)
-      re-indexes only that flow's path before the next vectorized
-      water-fill, instead of rebuilding every per-link dict from
-      scratch;
-    * a link flapping down or up invalidates the cached allocation
-      automatically (via :meth:`repro.network.link.Link.watch`), so a
-      stale clean-fabric solution can never be replayed across a fault.
-    """
-
-    def __init__(self, flows: Iterable[Flow] = ()) -> None:
-        self._flows: Dict[int, Flow] = {}
-        self._edges: Dict[int, Tuple[int, ...]] = {}  # flow_id -> link indices
-        self._link_index: Dict[Link, int] = {}
-        self._links: List[Link] = []
-        self._rates: Optional[Dict[int, float]] = None
-        self._solves = 0
-        for flow in flows:
-            self.add_flow(flow)
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _invalidate(self) -> None:
-        self._rates = None
-
-    def _index_path(self, flow: Flow) -> Tuple[int, ...]:
-        indices = []
-        for link in flow.path:
-            li = self._link_index.get(link)
-            if li is None:
-                li = self._link_index[link] = len(self._links)
-                self._links.append(link)
-                link.watch(self._make_watcher())
-            indices.append(li)
-        return tuple(indices)
-
-    def _make_watcher(self) -> Callable[[], None]:
-        import weakref
-
-        ref = weakref.ref(self)
-
-        def invalidate() -> None:
-            solver = ref()
-            if solver is not None:
-                solver._invalidate()
-
-        return invalidate
-
-    @property
-    def n_flows(self) -> int:
-        return len(self._flows)
-
-    @property
-    def solves(self) -> int:
-        """Water-fills actually run (cached returns don't count)."""
-        return self._solves
-
-    def add_flow(self, flow: Flow) -> None:
-        if flow.flow_id in self._flows:
-            raise ValueError(f"flow {flow.flow_id} already present")
-        self._flows[flow.flow_id] = flow
-        self._edges[flow.flow_id] = self._index_path(flow)
-        self._invalidate()
-
-    def remove_flow(self, flow_id: int) -> Flow:
-        flow = self._flows.pop(flow_id)  # KeyError propagates
-        del self._edges[flow_id]
-        self._invalidate()
-        return flow
-
-    def move_flow(self, flow_id: int, new_path: Sequence[Link]) -> None:
-        """Shift one flow onto a different link path (O(path) work)."""
-        flow = self._flows[flow_id]
-        flow.path = list(new_path)
-        self._edges[flow_id] = self._index_path(flow)
-        self._invalidate()
-
-    # -- solving ---------------------------------------------------------------
-
-    def solve(self) -> Dict[int, float]:
-        """The allocation ``flow_id -> rate`` (cached when unchanged).
-
-        The returned dict is the solver's cached object — treat it as
-        read-only.  Rates are also stored on the flows.
-        """
-        if self._rates is not None:
-            return self._rates
-        routed = [f for f in self._flows.values() if f.path]
-        for f in self._flows.values():
-            if not f.path:
-                f.rate = f.demand
-        edge_flow: List[int] = []
-        edge_link: List[int] = []
-        for fi, f in enumerate(routed):
-            for li in self._edges[f.flow_id]:
-                edge_flow.append(fi)
-                edge_link.append(li)
-        for f in routed:
-            for link in f.path:
-                if not link.up:
-                    raise RuntimeError(
-                        f"flow {f.flow_id} routed over down link {link.name}"
-                    )
-        allocated: Dict[int, float] = {}
-        if routed:
-            capacity = np.array([l.bandwidth for l in self._links], dtype=float)
-            demand = np.array([f.demand for f in routed], dtype=float)
-            rates = _waterfill(
-                demand,
-                np.asarray(edge_flow, dtype=np.intp),
-                np.asarray(edge_link, dtype=np.intp),
-                capacity,
-            )
-            for f, rate in zip(routed, rates.tolist()):
-                f.rate = rate
-                allocated[f.flow_id] = rate
-        self._solves += 1
-        self._rates = allocated
-        return allocated
-
-
 def transfer_time(size: float, flow: Flow) -> float:
     """Seconds to move ``size`` bytes at the flow's allocated rate."""
     if size < 0:
@@ -315,20 +189,3 @@ def transfer_time(size: float, flow: Flow) -> float:
         raise RuntimeError(f"flow {flow.flow_id} has no allocated rate")
     latency = sum(l.latency for l in flow.path)
     return size / flow.rate + latency
-
-
-@dataclass
-class TrafficMatrix:
-    """A named batch of flows evaluated together (one comm phase)."""
-
-    flows: List[Flow] = field(default_factory=list)
-
-    def add(self, flow: Flow) -> None:
-        self.flows.append(flow)
-
-    def allocate(self) -> Dict[int, float]:
-        return max_min_fair_rates(self.flows)
-
-    def bottleneck_rate(self) -> float:
-        rates = [f.rate for f in self.flows if f.path]
-        return min(rates) if rates else float("inf")

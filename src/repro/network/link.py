@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from typing import Tuple
 
 
 @dataclass(eq=False)  # identity equality/hash: links are used as dict keys
 class Link:
     """A unidirectional link between two devices in the fabric.
 
-    Up/down transitions — whether through :meth:`set_state` or a direct
-    ``link.up = False`` — notify any callbacks registered with
-    :meth:`watch`, so fabrics and solvers can invalidate cached
-    fingerprints/allocations without rescanning every link.
+    A plain record: the up/down state of a
+    :class:`~repro.network.topology.ClosFabric` link is owned by its
+    fabric and changed only through
+    :meth:`~repro.network.topology.ClosFabric.set_link_state`, which
+    keeps routing and the fabric's fingerprint in step.
     """
 
     src: str
@@ -23,37 +24,12 @@ class Link:
     up: bool = True
     # Accumulated statistics (fluid model bookkeeping).
     bytes_carried: float = 0.0
-    flows_assigned: int = 0
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
             raise ValueError(f"link {self.name} must have positive bandwidth")
         if self.latency < 0:
             raise ValueError(f"link {self.name} has negative latency")
-
-    def watch(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired on every ``up`` transition.
-
-        Callbacks should hold only weak references to heavyweight
-        owners (see :meth:`repro.network.topology.ClosFabric`); they
-        are not pickled with the link.
-        """
-        self.__dict__.setdefault("_watchers", []).append(callback)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name == "up":
-            old = self.__dict__.get("up")
-            object.__setattr__(self, name, value)
-            if old is not None and old != value:
-                for callback in self.__dict__.get("_watchers", ()):
-                    callback()
-            return
-        object.__setattr__(self, name, value)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state.pop("_watchers", None)  # callbacks don't survive pickling
-        return state
 
     @property
     def name(self) -> str:
@@ -68,9 +44,6 @@ class Link:
             raise ValueError("cannot carry negative bytes")
         self.bytes_carried += nbytes
 
-    def set_state(self, up: bool) -> None:
-        self.up = up
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"
         return f"<Link {self.name} {self.bandwidth / 125e6:.0f}Gbps {state}>"
@@ -78,7 +51,12 @@ class Link:
 
 @dataclass
 class DuplexLink:
-    """A bidirectional connection modelled as two independent links."""
+    """A bidirectional connection modelled as two independent links.
+
+    ``reverse`` is a fresh :class:`Link`, so this models a standalone
+    cable; a :class:`~repro.network.topology.ClosFabric` link and its
+    reverse change state through its fabric's ``set_link_state``.
+    """
 
     forward: Link
     reverse: Link = field(init=False)
@@ -92,8 +70,7 @@ class DuplexLink:
         )
 
     def set_state(self, up: bool) -> None:
-        self.forward.set_state(up)
-        self.reverse.set_state(up)
+        self.forward.up = self.reverse.up = up
 
     @property
     def up(self) -> bool:

@@ -18,7 +18,6 @@ rings do) stays on one rail: two hops inside a pod, six hops across pods.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -55,9 +54,13 @@ class ClosFabric:
     ``pod_of``, ``same_tor``, ``hops`` and ``nodes_in_pod`` answer by
     arithmetic.  The link graph — ``switches``, ``links`` and
     ``parallel_links`` — is built the first time one of them is read,
-    which only routing (:meth:`path`) and link-state consumers do: about
-    49k :class:`~repro.network.link.Link` objects at 12,288 GPUs that an
-    analytic comm model never needs.
+    which only routing (:meth:`path`) and :meth:`set_link_state` do:
+    about 49k :class:`~repro.network.link.Link` objects at 12,288 GPUs
+    that an analytic comm model never needs.
+
+    The fabric owns its links' up/down state: :meth:`set_link_state` is
+    the one writer, and it records the down links in one sorted tuple
+    that :meth:`fingerprint`, :meth:`degraded` and routing all read.
     """
 
     n_nodes: int
@@ -85,37 +88,8 @@ class ClosFabric:
         self._spine = spine_role()
         if self.nic_rate == 0.0:
             self.nic_rate = self._tor.downlink_rate
-        self._fingerprint_cache: Optional[Tuple] = None
-        self._built = False
-
-    def _watch_links(self) -> None:
-        """Invalidate the cached fingerprint on any link up/down flip.
-
-        The callback holds only a weak reference to the fabric, so
-        watching its own links creates no reference cycle and never
-        keeps a dead fabric alive through its links.
-        """
-        ref = weakref.ref(self)
-
-        def invalidate() -> None:
-            fabric = ref()
-            if fabric is not None:
-                fabric._fingerprint_cache = None
-
-        for links in self.parallel_links.values():
-            for link in links:
-                link.watch(invalidate)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state.pop("_fingerprint_cache", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._fingerprint_cache = None
-        if self._built:
-            self._watch_links()  # link watchers don't survive pickling
+        # Down links as sorted (src, dst, parallel index) entries.
+        self._down: Tuple[Tuple[str, str, int], ...] = ()
 
     # -- construction -----------------------------------------------------
 
@@ -131,7 +105,6 @@ class ClosFabric:
         return f"tor{pod}.{rail}"
 
     def _build(self) -> None:
-        self._built = True
         self.switches: Dict[str, Switch] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         self.parallel_links: Dict[Tuple[str, str], List[Link]] = {}
@@ -162,7 +135,6 @@ class ClosFabric:
                     spine = f"spine{s}"
                     for k in range(self.agg_uplinks_per_spine):
                         self._add_parallel(agg, spine, k, self._agg.uplink_rate)
-        self._watch_links()
 
     def _add_switch(self, name: str, role: SwitchRole) -> None:
         self.switches[name] = Switch(role=role, name=name)
@@ -186,28 +158,52 @@ class ClosFabric:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} outside fabric of {self.n_nodes}")
 
+    def set_link_state(self, src: str, dst: str, up: bool, index: int = 0) -> None:
+        """Take link ``index`` of the ``src -> dst`` bundle down or bring it up.
+
+        ``index`` counts the parallel links between the two devices (a
+        NIC link has only index 0).  This is the only writer of a fabric
+        link's ``up`` flag: a direct ``link.up = False`` leaves routing
+        and :meth:`fingerprint` healthy, so the flow solver raises on the
+        first flow routed over that link instead of pricing it.  Degrade
+        only a private fabric, never a :func:`shared_fabric` one.
+        """
+        links = self.parallel_links.get((src, dst), ())
+        if not 0 <= index < len(links):
+            raise ValueError(f"no link {src} -> {dst} #{index} in this fabric")
+        links[index].up = up
+        down = set(self._down)
+        if up:
+            down.discard((src, dst, index))
+        else:
+            down.add((src, dst, index))
+        self._down = tuple(sorted(down))
+
     def fingerprint(self) -> Tuple:
         """Hashable identity of the fabric, for memoization keys.
 
-        Covers the constructor configuration plus the up/down state of
-        every link, so prices cached against one fabric are reused by
-        any identically-configured healthy fabric but never survive a
-        degraded (or differently-built) one.  A fabric whose link graph
-        is not built yet has no down links, so its fingerprint equals a
-        built healthy fabric's, and reading it builds nothing.
-
-        The value is cached — the O(links) scan would otherwise run on
-        every memo lookup — and invalidated by link up/down transitions
-        (including direct ``link.up`` writes), so a flapped link still
-        busts downstream caches.
+        The constructor configuration plus the down links set by
+        :meth:`set_link_state`, so prices cached against one fabric are
+        reused by any identically-configured fabric in the same link
+        state but never by a degraded (or differently-built) one.
+        Reading it neither scans nor builds the link graph.
         """
-        if self._fingerprint_cache is None:
-            self._fingerprint_cache = self._compute_fingerprint()
-        return self._fingerprint_cache
+        return (
+            self.n_nodes,
+            self.nodes_per_pod,
+            self.rails,
+            self.aggs_per_pod,
+            self.n_spines,
+            self.tor_uplinks_per_agg,
+            self.agg_uplinks_per_spine,
+            self.split_tor_downlinks,
+            self.nic_rate,
+            self._down,
+        )
 
     def degraded(self) -> bool:
         """Whether any link is currently down (placement symmetry broken)."""
-        return bool(self.fingerprint()[-1])
+        return bool(self._down)
 
     def canonical_node_offsets(self, nodes: Sequence[int]) -> Tuple[int, ...]:
         """Translate a node group down to its canonical within-pod offset.
@@ -230,29 +226,6 @@ class ClosFabric:
         if offset == 0:
             return tuple(nodes)
         return tuple(n - offset for n in nodes)
-
-    def _compute_fingerprint(self) -> Tuple:
-        graph = self.parallel_links if self._built else {}  # unbuilt: nothing down
-        down = tuple(
-            sorted(
-                f"{src}->{dst}#{i}"
-                for (src, dst), links in graph.items()
-                for i, link in enumerate(links)
-                if not link.up
-            )
-        )
-        return (
-            self.n_nodes,
-            self.nodes_per_pod,
-            self.rails,
-            self.aggs_per_pod,
-            self.n_spines,
-            self.tor_uplinks_per_agg,
-            self.agg_uplinks_per_spine,
-            self.split_tor_downlinks,
-            self.nic_rate,
-            down,
-        )
 
     def same_tor(self, a: int, b: int) -> bool:
         """Whether two nodes share their ToR switch set (same pod)."""
@@ -279,9 +252,13 @@ class ClosFabric:
         return 6  # nic -> tor -> agg -> spine -> agg -> tor -> nic
 
     def _pick(self, src: str, dst: str, flow_id: int) -> Link:
-        candidates = [l for l in self.parallel_links[(src, dst)] if l.up]
-        if not candidates:
-            raise RuntimeError(f"no live link {src} -> {dst}")
+        candidates = self.parallel_links[(src, dst)]
+        if self._down:
+            candidates = [
+                l for i, l in enumerate(candidates) if (src, dst, i) not in self._down
+            ]
+            if not candidates:
+                raise RuntimeError(f"no live link {src} -> {dst}")
         return candidates[ecmp_choice(flow_id, src, dst, len(candidates))]
 
     def path(self, src: int, dst: int, rail: int, flow_id: int = 0) -> List[Link]:
@@ -349,7 +326,8 @@ def shared_fabric(
     comm models, which never route, never build it, and fabric-backend
     plan search builds it once per shape instead of once per candidate.
 
-    Callers that intend to *degrade* links must build a private
+    Callers that intend to *degrade* links
+    (:meth:`ClosFabric.set_link_state`) must build a private
     ``ClosFabric`` instead — flapping a shared instance would leak the
     fault into every other consumer.
     """

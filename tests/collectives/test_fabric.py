@@ -245,7 +245,7 @@ def test_fabric_cost_memoized_by_fingerprint():
     assert cache.hits == 2
     # ...but a degraded one never does, even when the downed link (a ToR
     # uplink) is off this collective's intra-pod paths.
-    twin.parallel_links[("tor0.0", "agg0.0")][0].up = False
+    twin.set_link_state("tor0.0", "agg0.0", False)
     fabric_collective_cost("all_gather", 1e9, nodes, twin)
     assert cache.misses == 2
 
@@ -282,23 +282,63 @@ def test_degraded_fabric_disables_symmetry_dedup():
     cache = get_cache("fabric_collective_cost")
     cache.reset()
     fabric = _fabric(n_nodes=16, nodes_per_pod=8)
-    fabric.parallel_links[("tor0.0", "agg0.0")][0].up = False
+    fabric.set_link_state("tor0.0", "agg0.0", False)
     assert fabric.degraded()
     fabric_collective_cost("all_gather", 1e9, (0, 1, 2, 3), fabric)
     fabric_collective_cost("all_gather", 1e9, (4, 5, 6, 7), fabric)
     assert cache.misses == 2 and cache.hits == 0
 
 
-def test_fingerprint_cached_and_invalidated_by_flap():
+def test_fingerprint_follows_set_link_state_down_and_back_up():
+    fabric = _fabric(n_nodes=8, nodes_per_pod=8)
+    bundle = fabric.parallel_links[("tor0.0", "agg0.0")]
+    clean = fabric.fingerprint()
+    fabric.set_link_state("tor0.0", "agg0.0", False, index=1)
+    degraded = fabric.fingerprint()
+    assert degraded != clean and fabric.degraded()
+    assert [link.up for link in bundle] == [True, False, True, True]
+    fabric.set_link_state("tor0.0", "agg0.0", False, index=1)  # idempotent
+    assert fabric.fingerprint() == degraded
+    fabric.set_link_state("tor0.0", "agg0.0", True, index=1)
+    assert fabric.fingerprint() == clean and not fabric.degraded()
+    assert all(link.up for link in bundle)
+
+
+def test_fingerprint_is_independent_of_the_order_links_went_down():
+    a, b = _fabric(n_nodes=8, nodes_per_pod=8), _fabric(n_nodes=8, nodes_per_pod=8)
+    a.set_link_state("tor0.0", "agg0.0", False, index=2)
+    a.set_link_state("node1.nic0", "tor0.0", False)
+    b.set_link_state("node1.nic0", "tor0.0", False)
+    b.set_link_state("tor0.0", "agg0.0", False, index=2)
+    assert a.fingerprint() == b.fingerprint()
+
+
+def test_set_link_state_rejects_unknown_links():
     fabric = _fabric(n_nodes=8, nodes_per_pod=8)
     clean = fabric.fingerprint()
-    assert fabric.fingerprint() is clean  # cached tuple, no rescan
-    link = fabric.parallel_links[("tor0.0", "agg0.0")][0]
-    link.set_state(False)
-    degraded = fabric.fingerprint()
-    assert degraded != clean
-    link.up = True  # direct attribute write must also invalidate
+    for src, dst, index in (
+        ("tor0.0", "nowhere", 0),  # no such device pair
+        ("agg0.0", "tor0.0", 4),  # a 4-link bundle has indices 0..3
+        ("node0.nic0", "tor0.0", 1),  # a NIC link is a single link
+        ("tor0.0", "agg0.0", -1),
+    ):
+        with pytest.raises(ValueError, match="no link"):
+            fabric.set_link_state(src, dst, False, index=index)
     assert fabric.fingerprint() == clean
+
+
+def test_direct_link_write_raises_instead_of_caching():
+    # Writing ``link.up`` behind the fabric's back leaves the fingerprint
+    # healthy, so a price computed now would be cached under the healthy
+    # key.  Routing still uses the link, and the flow solver refuses it.
+    cache = get_cache("fabric_collective_cost")
+    cache.reset()
+    fabric = _fabric(n_nodes=8, nodes_per_pod=8)
+    fabric.links[("node0.nic0", "tor0.0")].up = False
+    assert not fabric.degraded()
+    with pytest.raises(RuntimeError, match="down link node0.nic0->tor0.0"):
+        fabric_collective_cost("all_gather", 1e9, (0, 1, 2, 3), fabric)
+    assert not cache.store
 
 
 def test_fingerprint_invalidation_survives_pickle():
@@ -306,39 +346,41 @@ def test_fingerprint_invalidation_survives_pickle():
 
     fabric = _fabric(n_nodes=8, nodes_per_pod=8)
     clean = fabric.fingerprint()
+    fabric.set_link_state("tor0.0", "agg0.0", False)
     clone = pickle.loads(pickle.dumps(fabric))
+    assert clone.fingerprint() == fabric.fingerprint() != clean
+    assert not clone.parallel_links[("tor0.0", "agg0.0")][0].up
+    clone.set_link_state("tor0.0", "agg0.0", True)
     assert clone.fingerprint() == clean
-    clone.parallel_links[("tor0.0", "agg0.0")][0].up = False
-    assert clone.fingerprint() != clean  # watchers re-registered on load
-    assert fabric.fingerprint() == clean  # the original is untouched
+    assert fabric.degraded()  # the original is untouched
 
 
-def test_flapper_driven_outage_busts_the_memo():
-    # End-to-end: a LinkFlapper outage on a fabric link must flow
-    # through the cached fingerprint into a fresh memo entry, and the
-    # healthy entry must come back once the flap ends.
-    import numpy as np
-
-    from repro.network import DuplexLink, LinkFlapper
-    from repro.sim import Simulator
+def test_simulated_link_outage_busts_the_memo():
+    # End-to-end: an outage driven on the simulation clock must flow
+    # through the fingerprint into a fresh memo entry, and the healthy
+    # entry must come back once the link is up again.
+    from repro.sim import Process, Simulator
 
     cache = get_cache("fabric_collective_cost")
     cache.reset()
     fabric = _fabric(n_nodes=16, nodes_per_pod=8)
     nodes = (0, 1, 2, 3)
     fabric_collective_cost("all_gather", 1e9, nodes, fabric)
-    duplex = DuplexLink(fabric.parallel_links[("tor0.0", "agg0.0")][0])
     sim = Simulator()
-    flapper = LinkFlapper(
-        sim, duplex, mean_interval=1.0, mean_down_time=5.0,
-        rng=np.random.default_rng(0),
-    )
-    flapper.start()
-    sim.run(until=2.0)  # long flap: the link is down right now
-    assert not duplex.forward.up
+
+    def outage():
+        yield sim.timeout(1.0)
+        fabric.set_link_state("tor0.0", "agg0.0", False)
+        yield sim.timeout(5.0)
+        fabric.set_link_state("tor0.0", "agg0.0", True)
+
+    Process(sim, outage())
+    sim.run(until=2.0)  # mid-outage
+    assert fabric.degraded()
     fabric_collective_cost("all_gather", 1e9, nodes, fabric)
-    assert cache.misses == 2
-    flapper.stop()  # restores the link
+    assert cache.misses == 2 and cache.hits == 0
+    sim.run()  # the link comes back
+    assert not fabric.degraded()
     fabric_collective_cost("all_gather", 1e9, nodes, fabric)
     assert cache.hits == 1  # healthy fingerprint (and entry) restored
 

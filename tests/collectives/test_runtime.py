@@ -93,3 +93,38 @@ def test_concurrent_rings_validation(fabric):
     with pytest.raises(ValueError):
         concurrent_rings_time(fabric, [], size=1e9)
     assert concurrent_rings_time(fabric, [[3, 3, 3]], size=1e9) == 0.0
+
+
+def test_link_taken_down_mid_collective_raises():
+    from repro.sim import Process, Simulator
+
+    fabric = ClosFabric(n_nodes=16, nodes_per_pod=8)  # private: it gets degraded
+    runtime = make_runtime(fabric, [0, 1, 2, 3])
+    clean = runtime.run("all_gather", 4e9)
+    sim = Simulator()
+
+    def outage():
+        yield sim.timeout(1.5 * clean.steps[0].duration)  # during the second step
+        fabric.set_link_state("node2.nic0", "tor0.0", False)
+
+    Process(sim, outage())
+    with pytest.raises(RuntimeError, match="down link node2.nic0->tor0.0"):
+        runtime.run("all_gather", 4e9, sim=sim)
+    fabric.set_link_state("node2.nic0", "tor0.0", True)
+    assert runtime.run("all_gather", 4e9).total_time == clean.total_time
+
+
+def test_run_solves_max_min_once_per_collective(fabric, monkeypatch):
+    from repro.collectives import runtime as runtime_module
+
+    solved = []
+    real = runtime_module.max_min_fair_rates
+
+    def counting(flows):
+        solved.append(len(flows))
+        return real(flows)
+
+    monkeypatch.setattr(runtime_module, "max_min_fair_rates", counting)
+    run = make_runtime(fabric, [0, 1, 2, 3]).run("all_reduce", 2e9)
+    assert len(run.steps) == 6
+    assert solved == [4]  # one solve of the four ring flows serves every step

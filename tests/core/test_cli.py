@@ -150,7 +150,7 @@ _SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trial
     [
         (["production", "--spares", "-3"], "--spares"),
         (["trace", "no-such-trace.json"], "no-such-trace.json"),
-        (["mc", "--seeds", "0"], "seed"),
+        (["mc", "--seeds", "0"], "--seeds"),
         (["mc", "--weeks", "-1"], "weeks"),
         (["tune", "--model", "X"], "--model"),
         (["compare", "--tp", "0"], "--tp"),
@@ -164,12 +164,15 @@ _SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trial
         (["mc", "--seeds", "2", "--nodes", "8", "--weeks", "nan"], "--weeks"),
         (["production", "--gpus", "64", "--weeks", "inf"], "--weeks"),
         (["schedule", "--days", "nan"], "--days"),
+        (["calibrate", "--fit", "--max-evals", "0"], "--max-evals"),
+        (["calibrate", "--fit", "--max-evals", "-1"], "--max-evals"),
     ],
     ids=[
         "negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
         "zero-tp", "zero-pp", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
         "nan-drift-tolerance", "negative-drift-tolerance", "nan-max-rel-error",
         "inf-max-rel-error", "nan-weeks", "inf-weeks", "nan-days",
+        "zero-max-evals", "negative-max-evals",
     ],
 )
 def test_invalid_input_is_one_error_line(argv, blames, capsys):

@@ -1,9 +1,7 @@
-"""Tests for the numpy max-min solver and its incremental wrapper.
+"""Tests for the numpy max-min solver.
 
 The per-flow oracle they are held to lives in ``tests/oracles/flow.py``.
 """
-
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +10,6 @@ from hypothesis import strategies as st
 from repro.network import (
     ClosFabric,
     Flow,
-    IncrementalMaxMinSolver,
     Link,
     max_min_fair_rates,
     transfer_time,
@@ -156,64 +153,3 @@ def test_vectorized_raises_on_down_link():
         max_min_fair_rates([Flow(flow_id=0, path=[dead])])
     with pytest.raises(RuntimeError):
         max_min_fair_rates([Flow(flow_id=0, path=[dead]), Flow(flow_id=1, path=[dead])])
-
-
-# -- incremental solver --------------------------------------------------------
-
-
-def test_incremental_caches_across_identical_solves():
-    shared = _links([10.0])[0]
-    flows = [Flow(flow_id=i, path=[shared]) for i in range(4)]
-    solver = IncrementalMaxMinSolver(flows)
-    first = solver.solve()
-    assert first[0] == pytest.approx(2.5)
-    assert solver.solve() is first  # cached object, no re-solve
-    assert solver.solves == 1
-
-
-def test_incremental_matches_batch_solver_after_edits():
-    a, b = _links([10.0, 4.0])
-    solver = IncrementalMaxMinSolver(
-        [Flow(flow_id=0, path=[a]), Flow(flow_id=1, path=[a])]
-    )
-    solver.solve()
-    solver.add_flow(Flow(flow_id=2, path=[a, b]))
-    solver.move_flow(1, [b])
-    solver.remove_flow(0)
-    rates = solver.solve()
-    fresh = [Flow(flow_id=1, path=[b]), Flow(flow_id=2, path=[a, b])]
-    expected = max_min_fair_rates(fresh)
-    assert set(rates) == {1, 2}
-    for fid in rates:
-        assert rates[fid] == pytest.approx(expected[fid], rel=1e-9)
-
-
-def test_incremental_invalidated_by_link_flap():
-    a, b = _links([10.0, 10.0])
-    solver = IncrementalMaxMinSolver(
-        [Flow(flow_id=0, path=[a]), Flow(flow_id=1, path=[b])]
-    )
-    solver.solve()
-    assert solver.solves == 1
-    b.set_state(False)
-    with pytest.raises(RuntimeError):  # stale allocation not replayed
-        solver.solve()
-    b.up = True  # direct attribute write also notifies the watcher
-    assert solver.solve()[1] == pytest.approx(10.0)
-    assert solver.solves >= 2
-
-
-def test_incremental_rejects_duplicate_flow_ids():
-    link = _links([1e9])[0]
-    solver = IncrementalMaxMinSolver([Flow(flow_id=0, path=[link])])
-    with pytest.raises(ValueError):
-        solver.add_flow(Flow(flow_id=0, path=[link]))
-
-
-def test_link_watchers_do_not_pickle():
-    link = _links([1e9])[0]
-    solver = IncrementalMaxMinSolver([Flow(flow_id=0, path=[link])])
-    solver.solve()
-    clone = pickle.loads(pickle.dumps(link))
-    assert clone.bandwidth == link.bandwidth
-    assert "_watchers" not in clone.__dict__

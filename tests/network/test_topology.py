@@ -162,10 +162,25 @@ def test_unbuilt_fabric_survives_pickling_then_builds_and_flaps():
     clean = fabric.fingerprint()
     clone = pickle.loads(pickle.dumps(fabric))
     assert "links" not in vars(clone) and clone.fingerprint() == clean
-    link = clone.parallel_links[("tor0.0", "agg0.0")][0]
-    link.set_state(False)  # the build registered the fingerprint watchers
+    clone.set_link_state("tor0.0", "agg0.0", False)  # builds the link graph
+    assert not clone.parallel_links[("tor0.0", "agg0.0")][0].up
     assert clone.degraded() and clone.fingerprint() != clean
     assert clone.path(0, 9, rail=0, flow_id=1)
-    link.up = True
+    clone.set_link_state("tor0.0", "agg0.0", True)
     assert clone.fingerprint() == clean
     assert "links" not in vars(fabric)  # the original is untouched
+
+
+def test_routing_avoids_links_set_down():
+    fabric = make_fabric(n_nodes=16, nodes_per_pod=8)
+    bundles = [("tor0.0", f"agg0.{a}") for a in range(fabric.aggs_per_pod)]
+    for src, dst in bundles:
+        for index in (0, 1, 2):
+            fabric.set_link_state(src, dst, False, index=index)
+    live = {fabric.parallel_links[bundle][3] for bundle in bundles}
+    uplinks = {fabric.path(0, 9, rail=0, flow_id=f)[1] for f in range(32)}
+    assert uplinks <= live  # ECMP spreads over the live links only
+    for src, dst in bundles:
+        fabric.set_link_state(src, dst, False, index=3)
+    with pytest.raises(RuntimeError, match="no live link"):
+        fabric.path(0, 9, rail=0)

@@ -1,6 +1,7 @@
 """Fuzzed CLI inputs: any integer argparse accepts for a count flag ends
 in a clean run or in one ``repro: error:`` line, never a traceback; a
-float flag that is not finite and positive is always that one error line.
+count below 1 for ``mc`` and ``calibrate``, or a float flag that is not
+finite and positive, is always that one error line.
 
 Smoke-marked (deselected from tier-1); CI runs it with the other gates::
 
@@ -64,6 +65,45 @@ def test_count_flags_never_raise_a_traceback(argv):
     code, out, err = _run(argv)
     lines = err.splitlines()
     assert code in (0, 2), (argv, code, out[-500:])
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("repro: error:"), (argv, lines)
+    assert "Traceback" not in out + err
+
+
+# Count flags of the long-running commands: (command prefix, flag ->
+# range drawn).  Every flag is always drawn.  ``mc`` runs a few seeds of
+# a small cluster when all its counts are valid; ``calibrate`` draws
+# only non-positive budgets, so no fit ever runs.
+POSITIVE_COUNT_FLAGS = {
+    "mc": (["mc", "--weeks", "0.05"], {"--seeds": (-2, 3), "--nodes": (-2, 16)}),
+    "calibrate": (["calibrate", "--fit"], {"--max-evals": (-2, 0)}),
+}
+
+
+@st.composite
+def positive_count_invocations(draw):
+    command = draw(st.sampled_from(sorted(POSITIVE_COUNT_FLAGS)))
+    prefix, flags = POSITIVE_COUNT_FLAGS[command]
+    argv, invalid = list(prefix), []
+    for flag, (low, high) in flags.items():
+        value = draw(st.integers(low, high))
+        argv += [flag, str(value)]
+        if value < 1:
+            invalid.append(flag)
+    return argv, invalid
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=positive_count_invocations())
+def test_non_positive_counts_fail_at_parse_time(case):
+    argv, invalid = case
+    code, out, err = _run(argv)
+    lines = err.splitlines()
+    if invalid:
+        assert code == 2, (argv, code, out[-500:])  # never a silent run
+        assert any(flag in lines[0] for flag in invalid), (argv, lines)
+    else:
+        assert code in (0, 2), (argv, code, out[-500:])
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("repro: error:"), (argv, lines)
     assert "Traceback" not in out + err
