@@ -153,3 +153,17 @@ def test_vectorized_raises_on_down_link():
         max_min_fair_rates([Flow(flow_id=0, path=[dead])])
     with pytest.raises(RuntimeError):
         max_min_fair_rates([Flow(flow_id=0, path=[dead]), Flow(flow_id=1, path=[dead])])
+
+
+def test_link_watchers_do_not_pickle():
+    # A link is a plain record: after a solve it pickles with its fields
+    # intact and no callback or watcher state riding along.
+    import dataclasses
+    import pickle
+
+    link = _links([1e9])[0]
+    max_min_fair_rates([Flow(flow_id=0, path=[link])])
+    clone = pickle.loads(pickle.dumps(link))
+    assert clone.bandwidth == link.bandwidth
+    assert "_watchers" not in clone.__dict__
+    assert set(vars(clone)) == {f.name for f in dataclasses.fields(Link)}
