@@ -36,24 +36,31 @@ import numpy as np
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are one ``repro: error:`` line."""
+    """An argument parser whose errors are one ``repro: error:`` line and
+    that reads only whole flag names (``--seed`` is not ``--seeds``)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.exit(2, f"repro: error: {message}\n")
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+non_negative_int = int_at_least(0)
+positive_int = int_at_least(1)
 
 
 def positive_float(text: str) -> float:
@@ -530,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spare-pool size when --correlated (0 forces the elastic path)")
     _add_job_args(p)
     p.add_argument("--weeks", type=positive_float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--trace", metavar="PATH",
                    help="collect spans/metrics from every subsystem (training, "
                         "collectives, network, fault, monitors) into one "
@@ -548,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "baseline")
     p.add_argument("--days", type=positive_float, default=3.0,
                    help="simulated horizon in days (default 3)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--compare", action="store_true",
                    help="also run the opposite policy on the same seed and "
                         "print the goodput delta")
@@ -587,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="inspect/render a saved telemetry trace")
     p.add_argument("path", help="trace JSON written by --trace")
     p.add_argument("--lane", help="render this subsystem lane as ASCII")
-    p.add_argument("--width", type=int, default=72,
+    p.add_argument("--width", type=int_at_least(10), default=72,
                    help="ASCII rendering width (default 72)")
     p.set_defaults(func=cmd_trace)
 
@@ -603,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=positive_int, default=None,
                    help="node count, overriding --gpus/--gpus-per-node")
     p.add_argument("--nodes-per-pod", type=positive_int, default=64)
-    p.add_argument("--group-size", type=int, default=8,
+    p.add_argument("--group-size", type=int_at_least(2), default=8,
                    help="ring size priced under each placement")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--trials", type=positive_int, default=200,
                    help="Monte-Carlo trials for the ECMP conflict model")
     p.add_argument("--max-rel-error", type=positive_float, default=1e-9,
@@ -627,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an injected-cause scenario inline "
              "(clean, straggler, tor-blast, ecmp-collision, preemption, data-stall)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", help="also write the machine-readable JSON report here")
     p.set_defaults(func=cmd_diagnose)
 

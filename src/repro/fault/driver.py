@@ -13,12 +13,13 @@ Two layers:
   recovery), plus a loss curve over the tokens actually trained.
 
 Degraded-mode recovery: both layers survive the unhappy paths — when
-the spare pool is exhausted they shrink the data-parallel degree via
-:mod:`repro.fault.elastic` instead of stalling; correlated domain
-faults (:mod:`repro.fault.domains`) take out whole racks or pods in one
-event; and checkpoint loads go through the integrity + retry layer of
-:mod:`repro.fault.checkpoint`, falling back to the N−1 checkpoint when
-shards stay corrupt.
+the spare pool is exhausted they shed data-parallel replicas instead of
+stalling (the production run re-plans to
+:func:`repro.fault.elastic.shrunk_dp` of the surviving GPUs);
+correlated domain faults (:mod:`repro.fault.domains`) take out whole
+racks or pods in one event; and checkpoint loads go through the
+integrity + retry layer of :mod:`repro.fault.checkpoint`, falling back
+to the N−1 checkpoint when shards stay corrupt.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from .checkpoint import (
 )
 from .detector import AnomalyDetector
 from .diagnostics import DiagnosticSuite
-from .elastic import ElasticDecision, ElasticReplanner
+from .elastic import ElasticDecision, shrunk_dp
 from .executor import Executor
-from .faults import FaultEvent, FaultInjector, Manifestation
+from .faults import FaultEvent, FaultInjector, Manifestation, detection_latency
 from .heartbeat import HeartbeatHistory
 from .kubernetes import MockKubernetes
 from .recovery import DegradedInterval, RecoveryLog, RecoveryRecord, effective_training_rate
@@ -351,11 +352,12 @@ class ProductionRun:
     """Simulates a fault-ridden multi-week run at 10k+ GPU scale.
 
     With a ``cluster`` the spare pool is finite: replacements consume
-    spares, and once they run out the run re-plans to a smaller DP
-    degree through ``elastic`` (never stalls).  With an ``integrity``
-    model checkpoint loads can hit corrupt shards and retry per
-    ``retry_policy``, falling back to the N−1 checkpoint at the price of
-    one extra checkpoint interval of lost iterations.
+    spares, and once they run out the run re-plans to the largest DP
+    degree the surviving GPUs sustain (:func:`shrunk_dp`), stalling for
+    fresh machines only when not even one replica fits.  With an
+    ``integrity`` model checkpoint loads can hit corrupt shards and retry
+    per ``retry_policy``, falling back to the N−1 checkpoint at the price
+    of one extra checkpoint interval of lost iterations.
     """
 
     def __init__(
@@ -368,7 +370,6 @@ class ProductionRun:
         diagnostics: Optional[DiagnosticSuite] = None,
         rng: Optional[np.random.Generator] = None,
         cluster: Optional[Cluster] = None,
-        elastic: Optional[ElasticReplanner] = None,
         integrity: Optional[ShardIntegrityModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
         gpus_per_node: int = 8,
@@ -383,9 +384,6 @@ class ProductionRun:
         self.diagnostics = diagnostics or DiagnosticSuite()
         self.rng = rng if rng is not None else np.random.default_rng(42)
         self.cluster = cluster
-        self.elastic = elastic or ElasticReplanner(
-            model=planner.model if planner is not None else None
-        )
         self.integrity = integrity
         self.retry_policy = retry_policy or RetryPolicy()
         self.gpus_per_node = gpus_per_node
@@ -393,32 +391,6 @@ class ProductionRun:
         self.monitors = LiveMonitors(hub, link_rate=monitor_link_rate) if hub else None
 
     # -- per-incident latencies ------------------------------------------------
-
-    def detection_time(self, event: FaultEvent) -> float:
-        cfg = self.config
-        if event.kind.manifestation is Manifestation.EXPLICIT:
-            # Caught by the next heartbeat's status/log keywords.
-            return float(self.rng.uniform(0, cfg.heartbeat_interval)) + 2.0
-        if event.kind.manifestation is Manifestation.HANG:
-            # RDMA traffic ceased; needs a few silent windows to be sure.
-            return cfg.nccl_hang_timeout + float(self.rng.uniform(0, cfg.heartbeat_interval))
-        # Silent: surfaces at the next heat-map review (§5.1).
-        return float(self.rng.uniform(0.2, 1.0)) * cfg.silent_fault_detection_time
-
-    def replacement_overhead(self, needed: int, spare_count: Optional[int]) -> float:
-        """Replacement wall time given spare availability.
-
-        ``spare_count=None`` models an effectively infinite pool (the
-        legacy behaviour).  An exhausted pool pays full provisioning —
-        unless the elastic path sidesteps replacement entirely, which the
-        incident resolver decides.
-        """
-        if needed == 0:
-            return 0.0
-        cfg = self.config
-        if spare_count is None or spare_count >= needed:
-            return cfg.kubernetes_replacement_time
-        return cfg.spare_provisioning_time
 
     def _checkpoint_load(
         self, planner: Optional[CheckpointPlanner], bandwidth_factor: float
@@ -474,21 +446,20 @@ class ProductionRun:
         decision: Optional[ElasticDecision] = None
         replace = 0.0
         if needed:
-            if short == 0:
-                replace = cfg.kubernetes_replacement_time
+            remaining = available_gpus - short * self.gpus_per_node
+            dp = shrunk_dp(plan, remaining)
+            if dp == 0:
+                # Not even one replica fits: stall for fresh machines.
+                replace = cfg.spare_provisioning_time
             else:
-                remaining = available_gpus - short * self.gpus_per_node
-                if plan.world_size <= remaining:
-                    # Idle survivors from an earlier shrink absorb the loss.
-                    replace = cfg.kubernetes_replacement_time if consumed else 0.0
-                else:
-                    if remaining >= 1:
-                        decision = self.elastic.replan(plan, remaining)
-                    if decision is None:
-                        # Nothing fits: stall for fresh machines.
-                        replace = cfg.spare_provisioning_time
-                    elif consumed:
-                        replace = cfg.kubernetes_replacement_time
+                # At dp == plan.dp spares (or idle survivors of an earlier
+                # shrink) absorb the loss; below it the run sheds replicas.
+                if dp < plan.dp:
+                    decision = ElasticDecision(
+                        old_plan=plan, new_plan=plan.with_options(dp=dp), available_gpus=remaining
+                    )
+                if consumed:
+                    replace = cfg.kubernetes_replacement_time
 
         resumed_plan = decision.new_plan if decision is not None else plan
         init = group_init_time(resumed_plan, REDIS_STORE, ordered=True).total
@@ -509,20 +480,6 @@ class ProductionRun:
             replan=decision,
             load=load_outcome,
         )
-
-    def recovery_downtime(
-        self, event: FaultEvent, spare_count: Optional[int] = None
-    ) -> Tuple[float, bool, int]:
-        """(downtime after detection, auto?, lost iterations).
-
-        Compatibility wrapper over :meth:`resolve_incident`; consults the
-        cluster's spare pool when one is attached so replacement time
-        reflects availability.
-        """
-        if spare_count is None and self.cluster is not None:
-            spare_count = self.cluster.spare_count
-        outcome = self.resolve_incident(event, spares_left=spare_count)
-        return outcome.downtime, outcome.auto, outcome.lost_iterations
 
     # -- the run -------------------------------------------------------------------
 
@@ -565,7 +522,7 @@ class ProductionRun:
             accrue(event.time - wall)
             wall = event.time
             record_loss()
-            detect = self.detection_time(event)
+            detect = detection_latency(event, self.rng, cfg)
             if event.kind.manifestation is Manifestation.SILENT:
                 # Training limps on until the heat-map review: the slowest
                 # participant gates the whole synchronous job.

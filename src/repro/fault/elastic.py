@@ -6,22 +6,32 @@ and stalling the job is to *keep training smaller*: drop the dead
 data-parallel replicas, re-plan to the largest DP degree the surviving
 GPUs support, and resume at reduced throughput until capacity returns.
 
-The re-plan goes through :func:`repro.parallel.tuner.shrink_dp_plans`
-so it honours the same structural constraints as the original tuner
-(model-parallel layout fixed, batch divisibility, optional memory
-feasibility when the model is known).
+The re-plan keeps the model-parallel layout fixed (re-sharding mid-run
+would mean a full re-deployment) and sheds only data-parallel replicas,
+so it is arithmetic: :func:`shrunk_dp` is the one shrink rule, used
+GPU-granular by :class:`~repro.fault.driver.ProductionRun` and on whole
+hosts by :class:`~repro.scheduler.scheduler.ClusterScheduler`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from math import gcd
 
-from ..hardware.gpu import GpuSpec
-from ..model.transformer import ModelSpec
 from ..parallel.plan import ParallelPlan
-from ..parallel.tuner import feasible as plan_feasible
-from ..parallel.tuner import iter_shrink_dp_plans
+
+
+def shrunk_dp(plan: ParallelPlan, gpus: int, gpus_per_node: int = 1) -> int:
+    """Largest DP degree ``gpus`` GPUs sustain on ``plan``'s layout (0 = none).
+
+    The largest ``d <= min(plan.dp, gpus // (tp * pp))`` whose
+    ``d * tp * pp`` GPUs fill whole ``gpus_per_node``-GPU hosts, i.e. a
+    multiple of ``gpus_per_node // gcd(tp * pp, gpus_per_node)``.  For a
+    plan that fills whole hosts this is ``plan.dp`` when nothing is lost.
+    """
+    model_parallel = plan.tp * plan.pp
+    d = max(0, min(plan.dp, gpus // model_parallel))
+    return d - d % (gpus_per_node // gcd(model_parallel, gpus_per_node))
 
 
 @dataclass(frozen=True)
@@ -45,45 +55,3 @@ class ElasticDecision:
             f"dp {self.old_plan.dp} -> {self.new_plan.dp} on {self.available_gpus} GPUs "
             f"({self.throughput_factor:.0%} throughput)"
         )
-
-
-@dataclass
-class ElasticReplanner:
-    """Picks the least-lossy shrunken plan for the surviving GPU count.
-
-    ``model``/``gpu``/``global_batch`` are optional refinements: when the
-    model is known, candidates must also fit in memory; when the global
-    batch is known, it must divide into per-replica batches.  Without
-    them the re-plan is structural only (the common production-run case,
-    where the plan is the unit of simulation).
-    """
-
-    model: Optional[ModelSpec] = None
-    gpu: Optional[GpuSpec] = None
-    global_batch: Optional[int] = None
-
-    def _acceptable(self, candidate: ParallelPlan) -> bool:
-        if self.global_batch is not None:
-            try:
-                candidate.n_microbatches(self.global_batch)
-            except ValueError:
-                return False
-        if self.model is not None and self.gpu is not None and self.global_batch is not None:
-            return plan_feasible(self.model, candidate, self.gpu, self.global_batch)
-        return True
-
-    def replan(self, plan: ParallelPlan, available_gpus: int) -> Optional[ElasticDecision]:
-        """Largest-DP feasible shrink, or ``None`` if nothing fits.
-
-        Raises ``ValueError`` if ``available_gpus`` already covers the
-        current plan (shrinking would be a no-op — the caller should
-        simply replace nodes).
-        """
-        if available_gpus >= plan.world_size:
-            raise ValueError("no shrink needed: plan already fits the available GPUs")
-        for candidate in iter_shrink_dp_plans(plan, available_gpus):
-            if self._acceptable(candidate):
-                return ElasticDecision(
-                    old_plan=plan, new_plan=candidate, available_gpus=available_gpus
-                )
-        return None

@@ -131,6 +131,24 @@ def auto_detectable_fraction(events: List[FaultEvent]) -> float:
     return sum(1 for e in events if e.kind.auto_detectable) / len(events)
 
 
+def detection_latency(event: FaultEvent, rng: np.random.Generator, config) -> float:
+    """Seconds from ``event`` until the framework notices it (one RNG draw).
+
+    ``config`` supplies ``heartbeat_interval``, ``nccl_hang_timeout`` and
+    ``silent_fault_detection_time`` (the production-run and scheduler
+    configs both do).
+    """
+    manifestation = event.kind.manifestation
+    if manifestation is Manifestation.EXPLICIT:
+        # Caught by the next heartbeat's status/log keywords.
+        return float(rng.uniform(0, config.heartbeat_interval)) + 2.0
+    if manifestation is Manifestation.HANG:
+        # RDMA traffic ceased; needs a few silent windows to be sure.
+        return config.nccl_hang_timeout + float(rng.uniform(0, config.heartbeat_interval))
+    # Silent: surfaces at the next heat-map review (§5.1).
+    return float(rng.uniform(0.2, 1.0)) * config.silent_fault_detection_time
+
+
 def event_order(event: FaultEvent) -> Tuple[float, str, int]:
     """The canonical sort key for merged fault timelines."""
     return (event.time, event.kind.name, event.node_index)

@@ -144,21 +144,6 @@ class RecoveryLog:
     def total_lost_iterations(self) -> int:
         return sum(r.total_lost_iterations for r in self.records)
 
-    def degraded_time(self, until: float) -> float:
-        return sum(i.duration(until) for i in self.degraded)
-
-    def capacity_fraction(self, until: float) -> float:
-        """Mean throughput factor over ``[0, until]`` from shrink intervals.
-
-        1.0 for a run that never shrank; between dp_min/dp and 1.0
-        otherwise.  Downtime is *not* subtracted here — this isolates the
-        elastic-shrink cost from the restart cost.
-        """
-        if until <= 0:
-            raise ValueError("until must be positive")
-        lost = sum((1.0 - i.throughput_factor) * i.duration(until) for i in self.degraded)
-        return max(0.0, 1.0 - lost / until)
-
     def effective_training_rate(self, iteration_time: float, wall_time: float) -> float:
         """Accounting estimate of the effective rate over ``[0, wall_time]``.
 

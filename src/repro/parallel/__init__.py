@@ -26,7 +26,6 @@ from .tuner import (
     TunedPlan,
     candidate_plans,
     feasible,
-    shrink_dp_plans,
     tune,
     tune_with_stats,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "feasible",
     "tune",
     "tune_with_stats",
-    "shrink_dp_plans",
     "schedule_for",
     "sharded_state_summary",
     "validate_placement",

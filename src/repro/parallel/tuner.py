@@ -69,33 +69,6 @@ def candidate_plans(
                     )
 
 
-def iter_shrink_dp_plans(plan: ParallelPlan, n_gpus: int) -> Iterator[ParallelPlan]:
-    """Same-(tp, pp, vpp, micro-batch) plans with DP reduced to fit ``n_gpus``.
-
-    The degraded-mode recovery path keeps the model-parallel layout
-    intact (re-sharding mid-run would mean a full re-deployment) and
-    only sheds data-parallel replicas.  Candidates come largest-DP
-    first, so the first feasible one loses the least throughput.
-
-    Lazy: the common consumer (:class:`repro.fault.elastic.ElasticReplanner`
-    with no memory/batch refinements) accepts the first candidate, and a
-    Monte Carlo campaign re-plans thousands of incidents — materializing
-    all ``max_dp`` plans per incident was a measurable fraction of its
-    per-seed cost.
-    """
-    if n_gpus < 1:
-        raise ValueError("n_gpus must be >= 1")
-    model_parallel = plan.tp * plan.pp
-    max_dp = min(n_gpus // model_parallel, plan.dp)
-    for d in range(max_dp, 0, -1):
-        yield plan.with_options(dp=d)
-
-
-def shrink_dp_plans(plan: ParallelPlan, n_gpus: int) -> List[ParallelPlan]:
-    """Eager form of :func:`iter_shrink_dp_plans`."""
-    return list(iter_shrink_dp_plans(plan, n_gpus))
-
-
 def feasible(model: ModelSpec, plan: ParallelPlan, gpu: GpuSpec, global_batch: int) -> bool:
     """Memory + batch-divisibility feasibility."""
     try:

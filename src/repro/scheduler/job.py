@@ -5,15 +5,14 @@ one fabric, contend for ToR uplinks, and — during correlated incidents —
 for the same spare pool.  A :class:`JobSpec` is the immutable submission
 (parallel plan, scheduling priority, goodput weight); a :class:`JobStatus`
 is the scheduler's mutable view of that job while the multi-tenant
-timeline plays out (current plan, placement, degradation and backoff
-state).
+timeline plays out (current plan, degradation and backoff state; node
+assignment lives in :class:`~repro.scheduler.placement.PlacementMap`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from ..parallel.plan import ParallelPlan
 
@@ -76,7 +75,6 @@ class JobStatus:
     spec: JobSpec
     plan: ParallelPlan  # current (possibly shrunken) plan
     state: JobState = JobState.PENDING
-    nodes: List[int] = field(default_factory=list)  # cluster node indices
     down_until: float = 0.0  # restarting / re-initializing until then
     slow_until: float = 0.0  # silently degraded (leaf-link) until then
     slow_factor: float = 1.0  # throughput factor while slow_until is active

@@ -11,10 +11,10 @@ cluster shared by several training jobs.  Per incident it:
    the naive ``policy="fifo"`` baseline),
 3. walks each loser down the degradation ladder: preempt lower-priority
    capacity when the loser would otherwise stall (or fall below the
-   configured DP floor), shrink the data-parallel degree via
-   :class:`~repro.fault.elastic.ElasticReplanner` otherwise, and only
-   stall — for the bounded provisioning time — when even dp=1 does not
-   fit, and
+   configured DP floor), shrink the data-parallel degree otherwise to
+   :func:`~repro.fault.elastic.shrunk_dp` of its surviving whole hosts,
+   and only stall — for the bounded provisioning time — when even dp=1
+   does not fit, and
 4. schedules retry-with-backoff regrow attempts so degraded jobs claim
    freed capacity later instead of blocking on it now.
 
@@ -30,7 +30,7 @@ single RNG is consumed in a fixed order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,8 +38,8 @@ import numpy as np
 from ..collectives.init import group_init_time
 from ..collectives.kvstore import REDIS_STORE
 from ..fault.domains import DomainTopology
-from ..fault.elastic import ElasticReplanner
-from ..fault.faults import FaultEvent, FaultInjector, Manifestation
+from ..fault.elastic import shrunk_dp
+from ..fault.faults import FaultEvent, FaultInjector, Manifestation, detection_latency
 from ..hardware.cluster import Cluster
 from ..parallel.plan import ParallelPlan
 from .job import JobSpec, JobState, JobStatus
@@ -199,7 +199,6 @@ class ClusterScheduler:
         self.hub = hub
         self.placement = PlacementMap(topology=topology)
         self.pool = SparePool(cluster=cluster, policy=policy)
-        self.elastic = ElasticReplanner()
         self.decisions: List[SchedulerDecision] = []
         self.segments: List[GoodputSegment] = []
         self.jobs: Dict[str, JobStatus] = {}
@@ -271,7 +270,6 @@ class ClusterScheduler:
                          needed=spec.n_nodes)
             self._push(self.config.backoff_base, "retry", spec.name)
             return
-        status.nodes = nodes
         status.state = JobState.RUNNING
         self._decide(
             0.0, "place", spec.name,
@@ -281,16 +279,6 @@ class ClusterScheduler:
         self._refresh_contention()
 
     # -- per-incident latencies ----------------------------------------------
-
-    def _detect_time(self, event: FaultEvent) -> float:
-        cfg = self.config
-        if event.kind.manifestation is Manifestation.EXPLICIT:
-            return float(self.rng.uniform(0, cfg.heartbeat_interval)) + 2.0
-        if event.kind.manifestation is Manifestation.HANG:
-            return cfg.nccl_hang_timeout + float(
-                self.rng.uniform(0, cfg.heartbeat_interval)
-            )
-        return float(self.rng.uniform(0.2, 1.0)) * cfg.silent_fault_detection_time
 
     def _init_time(self, plan: ParallelPlan) -> float:
         return group_init_time(plan, REDIS_STORE, ordered=True).total
@@ -332,7 +320,7 @@ class ClusterScheduler:
 
     def _on_fault(self, t: float, event: FaultEvent) -> None:
         hit_by_job = self.placement.jobs_hit(event.affected_nodes)
-        detect = self._detect_time(event)
+        detect = detection_latency(event, self.rng, self.config)
         if event.kind.needs_replacement:
             self._on_replacement_fault(t, event, hit_by_job, detect)
         elif event.kind.manifestation is Manifestation.HANG:
@@ -422,27 +410,9 @@ class ClusterScheduler:
     # -- the degradation ladder ------------------------------------------------
 
     def _best_dp(self, status: JobStatus, n_nodes: int) -> int:
-        """Largest DP degree ``n_nodes`` hosts can sustain (0 = none).
-
-        Shrinks route through :class:`ElasticReplanner` (same structural
-        constraints as the tuner), restricted to plans that pack onto
-        whole hosts.
-        """
-        from ..parallel.tuner import shrink_dp_plans
-
-        spec = status.spec
-        gpus = n_nodes * spec.gpus_per_node
-        if gpus >= spec.plan.world_size:
-            return spec.plan.dp
-        if gpus < 1:
-            return 0
-        for candidate in shrink_dp_plans(spec.plan, gpus):
-            if candidate.world_size % spec.gpus_per_node:
-                continue
-            decision = self.elastic.replan(spec.plan, candidate.world_size)
-            if decision is not None:
-                return decision.new_plan.dp
-        return 0
+        """Largest DP degree ``n_nodes`` whole hosts can sustain (0 = none)."""
+        gpn = status.spec.gpus_per_node
+        return shrunk_dp(status.spec.plan, n_nodes * gpn, gpn)
 
     def _handle_shortfall(
         self, t: float, status: JobStatus, dead: List[int], detect: float

@@ -166,13 +166,22 @@ _SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trial
         (["schedule", "--days", "nan"], "--days"),
         (["calibrate", "--fit", "--max-evals", "0"], "--max-evals"),
         (["calibrate", "--fit", "--max-evals", "-1"], "--max-evals"),
+        (["mc", "--seed", "3", "--weeks", "0.05", "--nodes", "8"], "--seed"),
+        (["production", "--gpus", "64", "--weeks", "0.05", "--seed", "-1"], "--seed"),
+        (["schedule", "--days", "0.5", "--seed", "-1"], "--seed"),
+        (_SMALL_VALIDATE + ["--seed", "-1"], "--seed"),
+        (["diagnose", "--scenario", "clean", "--seed", "-1"], "--seed"),
+        (["trace", "no-such-trace.json", "--width", "9"], "--width"),
+        (_SMALL_VALIDATE + ["--group-size", "1"], "--group-size"),
     ],
     ids=[
         "negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
         "zero-tp", "zero-pp", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
         "nan-drift-tolerance", "negative-drift-tolerance", "nan-max-rel-error",
         "inf-max-rel-error", "nan-weeks", "inf-weeks", "nan-days",
-        "zero-max-evals", "negative-max-evals",
+        "zero-max-evals", "negative-max-evals", "abbreviated-seeds",
+        "production-negative-seed", "schedule-negative-seed", "validate-negative-seed",
+        "diagnose-negative-seed", "narrow-trace-width", "validate-group-size-1",
     ],
 )
 def test_invalid_input_is_one_error_line(argv, blames, capsys):

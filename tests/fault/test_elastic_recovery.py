@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fault import (
     CheckpointPlanner,
@@ -14,12 +16,12 @@ from repro.fault.domains import (
     CorrelatedFaultInjector,
     DomainTopology,
 )
-from repro.fault.elastic import ElasticReplanner
+from repro.fault.elastic import shrunk_dp
 from repro.fault.scenarios import run_correlated, spare_exhaustion_scenario
 from repro.hardware import Cluster
 from repro.model import GPT_175B
-from repro.parallel import plan_for_gpus
-from repro.parallel.tuner import shrink_dp_plans
+from repro.parallel import ParallelPlan, plan_for_gpus
+from tests.oracles.elastic import shrink_dp_plans, shrunk_dp_reference
 
 
 class FixedInjector:
@@ -42,7 +44,7 @@ def rack_event(time=3600.0, nodes=(0, 1, 2, 3)):
     )
 
 
-# -- the replanner ------------------------------------------------------------
+# -- the shrink rule ------------------------------------------------------------
 
 
 def test_shrink_dp_plans_keeps_model_parallel_layout():
@@ -55,27 +57,46 @@ def test_shrink_dp_plans_keeps_model_parallel_layout():
         shrink_dp_plans(plan, 0)
 
 
-def test_replanner_prefers_largest_feasible_dp():
+def test_shrunk_dp_prefers_largest_feasible_dp():
     plan = plan_for_gpus(64, tp=2, pp=2)  # dp=16
-    decision = ElasticReplanner().replan(plan, 40)
-    assert decision is not None
-    assert decision.new_plan.dp == 10
+    assert shrunk_dp(plan, 40) == 10
+    assert shrunk_dp(plan, 43) == 10  # a partial replica is idle
+    # On 8-GPU hosts a replica is 4 GPUs, so only even DP fills whole hosts.
+    assert shrunk_dp(plan, 40, gpus_per_node=8) == 10
+    assert shrunk_dp(plan, 36, gpus_per_node=8) == 8
+    # A production run turns the rule into one decision: 3 of 8 hosts lost.
+    decision = make_run().resolve_incident(rack_event(nodes=(0, 1, 2)), spares_left=0).replan
+    assert decision.new_plan.dp == 10 and decision.available_gpus == 40
     assert decision.throughput_factor == pytest.approx(10 / 16)
 
 
-def test_replanner_honours_global_batch_divisibility():
-    plan = plan_for_gpus(64, tp=2, pp=2)  # dp=16
-    decision = ElasticReplanner(global_batch=96).replan(plan, 44)  # raw max dp=11
-    assert decision is not None
-    # 11, 10, 9 don't divide 96 into whole micro-batches; 8 does.
-    assert decision.new_plan.dp == 8
-
-
-def test_replanner_rejects_noop_and_reports_impossible():
+def test_shrunk_dp_keeps_dp_when_nothing_is_lost_and_is_zero_below_one_replica():
     plan = plan_for_gpus(64, tp=2, pp=2)
-    with pytest.raises(ValueError):
-        ElasticReplanner().replan(plan, 64)
-    assert ElasticReplanner().replan(plan, 2) is None
+    assert shrunk_dp(plan, 64) == shrunk_dp(plan, 64, gpus_per_node=8) == 16
+    assert shrunk_dp(plan, 1000) == 16  # never grows past the healthy plan
+    assert shrunk_dp(plan, 3) == shrunk_dp(plan, 0) == shrunk_dp(plan, -8) == 0
+    # tp*pp = 12 on 8-GPU hosts: one replica alone never fills whole hosts.
+    assert shrunk_dp(ParallelPlan(dp=4, tp=4, pp=3), 23, gpus_per_node=8) == 0
+
+
+@st.composite
+def shrink_cases(draw):
+    plan = ParallelPlan(
+        dp=draw(st.integers(1, 24)), tp=draw(st.integers(1, 8)), pp=draw(st.integers(1, 8))
+    )
+    hosts = [g for g in range(1, 17) if plan.world_size % g == 0]
+    gpus_per_node = draw(st.sampled_from(hosts))
+    gpus = draw(st.integers(0, plan.world_size + 2 * plan.tp * plan.pp))
+    return plan, gpus, gpus_per_node
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=shrink_cases())
+def test_shrunk_dp_matches_the_shrink_enumeration(case):
+    plan, gpus, gpus_per_node = case
+    assert shrunk_dp(plan, gpus, gpus_per_node) == shrunk_dp_reference(
+        plan, gpus, gpus_per_node
+    )
 
 
 # -- the acceptance scenario: zero spares + rack fault ------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exec.memo import PersistentMemo
+from repro.fault import driver
 from repro.fault.faults import FaultInjector
 from repro.montecarlo import (
     CampaignSpec,
@@ -14,7 +15,9 @@ from repro.montecarlo import (
     engine,
     run_campaign,
 )
+from repro.scheduler import scheduler
 from tests.oracles import fault_sampler
+from tests.oracles.elastic import shrunk_dp_reference
 
 # Small enough to keep the suite fast, big enough to produce incidents.
 SPEC = CampaignSpec(n_nodes=64)
@@ -30,7 +33,8 @@ class _NeverKeeps(dict):
 
 
 def _use_oracle_path(monkeypatch):
-    """Per-event oracle sampling and unshared fixtures for serial campaigns.
+    """Per-event oracle sampling, the shrink enumeration and unshared
+    fixtures for serial campaigns.
 
     Returns the list of horizons the oracle sampled, one per injector.
     """
@@ -41,6 +45,8 @@ def _use_oracle_path(monkeypatch):
         return fault_sampler.sample(injector, horizon)
 
     monkeypatch.setattr(FaultInjector, "sample", oracle)
+    monkeypatch.setattr(driver, "shrunk_dp", shrunk_dp_reference)
+    monkeypatch.setattr(scheduler, "shrunk_dp", shrunk_dp_reference)
     monkeypatch.setattr(engine, "_FIXTURES", _NeverKeeps())
     return calls
 

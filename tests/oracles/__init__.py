@@ -10,4 +10,7 @@ optimized production paths are held to.
 * :mod:`tests.oracles.pipeline` — the stage-polling task loop (§3.1
   interleaved 1F1B) behind
   :meth:`repro.training.iteration.IterationEngine.pipeline_makespan`.
+* :mod:`tests.oracles.elastic` — the shrink-plan enumeration and
+  whole-host walk (§4 elastic recovery) behind
+  :func:`repro.fault.elastic.shrunk_dp`.
 """

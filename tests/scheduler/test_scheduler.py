@@ -13,7 +13,7 @@ from repro.fault.domains import RACK_POWER_FAULT, DomainTopology
 from repro.fault.faults import FaultEvent
 from repro.hardware.cluster import Cluster
 from repro.observability.telemetry import SUBSYSTEM_LANES, TelemetryHub
-from repro.parallel.plan import plan_for_gpus
+from repro.parallel.plan import ParallelPlan, plan_for_gpus
 from repro.scheduler import (
     ClusterScheduler,
     JobSpec,
@@ -182,3 +182,29 @@ def test_multi_tenant_chaos_gate_single_seed():
     (summary,) = multi_tenant_chaos(seeds=(0,), days=2.0)
     assert summary["goodput_priority"] > summary["goodput_fifo"]
     assert summary["spares_consumed"] >= 1
+
+
+def test_shrink_lands_on_whole_hosts_when_tp_pp_is_not_a_host_multiple():
+    """tp*pp = 12 on 8-GPU hosts: only even DP degrees fill whole hosts.
+
+    Losing one of six hosts leaves 40 GPUs, three replicas' worth, but
+    three replicas need 4.5 hosts; the job must shrink to dp=2 (three
+    hosts), then regrow onto the two free hosts.
+    """
+    job = JobSpec(name="odd", plan=ParallelPlan(dp=4, tp=4, pp=3), preemptible=False)
+    scheduler = ClusterScheduler(
+        cluster=Cluster.build(n_nodes=8, n_spares=0),
+        topology=DomainTopology(n_nodes=8, nodes_per_rack=4, nodes_per_pod=8),
+        jobs=(job,),
+        rng=np.random.default_rng(0),
+    )
+    assert scheduler.placement.nodes_of("odd") == [0, 1, 2, 3, 4, 5]
+    report = scheduler.run(
+        ScriptedInjector([rack_fault(1000.0, [5], rack=1)]), duration=40_000.0
+    )
+    assert [d.detail_dict()["dp"] for d in report.actions("shrink")] == [2]
+    resized = report.actions("shrink") + report.actions("regrow")
+    assert resized and all(
+        d.detail_dict()["dp"] * 12 % job.gpus_per_node == 0 for d in resized
+    )
+    assert scheduler.jobs["odd"].plan.dp == 4

@@ -1,7 +1,9 @@
 """Fuzzed CLI inputs: any integer argparse accepts for a count flag ends
-in a clean run or in one ``repro: error:`` line, never a traceback; a
-count below 1 for ``mc`` and ``calibrate``, or a float flag that is not
-finite and positive, is always that one error line.
+in a clean run or in one ``repro: error:`` line, never a traceback; an
+integer below its flag's minimum (a count below 1 for ``mc`` and
+``calibrate``, a negative ``--seed``, a ``trace --width`` below 10), or
+a float flag that is not finite and positive, is always that one error
+line, naming the flag.
 
 Smoke-marked (deselected from tier-1); CI runs it with the other gates::
 
@@ -70,34 +72,34 @@ def test_count_flags_never_raise_a_traceback(argv):
     assert "Traceback" not in out + err
 
 
-# Count flags of the long-running commands: (command prefix, flag ->
-# range drawn).  Every flag is always drawn.  ``mc`` runs a few seeds of
-# a small cluster when all its counts are valid; ``calibrate`` draws
-# only non-positive budgets, so no fit ever runs.
-POSITIVE_COUNT_FLAGS = {
-    "mc": (["mc", "--weeks", "0.05"], {"--seeds": (-2, 3), "--nodes": (-2, 16)}),
-    "calibrate": (["calibrate", "--fit"], {"--max-evals": (-2, 0)}),
+# Integer flags with a lower bound: (command prefix, flag -> (range
+# drawn, smallest valid value)).  Every flag is always drawn.  ``mc`` runs
+# a few seeds of a small cluster when all its counts are valid; the other
+# commands run long, so they draw only invalid values and never run.
+BOUNDED_INT_FLAGS = {
+    "mc": (["mc", "--weeks", "0.05"],
+           {"--seeds": ((-2, 3), 1), "--nodes": ((-2, 16), 1)}),
+    "calibrate": (["calibrate", "--fit"], {"--max-evals": ((-2, 0), 1)}),
+    "production": (["production"], {"--seed": ((-2**40, -1), 0)}),
+    "schedule": (["schedule"], {"--seed": ((-2**40, -1), 0)}),
+    "diagnose": (["diagnose", "--scenario", "clean"], {"--seed": ((-2**40, -1), 0)}),
 }
 
 
 @st.composite
-def positive_count_invocations(draw):
-    command = draw(st.sampled_from(sorted(POSITIVE_COUNT_FLAGS)))
-    prefix, flags = POSITIVE_COUNT_FLAGS[command]
+def bounded_int_invocations(draw):
+    command = draw(st.sampled_from(sorted(BOUNDED_INT_FLAGS)))
+    prefix, flags = BOUNDED_INT_FLAGS[command]
     argv, invalid = list(prefix), []
-    for flag, (low, high) in flags.items():
+    for flag, ((low, high), minimum) in flags.items():
         value = draw(st.integers(low, high))
         argv += [flag, str(value)]
-        if value < 1:
+        if value < minimum:
             invalid.append(flag)
     return argv, invalid
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=positive_count_invocations())
-def test_non_positive_counts_fail_at_parse_time(case):
-    argv, invalid = case
-    code, out, err = _run(argv)
+def _assert_rejects_below_minimum(argv, invalid, code, out, err):
     lines = err.splitlines()
     if invalid:
         assert code == 2, (argv, code, out[-500:])  # never a silent run
@@ -107,6 +109,30 @@ def test_non_positive_counts_fail_at_parse_time(case):
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("repro: error:"), (argv, lines)
     assert "Traceback" not in out + err
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=bounded_int_invocations())
+def test_ints_below_their_minimum_fail_at_parse_time(case):
+    argv, invalid = case
+    _assert_rejects_below_minimum(argv, invalid, *_run(argv))
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("trace") / "schedule.json")
+    assert _run(["schedule", "--days", "0.5", "--trace", path])[0] == 0
+    return path
+
+
+@settings(max_examples=50, deadline=None)
+@given(width=st.integers(-2, 16))
+def test_trace_width_below_10_fails_at_parse_time(small_trace, width):
+    argv = ["trace", small_trace, "--lane", "scheduler", "--width", str(width)]
+    code, out, err = _run(argv)
+    _assert_rejects_below_minimum(argv, ["--width"] if width < 10 else [], code, out, err)
+    if width >= 10:
+        assert code == 0, (argv, err)
 
 
 # The float flags: (command prefix, flag, largest valid value drawn, exit
