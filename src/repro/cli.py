@@ -70,6 +70,21 @@ def positive_float(text: str) -> float:
     return value
 
 
+def scenario_name(text: str) -> str:
+    """An argparse type: a ``diagnose`` scenario name.
+
+    The scenario table is imported only when the flag is given, so
+    building the parser loads no observability module.
+    """
+    from .observability.diagnosis import SCENARIOS
+
+    if text not in SCENARIOS:
+        raise argparse.ArgumentTypeError(
+            f"unknown scenario {text!r} (pick from {', '.join(SCENARIOS)})"
+        )
+    return text
+
+
 def _add_job_args(parser: argparse.ArgumentParser) -> None:
     from .model import MODEL_CATALOG
 
@@ -282,13 +297,21 @@ def cmd_schedule(args) -> int:
 def cmd_trace(args) -> int:
     from .observability.export import (
         lane_recorder,
+        lane_subsystems,
         lane_summary,
         load_trace_document,
-        loads_round_trip,
     )
     from .observability.timeline import DistributedTimeline
 
-    document = loads_round_trip(load_trace_document(args.path))
+    document = load_trace_document(args.path)
+    if args.lane is not None:
+        try:
+            recorder = lane_recorder(document, args.lane)
+        except KeyError:
+            lanes = ", ".join(lane_subsystems(document).values()) or "none"
+            raise ValueError(
+                f"--lane {args.lane!r} is not a lane of {args.path} (lanes: {lanes})"
+            ) from None
     print(f"{'pid':>4s} {'lane':<28s} {'spans':>7s} {'instants':>9s} {'counters':>9s}  extent")
     for lane in lane_summary(document):
         extent = (
@@ -299,8 +322,7 @@ def cmd_trace(args) -> int:
             f"{lane['pid']:>4d} {lane['name']:<28s} {lane['spans']:>7d} "
             f"{lane['instants']:>9d} {lane['counters']:>9d}  {extent}"
         )
-    if args.lane:
-        recorder = lane_recorder(document, args.lane)
+    if args.lane is not None:
         if len(recorder):
             print(f"\n[{args.lane}]")
             print(DistributedTimeline.from_trace(recorder).render_ascii(width=args.width))
@@ -310,26 +332,11 @@ def cmd_trace(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .observability.diagnosis import (
-        SCENARIOS,
-        diagnose_files,
-        diagnose_hub,
-        run_scenario,
-    )
+    from .observability.diagnosis import diagnose_files, diagnose_hub, run_scenario
 
-    if bool(args.trace) == bool(args.scenario):
-        print("diagnose: pass exactly one of --trace or --scenario", file=sys.stderr)
-        return 2
-    if args.trace:
+    if args.trace is not None:
         report = diagnose_files(args.trace, metrics_path=args.metrics)
     else:
-        if args.scenario not in SCENARIOS:
-            print(
-                f"diagnose: unknown scenario {args.scenario!r}; "
-                f"pick from {', '.join(SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
         report = diagnose_hub(run_scenario(args.scenario, seed=args.seed))
     print(report.describe())
     if args.out:
@@ -624,15 +631,16 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnose",
         help="root-cause attribution over a saved trace or an injected scenario",
     )
-    p.add_argument("--trace", help="saved trace document (from --trace/hub.save)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--trace", help="saved trace document (from --trace/hub.save)")
+    source.add_argument(
+        "--scenario", type=scenario_name,
+        help="run an injected-cause scenario inline "
+             "(clean, straggler, tor-blast, ecmp-collision, preemption, data-stall)",
+    )
     p.add_argument(
         "--metrics",
         help="metrics JSONL sidecar (default: derived from the trace path)",
-    )
-    p.add_argument(
-        "--scenario",
-        help="run an injected-cause scenario inline "
-             "(clean, straggler, tor-blast, ecmp-collision, preemption, data-stall)",
     )
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", help="also write the machine-readable JSON report here")

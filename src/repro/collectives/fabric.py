@@ -1,4 +1,4 @@
-"""Flow-level collective cost backend (§3.6).
+"""Flow-level collective cost backend (§3.6): the one routed ring step.
 
 The alpha-beta models in :mod:`repro.collectives.primitives` price a
 collective from a single bandwidth/latency pair, blind to where the
@@ -11,6 +11,12 @@ PFC pause/retransmit penalty to flows whose path crosses an
 oversubscribed uplink — so same-ToR placement, port splitting and ECMP
 hash conflicts show up in collective *prices*, not just in standalone
 network studies.
+
+A routed step is three functions, shared by :class:`FabricCostModel`
+and the event runtime (:mod:`repro.collectives.runtime`), which only
+differ in the transport they price: :func:`ring_flows` routes a ring,
+:func:`routed_step_cost` prices one step of it, and :func:`ring_steps`
+counts the steps of a collective.
 
 On an uncongested single-pod placement the fabric price degenerates
 exactly to the alpha-beta model: every neighbour path is
@@ -25,6 +31,7 @@ hops, ECMP link sharing, and PFC penalties on top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,10 +39,9 @@ from ..exec.memo import get_cache
 from ..network.flow import Flow, max_min_fair_rates
 from ..network.link import Link
 from ..network.topology import ClosFabric
-from .primitives import COST_BACKENDS, DEFAULT_CC_EFFICIENCY, validate_backend
+from .primitives import DEFAULT_CC_EFFICIENCY
 
 __all__ = [
-    "COST_BACKENDS",
     "DEFAULT_PFC_PENALTY",
     "FabricCollectiveCost",
     "FabricCostModel",
@@ -43,9 +49,9 @@ __all__ = [
     "RING_SOFTWARE_LATENCY",
     "RoutedStepCost",
     "fabric_collective_cost",
-    "price_routed_step",
+    "ring_flows",
+    "ring_steps",
     "routed_step_cost",
-    "validate_backend",
 ]
 
 # Software/launch overhead added to every ring step.  Chosen so that a
@@ -129,63 +135,57 @@ class FabricCollectiveCost:
         return self.n_steps * (self.size / self.n_ranks) / self.time
 
 
-def routed_step_cost(
-    paths: Sequence[Sequence[Link]],
-    segment_bytes: float,
-    demand: Optional[float] = None,
-    software_latency: float = RING_SOFTWARE_LATENCY,
-    cc_efficiency: float = 1.0,
-    penalty: Optional[PfcPenaltyModel] = None,
-) -> RoutedStepCost:
-    """Completion time of one ring step whose pair transfers use ``paths``.
+def ring_steps(kind: str, n: int) -> int:
+    """Steps of an ``n``-rank ring collective: n-1, or 2(n-1) for all-reduce."""
+    if kind in ("all_gather", "reduce_scatter"):
+        return n - 1
+    if kind == "all_reduce":
+        return 2 * (n - 1)
+    raise ValueError(
+        "ring collectives are all_gather/reduce_scatter/all_reduce, "
+        f"not {kind!r}"
+    )
 
-    Every non-empty path becomes one flow (empty paths are same-host
-    pairs, priced elsewhere as NVLink traffic); flows share links
-    max-min fairly.  ``demand`` caps each flow at its NIC line rate
-    (None = unbounded, the event runtime's historical behaviour — PFC
-    penalties then never apply, since oversubscription is undefined).
-    The step ends when the slowest flow finishes.
+
+def ring_flows(fabric: ClosFabric, nodes: Sequence[int], demand: float) -> List[Flow]:
+    """The routed flows of one step of the ring over ``nodes``.
+
+    Ring position i sends to position i+1 on rail 0 with ECMP flow id i,
+    each flow offering ``demand`` bytes/s.  Same-host pairs move over
+    NVLink, not the fabric, and get no flow.
+    """
+    n = len(nodes)
+    flows: List[Flow] = []
+    for i, src in enumerate(nodes):
+        dst = nodes[(i + 1) % n]
+        if src != dst:
+            flows.append(Flow(i, fabric.path(src, dst, rail=0, flow_id=i), demand))
+    return flows
+
+
+def routed_step_cost(
+    flows: Sequence[Flow],
+    segment_bytes: float,
+    software_latency: float,
+    cc_efficiency: float,
+    penalty: Optional[PfcPenaltyModel],
+) -> RoutedStepCost:
+    """Completion time of one ring step whose pair transfers are ``flows``.
+
+    The flows share links max-min fairly (one
+    :func:`~repro.network.flow.max_min_fair_rates` solve, which also
+    stores each flow's rate).  A flow's ``demand`` caps it at its NIC
+    line rate; an unbounded (infinite) demand offers no load, so PFC
+    penalties never apply to it.  The step ends when the slowest flow
+    finishes.
     """
     if segment_bytes < 0:
         raise ValueError("segment_bytes must be non-negative")
     if not 0 < cc_efficiency <= 1:
         raise ValueError("cc_efficiency must be in (0, 1]")
-    per_flow_demand = float("inf") if demand is None else demand
-    flows = [
-        Flow(flow_id=i, path=list(path), demand=per_flow_demand)
-        for i, path in enumerate(paths)
-        if path
-    ]
     if not flows:
         return RoutedStepCost(software_latency, 0, 0, 0.0, 0.0, 0, 0)
     max_min_fair_rates(flows)
-    return price_routed_step(
-        flows,
-        segment_bytes,
-        demand=demand,
-        software_latency=software_latency,
-        cc_efficiency=cc_efficiency,
-        penalty=penalty,
-    )
-
-
-def price_routed_step(
-    flows: Sequence[Flow],
-    segment_bytes: float,
-    demand: Optional[float] = None,
-    software_latency: float = RING_SOFTWARE_LATENCY,
-    cc_efficiency: float = 1.0,
-    penalty: Optional[PfcPenaltyModel] = None,
-) -> RoutedStepCost:
-    """Step cost of already-solved flows (rates assigned, paths non-empty).
-
-    Split out of :func:`routed_step_cost` so a caller that solved its
-    flows once with :func:`~repro.network.flow.max_min_fair_rates` (the
-    event runtime, whose ring steps are identical) can price every step
-    from that one allocation.
-    """
-    if not flows:
-        return RoutedStepCost(software_latency, 0, 0, 0.0, 0.0, 0, 0)
 
     load: Dict[Link, int] = {}
     for flow in flows:
@@ -200,19 +200,22 @@ def price_routed_step(
     effective: Dict[Link, float] = {}
     offered: Dict[Link, float] = {}
     for flow in flows:
+        capped = math.isfinite(flow.demand)
         ratio = 0.0
-        if demand is not None:
-            ratio = max(load[l] * demand / l.bandwidth for l in flow.path)
+        if capped:
+            ratio = max(load[l] * flow.demand / l.bandwidth for l in flow.path)
         pause = penalty.pause_fraction(ratio) if penalty is not None else 0.0
         if pause > 0.0:
             paused += 1
         rate = flow.rate * cc_efficiency * (1.0 - pause)
         for link in flow.path:
             effective[link] = effective.get(link, 0.0) + rate
-            if demand is not None:
-                offered[link] = offered.get(link, 0.0) + demand * cc_efficiency * (1.0 - pause)
+            if capped:
+                offered[link] = (
+                    offered.get(link, 0.0) + flow.demand * cc_efficiency * (1.0 - pause)
+                )
         latency = sum(l.latency for l in flow.path) + software_latency
-        if pause > 0.0 and penalty is not None:
+        if pause > 0.0:
             latency += penalty.retransmit_latency
         t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + latency
         if t > duration:
@@ -237,56 +240,31 @@ class FabricCostModel:
     """Prices ring collectives by routing their flows over a fabric.
 
     Each ring step of an n-node collective is n neighbour-pair flows
-    (same-host pairs skipped), each demanding the NIC line rate, routed
-    on rail ``rail`` and shared max-min across the CLOS links; steps are
-    identical, so one routing prices the whole collective.
+    (same-host pairs skipped, see :func:`ring_flows`), each demanding
+    the NIC line rate and shared max-min across the CLOS links, with
+    :data:`RING_SOFTWARE_LATENCY` per step and
+    :data:`DEFAULT_PFC_PENALTY`; steps are identical, so one routing
+    prices the whole collective.
     """
 
     fabric: ClosFabric
-    rail: int = 0
     cc_efficiency: float = DEFAULT_CC_EFFICIENCY
-    software_latency: float = RING_SOFTWARE_LATENCY
-    penalty: Optional[PfcPenaltyModel] = DEFAULT_PFC_PENALTY
     nic_rate: Optional[float] = None  # per-flow demand; fabric's NIC rate if None
 
     def __post_init__(self) -> None:
         if not 0 < self.cc_efficiency <= 1:
             raise ValueError("cc_efficiency must be in (0, 1]")
-        if not 0 <= self.rail < self.fabric.rails:
-            raise ValueError(f"rail {self.rail} outside 0..{self.fabric.rails - 1}")
         if self.nic_rate is None:
             self.nic_rate = self.fabric.nic_rate
 
-    def ring_paths(self, nodes: Sequence[int]) -> List[List[Link]]:
-        """ECMP-resolved neighbour-pair paths of the ring over ``nodes``."""
-        n = len(nodes)
-        paths: List[List[Link]] = []
-        for i, src in enumerate(nodes):
-            dst = nodes[(i + 1) % n]
-            if src == dst:
-                paths.append([])
-            else:
-                paths.append(self.fabric.path(src, dst, rail=self.rail, flow_id=i))
-        return paths
-
-    def step_cost(self, nodes: Sequence[int], segment_bytes: float) -> RoutedStepCost:
+    def _price(self, flows: Sequence[Flow], segment_bytes: float) -> RoutedStepCost:
         return routed_step_cost(
-            self.ring_paths(nodes),
-            segment_bytes,
-            demand=self.nic_rate,
-            software_latency=self.software_latency,
-            cc_efficiency=self.cc_efficiency,
-            penalty=self.penalty,
+            flows, segment_bytes, RING_SOFTWARE_LATENCY, self.cc_efficiency,
+            DEFAULT_PFC_PENALTY,
         )
 
     def collective_cost(
-        self,
-        kind: str,
-        size: float,
-        nodes: Sequence[int],
-        hub=None,
-        rank: int = 0,
-        start: float = 0.0,
+        self, kind: str, size: float, nodes: Sequence[int], hub=None
     ) -> FabricCollectiveCost:
         """Price one ring collective over ``nodes`` (fabric node per rank).
 
@@ -301,25 +279,17 @@ class FabricCostModel:
         n = len(nodes)
         if n < 1:
             raise ValueError("need at least one node")
-        if kind in ("all_gather", "reduce_scatter"):
-            n_steps = n - 1
-        elif kind == "all_reduce":
-            n_steps = 2 * (n - 1)
-        else:
-            raise ValueError(
-                "fabric backend prices ring collectives "
-                f"(all_gather/reduce_scatter/all_reduce), not {kind!r}"
-            )
+        n_steps = ring_steps(kind, n)
         if n == 1 or size == 0:
             cost = FabricCollectiveCost(
                 kind, float(size), n, 0, RoutedStepCost(0.0, 0, 0, 0.0, 0.0, 0, 0), 0.0
             )
         else:
-            step = self.step_cost(nodes, size / n)
+            step = self._price(ring_flows(self.fabric, nodes, self.nic_rate), size / n)
             cost = FabricCollectiveCost(
                 kind, float(size), n, n_steps, step, n_steps * step.duration
             )
-        self._emit(hub, cost, rank, start)
+        self._emit(hub, cost)
         return cost
 
     def p2p_time(self, size: float, src_node: int, dst_node: int, flow_id: int = 0) -> float:
@@ -328,26 +298,19 @@ class FabricCostModel:
             raise ValueError("size must be non-negative")
         if src_node == dst_node:
             return 0.0
-        path = self.fabric.path(src_node, dst_node, rail=self.rail, flow_id=flow_id)
-        return routed_step_cost(
-            [path],
-            size,
-            demand=self.nic_rate,
-            software_latency=self.software_latency,
-            cc_efficiency=self.cc_efficiency,
-            penalty=self.penalty,
-        ).duration
+        path = self.fabric.path(src_node, dst_node, rail=0, flow_id=flow_id)
+        return self._price([Flow(flow_id, path, self.nic_rate)], size).duration
 
-    def _emit(self, hub, cost: FabricCollectiveCost, rank: int, start: float) -> None:
+    def _emit(self, hub, cost: FabricCollectiveCost) -> None:
         if hub is None:
             return
         step = cost.step
         hub.span(
             "collectives",
             f"fabric:{cost.kind}",
-            rank,
-            start,
-            start + cost.time,
+            0,
+            0.0,
+            cost.time,
             stream="fabric",
             bytes=cost.size,
             n_ranks=cost.n_ranks,
@@ -357,14 +320,13 @@ class FabricCostModel:
             paused_flows=step.paused_flows,
         )
         hub.count("collectives", "fabric_priced", 1, kind=cost.kind)
-        # Rail index doubles as the gauge's rank/tid: one series per rail.
+        # The ring rides rail 0, whose index is the gauge's rank/tid.
         hub.sample(
-            "network", "fabric_link_utilization", t=start, value=step.utilization,
-            rank=self.rail,
+            "network", "fabric_link_utilization", t=0.0, value=step.utilization, rank=0
         )
         hub.sample(
-            "network", "fabric_max_link_load", t=start, value=float(step.max_link_load),
-            rank=self.rail,
+            "network", "fabric_max_link_load", t=0.0, value=float(step.max_link_load),
+            rank=0,
         )
 
 
@@ -373,10 +335,7 @@ def fabric_collective_cost(
     size: float,
     nodes: Tuple[int, ...],
     fabric: ClosFabric,
-    rail: int = 0,
     cc_efficiency: float = DEFAULT_CC_EFFICIENCY,
-    software_latency: float = RING_SOFTWARE_LATENCY,
-    penalty: Optional[PfcPenaltyModel] = DEFAULT_PFC_PENALTY,
     nic_rate: Optional[float] = None,
     hub=None,
 ) -> FabricCollectiveCost:
@@ -401,29 +360,12 @@ def fabric_collective_cost(
     nodes = tuple(nodes)
     if nodes and not fabric.degraded():
         nodes = fabric.canonical_node_offsets(nodes)
-    key = (
-        kind,
-        float(size),
-        nodes,
-        rail,
-        cc_efficiency,
-        software_latency,
-        penalty,
-        nic_rate,
-        fingerprint,
-    )
+    key = (kind, float(size), nodes, cc_efficiency, nic_rate, fingerprint)
     if key in cache.store:
         cache.hits += 1
         return cache.get(key)
     cache.misses += 1
-    model = FabricCostModel(
-        fabric,
-        rail=rail,
-        cc_efficiency=cc_efficiency,
-        software_latency=software_latency,
-        penalty=penalty,
-        nic_rate=nic_rate,
-    )
+    model = FabricCostModel(fabric, cc_efficiency=cc_efficiency, nic_rate=nic_rate)
     result = model.collective_cost(kind, size, nodes, hub=hub)
     cache.put(key, result)
     return result

@@ -7,16 +7,13 @@ the per-rank, per-direction link bandwidth in bytes/s, and ``latency`` the
 per-hop startup cost in seconds.
 
 A fabric-aware layer (:mod:`repro.collectives.groups`) picks the bandwidth
-and latency from the cluster topology and congestion state; these
-functions are deliberately pure so they can also be unit-tested against
-closed forms.
+and latency from the cluster topology and congestion state, or, on the
+``"fabric"`` backend, prices the same rings by routing them instead
+(:mod:`repro.collectives.fabric`); these functions are deliberately pure
+so they can also be unit-tested against closed forms.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from ..exec.memo import memoized
 
 # Fraction of line rate a well-tuned RDMA transport sustains (framing,
 # congestion-control headroom).  The MegaScale CC work (§3.6) is what
@@ -96,73 +93,3 @@ def point_to_point(size: float, bandwidth: float, latency: float = 0.0) -> float
     """A single send/recv pair (pipeline-parallel activations)."""
     _check(size, 1, bandwidth, latency)
     return size / bandwidth + latency
-
-
-@dataclass(frozen=True)
-class CollectiveCost:
-    """A computed collective time with its inputs, for tracing."""
-
-    kind: str
-    size: float
-    n_ranks: int
-    bandwidth: float
-    latency: float
-    time: float
-
-
-_DISPATCH = {
-    "all_reduce": ring_all_reduce,
-    "all_gather": ring_all_gather,
-    "reduce_scatter": ring_reduce_scatter,
-    "broadcast": tree_broadcast,
-    "all_to_all": all_to_all,
-}
-
-
-@memoized("collective_cost")
-def _analytic_collective_cost(
-    kind: str, size: float, n_ranks: int, bandwidth: float, latency: float = 0.0
-) -> CollectiveCost:
-    if kind == "p2p":
-        time = point_to_point(size, bandwidth, latency)
-    else:
-        fn = _DISPATCH.get(kind)
-        if fn is None:
-            raise ValueError(f"unknown collective kind {kind!r}")
-        time = fn(size, n_ranks, bandwidth, latency)
-    return CollectiveCost(kind, size, n_ranks, bandwidth, latency, time)
-
-
-def collective_cost(
-    kind: str,
-    size: float,
-    n_ranks: int,
-    bandwidth: float,
-    latency: float = 0.0,
-    backend: str = "analytic",
-    fabric=None,
-    nodes=None,
-) -> CollectiveCost:
-    """Uniform entry point used by the tracing layer.
-
-    ``backend`` selects the pricing model.  ``"analytic"`` (the default)
-    is the closed-form alpha-beta family above, memoized under the
-    ``collective_cost`` cache.  ``"fabric"`` routes the collective's
-    per-step flow set over a :class:`~repro.network.topology.ClosFabric`
-    — ``fabric=`` and the ring's ``nodes=`` (fabric node index per rank)
-    are then required, ``bandwidth``/``latency`` are ignored in favour
-    of the routed links, and results memoize under the
-    ``fabric_collective_cost`` cache keyed by the fabric's fingerprint
-    (see :mod:`repro.collectives.fabric`).
-    """
-    validate_backend(backend)
-    if backend == "analytic":
-        return _analytic_collective_cost(kind, size, n_ranks, bandwidth, latency)
-    from .fabric import fabric_collective_cost  # imported here: fabric imports us
-
-    if fabric is None or nodes is None:
-        raise ValueError("backend='fabric' needs fabric= and nodes=")
-    routed = fabric_collective_cost(kind, size, tuple(nodes), fabric)
-    return CollectiveCost(
-        kind, size, len(tuple(nodes)), routed.effective_bandwidth, latency, routed.time
-    )

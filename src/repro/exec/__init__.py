@@ -7,7 +7,8 @@ feature-set) points.  This package makes them cheap twice over:
   ``ProcessPoolExecutor`` with deterministic, insertion-ordered result
   merging (``workers=0`` = exact serial path, the default).
 * :func:`repro.exec.memo.memoized` wraps the pure cost models
-  (``block_cost``, ``collective_cost``, ``optimizer_step_time``) in
+  (``block_cost``, ``conflict_factor``, ``optimizer_step_time``,
+  ``pipeline_schedule``) in
   process-local caches whose hit/miss counters surface through
   :class:`SweepStats`.
 

@@ -16,7 +16,8 @@ total order so the same session always serializes byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.trace import Span, TraceRecorder
 from .timeline import DistributedTimeline
@@ -226,9 +227,75 @@ def loads_round_trip(document: dict) -> dict:
 # -- reading saved sessions back (the `repro trace` command) -----------------
 
 
+# A span's own fields, which its attributes cannot reuse
+# (:meth:`~repro.sim.trace.TraceRecorder.record` takes both by keyword).
+_SPAN_FIELDS = frozenset(("name", "rank", "start", "end", "stream"))
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_json(where: str, text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not JSON ({exc})") from None
+
+
+def _event_problem(event: Any) -> Optional[str]:
+    """Why ``event`` is not a trace event, or None if it is one.
+
+    Every field is optional (readers default a missing one); a present
+    field must have its trace-event type.
+    """
+    if not isinstance(event, dict):
+        return "is not an object"
+    for key in ("ph", "name", "cat"):
+        if key in event and not isinstance(event[key], str):
+            return f"has a non-string {key!r}"
+    for key in ("ts", "dur"):
+        if key in event and not (_is_number(event[key]) and math.isfinite(event[key])):
+            return f"has a {key!r} that is not a finite number"
+    for key in ("pid", "tid"):
+        if key in event and not _is_integer(event[key]):
+            return f"has a non-integer {key!r}"
+    args = event.get("args", {})
+    if not isinstance(args, dict):
+        return "has an 'args' that is not an object"
+    ph = event.get("ph")
+    if ph == "M" and not isinstance(args.get("name", ""), str):
+        return "names its lane with a non-string"
+    if ph == "C" and not _is_number(args.get("value", 0.0)):
+        return "has a non-numeric counter value"
+    if ph == "X" and not _SPAN_FIELDS.isdisjoint(args):
+        return f"has span args named like span fields {sorted(_SPAN_FIELDS & set(args))}"
+    return None
+
+
 def load_trace_document(path: str) -> dict:
+    """Read a saved trace document, checking its shape.
+
+    A saved file is outside input: anything but an object whose
+    ``traceEvents`` is a list of trace events (string ``ph``/``name``/
+    ``cat``, finite numeric ``ts``/``dur``, integer ``pid``/``tid``, an
+    object ``args``) raises ``ValueError`` naming the file.
+    """
     with open(path) as handle:
-        return json.load(handle)
+        document = _parse_json(path, handle.read())
+    if not isinstance(document, dict) or not isinstance(
+        document.get("traceEvents"), list
+    ):
+        raise ValueError(f"{path}: not a trace document (no 'traceEvents' list)")
+    for index, event in enumerate(document["traceEvents"]):
+        problem = _event_problem(event)
+        if problem:
+            raise ValueError(f"{path}: trace event {index} {problem}")
+    return document
 
 
 def lane_names(document: dict) -> Dict[int, str]:
@@ -279,14 +346,40 @@ def lane_subsystems(document: dict) -> Dict[int, str]:
     }
 
 
+def _record_problem(record: Any) -> Optional[str]:
+    """Why ``record`` is not a metric record, or None if it is one."""
+    if not isinstance(record, dict):
+        return "is not an object"
+    if record.get("kind") != "gauge" or "series" not in record:
+        return None
+    if not isinstance(record.get("name"), str):
+        return "is a gauge series without a string 'name'"
+    series = record["series"]
+    if not isinstance(series, list) or not all(
+        isinstance(point, list) and len(point) == 2 and all(map(_is_number, point))
+        for point in series
+    ):
+        return "has a gauge 'series' that is not a list of number pairs"
+    return None
+
+
 def load_metrics_records(path: str) -> List[dict]:
-    """Parse a ``.metrics.jsonl`` sidecar back into metric records."""
+    """Parse a ``.metrics.jsonl`` sidecar back into metric records.
+
+    Like the trace document, the sidecar is outside input: a line that
+    is not a metric object raises ``ValueError`` naming the file.
+    """
     records: List[dict] = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            record = _parse_json(f"{path}: line {number}", line)
+            problem = _record_problem(record)
+            if problem:
+                raise ValueError(f"{path}: line {number} {problem}")
+            records.append(record)
     return records
 
 
@@ -327,7 +420,7 @@ def lane_recorder(document: dict, lane: str) -> TraceRecorder:
     for event in document.get("traceEvents", []):
         if event.get("ph") != "X" or event.get("pid") != target_pid:
             continue
-        start = event["ts"] / _US
+        start = event.get("ts", 0.0) / _US
         recorder.record(
             event.get("name", ""),
             rank=event.get("tid", 0),

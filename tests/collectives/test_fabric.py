@@ -11,17 +11,17 @@ from repro.collectives import (
     GroupCommModel,
     PfcPenaltyModel,
     build_comm_model,
-    collective_cost,
     fabric_collective_cost,
     ring_all_gather,
     ring_all_reduce,
+    ring_flows,
     routed_step_cost,
     validate_backend,
 )
 from repro.collectives.fabric import RING_SOFTWARE_LATENCY
 from repro.collectives.primitives import INTER_NODE_LATENCY
 from repro.exec.memo import get_cache
-from repro.network import ClosFabric
+from repro.network import ClosFabric, Flow, Link
 from repro.parallel import ParallelPlan
 
 
@@ -76,6 +76,40 @@ def test_same_tor_never_slower_than_cross_pod(n, size, kind):
 # -- routed step mechanics -----------------------------------------------------
 
 
+def test_congested_cross_pod_ring_step_is_pinned():
+    # One ring, two transports over the same routed flows: the event
+    # runtime (7 us software latency, ideal transport, uncapped flows)
+    # and the cost model (NIC-rate flows, CC efficiency, PFC).  Two
+    # single-link aggs and spines per pod make the 32-node ring, striped
+    # across eight pods, collide on the uplinks; exact floats pin the
+    # ECMP ids, the water-fill and the pricing together.
+    from repro.collectives.runtime import RingCollectiveRuntime
+
+    fabric = ClosFabric(
+        n_nodes=128, nodes_per_pod=16, aggs_per_pod=2, n_spines=2,
+        tor_uplinks_per_agg=1, agg_uplinks_per_spine=1,
+    )
+    nodes = [(i % 8) * 16 + i // 8 for i in range(32)]
+    run = RingCollectiveRuntime(fabric, node_of_rank=nodes).run("all_gather", 1e9)
+    step = run.steps[0]
+    assert len(run.steps) == 31
+    assert step.duration == 0.002513
+    assert step.slowest_pair == 1
+    assert step.max_link_load == 4
+    assert step.paused_flows == 0
+    assert run.total_time == 0.07790300000000003
+
+    cost = FabricCostModel(fabric).collective_cost("all_gather", 1e9, nodes)
+    assert cost.n_steps == 31
+    assert cost.step.duration == 0.0031353236714975847
+    assert cost.step.n_flows == 32
+    assert cost.step.paused_flows == 27
+    assert cost.step.slowest_flow == 1
+    assert cost.step.max_link_load == 4
+    assert cost.step.oversubscription == 1.656
+    assert cost.time == 0.09719503381642512
+
+
 def test_empty_paths_are_same_host():
     fabric = _fabric()
     model = FabricCostModel(fabric)
@@ -120,13 +154,11 @@ def test_pfc_penalty_validation_and_pause_curve():
 def test_pfc_penalty_kicks_in_at_three_flows_on_split_uplink():
     # Port splitting (§3.6): a 2x-rate uplink absorbs two NIC-rate flows;
     # a penalty requires 3+ colliding flows.
-    from repro.network import Link
-
     penalty = PfcPenaltyModel()
     shared = Link(src="tor", dst="agg", bandwidth=2.0, latency=1e-6)
     for n_flows, expect_paused in ((2, 0), (3, 3)):
-        paths = [[shared] for _ in range(n_flows)]
-        cost = routed_step_cost(paths, 1e6, demand=1.0, penalty=penalty)
+        flows = [Flow(i, [shared], demand=1.0) for i in range(n_flows)]
+        cost = routed_step_cost(flows, 1e6, RING_SOFTWARE_LATENCY, 1.0, penalty)
         assert cost.paused_flows == expect_paused
 
 
@@ -134,10 +166,9 @@ def test_utilization_reports_effective_rates():
     # A lone flow owning a 10 B/s link at cc_efficiency 0.5 only ever
     # moves 5 B/s — the reported utilization must say so, not echo the
     # pre-derate fair-share allocation (which would claim 1.0).
-    from repro.network import Link
-
     link = Link(src="a", dst="b", bandwidth=10.0, latency=1e-6)
-    cost = routed_step_cost([[link]], 1e3, demand=10.0, cc_efficiency=0.5)
+    flows = [Flow(0, [link], demand=10.0)]
+    cost = routed_step_cost(flows, 1e3, RING_SOFTWARE_LATENCY, 0.5, None)
     assert cost.utilization == pytest.approx(0.5)
     assert cost.oversubscription == pytest.approx(0.5)
 
@@ -146,20 +177,18 @@ def test_oversubscription_reports_derated_offered_load():
     # demand 30 on a 10 B/s link: the raw 3.0x ratio triggers the PFC
     # pause (0.1/excess -> 20% paused), and the *reported* gauges then
     # reflect what is actually pushed and charged after derating.
-    from repro.network import Link
-
     penalty = PfcPenaltyModel(pause_per_excess=0.1, retransmit_latency=0.0)
     link = Link(src="a", dst="b", bandwidth=10.0, latency=1e-6)
-    cost = routed_step_cost([[link]], 1e3, demand=30.0, penalty=penalty)
+    flows = [Flow(0, [link], demand=30.0)]
+    cost = routed_step_cost(flows, 1e3, RING_SOFTWARE_LATENCY, 1.0, penalty)
     assert cost.paused_flows == 1
     assert cost.oversubscription == pytest.approx(30.0 * 0.8 / 10.0)  # 2.4, not 3.0
     assert cost.utilization == pytest.approx(10.0 * 0.8 / 10.0)
 
 
 def test_unbounded_demand_never_pays_pfc():
-    fabric = _fabric()
-    paths = [fabric.path(i, (i + 1) % 8, rail=0, flow_id=i) for i in range(8)]
-    cost = routed_step_cost(paths, 1e6, demand=None, penalty=PfcPenaltyModel())
+    flows = ring_flows(_fabric(), range(8), float("inf"))
+    cost = routed_step_cost(flows, 1e6, RING_SOFTWARE_LATENCY, 1.0, PfcPenaltyModel())
     assert cost.paused_flows == 0
     assert cost.oversubscription == 0.0
 
@@ -173,18 +202,6 @@ def test_validate_backend():
         assert validate_backend(backend) == backend
     with pytest.raises(ValueError):
         validate_backend("quantum")
-
-
-def test_collective_cost_fabric_dispatch():
-    fabric = _fabric(n_nodes=8, nodes_per_pod=8)
-    nodes = (0, 1, 2, 3)
-    routed = collective_cost(
-        "all_gather", 1e9, 4, 1.0, backend="fabric", fabric=fabric, nodes=nodes
-    )
-    direct = fabric_collective_cost("all_gather", 1e9, nodes, fabric)
-    assert routed.time == pytest.approx(direct.time)
-    with pytest.raises(ValueError):
-        collective_cost("all_gather", 1e9, 4, 1.0, backend="fabric")
 
 
 def test_group_comm_model_backend():
@@ -398,15 +415,12 @@ def test_fabric_memo_telemetry_only_on_fresh_compute():
     assert hub.session.span_count("collectives") == 1
 
 
-def test_runtime_defaults_unchanged_by_fabric_knobs():
-    # The event runtime's historical clean-fabric behaviour (ideal
-    # transport, no demand cap, no PFC) is the default.
+def test_runtime_executes_an_ideal_transport():
+    # The event runtime prices the shared routed step with uncapped
+    # flows, full efficiency and no PFC, so no flow ever pauses.
     from repro.collectives.runtime import RingCollectiveRuntime
 
     fabric = _fabric(n_nodes=8, nodes_per_pod=8)
     runtime = RingCollectiveRuntime(fabric, node_of_rank=list(range(4)))
-    assert runtime.cc_efficiency == 1.0
-    assert runtime.flow_demand is None
-    assert runtime.penalty is None
     run = runtime.run("all_gather", 1e9)
     assert run.steps[0].paused_flows == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.collectives import (
     all_to_all,
-    collective_cost,
     point_to_point,
     ring_all_gather,
     ring_all_reduce,
@@ -81,13 +80,3 @@ def test_validation():
         ring_all_reduce(1e9, 8, 0.0)
     with pytest.raises(ValueError):
         ring_all_reduce(1e9, 8, BW, -1e-6)
-
-
-def test_collective_cost_dispatch():
-    c = collective_cost("all_reduce", 1e9, 8, BW)
-    assert c.kind == "all_reduce"
-    assert c.time == pytest.approx(ring_all_reduce(1e9, 8, BW))
-    p = collective_cost("p2p", 1e9, 1, BW)
-    assert p.time == pytest.approx(point_to_point(1e9, BW))
-    with pytest.raises(ValueError):
-        collective_cost("gather", 1e9, 8, BW)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.collectives import ring_all_gather, ring_all_reduce
-from repro.collectives.runtime import RingCollectiveRuntime, concurrent_rings_time
+from repro.collectives.runtime import RingCollectiveRuntime
 from repro.core.units import Gbps
 from repro.network import ClosFabric
 
@@ -13,8 +13,8 @@ def fabric():
     return ClosFabric(n_nodes=128)
 
 
-def make_runtime(fabric, nodes, rail=0):
-    return RingCollectiveRuntime(fabric, node_of_rank=nodes, rail=rail)
+def make_runtime(fabric, nodes):
+    return RingCollectiveRuntime(fabric, node_of_rank=nodes)
 
 
 def test_all_gather_matches_alpha_beta_on_clean_fabric(fabric):
@@ -74,27 +74,6 @@ def test_unsupported_collective_rejected(fabric):
         RingCollectiveRuntime(fabric, node_of_rank=[])
 
 
-def test_concurrent_rings_on_distinct_rails_dont_contend(fabric):
-    ring = [0, 1, 2, 3]
-    alone = concurrent_rings_time(fabric, [ring], size=4e9, rails=[0])
-    together = concurrent_rings_time(fabric, [ring, ring], size=4e9, rails=[0, 1])
-    # Multi-rail: the second ring rides its own NICs and ToR.
-    assert together == pytest.approx(alone, rel=1e-6)
-
-
-def test_concurrent_rings_on_same_rail_contend(fabric):
-    ring = [0, 1, 2, 3]
-    alone = concurrent_rings_time(fabric, [ring], size=4e9, rails=[0])
-    contended = concurrent_rings_time(fabric, [ring, ring], size=4e9, rails=[0, 0])
-    assert contended > 1.5 * alone  # sharing the same NIC links
-
-
-def test_concurrent_rings_validation(fabric):
-    with pytest.raises(ValueError):
-        concurrent_rings_time(fabric, [], size=1e9)
-    assert concurrent_rings_time(fabric, [[3, 3, 3]], size=1e9) == 0.0
-
-
 def test_link_taken_down_mid_collective_raises():
     from repro.sim import Process, Simulator
 
@@ -115,16 +94,17 @@ def test_link_taken_down_mid_collective_raises():
 
 
 def test_run_solves_max_min_once_per_collective(fabric, monkeypatch):
-    from repro.collectives import runtime as runtime_module
+    # The solver is patched where the shared step pricer calls it.
+    from repro.collectives import fabric as fabric_module
 
     solved = []
-    real = runtime_module.max_min_fair_rates
+    real = fabric_module.max_min_fair_rates
 
     def counting(flows):
         solved.append(len(flows))
         return real(flows)
 
-    monkeypatch.setattr(runtime_module, "max_min_fair_rates", counting)
+    monkeypatch.setattr(fabric_module, "max_min_fair_rates", counting)
     run = make_runtime(fabric, [0, 1, 2, 3]).run("all_reduce", 2e9)
     assert len(run.steps) == 6
     assert solved == [4]  # one solve of the four ring flows serves every step

@@ -66,15 +66,6 @@ def test_diagnose_saved_trace_command(capsys, tmp_path):
     assert "tor-blast" in out
 
 
-def test_diagnose_requires_exactly_one_source(capsys):
-    assert main(["diagnose"]) == 2
-    assert main(["diagnose", "--trace", "x.json", "--scenario", "clean"]) == 2
-
-
-def test_diagnose_rejects_unknown_scenario():
-    assert main(["diagnose", "--scenario", "gremlins"]) == 2
-
-
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -145,6 +136,21 @@ def test_compare_command_fabric_backend(capsys):
 _SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trials", "5"]
 
 
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A directory of saved files, good and bad, for the trace readers."""
+    from repro.observability import TelemetryHub
+
+    directory = tmp_path_factory.mktemp("saved")
+    hub = TelemetryHub(job_name="unit")
+    hub.span("training", "forward", 0, 0.0, 1.0)
+    hub.save(str(directory / "session.json"))
+    (directory / "list.json").write_text("[]")
+    (directory / "events.json").write_text('{"traceEvents": [1]}')
+    (directory / "bad.metrics.jsonl").write_text("[1, 2]\n")
+    return directory
+
+
 @pytest.mark.parametrize(
     "argv, blames",
     [
@@ -173,6 +179,14 @@ _SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trial
         (["diagnose", "--scenario", "clean", "--seed", "-1"], "--seed"),
         (["trace", "no-such-trace.json", "--width", "9"], "--width"),
         (_SMALL_VALIDATE + ["--group-size", "1"], "--group-size"),
+        (["trace", "{saved}/events.json"], "events.json"),
+        (["diagnose", "--trace", "{saved}/list.json"], "list.json"),
+        (["diagnose", "--trace", "{saved}/session.json",
+          "--metrics", "{saved}/bad.metrics.jsonl"], "bad.metrics.jsonl"),
+        (["trace", "{saved}/session.json", "--lane", "nosuchlane"], "--lane"),
+        (["diagnose"], "--trace"),
+        (["diagnose", "--trace", "x.json", "--scenario", "clean"], "--scenario"),
+        (["diagnose", "--scenario", "gremlins"], "--scenario"),
     ],
     ids=[
         "negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
@@ -182,11 +196,14 @@ _SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trial
         "zero-max-evals", "negative-max-evals", "abbreviated-seeds",
         "production-negative-seed", "schedule-negative-seed", "validate-negative-seed",
         "diagnose-negative-seed", "narrow-trace-width", "validate-group-size-1",
+        "trace-not-a-document", "diagnose-not-a-document", "diagnose-bad-sidecar",
+        "trace-unknown-lane", "diagnose-no-source", "diagnose-both-sources",
+        "diagnose-unknown-scenario",
     ],
 )
-def test_invalid_input_is_one_error_line(argv, blames, capsys):
+def test_invalid_input_is_one_error_line(argv, blames, saved, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([arg.format(saved=saved) for arg in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

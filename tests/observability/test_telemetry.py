@@ -208,6 +208,41 @@ def test_save_writes_trace_and_metrics(tmp_path):
     assert str(metrics_path).endswith(".metrics.jsonl")
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        ("trace", "{"),
+        ("trace", "[]"),
+        ("trace", '{"traceEvents": {}}'),
+        ("trace", '{"traceEvents": [1]}'),
+        ("trace", '{"traceEvents": [{"ph": 1}]}'),
+        ("trace", '{"traceEvents": [{"ph": "X", "ts": NaN}]}'),
+        ("trace", '{"traceEvents": [{"ph": "X", "dur": "1"}]}'),
+        ("trace", '{"traceEvents": [{"ph": "X", "pid": 1.5}]}'),
+        ("trace", '{"traceEvents": [{"ph": "X", "tid": true}]}'),
+        ("trace", '{"traceEvents": [{"ph": "X", "args": []}]}'),
+        ("trace", '{"traceEvents": [{"ph": "M", "name": "process_name", "args": {"name": 3}}]}'),
+        ("trace", '{"traceEvents": [{"ph": "C", "args": {"value": [1]}}]}'),
+        ("trace", '{"traceEvents": [{"ph": "X", "args": {"rank": 2}}]}'),
+        ("metrics", "[1, 2]"),
+        ("metrics", "{"),
+        ("metrics", '{"kind": "gauge", "series": [[0, 1]]}'),
+        ("metrics", '{"kind": "gauge", "name": "m", "series": [[0]]}'),
+        ("metrics", '{"kind": "gauge", "name": "m", "series": [["0", 1]]}'),
+    ],
+)
+def test_readers_reject_saved_files_of_the_wrong_shape(tmp_path, reader, text):
+    # A saved file is outside input: a wrong shape is a ValueError naming
+    # the file, never an AttributeError or KeyError deeper in a reader.
+    from repro.observability.export import load_metrics_records, load_trace_document
+
+    path = tmp_path / "saved.json"
+    path.write_text(text + "\n")
+    load = load_trace_document if reader == "trace" else load_metrics_records
+    with pytest.raises(ValueError, match="saved.json"):
+        load(str(path))
+
+
 # -- instrumented subsystems --------------------------------------------------
 
 

@@ -3,7 +3,11 @@ in a clean run or in one ``repro: error:`` line, never a traceback; an
 integer below its flag's minimum (a count below 1 for ``mc`` and
 ``calibrate``, a negative ``--seed``, a ``trace --width`` below 10), or
 a float flag that is not finite and positive, is always that one error
-line, naming the flag.
+line, naming the flag.  The trace readers take saved files as outside
+input: ``trace`` and ``diagnose --trace`` on any JSON value, or on a
+saved trace with one event field deleted or replaced, end normally or in
+that one error line, and a ``trace --lane`` or ``diagnose --scenario``
+name that does not exist is that one error line, naming the flag.
 
 Smoke-marked (deselected from tier-1); CI runs it with the other gates::
 
@@ -11,7 +15,9 @@ Smoke-marked (deselected from tier-1); CI runs it with the other gates::
 """
 
 import contextlib
+import copy
 import io
+import json
 import math
 
 import pytest
@@ -19,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.observability.diagnosis import SCENARIOS
 
 pytestmark = pytest.mark.smoke
 
@@ -99,7 +106,7 @@ def bounded_int_invocations(draw):
     return argv, invalid
 
 
-def _assert_rejects_below_minimum(argv, invalid, code, out, err):
+def _assert_rejects_invalid(argv, invalid, code, out, err):
     lines = err.splitlines()
     if invalid:
         assert code == 2, (argv, code, out[-500:])  # never a silent run
@@ -115,7 +122,7 @@ def _assert_rejects_below_minimum(argv, invalid, code, out, err):
 @given(case=bounded_int_invocations())
 def test_ints_below_their_minimum_fail_at_parse_time(case):
     argv, invalid = case
-    _assert_rejects_below_minimum(argv, invalid, *_run(argv))
+    _assert_rejects_invalid(argv, invalid, *_run(argv))
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +137,7 @@ def small_trace(tmp_path_factory):
 def test_trace_width_below_10_fails_at_parse_time(small_trace, width):
     argv = ["trace", small_trace, "--lane", "scheduler", "--width", str(width)]
     code, out, err = _run(argv)
-    _assert_rejects_below_minimum(argv, ["--width"] if width < 10 else [], code, out, err)
+    _assert_rejects_invalid(argv, ["--width"] if width < 10 else [], code, out, err)
     if width >= 10:
         assert code == 0, (argv, err)
 
@@ -176,3 +183,84 @@ def test_float_flags_reject_non_finite_and_non_positive_values(case):
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("repro: error:"), (argv, lines)
     assert "Traceback" not in out + err
+
+
+# -- the trace readers -----------------------------------------------------------
+
+# Any JSON value: a whole saved file, or one field of one event in it.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """(trace document of a small production run, its path)."""
+    path = str(tmp_path_factory.mktemp("readers") / "run.json")
+    argv = ["production", "--gpus", "64", "--weeks", "0.05", "--trace", path]
+    assert _run(argv)[0] == 0
+    with open(path) as handle:
+        return json.load(handle), path
+
+
+@st.composite
+def trace_documents(draw, saved):
+    """Any JSON value, or the saved trace with one event field deleted or
+    replaced by any JSON value."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    document = copy.deepcopy(saved)
+    events = document["traceEvents"]
+    event = events[draw(st.integers(0, len(events) - 1))]
+    field = draw(st.sampled_from(sorted(event)))
+    if draw(st.booleans()):
+        del event[field]
+    else:
+        event[field] = draw(json_values)
+    return document
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_trace_readers_take_any_saved_file(saved_run, data):
+    saved, run_path = saved_run
+    document = data.draw(trace_documents(saved), label="document")
+    path = run_path[: -len("run.json")] + "doc.json"  # no sidecar beside it
+    with open(path, "w") as handle:
+        json.dump(document, handle)
+    for argv, codes in ((["trace", path], (0, 2)),
+                        (["diagnose", "--trace", path], (0, 1, 2))):
+        code, out, err = _run(argv)
+        lines = err.splitlines()
+        assert code in codes, (argv, code, out[-500:], err[-500:])
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("repro: error:"), (argv, lines)
+        assert "Traceback" not in out + err
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trace_lane_must_name_a_lane_of_the_document(saved_run, data):
+    saved, path = saved_run
+    names = sorted(
+        e["args"]["name"] for e in saved["traceEvents"] if e["name"] == "process_name"
+    )
+    lane = data.draw(
+        st.sampled_from([n.rsplit("/", 1)[-1] for n in names]) | st.text(), label="lane"
+    )
+    argv = ["trace", path, f"--lane={lane}"]
+    code, out, err = _run(argv)
+    known = any(name == lane or name.endswith(f"/{lane}") for name in names)
+    _assert_rejects_invalid(argv, [] if known else ["--lane"], code, out, err)
+    if known:
+        assert code == 0, (argv, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.text().filter(lambda name: name not in SCENARIOS))
+def test_diagnose_scenario_must_be_known(name):
+    argv = ["diagnose", f"--scenario={name}"]
+    _assert_rejects_invalid(argv, ["--scenario"], *_run(argv))
