@@ -12,7 +12,7 @@ choice (Table 1).
 import sys
 
 from repro.model import MODEL_CATALOG
-from repro.parallel import ParallelPlan, feasible, tune
+from repro.parallel import ParallelPlan, feasible, search_plans
 from repro.hardware import AMPERE
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     model = MODEL_CATALOG[model_name]
 
     print(f"tuning {model_name} on {n_gpus} GPUs at global batch {batch}...\n")
-    results = tune(model, n_gpus=n_gpus, global_batch=batch, top_k=8)
+    results = search_plans(model, n_gpus=n_gpus, global_batch=batch, top_k=8).top
     for i, result in enumerate(results, 1):
         print(f"#{i}  {result.describe()}")
 

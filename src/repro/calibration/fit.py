@@ -6,7 +6,7 @@ efficiency curve (``gemm_eff_max``, ``gemm_flops_half``,
 (``cc_efficiency``, ``inter_node_latency``).  It is applied per run —
 threaded through :class:`~repro.training.iteration.IterationEngine`,
 :class:`~repro.core.megascale.TrainingSystem` and
-:func:`~repro.parallel.tuner.tune` as ``profile=`` — so the catalog
+:func:`~repro.parallel.search.search_plans` as ``profile=`` — so the catalog
 source in :mod:`repro.hardware.gpu` is never edited.
 
 :func:`fit_profile` minimizes the mean squared *relative* error of the

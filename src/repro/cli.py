@@ -348,7 +348,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_tune(args) -> int:
     from .model import MODEL_CATALOG
-    from .parallel import tune_with_stats
+    from .parallel import search_plans
 
     hub = _make_hub(args, "tune")
     cache = None
@@ -358,7 +358,7 @@ def cmd_tune(args) -> int:
         from .exec import PersistentMemo
 
         cache = PersistentMemo(os.path.join(args.cache_dir, "plan-search.pkl"))
-    results, stats = tune_with_stats(
+    result = search_plans(
         MODEL_CATALOG[args.model],
         n_gpus=args.gpus,
         global_batch=args.batch,
@@ -371,10 +371,10 @@ def cmd_tune(args) -> int:
         exhaustive=args.exhaustive,
         backend=args.backend,
     )
-    for i, result in enumerate(results, 1):
-        print(f"#{i}  {result.describe()}")
+    for i, tuned in enumerate(result.top, 1):
+        print(f"#{i}  {tuned.describe()}")
     print()
-    print(stats.describe())
+    print(result.stats.describe())
     if cache is not None:
         print(f"persistent cache: {len(cache)} priced points at {cache.path}")
     _save_hub(hub, args)

@@ -346,21 +346,13 @@ def fabric_collective_cost(
     identically-configured healthy fabrics share entries while a fabric
     degraded through
     :meth:`~repro.network.topology.ClosFabric.set_link_state` never
-    reuses them.  On a healthy fabric
-    the node group is first canonicalized
-    (:meth:`~repro.network.topology.ClosFabric.canonical_node_offsets`):
-    groups that differ only by a within-pod offset route link-for-link
-    isomorphic paths, so all DP rings with the same placement shape
-    share one memo entry and one routed price.  ``hub`` is not part of
-    the key, and telemetry is emitted only when the price is computed
-    fresh — a memo hit is not a new routed collective.
+    reuses them.  ``hub`` is not part of the key, and telemetry is
+    emitted only when the price is computed fresh — a memo hit is not a
+    new routed collective.
     """
     cache = get_cache("fabric_collective_cost")
-    fingerprint = fabric.fingerprint()
     nodes = tuple(nodes)
-    if nodes and not fabric.degraded():
-        nodes = fabric.canonical_node_offsets(nodes)
-    key = (kind, float(size), nodes, cc_efficiency, nic_rate, fingerprint)
+    key = (kind, float(size), nodes, cc_efficiency, nic_rate, fabric.fingerprint())
     if key in cache.store:
         cache.hits += 1
         return cache.get(key)

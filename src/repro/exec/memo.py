@@ -233,8 +233,10 @@ class PersistentMemo:
 
     One pickle file holds ``{fingerprint, entries}``; entries whose
     fingerprint no longer matches the current cost models are discarded
-    on load, so the file is always safe to keep *and* safe to delete.
-    Keys are caller-built strings (see
+    on load, so the file is always safe to keep *and* safe to delete.  A
+    file that cannot be read or unpickled, or that holds anything but a
+    dict with a str ``fingerprint`` and a dict ``entries``, loads as an
+    empty store.  Keys are caller-built strings (see
     :func:`repro.parallel.search.plan_cache_key`); values are arbitrary
     picklable results.  ``maxsize`` bounds the entry count with LRU
     eviction, like :class:`MemoCache`.
@@ -270,13 +272,20 @@ class PersistentMemo:
         try:
             with open(self.path, "rb") as fh:
                 payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
-            return {}  # corrupt or foreign file: start fresh, never crash
-        if not isinstance(payload, dict) or payload.get("fingerprint") != self.fingerprint:
-            entries = payload.get("entries", {}) if isinstance(payload, dict) else {}
-            self.stale_dropped = len(entries)
+        except Exception:
+            # Corrupt bytes make pickle raise almost any exception type
+            # (ValueError, TypeError, KeyError, MemoryError, ...): start fresh.
             return {}
-        return dict(payload.get("entries", {}))
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("fingerprint"), str)
+            and isinstance(payload.get("entries"), dict)
+        ):
+            return {}  # not a store this class wrote: start fresh
+        if payload["fingerprint"] != self.fingerprint:
+            self.stale_dropped = len(payload["entries"])
+            return {}
+        return dict(payload["entries"])
 
     def __contains__(self, key: str) -> bool:
         return key in self.entries

@@ -19,7 +19,7 @@ rings do) stays on one rail: two hops inside a pod, six hops across pods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .link import Link
 from .routing import ecmp_choice
@@ -202,30 +202,8 @@ class ClosFabric:
         )
 
     def degraded(self) -> bool:
-        """Whether any link is currently down (placement symmetry broken)."""
+        """Whether any link is currently down."""
         return bool(self._down)
-
-    def canonical_node_offsets(self, nodes: Sequence[int]) -> Tuple[int, ...]:
-        """Translate a node group down to its canonical within-pod offset.
-
-        Servers of one pod are interchangeable: each has identical NIC
-        links to the same ToR set, and every ECMP decision depends only
-        on switch names and the flow index.  Sliding a whole group by a
-        common offset *within its pods* therefore yields link-for-link
-        isomorphic paths with identical bandwidths, latencies, and
-        conflict patterns — so all DP rings with the same placement
-        shape can share one routed price.  The canonical form subtracts
-        the group's minimum within-pod offset, which by construction
-        keeps every node in its original pod.
-
-        Only valid on a healthy fabric: a down link singles out specific
-        servers and breaks the symmetry.  Callers must check
-        :meth:`degraded` first.
-        """
-        offset = min(n % self.nodes_per_pod for n in nodes)
-        if offset == 0:
-            return tuple(nodes)
-        return tuple(n - offset for n in nodes)
 
     def same_tor(self, a: int, b: int) -> bool:
         """Whether two nodes share their ToR switch set (same pod)."""

@@ -13,22 +13,8 @@ from .pipeline import (
 )
 from .placement import Placement, packed_placement, validate_placement
 from .plan import ParallelPlan, plan_for_gpus
-from .search import (
-    CandidateBounds,
-    SearchResult,
-    SearchStats,
-    candidate_bounds,
-    dominance_prune,
-    plan_cache_key,
-    search_plans,
-)
-from .tuner import (
-    TunedPlan,
-    candidate_plans,
-    feasible,
-    tune,
-    tune_with_stats,
-)
+from .search import SearchResult, SearchStats, plan_cache_key, search_plans
+from .tuner import TunedPlan, candidate_plans, feasible
 from .zero import (
     DpCommEvent,
     chunk_grad_bytes,
@@ -40,7 +26,6 @@ from .zero import (
 )
 
 __all__ = [
-    "CandidateBounds",
     "DpCommEvent",
     "ParallelPlan",
     "PipelineTask",
@@ -49,10 +34,8 @@ __all__ = [
     "Placement",
     "backward_dependency",
     "bubble_fraction",
-    "candidate_bounds",
     "chunk_grad_bytes",
     "chunk_param_bytes",
-    "dominance_prune",
     "dp_comm_events",
     "plan_cache_key",
     "search_plans",
@@ -68,8 +51,6 @@ __all__ = [
     "TunedPlan",
     "candidate_plans",
     "feasible",
-    "tune",
-    "tune_with_stats",
     "schedule_for",
     "sharded_state_summary",
     "validate_placement",

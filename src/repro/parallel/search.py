@@ -1,23 +1,22 @@
-"""Bound-and-prune plan search: exact tuning without brute force.
+"""Best-first branch-and-bound plan search: exact tuning without brute force.
 
 The tuner's candidate space grows combinatorially with the GPU count,
 and every candidate priced by the full
 :class:`~repro.training.iteration.IterationEngine` costs a task-graph
 execution.  This module finds the **exact** top-k plans while calling
-the engine as rarely as possible, with three mechanisms stacked on the
-analytic bounds of
-:meth:`~repro.training.iteration.IterationEngine.analytic_bounds`:
+the engine as rarely as possible, with two mechanisms:
 
-1. **Pareto-dominance filtering** — before any engine call, candidate X
-   is dropped when at least ``top_k`` candidates Y exist with
-   ``memory(Y) <= memory(X)`` and ``upper(Y) < lower(X)``: even Y's
-   pessimistic time beats X's optimistic time, so X provably cannot
-   reach the top-k.
-2. **Coarse-then-exact ladder** — survivors are priced in ascending
-   order of a cheap closed-form estimate, so the incumbent (the k-th
-   best exact time found so far) tightens as early as possible.
-3. **Branch-and-bound pruning** — a candidate whose admissible lower
-   bound already exceeds the incumbent is skipped without pricing.
+1. **An admissible lower bound** —
+   :meth:`~repro.training.iteration.IterationEngine.analytic_bounds`
+   floors every candidate's exact iteration time with closed forms, at
+   microseconds per candidate.
+2. **Best-first branch-and-bound** — one ladder holds every feasible
+   candidate sorted by ``(lower bound, canonical index)`` and is priced
+   in that order.  Once ``top_k`` candidates are priced, the incumbent
+   (the k-th best exact time so far) certifies out every candidate whose
+   lower bound lies above it; since the ladder ascends in lower bound
+   and the incumbent only falls, the first such candidate ends the
+   search.
 
 Because every candidate shares ``world_size == n_gpus``, the reference
 FLOPs and the peak FLOPs, ranking by MFU descending is *exactly* ranking
@@ -29,24 +28,28 @@ exhaustive evaluation.
 A cross-run :class:`~repro.exec.memo.PersistentMemo` (versioned by the
 cost-model fingerprint, safe to delete) lets repeated ``tune``/``sweep``
 invocations skip already-priced points entirely.  All search decisions —
-enumerated / dominance-pruned / bound-pruned / exactly priced, plus the
-incumbent trajectory — are reported in :class:`SearchStats` and, with a
-``hub=``, emitted as spans and counters on the ``exec`` telemetry lane.
+enumerated / bound-pruned / exactly priced, plus the incumbent
+trajectory — are reported in :class:`SearchStats` and, with a ``hub=``,
+emitted as spans and counters on the ``exec`` telemetry lane.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..core.features import MEGASCALE_ISO_BATCH, FeatureSet
 from ..exec import PersistentMemo, SweepStats, run_tasks
 from ..hardware.gpu import AMPERE, GpuSpec
-from ..model.memory import memory_breakdown
 from ..model.transformer import ModelSpec
 from .plan import ParallelPlan
+from .tuner import TunedPlan, candidate_plans, evaluate_plan, feasible
+
+# The deepest pipeline the search considers.
+PP_LIMIT = 64
+
 
 # Canonical candidate order: smaller model-parallel footprints first
 # (less communication), then deeper interleaving, then micro-batch.
@@ -57,31 +60,18 @@ def canonical_key(plan: ParallelPlan) -> Tuple[int, int, int]:
     return (plan.tp * plan.pp, -plan.vpp, plan.micro_batch)
 
 
-@dataclass(frozen=True)
-class CandidateBounds:
-    """One feasible candidate with its analytic brackets, pre-pricing."""
-
-    index: int  # position in the canonical candidate order
-    plan: ParallelPlan
-    lower: float  # admissible floor on exact iteration time
-    upper: float  # pessimistic ceiling on exact iteration time
-    estimate: float  # coarse closed-form guess (ladder ordering only)
-    memory_bytes: float  # peak per-GPU memory of the plan
-
-
 @dataclass
 class SearchStats:
     """Where every enumerated candidate went, plus the incumbent path.
 
-    ``evaluated + persistent_hits + bound_pruned + dominance_pruned``
-    accounts for every feasible candidate; nothing is dropped silently.
-    ``incumbent`` records ``(candidates priced so far, best exact time,
-    k-th best exact time)`` each time the frontier tightens.
+    ``evaluated + persistent_hits + bound_pruned`` accounts for every
+    feasible candidate; nothing is dropped silently.  ``incumbent``
+    records ``(candidates priced so far, best exact time, k-th best
+    exact time)`` each time the frontier tightens.
     """
 
     enumerated: int = 0  # structurally valid plans
     feasible: int = 0  # survived memory / divisibility screening
-    dominance_pruned: int = 0  # k candidates certified strictly better
     bound_pruned: int = 0  # lower bound above the incumbent
     evaluated: int = 0  # full IterationEngine.simulate pricings
     persistent_hits: int = 0  # answered from the cross-run disk cache
@@ -109,8 +99,7 @@ class SearchStats:
     def describe(self) -> str:
         lines = [
             f"plan search: {self.enumerated} enumerated, {self.feasible} feasible",
-            f"  pruned: {self.dominance_pruned} by dominance, "
-            f"{self.bound_pruned} by bound ({self.prune_rate:.0%} of feasible)",
+            f"  pruned: {self.bound_pruned} by bound ({self.prune_rate:.0%} of feasible)",
             f"  priced: {self.evaluated} engine evaluations"
             + (
                 f", {self.persistent_hits} persistent-cache hits"
@@ -128,45 +117,8 @@ class SearchStats:
 class SearchResult:
     """The exact top-k plans plus the accounting of how they were found."""
 
-    top: List["TunedPlan"]  # noqa: F821 — imported lazily from .tuner
+    top: List[TunedPlan]
     stats: SearchStats
-
-
-def candidate_bounds(
-    plan: ParallelPlan,
-    model: ModelSpec,
-    features: FeatureSet,
-    gpu: GpuSpec,
-    global_batch: int,
-    index: int = 0,
-    backend: str = "analytic",
-    profile=None,
-) -> CandidateBounds:
-    """Analytic brackets + memory footprint of one candidate (no simulate)."""
-    from ..training.iteration import IterationEngine  # avoid import cycle
-
-    engine = IterationEngine(
-        model, plan, features, gpu=gpu, backend=backend, profile=profile
-    )
-    bounds = engine.analytic_bounds(global_batch)
-    memory = memory_breakdown(
-        model,
-        tp=plan.tp,
-        pp=plan.pp,
-        dp=plan.dp,
-        micro_batch=plan.micro_batch,
-        vpp=plan.vpp,
-        zero_stage=plan.zero_stage,
-        recompute=plan.recompute,
-    ).total
-    return CandidateBounds(
-        index=index,
-        plan=plan,
-        lower=bounds.lower,
-        upper=bounds.upper,
-        estimate=bounds.estimate,
-        memory_bytes=memory,
-    )
 
 
 def plan_cache_key(
@@ -193,47 +145,6 @@ def plan_cache_key(
     if profile is not None:
         key += f"|profile={profile!r}"
     return key
-
-
-def dominance_prune(
-    candidates: List[CandidateBounds], top_k: int
-) -> Tuple[List[CandidateBounds], List[CandidateBounds]]:
-    """(kept, dropped): Pareto-dominance filtering on (memory, bound).
-
-    X is dropped when at least ``top_k`` candidates Y with no more
-    memory satisfy ``Y.upper < X.lower`` — each such Y's exact time is
-    certainly strictly better than X's, so X cannot appear in the exact
-    top-k.  The memory condition keeps this a true Pareto dominance (Y
-    is no worse on memory *and* certifiably better on time) and means a
-    kept plan is never dropped in favour of a hungrier one.
-
-    Sorted-sweep implementation: process candidates in ascending memory
-    order, maintaining the sorted upper bounds of everything seen so
-    far; a bisect counts certified dominators in O(n log n).
-    """
-    by_memory = sorted(candidates, key=lambda c: (c.memory_bytes, c.index))
-    kept: List[CandidateBounds] = []
-    dropped: List[CandidateBounds] = []
-    uppers: List[float] = []
-    i = 0
-    while i < len(by_memory):
-        # Admit the whole equal-memory group before querying it: ties on
-        # memory dominate each other symmetrically.
-        j = i
-        while j < len(by_memory) and by_memory[j].memory_bytes == by_memory[i].memory_bytes:
-            insort(uppers, by_memory[j].upper)
-            j += 1
-        for cand in by_memory[i:j]:
-            # Elements strictly below cand.lower; cand's own upper is
-            # >= its lower, so it never counts itself.
-            if bisect_left(uppers, cand.lower) >= top_k:
-                dropped.append(cand)
-            else:
-                kept.append(cand)
-        i = j
-    kept.sort(key=lambda c: c.index)
-    dropped.sort(key=lambda c: c.index)
-    return kept, dropped
 
 
 class _Incumbent:
@@ -277,7 +188,6 @@ def search_plans(
     features: FeatureSet = MEGASCALE_ISO_BATCH,
     gpu: GpuSpec = AMPERE,
     top_k: int = 5,
-    pp_limit: int = 64,
     gpus_per_node: int = 8,
     max_micro_batch: int = 2,
     workers: int = 0,
@@ -287,18 +197,32 @@ def search_plans(
     backend: str = "analytic",
     profile=None,
 ) -> SearchResult:
-    """Exact top-k plan search with bound-and-prune (or brute force).
+    """The exact ``top_k`` feasible plans by MFU (= iteration time).
 
-    Returns the identical ranking to pricing every feasible candidate
-    (``exhaustive=True`` does exactly that — useful for verification and
-    benchmarking) while calling the iteration engine only for candidates
-    the analytic bounds cannot exclude.
+    Every feasible candidate (pipelines up to :data:`PP_LIMIT` deep) is
+    either priced by the :class:`~repro.training.iteration.IterationEngine`
+    or certified out of the top-k by its admissible lower bound, so the
+    ranking — iteration time ascending, exact ties in the canonical
+    candidate order — is identical to pricing every candidate, which is
+    what ``exhaustive=True`` does (the benchmark records its expected
+    leaderboards that way).
 
-    ``workers`` fans exact pricing out in batches — the result is
-    identical, but batch dispatch can price a few more candidates than
-    the fully sequential incumbent tightening.
+    ``gpus_per_node`` and ``max_micro_batch`` widen or narrow the space
+    itself (forwarded to :func:`~repro.parallel.tuner.candidate_plans`).
+    ``workers`` fans exact pricing out in batches over worker processes
+    via :mod:`repro.exec` — the result is identical, but a batch can
+    price a few more candidates than the fully sequential search.
+    ``cache`` (a :class:`~repro.exec.memo.PersistentMemo`) carries priced
+    points across runs; ``hub`` collects search telemetry on the ``exec``
+    lane.  ``backend`` selects the collective cost model (``"analytic"``
+    alpha-beta forms or ``"fabric"`` flow-level routing, see
+    :data:`~repro.collectives.primitives.COST_BACKENDS`).  ``profile`` (a
+    :class:`~repro.calibration.CalibratedProfile`) applies fitted
+    calibration constants to every candidate priced — and becomes part
+    of the persistent-cache key, so calibrated and default prices never
+    mix.
     """
-    from .tuner import TunedPlan, candidate_plans, evaluate_plan, feasible
+    from ..training.iteration import IterationEngine  # avoid import cycle
 
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -313,7 +237,7 @@ def search_plans(
     screened = [
         plan
         for plan in enumerated
-        if plan.pp <= pp_limit and feasible(model, plan, gpu, global_batch)
+        if plan.pp <= PP_LIMIT and feasible(model, plan, gpu, global_batch)
     ]
     screened.sort(key=canonical_key)
     stats.feasible = len(screened)
@@ -341,55 +265,50 @@ def search_plans(
         else None
     )
 
-    # Stage 1 — cheap closed-form bounds for every candidate.
-    candidates = [
-        candidate_bounds(
-            plan, model, features, gpu, global_batch, index=i, backend=backend,
-            profile=profile,
+    # One ladder of (lower bound, canonical index, plan), cheapest floor first.
+    ladder = sorted(
+        (
+            IterationEngine(
+                model, plan, features, gpu=gpu, backend=backend, profile=profile
+            ).analytic_bounds(global_batch).lower,
+            index,
+            plan,
         )
-        for i, plan in enumerate(screened)
-    ]
-
-    # Stage 2 — Pareto-dominance filtering on (memory, bound interval).
-    if exhaustive:
-        survivors = candidates
-    else:
-        survivors, dominated = dominance_prune(candidates, top_k)
-        stats.dominance_pruned = len(dominated)
-
-    # Stage 3 — coarse-then-exact ladder with branch-and-bound pruning.
-    ladder = sorted(survivors, key=lambda c: (c.estimate, c.index))
+        for index, plan in enumerate(screened)
+    )
     incumbent = _Incumbent(top_k)
     priced: List[Tuple[float, int, TunedPlan]] = []
     batch_size = 1 if workers == 0 else max(2 * workers, 4)
     batch_stats: List[SweepStats] = []
     cursor = 0
     while cursor < len(ladder):
-        batch: List[CandidateBounds] = []
-        while cursor < len(ladder) and len(batch) < batch_size:
-            cand = ladder[cursor]
-            cursor += 1
-            if not exhaustive and incumbent.prunes(cand.lower):
-                stats.bound_pruned += 1
-                continue
-            batch.append(cand)
-        if not batch:
-            continue
+        # The ladder ascends in lower bound and the incumbent only falls,
+        # so the first candidate the incumbent prunes ends the search.
+        end = cursor
+        while end < min(cursor + batch_size, len(ladder)) and (
+            exhaustive or not incumbent.prunes(ladder[end][0])
+        ):
+            end += 1
+        if end == cursor:
+            break
+        batch = ladder[cursor:end]
+        cursor = end
         results, sweep_stats = run_tasks(
             price,
-            [c.plan for c in batch],
+            [plan for _, _, plan in batch],
             workers=workers,
             cache=cache,
             cache_key=key_fn,
         )
         batch_stats.append(sweep_stats)
-        for cand, tuned in zip(batch, results):
-            priced.append((tuned.iteration_time, cand.index, tuned))
-            if incumbent.add(tuned.iteration_time, cand.index):
+        for (_, index, _), tuned in zip(batch, results):
+            priced.append((tuned.iteration_time, index, tuned))
+            if incumbent.add(tuned.iteration_time, index):
                 best = incumbent.best
                 kth = incumbent.threshold if incumbent.threshold is not None else best
                 stats.incumbent.append((len(priced), best, kth))  # type: ignore[arg-type]
 
+    stats.bound_pruned = len(ladder) - cursor
     stats.exec_stats = SweepStats.merge(batch_stats)
     stats.persistent_hits = stats.exec_stats.persistent_hits
     stats.evaluated = stats.exec_stats.n_tasks - stats.persistent_hits
@@ -411,19 +330,17 @@ def _emit_search_telemetry(hub, stats: SearchStats, priced, top_k: int) -> None:
 
     The search runs in wall-clock time, which would break byte-identical
     traces, so — like the sweep executor — the lane uses a synthetic
-    axis: the four stages occupy unit slots, and priced candidate ``i``
+    axis: the three stages occupy unit slots, and priced candidate ``i``
     occupies ``[i, i+1)`` on the ``search`` stream.
     """
     hub.count("exec", "search_enumerated", stats.enumerated)
     hub.count("exec", "search_feasible", stats.feasible)
-    hub.count("exec", "search_dominance_pruned", stats.dominance_pruned)
     hub.count("exec", "search_bound_pruned", stats.bound_pruned)
     hub.count("exec", "search_evaluated", stats.evaluated)
     hub.count("exec", "search_persistent_hits", stats.persistent_hits)
     stages = (
         ("search:screen", stats.enumerated, stats.feasible),
-        ("search:dominance", stats.feasible, stats.feasible - stats.dominance_pruned),
-        ("search:bound", stats.feasible - stats.dominance_pruned, stats.priced),
+        ("search:bound", stats.feasible, stats.priced),
         ("search:rank", stats.priced, min(top_k, stats.priced)),
     )
     for slot, (name, n_in, n_out) in enumerate(stages):
@@ -443,12 +360,10 @@ def _emit_search_telemetry(hub, stats: SearchStats, priced, top_k: int) -> None:
 
 
 __all__ = [
-    "CandidateBounds",
+    "PP_LIMIT",
     "SearchResult",
     "SearchStats",
-    "candidate_bounds",
     "canonical_key",
-    "dominance_prune",
     "plan_cache_key",
     "search_plans",
 ]

@@ -1,19 +1,21 @@
 """Parallelism auto-tuner: pick (tp, pp, vpp, micro-batch) for a job.
 
-The paper fixes its 3D configurations by expert choice (Table 1).  This
-tuner automates that choice: enumerate feasible plans (memory check,
-divisibility constraints, TP confined to one node), price each with the
-iteration engine, and rank by MFU.  Useful both as a library feature and
-as an ablation harness for "what if we had chosen differently".
+The paper fixes its 3D configurations by expert choice (Table 1).  The
+tuner automates that choice: this module enumerates feasible plans
+(memory check, divisibility constraints, TP confined to one node) and
+prices one with the iteration engine;
+:func:`repro.parallel.search.search_plans` ranks them by MFU.  Useful
+both as a library feature and as an ablation harness for "what if we
+had chosen differently".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator
 
-from ..core.features import MEGASCALE_ISO_BATCH, FeatureSet
-from ..hardware.gpu import AMPERE, GpuSpec
+from ..core.features import FeatureSet
+from ..hardware.gpu import GpuSpec
 from ..model.memory import fits
 from ..model.transformer import ModelSpec
 from .plan import ParallelPlan
@@ -111,110 +113,3 @@ def evaluate_plan(
     )
     outcome = engine.simulate(global_batch)
     return TunedPlan(plan=plan, mfu=outcome.mfu, iteration_time=outcome.iteration_time)
-
-
-def tune_with_stats(
-    model: ModelSpec,
-    n_gpus: int,
-    global_batch: int,
-    features: FeatureSet = MEGASCALE_ISO_BATCH,
-    gpu: GpuSpec = AMPERE,
-    top_k: int = 5,
-    pp_limit: int = 64,
-    gpus_per_node: int = 8,
-    max_micro_batch: int = 2,
-    workers: int = 0,
-    hub=None,
-    cache=None,
-    exhaustive: bool = False,
-    backend: str = "analytic",
-    profile=None,
-):
-    """Exact top-k plans *plus* the search accounting.
-
-    Returns ``(results, SearchStats)`` — see :func:`tune` for the
-    ranking semantics and :mod:`repro.parallel.search` for how pruning
-    preserves exactness.  The stats report enumerated / feasible /
-    dominance-pruned / bound-pruned / evaluated candidate counts.
-    """
-    from .search import search_plans
-
-    result = search_plans(
-        model,
-        n_gpus,
-        global_batch,
-        features=features,
-        gpu=gpu,
-        top_k=top_k,
-        pp_limit=pp_limit,
-        gpus_per_node=gpus_per_node,
-        max_micro_batch=max_micro_batch,
-        workers=workers,
-        hub=hub,
-        cache=cache,
-        exhaustive=exhaustive,
-        backend=backend,
-        profile=profile,
-    )
-    return result.top, result.stats
-
-
-def tune(
-    model: ModelSpec,
-    n_gpus: int,
-    global_batch: int,
-    features: FeatureSet = MEGASCALE_ISO_BATCH,
-    gpu: GpuSpec = AMPERE,
-    top_k: int = 5,
-    pp_limit: int = 64,
-    gpus_per_node: int = 8,
-    max_micro_batch: int = 2,
-    workers: int = 0,
-    hub=None,
-    cache=None,
-    exhaustive: bool = False,
-    backend: str = "analytic",
-    profile=None,
-) -> List[TunedPlan]:
-    """The exact ``top_k`` feasible plans by MFU (= iteration time).
-
-    The search is exact without brute force: every feasible candidate is
-    either priced by the :class:`~repro.training.iteration.IterationEngine`
-    or *certified* out of the top-k by an admissible analytic bound
-    (:mod:`repro.parallel.search`).  Ranking is iteration time ascending
-    — identical to MFU descending, since every candidate fills the same
-    ``n_gpus`` — with exact ties in the canonical candidate order.
-
-    ``pp_limit`` bounds the pipeline depth searched;
-    ``gpus_per_node`` and ``max_micro_batch`` widen or narrow the space
-    itself (forwarded to :func:`candidate_plans`).  ``workers`` fans
-    exact pricing out over worker processes via :mod:`repro.exec`;
-    ``cache`` (a :class:`~repro.exec.memo.PersistentMemo`) carries
-    priced points across runs; ``hub`` collects search telemetry on the
-    ``exec`` lane.  ``backend`` selects the collective cost model
-    (``"analytic"`` alpha-beta forms or ``"fabric"`` flow-level routing,
-    see :data:`~repro.collectives.primitives.COST_BACKENDS`).
-    ``profile`` (a :class:`~repro.calibration.CalibratedProfile`) applies
-    fitted calibration constants to every candidate priced — and becomes
-    part of the persistent-cache key, so calibrated and default prices
-    never mix.  Use :func:`tune_with_stats` to also get the enumerated /
-    pruned / evaluated accounting.
-    """
-    results, _stats = tune_with_stats(
-        model,
-        n_gpus,
-        global_batch,
-        features=features,
-        gpu=gpu,
-        top_k=top_k,
-        pp_limit=pp_limit,
-        gpus_per_node=gpus_per_node,
-        max_micro_batch=max_micro_batch,
-        workers=workers,
-        hub=hub,
-        cache=cache,
-        exhaustive=exhaustive,
-        backend=backend,
-        profile=profile,
-    )
-    return results

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..exec.memo import memoized
 from ..model.memory import GRAD_BYTES, OPTIMIZER_BYTES_PER_PARAM, PARAM_BYTES, params_per_gpu
 from ..model.transformer import ModelSpec
 from .plan import ParallelPlan
@@ -85,7 +84,6 @@ def sharded_state_summary(model: ModelSpec, plan: ParallelPlan) -> Tuple[float, 
     return params, grads, optimizer_state_bytes(model, plan)
 
 
-@memoized("optimizer_step_time")
 def optimizer_step_time(model: ModelSpec, plan: ParallelPlan, memory_bandwidth: float) -> float:
     """Wall time of the (sharded) optimizer update — memory bound.
 

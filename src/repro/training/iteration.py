@@ -39,9 +39,6 @@ class IterationBounds:
     perturbation) are:
 
     * ``lower <= simulate(global_batch).iteration_time <= upper``
-    * ``estimate`` is a coarse closed-form guess with **no** guarantee;
-      it exists to order candidates so that a branch-and-bound search
-      tightens its incumbent early.
 
     Component floors (``compute_floor``, ``bubble_floor``,
     ``comm_floor``) are the analytic terms the lower bound is built
@@ -51,7 +48,6 @@ class IterationBounds:
 
     lower: float
     upper: float
-    estimate: float
     compute_floor: float  # busiest stage's serial compute (pipeline phase)
     bubble_floor: float  # warm-up + cool-down dependency chains
     comm_floor: float  # exposed DP communication (alpha-beta models)
@@ -384,8 +380,8 @@ class IterationEngine:
           at the total collective time (everything spills).
 
         Bounds hold for the default ``simulate`` arguments (uniform
-        stage speeds, no perturbation) — the configuration :func:`tune`
-        prices.
+        stage speeds, no perturbation) — the configuration
+        :func:`~repro.parallel.search.search_plans` prices.
         """
         plan = self.plan
         m = plan.n_microbatches(global_batch)
@@ -413,14 +409,9 @@ class IterationEngine:
         base = data.exposed_stall + optimizer
         lower = base + pipeline_lower + dp.exposed
         upper = base + pipeline_upper + dp.total_comm
-        # Coarse single-expression guess: classic bubble-augmented stage
-        # work plus the exact closed-form phases.  Orders candidates
-        # well; guarantees nothing.
-        estimate = base + busy_last + bubble_floor + dp.exposed
         return IterationBounds(
             lower=lower,
             upper=upper,
-            estimate=estimate,
             compute_floor=compute_floor,
             bubble_floor=bubble_floor,
             comm_floor=dp.exposed,

@@ -11,8 +11,7 @@ from repro.core.megascale import compare, megascale
 from repro.hardware import AMPERE
 from repro.model import GPT_13B
 from repro.parallel import ParallelPlan
-from repro.parallel.search import plan_cache_key
-from repro.parallel.tuner import tune
+from repro.parallel.search import plan_cache_key, search_plans
 from repro.training.iteration import IterationEngine
 
 PROFILE = CalibratedProfile(
@@ -68,14 +67,16 @@ def test_training_system_threads_profile():
 
 
 def test_tune_default_path_bit_identical_with_none_profile():
-    baseline = tune(GPT_13B, n_gpus=8, global_batch=32, top_k=3)
-    with_none = tune(GPT_13B, n_gpus=8, global_batch=32, top_k=3, profile=None)
+    baseline = search_plans(GPT_13B, n_gpus=8, global_batch=32, top_k=3).top
+    with_none = search_plans(GPT_13B, n_gpus=8, global_batch=32, top_k=3, profile=None).top
     assert baseline == with_none
 
 
 def test_tune_with_profile_reprices_candidates():
-    baseline = tune(GPT_13B, n_gpus=8, global_batch=32, top_k=1)
-    calibrated = tune(GPT_13B, n_gpus=8, global_batch=32, top_k=1, profile=PROFILE)
+    baseline = search_plans(GPT_13B, n_gpus=8, global_batch=32, top_k=1).top
+    calibrated = search_plans(
+        GPT_13B, n_gpus=8, global_batch=32, top_k=1, profile=PROFILE
+    ).top
     assert calibrated[0].iteration_time > baseline[0].iteration_time
 
 

@@ -267,21 +267,6 @@ def test_fabric_cost_memoized_by_fingerprint():
     assert cache.misses == 2
 
 
-def test_translated_rings_share_one_memo_entry():
-    # Two DP rings with the same placement shape, offset within a pod,
-    # route link-isomorphic paths — they must share one routed price.
-    cache = get_cache("fabric_collective_cost")
-    cache.reset()
-    fabric = _fabric(n_nodes=16, nodes_per_pod=8)
-    base = fabric_collective_cost("all_gather", 1e9, (0, 1, 2, 3), fabric)
-    shifted = fabric_collective_cost("all_gather", 1e9, (4, 5, 6, 7), fabric)
-    assert shifted is base
-    assert cache.misses == 1 and cache.hits == 1
-    # The dedup claims equal prices; verify against an unmemoized model.
-    direct = FabricCostModel(fabric).collective_cost("all_gather", 1e9, (4, 5, 6, 7))
-    assert direct.time == pytest.approx(base.time, rel=1e-12)
-
-
 def test_pod_translation_is_not_deduped():
     # Pod-to-pod translation is NOT price-preserving (ECMP hashes depend
     # on switch names), so pod-1 rings key separately from pod-0 rings.
@@ -291,19 +276,6 @@ def test_pod_translation_is_not_deduped():
     fabric_collective_cost("all_gather", 1e9, (0, 1, 2, 3), fabric)
     fabric_collective_cost("all_gather", 1e9, (8, 9, 10, 11), fabric)
     assert cache.misses == 2
-
-
-def test_degraded_fabric_disables_symmetry_dedup():
-    # With a link down, within-pod translation no longer guarantees
-    # isomorphic paths — every placement must price individually.
-    cache = get_cache("fabric_collective_cost")
-    cache.reset()
-    fabric = _fabric(n_nodes=16, nodes_per_pod=8)
-    fabric.set_link_state("tor0.0", "agg0.0", False)
-    assert fabric.degraded()
-    fabric_collective_cost("all_gather", 1e9, (0, 1, 2, 3), fabric)
-    fabric_collective_cost("all_gather", 1e9, (4, 5, 6, 7), fabric)
-    assert cache.misses == 2 and cache.hits == 0
 
 
 def test_fingerprint_follows_set_link_state_down_and_back_up():

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pickle
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -42,6 +44,29 @@ def test_tune_command(capsys):
     assert main(["tune", "--model", "gpt-13b", "--gpus", "16", "--batch", "64", "--top", "2"]) == 0
     out = capsys.readouterr().out
     assert "#1" in out and "MFU" in out
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"\x80\x09",  # a pickle protocol that does not exist
+        pickle.dumps({"fingerprint": "stale", "entries": 5}),
+        pickle.dumps(["not", "a", "store"]),
+        b"this is not a pickle",
+    ],
+    ids=["bad-protocol", "entries-not-a-dict", "not-a-dict", "not-a-pickle"],
+)
+def test_tune_cache_dir_over_a_corrupt_file_starts_fresh(capsys, tmp_path, payload):
+    (tmp_path / "plan-search.pkl").write_bytes(payload)
+    argv = [
+        "tune", "--model", "gpt-13b", "--gpus", "16", "--batch", "64",
+        "--top", "2", "--cache-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "#1" in out and "persistent-cache hits" not in out
+    assert main(argv) == 0  # the rewritten file serves the second run
+    assert "0 engine evaluations" in capsys.readouterr().out
 
 
 def test_diagnose_scenario_command(capsys, tmp_path):

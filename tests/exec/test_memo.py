@@ -1,6 +1,12 @@
 """Tests for the cost-model memoization layer."""
 
+import os
+import pickle
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import (
     CacheReport,
@@ -21,8 +27,6 @@ from repro.exec.memo import (
 from repro.hardware import AMPERE
 from repro.model import GPT_13B
 from repro.model.blocks import block_cost
-from repro.parallel import ParallelPlan
-from repro.parallel.zero import optimizer_step_time
 
 
 def test_memoized_hits_on_repeat_call():
@@ -71,16 +75,6 @@ def test_block_cost_is_memoized():
     assert a is b  # the literal cached object
     assert cache.hits == before[0] + 1
     assert cache.misses == before[1] + 1
-
-
-def test_optimizer_step_time_is_memoized():
-    cache = optimizer_step_time.cache
-    plan = ParallelPlan(dp=2, tp=2, pp=2, zero_stage=1)
-    before = (cache.hits, cache.misses)
-    t1 = optimizer_step_time(GPT_13B, plan, 1.9e12)
-    t2 = optimizer_step_time(GPT_13B, plan, 1.9e12)
-    assert t1 == t2 > 0
-    assert cache.hits == before[0] + 1
 
 
 def test_snapshot_delta_and_merge():
@@ -243,6 +237,36 @@ def test_persistent_memo_survives_corrupt_file(tmp_path):
     memo.put("k", 1)
     memo.flush()
     assert PersistentMemo(str(memo.path)).get("k") == 1
+
+
+_VALID_STORE = pickle.dumps({"fingerprint": "fp", "entries": {"a": 1.5, "b": (1, "x")}})
+
+
+@st.composite
+def _corrupted_stores(draw):
+    """A valid store file with one to four bytes overwritten."""
+    data = bytearray(_VALID_STORE)
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(max_size=64) | _corrupted_stores())
+def test_persistent_memo_loads_any_file(data):
+    """Whatever bytes the file holds, the store loads (empty when the
+    file is not a store), and a later flush writes a file that loads."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "memo.pkl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        memo = PersistentMemo(path, fingerprint="fp")
+        assert isinstance(memo.entries, dict)
+        memo.put("k", 1)
+        memo.flush()
+        reloaded = PersistentMemo(path, fingerprint="fp")
+        assert reloaded.get("k") == 1
+        assert len(reloaded) == len(memo)
 
 
 def test_persistent_memo_lru_and_validation(tmp_path):

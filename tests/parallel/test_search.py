@@ -1,21 +1,17 @@
-"""Tests for bound-and-prune plan search: exactness, admissibility, pruning."""
+"""Tests for best-first branch-and-bound plan search: exactness,
+admissibility, pruning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import MEGASCALE_ISO_BATCH, MEGATRON_LM
 from repro.exec import PersistentMemo
 from repro.hardware import AMPERE
-from repro.model import GPT_13B, GPT_175B
+from repro.model import GPT_13B, GPT_175B, MODEL_CATALOG
 from repro.observability import TelemetryHub
 from repro.parallel import ParallelPlan
-from repro.parallel.search import (
-    CandidateBounds,
-    candidate_bounds,
-    canonical_key,
-    dominance_prune,
-    plan_cache_key,
-    search_plans,
-)
+from repro.parallel.search import PP_LIMIT, canonical_key, plan_cache_key, search_plans
 from repro.parallel.tuner import candidate_plans, evaluate_plan, feasible
 from repro.training.iteration import IterationEngine
 
@@ -47,10 +43,8 @@ def test_search_accounting_is_complete(model, n_gpus, batch, features):
     result = search_plans(model, n_gpus, batch, features=features, top_k=3)
     s = result.stats
     assert s.feasible <= s.enumerated
-    assert (
-        s.dominance_pruned + s.bound_pruned + s.evaluated + s.persistent_hits
-        == s.feasible
-    )
+    assert s.bound_pruned + s.evaluated + s.persistent_hits == s.feasible
+    assert s.evaluated < s.feasible  # pruning bites on every grid point
     assert 0.0 <= s.prune_rate <= 1.0
     assert "plan search" in s.describe()
 
@@ -67,6 +61,60 @@ def test_search_parallel_matches_serial():
     serial = search_plans(GPT_13B, 16, 64, top_k=5, workers=0)
     parallel = search_plans(GPT_13B, 16, 64, top_k=5, workers=2)
     assert parallel.top == serial.top
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    name=st.sampled_from(["gpt-7b", "gpt-13b", "gpt-30b", "gpt-175b"]),
+    n_gpus=st.sampled_from([8, 16, 32, 64, 128]),
+    batch=st.sampled_from([32, 64, 128, 256]),
+    features=st.sampled_from([MEGASCALE_ISO_BATCH, MEGATRON_LM]),
+    top_k=st.integers(1, 6),
+    max_micro_batch=st.integers(1, 3),
+)
+def test_serial_search_never_prices_a_dominated_candidate(
+    name, n_gpus, batch, features, top_k, max_micro_batch
+):
+    """A candidate with ``top_k`` feasible rivals whose upper bound lies
+    below its lower bound cannot reach the top-k; the best-first ladder
+    prices all such rivals first, so the serial search never prices it —
+    and the pruned top-k is the exhaustive one."""
+    model = MODEL_CATALOG[name]
+    plans = sorted(
+        (
+            plan
+            for plan in candidate_plans(model, n_gpus, max_micro_batch=max_micro_batch)
+            if plan.pp <= PP_LIMIT and feasible(model, plan, AMPERE, batch)
+        ),
+        key=canonical_key,
+    )
+    if not plans:
+        with pytest.raises(ValueError):
+            search_plans(model, n_gpus, batch, max_micro_batch=max_micro_batch)
+        return
+    hub = TelemetryHub("search-property")
+    pruned = search_plans(
+        model, n_gpus, batch, features=features, top_k=top_k,
+        max_micro_batch=max_micro_batch, hub=hub,
+    )
+    brute = search_plans(
+        model, n_gpus, batch, features=features, top_k=top_k,
+        max_micro_batch=max_micro_batch, exhaustive=True,
+    )
+    assert pruned.top == brute.top
+
+    bounds = [IterationEngine(model, p, features).analytic_bounds(batch) for p in plans]
+    priced = [
+        span.attr("candidate")
+        for span in hub.session.spans("exec")
+        if span.name == "search:price"
+    ]
+    assert len(priced) == pruned.stats.evaluated
+    for i in priced:
+        certified = sum(
+            1 for j, b in enumerate(bounds) if j != i and b.upper < bounds[i].lower
+        )
+        assert certified < top_k, (plans[i], certified)
 
 
 # -- the acceptance bar: <= 50% of brute-force engine calls at 1024 GPUs ------
@@ -108,80 +156,17 @@ def test_bounds_bracket_exact_engine_time(model, n_gpus, batch, features):
     ]
     assert plans
     for plan in plans:
-        cand = candidate_bounds(plan, model, features, AMPERE, batch)
+        bounds = IterationEngine(model, plan, features).analytic_bounds(batch)
         exact = evaluate_plan(plan, model, features, AMPERE, batch).iteration_time
-        assert cand.lower <= exact + 1e-9, f"inadmissible lower bound for {plan}"
-        assert exact <= cand.upper + 1e-9, f"upper bound below exact for {plan}"
-        assert cand.lower <= cand.upper
-        assert cand.memory_bytes > 0
+        assert bounds.lower <= exact + 1e-9, f"inadmissible lower bound for {plan}"
+        assert exact <= bounds.upper + 1e-9, f"upper bound below exact for {plan}"
+        assert bounds.lower <= bounds.upper
 
 
 def test_analytic_bounds_validate_inputs():
     engine = IterationEngine(GPT_13B, ParallelPlan(dp=4, tp=2, pp=2), MEGASCALE_ISO_BATCH)
     bounds = engine.analytic_bounds(64)
     assert 0 < bounds.compute_floor <= bounds.lower <= bounds.upper
-    assert bounds.lower <= bounds.estimate <= bounds.upper
-
-
-# -- dominance pruning --------------------------------------------------------
-
-
-def _cand(index, lower, upper, memory):
-    plan = ParallelPlan(dp=1, tp=1, pp=1)
-    return CandidateBounds(
-        index=index, plan=plan, lower=lower, upper=upper,
-        estimate=(lower + upper) / 2, memory_bytes=memory,
-    )
-
-
-def test_dominance_drops_certified_losers():
-    # Two cheap fast candidates certify the slow one out of a top-1 search.
-    fast_a = _cand(0, 1.0, 2.0, 100.0)
-    fast_b = _cand(1, 1.1, 2.1, 100.0)
-    slow = _cand(2, 5.0, 9.0, 200.0)
-    kept, dropped = dominance_prune([fast_a, fast_b, slow], top_k=1)
-    assert dropped == [slow]
-    assert kept == [fast_a, fast_b]
-
-
-def test_dominance_respects_top_k():
-    # With top_k=2 a single dominator is not enough to drop anyone.
-    fast = _cand(0, 1.0, 2.0, 100.0)
-    slow = _cand(1, 5.0, 9.0, 200.0)
-    kept, dropped = dominance_prune([fast, slow], top_k=2)
-    assert dropped == [] and len(kept) == 2
-
-
-def test_dominance_requires_memory_no_worse():
-    # The dominator uses MORE memory: no Pareto dominance, nothing drops.
-    fast_hungry = _cand(0, 1.0, 2.0, 300.0)
-    slow_lean = _cand(1, 5.0, 9.0, 100.0)
-    kept, dropped = dominance_prune([fast_hungry, slow_lean], top_k=1)
-    assert dropped == []
-    assert {c.index for c in kept} == {0, 1}
-
-
-def test_dominance_requires_strict_time_separation():
-    # upper == lower boundary: not strictly better, must not drop.
-    a = _cand(0, 1.0, 5.0, 100.0)
-    b = _cand(1, 5.0, 9.0, 100.0)
-    kept, dropped = dominance_prune([a, b], top_k=1)
-    assert dropped == []
-
-
-def test_dominance_equal_memory_group_is_symmetric():
-    # Candidates tied on memory can dominate each other.
-    fast = _cand(0, 1.0, 2.0, 100.0)
-    slow = _cand(1, 3.0, 4.0, 100.0)
-    kept, dropped = dominance_prune([fast, slow], top_k=1)
-    assert dropped == [slow] and kept == [fast]
-
-
-def test_dominance_partition_preserves_everything():
-    cands = [_cand(i, float(i), float(i) + 0.5, float(i % 3)) for i in range(12)]
-    kept, dropped = dominance_prune(cands, top_k=2)
-    assert len(kept) + len(dropped) == len(cands)
-    assert sorted(c.index for c in kept + dropped) == list(range(12))
 
 
 # -- canonical order ----------------------------------------------------------
@@ -239,7 +224,6 @@ def test_search_emits_counters_spans_and_incumbent_trajectory():
     m = hub.metrics
     assert m.counter("exec.search_enumerated") == s.enumerated
     assert m.counter("exec.search_feasible") == s.feasible
-    assert m.counter("exec.search_dominance_pruned") == s.dominance_pruned
     assert m.counter("exec.search_bound_pruned") == s.bound_pruned
     assert m.counter("exec.search_evaluated") == s.evaluated
 
@@ -248,7 +232,7 @@ def test_search_emits_counters_spans_and_incumbent_trajectory():
 
     spans = hub.session.spans("exec")
     stage_names = {sp.name for sp in spans}
-    assert {"search:screen", "search:dominance", "search:bound", "search:rank"} <= stage_names
+    assert {"search:screen", "search:bound", "search:rank"} <= stage_names
     assert sum(1 for sp in spans if sp.name == "search:price") == s.priced
 
     assert s.incumbent  # the frontier moved at least once

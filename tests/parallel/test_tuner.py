@@ -5,7 +5,8 @@ import pytest
 from repro.hardware import AMPERE
 from repro.model import GPT_13B, GPT_175B
 from repro.parallel import ParallelPlan
-from repro.parallel.tuner import candidate_plans, feasible, tune, tune_with_stats
+from repro.parallel.search import search_plans
+from repro.parallel.tuner import candidate_plans, feasible
 
 
 def test_candidates_satisfy_structural_constraints():
@@ -41,7 +42,7 @@ def test_feasible_rejects_bad_batch_split():
 
 
 def test_tune_returns_ranked_feasible_plans():
-    results = tune(GPT_175B, n_gpus=256, global_batch=256, top_k=3)
+    results = search_plans(GPT_175B, n_gpus=256, global_batch=256, top_k=3).top
     assert 1 <= len(results) <= 3
     mfus = [r.mfu for r in results]
     assert mfus == sorted(mfus, reverse=True)
@@ -52,7 +53,7 @@ def test_tune_returns_ranked_feasible_plans():
 
 
 def test_tune_prefers_model_parallel_for_huge_models():
-    results = tune(GPT_175B, n_gpus=256, global_batch=256, top_k=1)
+    results = search_plans(GPT_175B, n_gpus=256, global_batch=256, top_k=1).top
     best = results[0].plan
     # 175B needs real model-parallel sharding (plus ZeRO) to fit at all.
     assert best.tp * best.pp >= 8
@@ -60,7 +61,7 @@ def test_tune_prefers_model_parallel_for_huge_models():
 
 
 def test_tune_small_model_avoids_excess_pipeline():
-    results = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=1)
+    results = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=1).top
     best = results[0].plan
     # 13B fits with modest model parallelism; the tuner should not pick
     # an extreme pipeline depth.
@@ -69,10 +70,10 @@ def test_tune_small_model_avoids_excess_pipeline():
 
 def test_tune_validation():
     with pytest.raises(ValueError):
-        tune(GPT_175B, n_gpus=256, global_batch=256, top_k=0)
+        search_plans(GPT_175B, n_gpus=256, global_batch=256, top_k=0)
     with pytest.raises(ValueError):
         # No feasible plan: 175B on a single GPU.
-        tune(GPT_175B, n_gpus=1, global_batch=1)
+        search_plans(GPT_175B, n_gpus=1, global_batch=1)
 
 
 # -- search-space knobs (gpus_per_node, max_micro_batch) -----------------------
@@ -91,22 +92,26 @@ def test_candidate_plans_respect_gpus_per_node():
 
 
 def test_tune_plumbs_max_micro_batch_through():
-    # Regression: tune() used to call candidate_plans with hard-coded
+    # Regression: the tuner used to call candidate_plans with hard-coded
     # defaults, silently ignoring wider micro-batch searches.
-    results = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=10, max_micro_batch=4)
+    results = search_plans(
+        GPT_13B, n_gpus=16, global_batch=64, top_k=10, max_micro_batch=4
+    ).top
     assert any(r.plan.micro_batch == 4 for r in results)
-    narrow = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=10)
+    narrow = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=10).top
     assert all(r.plan.micro_batch <= 2 for r in narrow)
 
 
 def test_tune_plumbs_gpus_per_node_through():
-    results = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=10, gpus_per_node=4)
+    results = search_plans(
+        GPT_13B, n_gpus=16, global_batch=64, top_k=10, gpus_per_node=4
+    ).top
     assert all(r.plan.tp <= 4 for r in results)
 
 
 def test_tune_parallel_matches_serial():
-    serial = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=5)
-    parallel = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=5, workers=2)
+    serial = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=5).top
+    parallel = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=5, workers=2).top
     assert parallel == serial
 
 
@@ -114,15 +119,12 @@ def test_tune_parallel_matches_serial():
 
 
 def test_tune_with_stats_accounts_for_every_candidate():
-    results, stats = tune_with_stats(GPT_13B, n_gpus=16, global_batch=64, top_k=3)
-    assert results == tune(GPT_13B, n_gpus=16, global_batch=64, top_k=3)
+    stats = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=3).stats
     assert stats.enumerated >= stats.feasible > 0
-    assert (
-        stats.dominance_pruned + stats.bound_pruned + stats.evaluated
-        == stats.feasible
-    )
+    assert stats.bound_pruned + stats.evaluated == stats.feasible
     # Pruning must actually bite on this space.
     assert stats.evaluated < stats.feasible
+    assert f"pruned: {stats.bound_pruned} by bound (" in stats.describe()
 
 
 def test_tune_uncapped_by_default_no_warning():
@@ -130,12 +132,12 @@ def test_tune_uncapped_by_default_no_warning():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tune(GPT_13B, n_gpus=16, global_batch=64, top_k=3)
+        search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=3)
 
 
 def test_tune_exhaustive_matches_pruned():
-    pruned = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=5)
-    brute = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=5, exhaustive=True)
+    pruned = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=5).top
+    brute = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=5, exhaustive=True).top
     assert pruned == brute
 
 
@@ -143,15 +145,17 @@ def test_tune_exhaustive_matches_pruned():
 
 
 def test_tune_fabric_backend_end_to_end():
-    results = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=3, backend="fabric")
+    results = search_plans(
+        GPT_13B, n_gpus=16, global_batch=64, top_k=3, backend="fabric"
+    ).top
     assert 1 <= len(results) <= 3
     assert all(r.iteration_time > 0 and 0 < r.mfu < 1 for r in results)
     # 16 GPUs = 2 nodes in one pod: the fabric price degenerates to the
     # analytic one, so the leaderboards must coincide.
-    analytic = tune(GPT_13B, n_gpus=16, global_batch=64, top_k=3)
+    analytic = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=3).top
     assert [r.plan for r in results] == [r.plan for r in analytic]
 
 
 def test_tune_rejects_unknown_backend():
     with pytest.raises(ValueError):
-        tune(GPT_13B, n_gpus=16, global_batch=64, backend="exact")
+        search_plans(GPT_13B, n_gpus=16, global_batch=64, backend="exact")
