@@ -193,7 +193,7 @@ def _save_hub(hub, args) -> None:
     if hub is None:
         return
     n_events, metrics_path = hub.save(args.trace)
-    lanes = ", ".join(hub.session.subsystems())
+    lanes = ", ".join(hub.subsystems())
     print(f"trace               : {args.trace} ({n_events} events; lanes: {lanes})")
     print(f"metrics             : {metrics_path}")
 

@@ -31,9 +31,10 @@ class MemoCache:
 
     ``maxsize=None`` (the default) keeps the cache unbounded, the
     historical behaviour.  With a positive ``maxsize`` the cache evicts
-    its least-recently-used entry once full, so long production runs and
-    persistent caches don't grow without limit; evictions are counted
-    and surface in :class:`~repro.exec.stats.SweepStats`.
+    its least-recently-used entry once full, so a cache whose keys keep
+    changing (fabric shapes, pipeline schedules) does not grow without
+    limit; evictions are counted and surface in
+    :class:`~repro.exec.stats.SweepStats`.
     """
 
     def __init__(self, name: str, maxsize: Optional[int] = None) -> None:
@@ -238,27 +239,17 @@ class PersistentMemo:
     dict with a str ``fingerprint`` and a dict ``entries``, loads as an
     empty store.  Keys are caller-built strings (see
     :func:`repro.parallel.search.plan_cache_key`); values are arbitrary
-    picklable results.  ``maxsize`` bounds the entry count with LRU
-    eviction, like :class:`MemoCache`.
+    picklable results.  The store is unbounded.
 
     Writes are buffered: ``put`` marks the store dirty and ``flush``
     (also called by ``__exit__``) atomically replaces the file.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fingerprint: Optional[str] = None,
-        maxsize: Optional[int] = None,
-    ) -> None:
-        if maxsize is not None and maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1 or None, got {maxsize}")
+    def __init__(self, path: str, fingerprint: Optional[str] = None) -> None:
         self.path = path
         self.fingerprint = fingerprint or cost_model_fingerprint()
-        self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.stale_dropped = 0
         self._dirty = False
         self.entries: Dict[str, Any] = self._load()
@@ -297,19 +288,12 @@ class PersistentMemo:
         """Look up one priced point, counting the hit or miss."""
         if key in self.entries:
             self.hits += 1
-            value = self.entries.pop(key)
-            self.entries[key] = value  # refresh recency
-            return value
+            return self.entries[key]
         self.misses += 1
         return default
 
     def put(self, key: str, value: Any) -> None:
-        self.entries.pop(key, None)
         self.entries[key] = value
-        if self.maxsize is not None and len(self.entries) > self.maxsize:
-            oldest = next(iter(self.entries))
-            del self.entries[oldest]
-            self.evictions += 1
         self._dirty = True
 
     def flush(self) -> None:

@@ -296,7 +296,6 @@ class ProductionRunConfig:
     tokens_per_iteration: float = 6144 * 2048
     checkpoint_interval_iterations: int = 150
     heartbeat_interval: float = 10.0
-    heartbeat_timeout: float = 30.0
     nccl_hang_timeout: float = 120.0  # traffic-ceased detection window
     manual_intervention_time: float = 2400.0  # the ~10% needing humans
     silent_fault_detection_time: float = 6 * 3600.0  # heat-map review cadence

@@ -135,32 +135,6 @@ class Cluster:
         del self._by_id[node_id]
         return target
 
-    def draw_spare(self) -> Node:
-        """Detach one healthy standby node from the pool (no eviction).
-
-        The multi-job spare broker hands these out during arbitration;
-        raises :class:`NoSpareAvailable` when the pool is empty.
-        """
-        if not self.spares:
-            raise NoSpareAvailable("spare pool is exhausted")
-        drawn = self.spares.pop(0)
-        del self._by_id[drawn.node_id]
-        return drawn
-
-    def return_spare(self, node: Node) -> None:
-        """Put a healthy node back into the standby pool.
-
-        Preempting a job frees its (healthy) hosts; they rejoin the pool
-        so losing jobs' retries can claim them.
-        """
-        if not node.healthy or node.evicted:
-            raise ValueError(f"node {node.node_id} is not healthy standby material")
-        if node in self.nodes:
-            raise ValueError(f"node {node.node_id} is still active")
-        if node not in self.spares:
-            self.spares.append(node)
-            self._by_id[node.node_id] = node
-
     def _active(self, node_id: int) -> Node:
         target = self._by_id.get(node_id)
         if target is None or target not in self.nodes:

@@ -17,14 +17,11 @@ from .mfu_analysis import (
     segment_trends,
 )
 from .export import (
-    dump_chrome_trace,
     dump_telemetry,
     hub_to_chrome_trace,
     lane_recorder,
     lane_summary,
     load_trace_document,
-    loads_round_trip,
-    timeline_to_chrome_trace,
 )
 from .diagnosis import (
     DiagnosisEngine,
@@ -42,7 +39,6 @@ from .telemetry import (
     MetricsRegistry,
     PercentileDigest,
     TelemetryHub,
-    TraceSession,
 )
 from .timeline import DistributedTimeline, TimelineEvent, pipeline_group_timeline
 from .viz3d import DependencyGraph, RankView, rank_view, render
@@ -63,15 +59,11 @@ __all__ = [
     "PercentileDigest",
     "SUBSYSTEM_LANES",
     "TelemetryHub",
-    "TraceSession",
-    "dump_chrome_trace",
     "dump_telemetry",
     "hub_to_chrome_trace",
     "lane_recorder",
     "lane_summary",
     "load_trace_document",
-    "loads_round_trip",
-    "timeline_to_chrome_trace",
     "diagnose",
     "DistributedTimeline",
     "EventRecord",

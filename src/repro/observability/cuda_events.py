@@ -5,9 +5,11 @@ The paper's tool times critical code segments per rank using CUDA events
 local file, streams them through Kafka into an analytical database, and
 feeds the heat-map / timeline visualizations.
 
-Here: :class:`CudaEventTimer` records per-(rank, step, segment) durations;
-:class:`EventStreamer` models the file -> queue -> database pipeline so
-the analysis layer reads from the "database" exactly like the paper's.
+Here: :class:`CudaEventTimer` records per-(rank, step, segment) durations,
+directly or from the segment spans a telemetry hub recorded
+(:meth:`CudaEventTimer.from_spans`); :class:`EventStreamer` models the
+file -> queue -> database pipeline so the analysis layer reads from the
+"database" exactly like the paper's.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+from ..sim.trace import Span
 
 # The critical segments the paper's timer instruments.
 SEGMENTS = ("forward", "backward", "optimizer", "reduce_scatter", "all_gather", "data_wait")
@@ -43,8 +47,28 @@ class CudaEventTimer:
 
     records: List[EventRecord] = field(default_factory=list)
     _by_segment: Dict[Tuple[int, str], List[float]] = field(
-        default_factory=lambda: defaultdict(list)
+        init=False, default_factory=lambda: defaultdict(list)
     )
+
+    def __post_init__(self) -> None:
+        for rec in self.records:
+            self._by_segment[(rec.rank, rec.segment)].append(rec.duration)
+
+    @classmethod
+    def from_spans(cls, spans: Iterable[Span]) -> "CudaEventTimer":
+        """A timer over recorded segment spans, in span order.
+
+        Every span named like a :data:`SEGMENTS` entry that carries a
+        ``step`` attr becomes one record (duration and start from the
+        span) — how the training lane of a hub, live or saved, feeds the
+        heat-map and decline tools.
+        """
+        timer = cls()
+        for span in spans:
+            step = span.attr("step")
+            if span.name in SEGMENTS and step is not None:
+                timer.record(span.rank, int(step), span.name, span.duration, span.start)
+        return timer
 
     def record(
         self, rank: int, step: int, segment: str, duration: float, started_at: float = 0.0
@@ -73,8 +97,12 @@ class CudaEventTimer:
         return sum(r.duration for r in self.records if r.rank == rank and r.step == step)
 
     def matrix(self, segment: str) -> Tuple[List[int], np.ndarray]:
-        """(ranks, per-rank mean duration) for one segment — heat-map input."""
-        ranks = self.ranks()
+        """(ranks, per-rank mean duration) for one segment — heat-map input.
+
+        Only the ranks that recorded ``segment`` appear; an unrecorded
+        segment gives empty arrays.
+        """
+        ranks = sorted({r.rank for r in self.records if r.segment == segment})
         values = np.array([self.mean_duration(r, segment) for r in ranks])
         return ranks, values
 
@@ -122,7 +150,4 @@ class EventStreamer:
 
     def timer_from_database(self) -> CudaEventTimer:
         """Build an analysis-side timer view from the database contents."""
-        timer = CudaEventTimer()
-        for rec in self.database:
-            timer.record(rec.rank, rec.step, rec.segment, rec.duration, rec.started_at)
-        return timer
+        return CudaEventTimer(records=list(self.database))

@@ -188,15 +188,7 @@ class DiagnosisEngine:
         Upgrades a generic pipeline-term regression to a named straggler
         when specific ranks run hot relative to the fleet median.
         """
-        timer = CudaEventTimer()
-        for span in self.view.spans("training"):
-            if span.name not in ("forward", "backward"):
-                continue
-            step = span.attr("step")
-            if step is None:
-                continue
-            timer.record(span.rank, int(step), span.name, span.duration,
-                         started_at=span.start)
+        timer = CudaEventTimer.from_spans(self.view.spans("training"))
         try:
             result = analyze(timer, "forward")
         except ValueError:

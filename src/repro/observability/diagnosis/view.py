@@ -1,10 +1,11 @@
 """A uniform read-side view over live hubs and saved trace documents.
 
 The diagnosis layers never touch a :class:`TelemetryHub` directly; they
-query a :class:`TelemetryView`, which can be built from a live hub, a
-loaded Chrome-trace document, or a ``trace.json`` +
-``trace.metrics.jsonl`` pair on disk.  Post-mortem diagnosis of a saved
-session therefore runs the exact same code as live diagnosis.
+query a :class:`TelemetryView`, which is built from a Chrome-trace
+document and its metrics records: a live hub's own export, or a
+``trace.json`` + ``trace.metrics.jsonl`` pair on disk.  Post-mortem
+diagnosis of a saved hub therefore reads the same events as live
+diagnosis.
 """
 
 from __future__ import annotations
@@ -44,11 +45,8 @@ class TelemetryView:
 
     @classmethod
     def from_hub(cls, hub) -> "TelemetryView":
-        spans = {sub: hub.session.spans(sub) for sub in hub.session.subsystems()}
-        gauges: Dict[str, List[Tuple[float, float]]] = {}
-        for name, _labels, series in hub.metrics.gauges():
-            gauges.setdefault(name, []).extend(series)
-        return cls(spans, list(hub.session.instants), gauges)
+        """The view of a live hub, read from the document it would save."""
+        return cls.from_document(hub.to_chrome_trace(), hub.metrics.records())
 
     @classmethod
     def from_document(

@@ -1,16 +1,16 @@
-"""Chrome trace-event export.
+"""Chrome trace-event export and read-back.
 
-Serializes a :class:`~repro.observability.DistributedTimeline` (or raw
-trace spans) into the Chrome trace-event JSON format, loadable in
-``chrome://tracing`` / Perfetto — the practical equivalent of the
-paper's timeline UI for anyone running this reproduction.
-
-Beyond the single-lane legacy path, :func:`hub_to_chrome_trace` renders
-a whole :class:`~repro.observability.telemetry.TelemetryHub` session as
-one unified document: one ``pid`` lane per subsystem, complete (``X``)
-events for spans, instant (``i``) events for faults/findings/flaps, and
-counter (``C``) events for gauge samples.  All events are sorted on a
-total order so the same session always serializes byte-identically.
+:func:`hub_to_chrome_trace` renders a whole
+:class:`~repro.observability.telemetry.TelemetryHub` as one document in
+the Chrome trace-event JSON format, loadable in ``chrome://tracing`` /
+Perfetto — the practical equivalent of the paper's timeline UI for
+anyone running this reproduction: one ``pid`` lane per subsystem,
+complete (``X``) events for spans, instant (``i``) events for
+faults/findings/flaps, and counter (``C``) events for gauge samples.
+All events are sorted on a total order so the same hub always
+serializes byte-identically.  The readers below load a saved document
+and its metrics sidecar back (the ``repro trace`` and ``repro
+diagnose --trace`` commands).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.trace import Span, TraceRecorder
-from .timeline import DistributedTimeline
 
 # Chrome traces use microseconds.
 _US = 1e6
@@ -80,54 +79,18 @@ def _event_order(event: dict) -> tuple:
     )
 
 
-def timeline_to_chrome_trace(
-    timeline: DistributedTimeline,
-    job_name: str = "megascale",
-    pid: int = 0,
-) -> dict:
-    """The full trace document for one timeline.
-
-    ``pid`` selects the process lane every event lands on (default 0
-    keeps the legacy single-lane layout); 'X' events are sorted by
-    timestamp so Perfetto renders a deterministic lane order.
-    """
-    events: List[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {"name": job_name},
-        }
-    ]
-    for rank in sorted(timeline.lanes):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": rank,
-                "args": {"name": f"rank {rank}"},
-            }
-        )
-    events.extend(
-        sorted((span_to_event(e.span, pid=pid) for e in timeline.events), key=_event_order)
-    )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
 def hub_to_chrome_trace(hub, job_name: Optional[str] = None) -> dict:
-    """One unified document for a telemetry hub's whole session.
+    """One unified document for everything a telemetry hub recorded.
 
     Layout: one process (``pid``) lane per subsystem with metadata names,
     span 'X' events with ``tid`` = rank, instant 'i' events for
     faults/findings/flaps, and counter 'C' events for every gauge series
     (named ``subsystem.metric``, attached to the subsystem's lane).
     """
-    session = hub.session
     job = job_name or getattr(hub, "job_name", "megascale")
     events: List[dict] = []
-    for subsystem in session.subsystems():
-        pid = session.lane(subsystem)
+    for subsystem in hub.subsystems():
+        pid = hub.lane(subsystem)
         events.append(
             {
                 "name": "process_name",
@@ -145,8 +108,8 @@ def hub_to_chrome_trace(hub, job_name: Optional[str] = None) -> dict:
             }
         )
         ranks = sorted(
-            {s.rank for s in session.spans(subsystem)}
-            | {i.rank for i in session.instants if i.subsystem == subsystem}
+            {s.rank for s in hub.spans(subsystem)}
+            | {i.rank for i in hub.instants if i.subsystem == subsystem}
         )
         for rank in ranks:
             events.append(
@@ -160,41 +123,26 @@ def hub_to_chrome_trace(hub, job_name: Optional[str] = None) -> dict:
             )
 
     timed: List[dict] = []
-    for subsystem in session.subsystems():
-        pid = session.lane(subsystem)
-        timed.extend(span_to_event(span, pid=pid) for span in session.spans(subsystem))
-    for inst in session.instants:
+    for subsystem in hub.subsystems():
+        pid = hub.lane(subsystem)
+        timed.extend(span_to_event(span, pid=pid) for span in hub.spans(subsystem))
+    for inst in hub.instants:
         timed.append(
             instant_to_event(
                 inst.name,
                 inst.ts,
-                pid=session.lane(inst.subsystem),
+                pid=hub.lane(inst.subsystem),
                 tid=inst.rank,
                 args=dict(inst.attrs),
             )
         )
     for name, labels, series in hub.metrics.gauges():
         subsystem = name.split(".", 1)[0]
-        pid = session.lane(subsystem) if subsystem in session.subsystems() else 0
+        pid = hub.lane(subsystem) if subsystem in hub.subsystems() else 0
         tid = dict(labels).get("rank", 0)
         timed.extend(counter_to_event(name, t, v, pid=pid, tid=tid) for t, v in series)
     events.extend(sorted(timed, key=_event_order))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def dump_chrome_trace(
-    trace: TraceRecorder,
-    path: str,
-    ranks: Optional[List[int]] = None,
-    job_name: str = "megascale",
-    pid: int = 0,
-) -> int:
-    """Write a trace recorder's spans to ``path``; returns event count."""
-    timeline = DistributedTimeline.from_trace(trace, ranks=ranks)
-    document = timeline_to_chrome_trace(timeline, job_name=job_name, pid=pid)
-    with open(path, "w") as handle:
-        json.dump(document, handle)
-    return len(document["traceEvents"])
 
 
 def dump_telemetry(
@@ -217,11 +165,6 @@ def dump_telemetry(
         for line in hub.metrics_lines():
             handle.write(line + "\n")
     return len(document["traceEvents"]), metrics_path
-
-
-def loads_round_trip(document: dict) -> dict:
-    """JSON round-trip (serializability check used by tests)."""
-    return json.loads(json.dumps(document))
 
 
 # -- reading saved sessions back (the `repro trace` command) -----------------

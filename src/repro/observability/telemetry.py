@@ -8,13 +8,14 @@ of that feeds into:
 
 * :class:`MetricsRegistry` — counters, gauge time-series, and streaming
   percentile digests, keyed by name + labels.
-* :class:`TraceSession` — one :class:`~repro.sim.trace.TraceRecorder`
-  per subsystem, each assigned a stable Chrome-trace ``pid`` lane, plus
-  instant events (faults, health findings, flaps).
-* :class:`TelemetryHub` — the two combined behind one tiny API that the
+* :class:`TelemetryHub` — the one simulated-time trace object: one
+  :class:`~repro.sim.trace.TraceRecorder` per subsystem on a stable
+  Chrome-trace ``pid`` lane, instant events (faults, health findings,
+  flaps) and a :class:`MetricsRegistry`, behind one tiny API that the
   hot paths call through an optional ``hub=`` parameter: training
   iterations, collective executions, network experiments, fault
-  recoveries and sweep tasks all emit into the same session.
+  recoveries and sweep tasks all emit into the same hub, which exports
+  the Chrome-trace document and reads back as a diagnosis view.
 
 Everything recorded here is a pure function of the simulation inputs —
 no wall clocks, no unordered iteration — so the exported document is
@@ -24,14 +25,13 @@ byte-identical across runs of the same seed.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.trace import Span, TraceRecorder
 
-# Fixed Chrome-trace pid lanes, one per subsystem.  pid 0 is reserved for
-# the legacy single-lane export path; unknown subsystems get the next
-# free pid in registration order (still deterministic).
+# Fixed Chrome-trace pid lanes, one per subsystem; unknown subsystems
+# get the next free pid in registration order (still deterministic).
 SUBSYSTEM_LANES: Dict[str, int] = {
     "training": 1,
     "collectives": 2,
@@ -265,13 +265,26 @@ class MetricsRegistry:
         return out
 
 
-class TraceSession:
-    """Per-subsystem trace recorders plus instant events, on pid lanes."""
+class TelemetryHub:
+    """One collection point for spans, instants and metrics from every
+    subsystem.  Pass a hub through the optional ``hub=`` parameters of
+    the hot paths (training runner, collective runtime, congestion and
+    flapping models, fault driver, sweep executor) and export one unified
+    Chrome-trace document plus a JSONL metrics dump at the end.
 
-    def __init__(self) -> None:
+    Each subsystem records into its own :class:`TraceRecorder` on a
+    stable Chrome-trace ``pid`` lane (:data:`SUBSYSTEM_LANES`; unknown
+    subsystems get the next free pid in registration order).
+    """
+
+    def __init__(self, job_name: str = "megascale") -> None:
+        self.job_name = job_name
+        self.metrics = MetricsRegistry()
+        self.instants: List[Instant] = []
         self._recorders: Dict[str, TraceRecorder] = {}
         self._lanes: Dict[str, int] = {}
-        self.instants: List[Instant] = []
+
+    # -- recording (what instrumented code calls) --------------------------
 
     def lane(self, subsystem: str) -> int:
         """The Chrome-trace pid assigned to ``subsystem`` (stable)."""
@@ -315,6 +328,22 @@ class TraceSession:
         self.instants.append(event)
         return event
 
+    def count(self, subsystem: str, name: str, amount: float = 1.0, **labels: Any) -> float:
+        return self.metrics.inc(f"{subsystem}.{name}", amount, **labels)
+
+    def sample(
+        self, subsystem: str, name: str, t: float, value: float, rank: int = 0
+    ) -> None:
+        """One gauge sample; becomes a Chrome counter ('C') event on the
+        subsystem's lane as well as a metrics-registry series."""
+        self.lane(subsystem)
+        self.metrics.sample(f"{subsystem}.{name}", t, value, rank=rank)
+
+    def observe(self, subsystem: str, name: str, value: float, **labels: Any) -> None:
+        self.metrics.observe(f"{subsystem}.{name}", value, **labels)
+
+    # -- queries -----------------------------------------------------------
+
     def subsystems(self) -> List[str]:
         """Active subsystem names in lane (pid) order."""
         return sorted(self._lanes, key=self._lanes.get)
@@ -325,57 +354,7 @@ class TraceSession:
         return sum(len(r) for r in self._recorders.values())
 
     def spans(self, subsystem: str) -> List[Span]:
-        return list(self._recorders.get(subsystem, TraceRecorder()))
-
-
-class TelemetryHub:
-    """One collection point for spans, instants and metrics from every
-    subsystem.  Pass a hub through the optional ``hub=`` parameters of
-    the hot paths (training runner, collective runtime, congestion and
-    flapping models, fault driver, sweep executor) and export one unified
-    Chrome-trace document plus a JSONL metrics dump at the end.
-    """
-
-    def __init__(self, job_name: str = "megascale") -> None:
-        self.job_name = job_name
-        self.session = TraceSession()
-        self.metrics = MetricsRegistry()
-
-    # -- recording shims (what instrumented code calls) --------------------
-
-    def span(
-        self,
-        subsystem: str,
-        name: str,
-        rank: int,
-        start: float,
-        end: float,
-        stream: str = "default",
-        **attrs: Any,
-    ) -> Span:
-        return self.session.span(subsystem, name, rank, start, end, stream, **attrs)
-
-    def instant(
-        self, subsystem: str, name: str, ts: float, rank: int = 0, **attrs: Any
-    ) -> Instant:
-        return self.session.instant(subsystem, name, ts, rank=rank, **attrs)
-
-    def count(self, subsystem: str, name: str, amount: float = 1.0, **labels: Any) -> float:
-        return self.metrics.inc(f"{subsystem}.{name}", amount, **labels)
-
-    def sample(
-        self, subsystem: str, name: str, t: float, value: float, rank: int = 0
-    ) -> None:
-        """One gauge sample; becomes a Chrome counter ('C') event on the
-        subsystem's lane as well as a metrics-registry series."""
-        self.session.lane(subsystem)
-        self.metrics.sample(f"{subsystem}.{name}", t, value, rank=rank)
-
-    def observe(self, subsystem: str, name: str, value: float, **labels: Any) -> None:
-        self.metrics.observe(f"{subsystem}.{name}", value, **labels)
-
-    def recorder(self, subsystem: str) -> TraceRecorder:
-        return self.session.recorder(subsystem)
+        return list(self._recorders.get(subsystem, ()))
 
     # -- export ------------------------------------------------------------
 
@@ -402,18 +381,3 @@ class TelemetryHub:
         from .export import dump_telemetry
 
         return dump_telemetry(self, trace_path, metrics_path=metrics_path)
-
-
-def subsystem_lane(subsystem: str) -> int:
-    """The fixed pid of a known subsystem (KeyError for unknown ones)."""
-    return SUBSYSTEM_LANES[subsystem]
-
-
-def merge_gauge_events(
-    hubs: Iterable[TelemetryHub],
-) -> List[Tuple[str, LabelItems, List[Tuple[float, float]]]]:
-    """All gauge series across hubs, stably ordered (debug helper)."""
-    out = []
-    for hub in hubs:
-        out.extend(hub.metrics.gauges())
-    return sorted(out, key=lambda item: (item[0], item[1]))

@@ -46,12 +46,6 @@ from .job import JobSpec, JobState, JobStatus
 from .placement import PlacementError, PlacementMap
 from .spare_pool import SpareClaim, SpareGrant, SparePool
 
-# Decision actions, in the vocabulary the trace lane renders.
-ACTIONS = (
-    "place", "claim", "grant", "deny", "preempt", "shrink",
-    "stall", "degrade", "restore", "regrow", "resume", "provisioned",
-)
-
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -133,7 +127,6 @@ class MultiJobReport:
     per_job: Dict[str, JobSummary]
     spares_initial: int
     spares_consumed_by: Dict[str, int]
-    spares_refunded_by: Dict[str, int]
     spares_available: int
 
     @property
@@ -796,6 +789,5 @@ class ClusterScheduler:
             per_job=per_job,
             spares_initial=self.pool.initial,
             spares_consumed_by=dict(self.pool.consumed_by),
-            spares_refunded_by=dict(self.pool.refunded_by),
             spares_available=self.pool.available,
         )

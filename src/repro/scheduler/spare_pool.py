@@ -74,7 +74,6 @@ class SparePool:
     cluster: Cluster
     policy: str = "priority"
     consumed_by: Dict[str, int] = field(default_factory=dict)
-    refunded_by: Dict[str, int] = field(default_factory=dict)
     ledger: List[SpareGrant] = field(default_factory=list)
     initial: int = -1
 
@@ -122,20 +121,9 @@ class SparePool:
         if consumed:
             self.consumed_by[job] = self.consumed_by.get(job, 0) + consumed
 
-    def refund(self, job: str, refunded: int) -> None:
-        """Account healthy nodes ``job`` released back into the pool
-        (preemption puts a victim's surviving hosts on standby)."""
-        if refunded < 0:
-            raise ValueError("cannot refund a negative number of spares")
-        if refunded:
-            self.refunded_by[job] = self.refunded_by.get(job, 0) + refunded
-
     def consumed(self) -> int:
         return sum(self.consumed_by.values())
 
-    def refunded(self) -> int:
-        return sum(self.refunded_by.values())
-
     def consistent(self) -> bool:
-        """Ledger invariant: initial + refunds == consumed + still available."""
-        return self.initial + self.refunded() == self.consumed() + self.available
+        """Ledger invariant: initial == consumed + still available."""
+        return self.initial == self.consumed() + self.available

@@ -61,11 +61,15 @@ def emit_iteration(
     """Per-step telemetry on the ``training`` lane (absolute clock).
 
     Emits one ``iteration`` span whose attrs are the observed per-term
-    breakdown (what the diagnosis baselines consume), the per-stage
-    segment spans mirroring :meth:`TrainingRunner._record_segments`, and
-    the MFU / tokens-per-second gauges.  ``stage_speed`` derates
-    individual stages' compute spans (straggler hosts) to match what the
-    engine simulated.
+    breakdown (what the diagnosis baselines consume), per-stage
+    forward/backward/reduce-scatter/optimizer segment spans tagged with
+    ``step`` (what :meth:`~repro.observability.CudaEventTimer.from_spans`
+    reads for the §5 heat-map and decline tools), and the MFU /
+    tokens-per-second gauges.  The perturbation ``overhead`` (GC /
+    slow-op drift) lands on stage 1's forward path, staggering its
+    reduce-scatter launch — the signature of the paper's §6.3
+    investigation.  ``stage_speed`` derates individual stages' compute
+    spans (straggler hosts) to match what the engine simulated.
     """
     plan = engine.plan
     m = plan.n_microbatches(global_batch)
@@ -157,15 +161,15 @@ class TrainingRunner:
     def n_hosts(self) -> int:
         return max(1, self.plan.world_size // 8)
 
-    def run(self, n_iterations: int, trial: int = 0, timer=None, hub=None) -> RunResult:
+    def run(self, n_iterations: int, trial: int = 0, hub=None) -> RunResult:
         """Execute ``n_iterations`` under one scheduling draw.
 
-        Pass a :class:`~repro.observability.CudaEventTimer` as ``timer``
-        to record per-stage forward/backward/optimizer/reduce-scatter
-        segments each step — the §5 analysis tools consume exactly this.
         Pass a :class:`~repro.observability.TelemetryHub` as ``hub`` to
-        emit the same segments as spans on the ``training`` trace lane
-        (absolute simulated time) plus per-step MFU gauge samples.
+        record each step through :func:`emit_iteration`: per-stage
+        segment spans on the ``training`` trace lane (absolute simulated
+        time) plus per-step MFU gauge samples.  The §5 analysis tools
+        read the segments back with
+        ``CudaEventTimer.from_spans(hub.spans("training"))``.
         """
         if n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
@@ -194,43 +198,13 @@ class TrainingRunner:
             )
             result.mfu_series.append(iteration.mfu)
             result.iteration_times.append(iteration.iteration_time)
-            if timer is not None:
-                self._record_segments(timer, step, iteration, overhead, speed)
             if hub is not None:
-                self._emit_telemetry(hub, step, clock, iteration, overhead, speed)
+                emit_iteration(
+                    hub, self._engine, self.global_batch, step, clock, iteration,
+                    overhead=overhead, speed=speed,
+                )
             clock += iteration.iteration_time
         return result
-
-    def _record_segments(self, timer, step, iteration, overhead, speed) -> None:
-        """Per-stage CUDA-event records for one iteration.
-
-        The perturbation (GC / slow-op drift) lands on one DP rank's
-        forward path, staggering its reduce-scatter launch — the exact
-        signature of the paper's §6.3 investigation.
-        """
-        engine = self._engine
-        m = self.plan.n_microbatches(self.global_batch)
-        for stage in range(self.plan.pp):
-            fwd = engine.f_chunk * m * self.plan.vpp / speed
-            bwd = engine.b_chunk * m * self.plan.vpp / speed
-            skew = overhead if stage == 1 else 0.0
-            timer.record(stage, step, "forward", fwd + skew)
-            timer.record(stage, step, "backward", bwd)
-            timer.record(stage, step, "optimizer", iteration.optimizer_time)
-            timer.record(
-                stage,
-                step,
-                "reduce_scatter",
-                max(iteration.dp_exposed, 1e-4),
-                started_at=iteration.pipeline_time + skew,
-            )
-
-    def _emit_telemetry(self, hub, step, clock, iteration, overhead, speed) -> None:
-        """Per-step spans + MFU gauges (see :func:`emit_iteration`)."""
-        emit_iteration(
-            hub, self._engine, self.global_batch, step, clock, iteration,
-            overhead=overhead, speed=speed,
-        )
 
     def run_trials(self, n_trials: int, n_iterations: int) -> List[RunResult]:
         """Independent scheduling draws of the same job (Figure 6)."""

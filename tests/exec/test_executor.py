@@ -114,7 +114,7 @@ def test_cached_tasks_still_emit_spans(tmp_path):
     hub = TelemetryHub("exec-test")
     with PersistentMemo(path) as memo:
         run_tasks(_square, [7, 8], hub=hub, cache=memo, cache_key=_key)
-    spans = hub.session.spans("exec")
+    spans = hub.spans("exec")
     by_task = {dict(s.attrs)["task"]: dict(s.attrs) for s in spans}
     assert by_task[0]["cached"] is True
     assert by_task[1]["cached"] is False

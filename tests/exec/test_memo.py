@@ -269,18 +269,6 @@ def test_persistent_memo_loads_any_file(data):
         assert len(reloaded) == len(memo)
 
 
-def test_persistent_memo_lru_and_validation(tmp_path):
-    with pytest.raises(ValueError):
-        PersistentMemo(str(tmp_path / "x.pkl"), maxsize=0)
-    memo = PersistentMemo(str(tmp_path / "y.pkl"), maxsize=2)
-    memo.put("a", 1)
-    memo.put("b", 2)
-    memo.get("a")  # refresh: "b" becomes LRU
-    memo.put("c", 3)
-    assert memo.evictions == 1
-    assert "b" not in memo and "a" in memo
-
-
 def test_persistent_memo_flush_is_noop_when_clean(tmp_path):
     path = str(tmp_path / "memo.pkl")
     memo = PersistentMemo(path)

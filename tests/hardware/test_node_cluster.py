@@ -152,19 +152,6 @@ def test_node_of_rank_on_empty_cluster_raises_index_error():
         cluster.node_of_rank(0)
 
 
-def test_draw_and_return_spare_round_trip():
-    cluster = Cluster.build(n_nodes=2, n_spares=1)
-    spare = cluster.draw_spare()
-    assert cluster.spare_count == 0
-    with pytest.raises(NoSpareAvailable):
-        cluster.draw_spare()
-    cluster.return_spare(spare)
-    assert cluster.spare_count == 1
-    assert cluster.node(spare.node_id) is spare
-    with pytest.raises(ValueError):
-        cluster.return_spare(cluster.nodes[0])  # still active
-
-
 def test_faulty_nodes_listing():
     cluster = Cluster.build(n_nodes=5)
     cluster.nodes[2].set_speed_factor(0.88)

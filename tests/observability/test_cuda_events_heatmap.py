@@ -36,6 +36,46 @@ def test_timer_mean_and_matrix():
         timer.mean_duration(9, "forward")
 
 
+def test_matrix_lists_only_the_ranks_that_recorded_the_segment():
+    # Rank 9 recorded a backward segment but no forward one: the forward
+    # heat map covers ranks 0-3 instead of raising KeyError for rank 9.
+    timer = make_timer(n_ranks=4, n_steps=2)
+    timer.record(9, 0, "backward", 0.2)
+    ranks, values = timer.matrix("forward")
+    assert ranks == [0, 1, 2, 3] and len(values) == 4
+    assert analyze(timer, "forward").ranks == (0, 1, 2, 3)
+    assert timer.matrix("backward")[0] == [9]
+    ranks, values = timer.matrix("optimizer")
+    assert ranks == [] and len(values) == 0
+
+
+def test_timer_built_from_records_is_indexed():
+    records = make_timer(n_ranks=3, n_steps=2).records
+    timer = CudaEventTimer(records=list(records))
+    assert timer.ranks() == [0, 1, 2]
+    expected = np.mean([r.duration for r in records if r.rank == 1])
+    assert timer.mean_duration(1, "forward") == pytest.approx(expected)
+    ranks, values = timer.matrix("forward")
+    assert ranks == [0, 1, 2] and values[1] == pytest.approx(expected)
+
+
+def test_timer_from_spans_reads_step_tagged_segments_in_order():
+    from repro.sim import TraceRecorder
+
+    trace = TraceRecorder()
+    trace.record("iteration", 0, 0.0, 4.0, step=0)  # not a segment
+    trace.record("forward", 1, 0.5, 1.5, step=0)
+    trace.record("forward", 0, 0.0, 1.0)  # no step attr
+    trace.record("backward", 0, 1.0, 3.0, step=0)
+    trace.record("forward", 0, 4.0, 4.5, step=1)
+    timer = CudaEventTimer.from_spans(trace)
+    assert [(r.rank, r.step, r.segment) for r in timer.records] == [
+        (1, 0, "forward"), (0, 0, "backward"), (0, 1, "forward"),
+    ]
+    assert timer.records[0].duration == 1.0 and timer.records[0].started_at == 0.5
+    assert timer.mean_duration(0, "backward") == 2.0
+
+
 def test_timer_validation():
     timer = CudaEventTimer()
     with pytest.raises(ValueError):
@@ -93,7 +133,7 @@ def test_heatmap_validation():
     timer = make_timer(n_ranks=4)
     with pytest.raises(ValueError):
         analyze(timer, "forward", mad_multiplier=0)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no records for segment"):
         analyze(timer, "nonexistent")
     with pytest.raises(ValueError):
         straggler_machines(analyze(timer, "forward"), gpus_per_node=0)

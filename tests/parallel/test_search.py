@@ -106,7 +106,7 @@ def test_serial_search_never_prices_a_dominated_candidate(
     bounds = [IterationEngine(model, p, features).analytic_bounds(batch) for p in plans]
     priced = [
         span.attr("candidate")
-        for span in hub.session.spans("exec")
+        for span in hub.spans("exec")
         if span.name == "search:price"
     ]
     assert len(priced) == pruned.stats.evaluated
@@ -230,7 +230,7 @@ def test_search_emits_counters_spans_and_incumbent_trajectory():
     names = [name for name, _, _ in m.counters(prefix="exec.search_")]
     assert "exec.search_enumerated" in names and "exec.search_evaluated" in names
 
-    spans = hub.session.spans("exec")
+    spans = hub.spans("exec")
     stage_names = {sp.name for sp in spans}
     assert {"search:screen", "search:bound", "search:rank"} <= stage_names
     assert sum(1 for sp in spans if sp.name == "search:price") == s.priced

@@ -173,8 +173,8 @@ def test_scheduler_emits_its_own_telemetry_lane():
         ScriptedInjector([rack_fault(1000.0, [4, 5, 6, 7], rack=1)]),
         duration=40_000.0,
     )
-    assert "scheduler" in hub.session.subsystems()
-    actions = {i.name for i in hub.session.instants if i.subsystem == "scheduler"}
+    assert "scheduler" in hub.subsystems()
+    actions = {i.name for i in hub.instants if i.subsystem == "scheduler"}
     assert {"place", "claim", "grant", "deny", "shrink"} <= actions
 
 

@@ -62,16 +62,6 @@ def test_ledger_balances_through_eviction():
     assert pool.consistent()
 
 
-def test_refund_requires_real_return():
-    pool, cluster = make_pool(n_spares=1)
-    drawn = cluster.draw_spare()
-    pool.record("job", 1)
-    assert pool.consistent()
-    cluster.return_spare(drawn)
-    pool.refund("job", 1)
-    assert pool.refunded() == 1 and pool.consistent()
-
-
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
         SparePool(cluster=Cluster.build(n_nodes=2), policy="roulette")

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.observability import lane_summary, load_trace_document, loads_round_trip
+from repro.observability import lane_summary, load_trace_document
 
 pytestmark = pytest.mark.smoke
 
@@ -24,7 +24,7 @@ def _save_json(path, document):
 
 
 def _lanes(trace_path):
-    return lane_summary(loads_round_trip(load_trace_document(str(trace_path))))
+    return lane_summary(load_trace_document(str(trace_path)))
 
 
 def test_chaos_smoke(tmp_path):

@@ -2,7 +2,12 @@
 
 from repro.core.features import MEGASCALE_ISO_BATCH, MEGATRON_LM
 from repro.model import GPT_13B
-from repro.observability import CudaEventTimer, attribute_decline, diagnose
+from repro.observability import (
+    CudaEventTimer,
+    TelemetryHub,
+    attribute_decline,
+    diagnose,
+)
 from repro.parallel import ParallelPlan
 from repro.training import TrainingRunner
 
@@ -10,10 +15,16 @@ from repro.training import TrainingRunner
 PLAN = ParallelPlan(dp=2, tp=8, pp=2, vpp=2)
 
 
+def _timed_run(runner, n_iterations):
+    """Run through a hub and read the segments back as CUDA-event records."""
+    hub = TelemetryHub()
+    runner.run(n_iterations, hub=hub)
+    return CudaEventTimer.from_spans(hub.spans("training"))
+
+
 def test_runner_records_all_segments():
-    timer = CudaEventTimer()
     runner = TrainingRunner(GPT_13B, PLAN, MEGASCALE_ISO_BATCH, global_batch=32)
-    runner.run(4, timer=timer)
+    timer = _timed_run(runner, 4)
     assert set(timer.segments()) == {"forward", "backward", "optimizer", "reduce_scatter"}
     assert timer.ranks() == [0, 1]  # one lane per pipeline stage
     # 4 steps x 2 stages x 4 segments.
@@ -23,7 +34,6 @@ def test_runner_records_all_segments():
 def test_dirty_run_instrumentation_reveals_the_paper_diagnosis():
     # End-to-end: dirty run -> recorded segments -> attribution reaches
     # the paper's conclusion (growing reduce-scatter launch skew).
-    timer = CudaEventTimer()
     runner = TrainingRunner(
         GPT_13B,
         PLAN,
@@ -31,17 +41,14 @@ def test_dirty_run_instrumentation_reveals_the_paper_diagnosis():
         global_batch=32,
         seed=2,
     )
-    runner.run(60, timer=timer)
-    result = attribute_decline(timer)
+    result = attribute_decline(_timed_run(runner, 60))
     assert result.culprit in ("forward", "reduce_scatter")
     assert result.launch_skew_growing or result.culprit == "forward"
 
 
 def test_clean_run_diagnoses_healthy():
-    timer = CudaEventTimer()
     runner = TrainingRunner(GPT_13B, PLAN, MEGASCALE_ISO_BATCH, global_batch=32)
-    runner.run(30, timer=timer)
-    report = diagnose(timer)
+    report = diagnose(_timed_run(runner, 30))
     assert report.healthy, report.render()
 
 

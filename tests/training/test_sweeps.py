@@ -6,13 +6,7 @@ import pytest
 
 from repro import job_175b, megascale
 from repro.core.jobfile import job_from_dict, job_to_dict, load_job, save_job
-from repro.observability.export import (
-    dump_chrome_trace,
-    loads_round_trip,
-    span_to_event,
-    timeline_to_chrome_trace,
-)
-from repro.observability.timeline import DistributedTimeline
+from repro.observability.export import span_to_event
 from repro.sim import TraceRecorder
 from repro.training.sweeps import (
     SweepResult,
@@ -207,23 +201,3 @@ def test_span_to_event_units():
     assert event["dur"] == pytest.approx(1e6)  # microseconds
     assert event["tid"] == 0
     assert event["args"]["microbatch"] == 0
-
-
-def test_timeline_document_structure():
-    timeline = DistributedTimeline.from_trace(make_trace())
-    doc = timeline_to_chrome_trace(timeline, job_name="job-x")
-    assert doc["displayTimeUnit"] == "ms"
-    metadata = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-    complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert len(complete) == 3
-    assert any(e["args"].get("name") == "job-x" for e in metadata)
-    # Document is JSON-serializable as-is.
-    assert loads_round_trip(doc)["displayTimeUnit"] == "ms"
-
-
-def test_dump_chrome_trace_file(tmp_path):
-    path = tmp_path / "trace.json"
-    count = dump_chrome_trace(make_trace(), str(path))
-    assert count > 3
-    loaded = json.loads(path.read_text())
-    assert "traceEvents" in loaded
