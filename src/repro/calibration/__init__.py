@@ -40,6 +40,7 @@ from .report import (
     ReportRow,
     calibration_report,
     check_drift,
+    load_baseline,
 )
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "fit_anchors",
     "fit_profile",
     "load_anchors",
+    "load_baseline",
     "load_fixture",
     "predict_anchor",
     "relative_error",

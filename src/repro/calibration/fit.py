@@ -43,6 +43,16 @@ _PARAM_SPACE: Dict[str, str] = {
 FIT_PARAMS: Tuple[str, ...] = tuple(_PARAM_SPACE)
 
 
+def is_finite_number(value: object) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class CalibratedProfile:
     """Fitted cost-model overrides; ``None`` fields keep catalog values.
@@ -94,11 +104,21 @@ class CalibratedProfile:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CalibratedProfile":
-        constants = payload.get("constants", {})
+        """The profile an object of ``to_dict()``'s shape describes:
+        ``constants`` maps known names to finite numbers."""
+        constants = payload.get("constants") if isinstance(payload, dict) else None
+        if not isinstance(constants, dict):
+            raise ValueError("a profile is an object whose 'constants' is an object")
         unknown = set(constants) - set(FIT_PARAMS)
         if unknown:
             raise ValueError(f"unknown profile constants: {sorted(unknown)}")
-        return cls(source=payload.get("source", "fit"), **constants)
+        for name, value in constants.items():
+            if not is_finite_number(value):
+                raise ValueError(f"constant {name} must be a finite number, got {value!r}")
+        source = payload.get("source", "fit")
+        if not isinstance(source, str):
+            raise ValueError(f"profile source must be a string, got {source!r}")
+        return cls(source=source, **constants)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -107,8 +127,12 @@ class CalibratedProfile:
 
     @classmethod
     def load(cls, path: str) -> "CalibratedProfile":
+        """Read and check a saved profile; a ValueError names the file."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"profile {path}: {exc}") from None
 
 
 IDENTITY_PROFILE = CalibratedProfile(source="identity")

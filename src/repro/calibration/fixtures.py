@@ -111,6 +111,8 @@ def _row_value(row: dict, defaults: dict, key: str, fallback=None):
 def _model_for_row(row: dict, defaults: dict) -> ModelSpec:
     name = _row_value(row, defaults, "model")
     if name is not None:
+        if name not in MODEL_CATALOG:
+            raise ValueError(f"unknown model {name!r}")
         return MODEL_CATALOG[name]
     return ModelSpec(
         name=f"sc21-{row['name']}",
@@ -122,7 +124,31 @@ def _model_for_row(row: dict, defaults: dict) -> ModelSpec:
     )
 
 
-def _anchors_from_fixture(payload: dict, path: str) -> List[Anchor]:
+_ROW_FIELDS = ("name", "n_gpus", "global_batch", "published")
+_SHAPE_FIELDS = ("n_layers", "hidden_size", "n_heads")  # rows naming no model
+
+
+def _check_fixture(payload: object) -> None:
+    """Raise ValueError unless ``payload`` has a fixture's shape."""
+    if not (isinstance(payload, dict) and isinstance(payload.get("source"), str)):
+        raise ValueError("not a fixture (need an object with a string 'source')")
+    for key in ("defaults", "provenance"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise ValueError(f"{key!r} must be an object")
+    rows = payload.get("anchors")
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ValueError("'anchors' must be a list of objects")
+    defaults = payload.get("defaults", {})
+    for i, row in enumerate(rows):
+        named = _row_value(row, defaults, "model") is not None
+        required = _ROW_FIELDS + (() if named else _SHAPE_FIELDS)
+        missing = [key for key in required if key not in row]
+        if missing:
+            raise ValueError(f"anchor row {i} lacks {', '.join(missing)}")
+
+
+def _anchors_from_fixture(payload: dict) -> List[Anchor]:
+    _check_fixture(payload)
     defaults = payload.get("defaults", {})
     source = payload["source"]
     provenance = payload.get("provenance", {})
@@ -185,10 +211,16 @@ def _anchors_from_fixture(payload: dict, path: str) -> List[Anchor]:
 
 
 def load_fixture(path: str) -> List[Anchor]:
-    """Anchors of one fixture JSON file, in file order."""
+    """Anchors of one fixture JSON file, in file order.
+
+    The file is outside input: a ValueError names it when it is not a
+    fixture, a row lacks a required field or a field has the wrong type.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return _anchors_from_fixture(payload, path)
+        try:
+            return _anchors_from_fixture(json.load(fh))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"fixture {path}: {exc}") from None
 
 
 def load_anchors(

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exec import run_tasks
-from .fit import AnchorPrediction, CalibratedProfile, predict_anchor, relative_error
+from .fit import (
+    AnchorPrediction,
+    CalibratedProfile,
+    is_finite_number,
+    predict_anchor,
+    relative_error,
+)
 from .fixtures import Anchor, load_anchors
 
 
@@ -168,15 +174,18 @@ DEFAULT_DRIFT_TOLERANCE = 0.02
 
 @dataclass(frozen=True)
 class DriftViolation:
-    """One gate failure: a prediction that moved, or a must-match miss."""
+    """One gate failure: a prediction that moved, an anchor only one of
+    report and baseline has, or a must-match miss."""
 
     anchor_id: str
-    kind: str  # "drift" | "must_match"
+    kind: str  # "drift" | "not_in_baseline" | "must_match"
     baseline: float  # baseline prediction (drift) or published value
     current: float
     limit: float
 
     def describe(self) -> str:
+        if self.kind == "not_in_baseline":
+            return f"{self.anchor_id}: not in the baseline; re-save it with --save-baseline"
         if self.kind == "drift":
             return (
                 f"{self.anchor_id}: prediction drifted "
@@ -190,6 +199,32 @@ class DriftViolation:
         )
 
 
+def load_baseline(path: str) -> dict:
+    """Read and check a saved report as a drift baseline: an object whose
+    ``anchors`` lists objects, each with a string ``anchor_id`` and a
+    finite, non-zero numeric ``predicted`` (drift is relative to it).  A
+    ValueError names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"baseline {path}: {exc}") from None
+    entries = payload.get("anchors") if isinstance(payload, dict) else None
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("anchor_id"), str)
+        and is_finite_number(entry.get("predicted"))
+        and entry["predicted"] != 0
+        for entry in entries
+    ):
+        raise ValueError(
+            f"baseline {path}: not a saved report (need an object whose 'anchors' "
+            "lists objects with a string 'anchor_id' and a finite, non-zero "
+            "numeric 'predicted')"
+        )
+    return payload
+
+
 def check_drift(
     report: CalibrationReport,
     baseline: dict,
@@ -198,10 +233,12 @@ def check_drift(
     """Violations of the CI gate, empty when the gate passes.
 
     ``baseline`` is a previously saved report's ``to_dict()`` payload
-    (the committed ``baseline_report.json``).  Three conditions gate:
+    (the committed ``baseline_report.json``).  Four conditions gate:
 
     * every baseline anchor must still exist (a silently dropped anchor
       would otherwise weaken the gate forever);
+    * every report anchor must be in the baseline (an anchor with no
+      baseline prediction is not checked for drift at all);
     * each current prediction must be within ``drift_tolerance``
       (relative) of the baseline prediction;
     * each ``must_match`` anchor must be within its own tolerance of the
@@ -231,6 +268,18 @@ def check_drift(
                     anchor_id=anchor_id,
                     kind="drift",
                     baseline=entry["predicted"],
+                    current=row.predicted,
+                    limit=drift_tolerance,
+                )
+            )
+    in_baseline = {entry["anchor_id"] for entry in baseline.get("anchors", [])}
+    for row in report.rows:
+        if row.anchor_id not in in_baseline:
+            violations.append(
+                DriftViolation(
+                    anchor_id=row.anchor_id,
+                    kind="not_in_baseline",
+                    baseline=float("nan"),
                     current=row.predicted,
                     limit=drift_tolerance,
                 )

@@ -442,7 +442,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    import json
     import os
 
     from .calibration import (
@@ -452,11 +451,21 @@ def cmd_calibrate(args) -> int:
         default_fixture_dir,
         fit_profile,
         load_anchors,
+        load_baseline,
     )
 
     fixture_dir = args.fixtures or default_fixture_dir()
-    anchors = load_anchors(fixture_dir)
     profile_path = args.profile or os.path.join(fixture_dir, "profile.json")
+    baseline_path = args.baseline or os.path.join(fixture_dir, "baseline_report.json")
+    # Read and check every input file before pricing any anchor.  An
+    # explicit --profile must exist unless --fit is about to write it.
+    anchors = load_anchors(fixture_dir)
+    profile = None
+    if not args.fit and (args.profile or os.path.exists(profile_path)):
+        profile = CalibratedProfile.load(profile_path)
+    baseline = None
+    if args.check and os.path.exists(baseline_path):
+        baseline = load_baseline(baseline_path)
 
     if args.fit:
         result = fit_profile(anchors, max_evals=args.max_evals)
@@ -469,10 +478,7 @@ def cmd_calibrate(args) -> int:
         if args.save_profile:
             profile.save(profile_path)
             print(f"profile saved to {profile_path}")
-    elif os.path.exists(profile_path):
-        profile = CalibratedProfile.load(profile_path)
-    else:
-        profile = None
+    elif profile is None:
         print("no committed profile; reporting at catalog constants")
 
     report = calibration_report(anchors, profile=profile, workers=args.workers)
@@ -483,12 +489,9 @@ def cmd_calibrate(args) -> int:
 
     status = 0
     if args.check:
-        baseline_path = args.baseline or os.path.join(fixture_dir, "baseline_report.json")
-        if not os.path.exists(baseline_path):
+        if baseline is None:
             print(f"FAIL: no baseline report at {baseline_path}")
             return 1
-        with open(baseline_path, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
         violations = check_drift(report, baseline, drift_tolerance=args.drift_tolerance)
         for violation in violations:
             print(f"FAIL: {violation.describe()}")
@@ -500,7 +503,6 @@ def cmd_calibrate(args) -> int:
                 f"±{args.drift_tolerance:.1%} of baseline"
             )
     if args.save_baseline:
-        baseline_path = args.baseline or os.path.join(fixture_dir, "baseline_report.json")
         report.save(baseline_path)
         print(f"baseline saved to {baseline_path}")
     return status

@@ -350,14 +350,11 @@ def fabric_collective_cost(
     emitted only when the price is computed fresh — a memo hit is not a
     new routed collective.
     """
-    cache = get_cache("fabric_collective_cost")
     nodes = tuple(nodes)
     key = (kind, float(size), nodes, cc_efficiency, nic_rate, fabric.fingerprint())
-    if key in cache.store:
-        cache.hits += 1
-        return cache.get(key)
-    cache.misses += 1
-    model = FabricCostModel(fabric, cc_efficiency=cc_efficiency, nic_rate=nic_rate)
-    result = model.collective_cost(kind, size, nodes, hub=hub)
-    cache.put(key, result)
-    return result
+    return get_cache("fabric_collective_cost").lookup(
+        key,
+        lambda: FabricCostModel(
+            fabric, cc_efficiency=cc_efficiency, nic_rate=nic_rate
+        ).collective_cost(kind, size, nodes, hub=hub),
+    )

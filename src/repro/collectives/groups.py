@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..exec.memo import memoized
 from ..hardware.node import NodeSpec
+from ..network.ecmp import conflict_factor
 from ..network.topology import ClosFabric, shared_fabric
 from ..parallel.plan import ParallelPlan
 from .fabric import FabricCostModel, fabric_collective_cost
@@ -31,24 +31,6 @@ from .primitives import (
     ring_reduce_scatter,
     validate_backend,
 )
-
-
-@memoized("conflict_factor")
-def cross_pod_conflict_factor(active_nodes_per_pod: int = 64, uplinks: int = 32) -> float:
-    """Expected throughput factor for traffic crossing the ToR uplinks.
-
-    When a job spans pods, every node's rail pushes a 200G flow through
-    its ToR's 32x400G uplinks; ECMP hash conflicts of 3+ flows degrade
-    the colliding flows even with split ports (§3.6).  Computed from the
-    Monte-Carlo conflict model so the number is mechanistic, not fitted.
-    """
-    from ..network.ecmp import expected_conflict_stats
-
-    flows = min(64, max(1, active_nodes_per_pod))
-    stats = expected_conflict_stats(
-        n_flows=flows, n_uplinks=uplinks, uplink_to_flow_rate=2.0, trials=100
-    )
-    return stats.mean_flow_throughput
 
 
 @dataclass
@@ -101,7 +83,8 @@ class GroupCommModel:
             return self.node_spec.gpu_spec.nvlink_bandwidth
         rate = self._nic_rate * self.cc_efficiency
         if not self.fabric.same_tor(node_a, node_b):
-            rate *= cross_pod_conflict_factor()
+            # A ToR's 64 rails hash onto its 32 split-port uplinks (§3.6).
+            rate *= conflict_factor(64, 32, 100)
         return rate
 
     def ring_bandwidth(self, ranks: Sequence[int]) -> float:
@@ -192,7 +175,7 @@ def build_comm_model(
     """
     node_spec = node_spec or NodeSpec()
     n_nodes = -(-plan.world_size // node_spec.gpus_per_node)
-    fabric = shared_fabric(n_nodes=n_nodes, nodes_per_pod=nodes_per_pod)
+    fabric = shared_fabric(n_nodes, nodes_per_pod)
     return GroupCommModel(
         plan=plan,
         fabric=fabric,

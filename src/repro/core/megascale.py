@@ -16,7 +16,7 @@ ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.features import MEGASCALE_ISO_BATCH, MEGATRON_LM, FeatureSet
@@ -44,27 +44,18 @@ class TrainingSystem:
     straggler_slowdown: float = 0.90
     backend: str = "analytic"
     profile: Optional[object] = None
-    _engines: dict = field(default_factory=dict, repr=False)
 
     def _engine(self, job: TrainingJob) -> IterationEngine:
-        # Key on the full (model, plan, gpu, backend, profile) identity.
-        # The engine's timings depend on every plan field (zero_stage,
-        # recompute, sequence_parallel, ...), on the GPU spec and on the
-        # calibration overrides, so a narrower key would hand back a
-        # stale engine for jobs differing only there.
-        key = (job.model_spec, job.plan(), job.gpu_spec, self.backend, self.profile)
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = IterationEngine(
-                job.model_spec,
-                job.plan(),
-                self.features,
-                gpu=job.gpu_spec,
-                backend=self.backend,
-                profile=self.profile,
-            )
-            self._engines[key] = engine
-        return engine
+        """A fresh engine for ``job`` with this system's features,
+        backend and profile (its pricing memos live in ``repro.exec.memo``)."""
+        return IterationEngine(
+            job.model_spec,
+            job.plan(),
+            self.features,
+            gpu=job.gpu_spec,
+            backend=self.backend,
+            profile=self.profile,
+        )
 
     def speed_factor(self, job: TrainingJob) -> float:
         """Expected whole-job derating from the straggler lottery."""

@@ -6,10 +6,10 @@ feature-set) points.  This package makes them cheap twice over:
 * :class:`SweepExecutor` / :func:`run_tasks` fan points out over a
   ``ProcessPoolExecutor`` with deterministic, insertion-ordered result
   merging (``workers=0`` = exact serial path, the default).
-* :func:`repro.exec.memo.memoized` wraps the pure cost models
-  (``block_cost``, ``conflict_factor``, ``pipeline_schedule``) in
-  process-local caches whose hit/miss counters surface through
-  :class:`SweepStats`.
+* :func:`repro.exec.memo.memoized` wraps the pure cost models and
+  builders (``block_cost``, ``conflict_factor``, ``pipeline_schedule``,
+  ``clos_fabric``, ``mc_fixtures``) in named process-local caches whose
+  hit/miss/eviction counters surface through :class:`SweepStats`.
 
 Usage::
 
@@ -31,7 +31,6 @@ from .memo import (
     get_cache,
     memoized,
     registered_caches,
-    reset_caches,
 )
 from .stats import CacheReport, SweepStats
 
@@ -47,6 +46,5 @@ __all__ = [
     "get_cache",
     "memoized",
     "registered_caches",
-    "reset_caches",
     "run_tasks",
 ]

@@ -38,38 +38,25 @@ import concurrent.futures
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from .memo import (
-    PersistentMemo,
-    Snapshot,
-    cache_delta,
-    cache_snapshot,
-    eviction_delta,
-    eviction_snapshot,
-    merge_deltas,
-)
+from .memo import PersistentMemo, Snapshot, cache_delta, cache_snapshot, merge_deltas
 from .stats import SweepStats
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-TaskOutcome = Tuple[Any, Snapshot, Dict[str, int]]
+TaskOutcome = Tuple[Any, Snapshot]
 
 
 def _call_with_stats(fn: Callable[[T], R], item: T) -> TaskOutcome:
-    """Run one task and return (result, counter delta, eviction delta).
+    """Run one task and return (result, counter delta).
 
     Top-level so it pickles; executed inside the worker process, where a
     task runs alone on the process's single task thread, so the
     before/after snapshot delta is attributable to this task.
     """
     before = cache_snapshot()
-    evictions_before = eviction_snapshot()
     result = fn(item)
-    return (
-        result,
-        cache_delta(before, cache_snapshot()),
-        eviction_delta(evictions_before, eviction_snapshot()),
-    )
+    return result, cache_delta(before, cache_snapshot())
 
 
 @dataclass(frozen=True)
@@ -119,28 +106,18 @@ class SweepExecutor:
             outcomes = self._run_parallel(fn, [item for _, item in pending])
 
         merged: List[R] = [None] * len(todo)  # type: ignore[list-item]
-        for (i, item), (result, _, _) in zip(pending, outcomes):
+        for (i, item), (result, _) in zip(pending, outcomes):
             merged[i] = result
             if cache is not None and cache_key is not None:
                 cache.put(cache_key(item), result)
         for i, value in cached.items():
             merged[i] = value
 
-        deltas = [delta for _, delta, _ in outcomes]
-        evictions = [ev for _, _, ev in outcomes]
+        deltas = [delta for _, delta in outcomes]
         if hub is not None:
             self._emit_telemetry(hub, todo, pending, deltas, len(cached))
-        counters = merge_deltas(deltas)
-        merged_evictions: Dict[str, int] = {}
-        for ev in evictions:
-            for name, count in ev.items():
-                merged_evictions[name] = merged_evictions.get(name, 0) + count
         return merged, SweepStats.from_counters(
-            counters,
-            len(todo),
-            self.workers,
-            evictions=merged_evictions,
-            persistent_hits=len(cached),
+            merge_deltas(deltas), len(todo), self.workers, persistent_hits=len(cached)
         )
 
     def _run_parallel(self, fn: Callable[[T], R], items: Sequence[T]) -> List[TaskOutcome]:
@@ -164,8 +141,8 @@ class SweepExecutor:
         for i, item in enumerate(items):
             delta = executed.get(i)
             from_cache = delta is None
-            hits = sum(h for h, _ in delta.values()) if delta else 0
-            misses = sum(m for _, m in delta.values()) if delta else 0
+            hits = sum(h for h, _, _ in delta.values()) if delta else 0
+            misses = sum(m for _, m, _ in delta.values()) if delta else 0
             hub.span(
                 "exec",
                 f"candidate[{type(item).__name__}]",
@@ -179,7 +156,7 @@ class SweepExecutor:
                 cached=from_cache,
             )
             if delta:
-                for name, (h, m) in sorted(delta.items()):
+                for name, (h, m, _) in sorted(delta.items()):
                     hub.count("exec", "memo_hits", h, cache=name)
                     hub.count("exec", "memo_misses", m, cache=name)
         hub.count("exec", "tasks", len(items))

@@ -1,12 +1,14 @@
-"""Process-local memoization for the pure cost models.
+"""Process-local memoization: one named cache per memoized function.
 
-The expensive sub-models priced during a sweep — transformer block costs,
-collective times, optimizer step times — are pure functions of their
-arguments, and the same argument tuples recur across sweep points (a
-strong-scaling sweep changes only ``dp``; the block cost depends on
-neither).  Decorating them with :func:`memoized` makes that reuse free
-and *observable*: every cache keeps hit/miss counters that the sweep
-executor snapshots into a :class:`~repro.exec.stats.SweepStats` report.
+The expensive pieces re-priced or rebuilt during a sweep — transformer
+block costs, the §3.6 ECMP conflict factor, compiled pipeline schedules,
+CLOS fabrics, fabric collective prices, Monte Carlo campaign fixtures —
+are pure functions of their arguments, and the same argument tuples
+recur across sweep points.  Every such cache is a :class:`MemoCache` in
+this module's registry (:func:`memoized` registers one per decorated
+function), so :func:`clear_caches` empties all of them and the sweep
+executor counts the reuse of each in a
+:class:`~repro.exec.stats.SweepStats` report.
 
 Caches are process-local by design.  Worker processes of the sweep
 executor each build (or, under ``fork``, inherit) their own cache; the
@@ -21,7 +23,7 @@ modules import it at definition time).
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, TypeVar
 
 F = TypeVar("F", bound=Callable[..., Any])
 
@@ -29,12 +31,11 @@ F = TypeVar("F", bound=Callable[..., Any])
 class MemoCache:
     """One named memoization cache with hit/miss/eviction counters.
 
-    ``maxsize=None`` (the default) keeps the cache unbounded, the
-    historical behaviour.  With a positive ``maxsize`` the cache evicts
-    its least-recently-used entry once full, so a cache whose keys keep
-    changing (fabric shapes, pipeline schedules) does not grow without
-    limit; evictions are counted and surface in
-    :class:`~repro.exec.stats.SweepStats`.
+    ``maxsize=None`` (the default) keeps the cache unbounded.  With a
+    positive ``maxsize`` the cache evicts its least-recently-used entry
+    once full, so a cache whose keys keep changing (fabric shapes,
+    pipeline schedules) does not grow without limit; evictions are
+    counted and surface in :class:`~repro.exec.stats.SweepStats`.
     """
 
     def __init__(self, name: str, maxsize: Optional[int] = None) -> None:
@@ -74,6 +75,23 @@ class MemoCache:
             del self.store[oldest]
             self.evictions += 1
 
+    def lookup(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """The value cached under ``key``; on a miss, ``compute()`` it and
+        keep it.  An unhashable key bypasses the cache (counted as a miss).
+        """
+        try:
+            hit = key in self.store
+        except TypeError:
+            self.misses += 1
+            return compute()
+        if hit:
+            self.hits += 1
+            return self.get(key)
+        self.misses += 1
+        value = compute()
+        self.put(key, value)
+        return value
+
     def clear(self) -> None:
         """Drop entries; counters are kept (they describe past calls)."""
         self.store.clear()
@@ -86,23 +104,16 @@ class MemoCache:
         self.evictions = 0
 
 
-# Registry of every cache created via @memoized, keyed by name.
+# Registry of every process-local cache, keyed by name.
 _REGISTRY: Dict[str, MemoCache] = {}
 
 
 def get_cache(name: str, maxsize: Optional[int] = None) -> MemoCache:
-    """The cache registered under ``name`` (created on first use).
-
-    ``maxsize`` applies only when the cache is first created (or when
-    passed explicitly later, which rebounds an existing cache).
-    """
+    """The cache registered under ``name``, created with ``maxsize`` on
+    first use (a later ``maxsize`` is ignored)."""
     cache = _REGISTRY.get(name)
     if cache is None:
         cache = _REGISTRY[name] = MemoCache(name, maxsize=maxsize)
-    elif maxsize is not None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1 or None, got {maxsize}")
-        cache.maxsize = maxsize
     return cache
 
 
@@ -128,18 +139,7 @@ def memoized(name: str, maxsize: Optional[int] = None) -> Callable[[F], F]:
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             key = args if not kwargs else (args, tuple(sorted(kwargs.items())))
-            try:
-                hit = key in cache.store
-            except TypeError:  # unhashable argument: bypass the cache
-                cache.misses += 1
-                return fn(*args, **kwargs)
-            if hit:
-                cache.hits += 1
-                return cache.get(key)
-            cache.misses += 1
-            value = fn(*args, **kwargs)
-            cache.put(key, value)
-            return value
+            return cache.lookup(key, lambda: fn(*args, **kwargs))
 
         wrapper.cache = cache  # type: ignore[attr-defined]
         return wrapper  # type: ignore[return-value]
@@ -149,53 +149,35 @@ def memoized(name: str, maxsize: Optional[int] = None) -> Callable[[F], F]:
 
 # -- counter snapshots (used by the sweep executor) ---------------------------
 
-Snapshot = Dict[str, Tuple[int, int]]  # name -> (hits, misses)
+Snapshot = Dict[str, Tuple[int, int, int]]  # name -> (hits, misses, evictions)
 
 
 def cache_snapshot() -> Snapshot:
-    """Current (hits, misses) of every registered cache."""
-    return {name: (c.hits, c.misses) for name, c in _REGISTRY.items()}
+    """Current (hits, misses, evictions) of every registered cache."""
+    return {name: (c.hits, c.misses, c.evictions) for name, c in _REGISTRY.items()}
 
 
 def cache_delta(before: Snapshot, after: Snapshot) -> Snapshot:
     """Counter growth between two snapshots (missing names count from 0)."""
-    delta: Snapshot = {}
-    for name, (hits, misses) in after.items():
-        h0, m0 = before.get(name, (0, 0))
-        delta[name] = (hits - h0, misses - m0)
-    return delta
+    return {
+        name: tuple(a - b for a, b in zip(counters, before.get(name, (0, 0, 0))))
+        for name, counters in after.items()
+    }
 
 
-def merge_deltas(deltas: Tuple[Snapshot, ...] | list) -> Snapshot:
+def merge_deltas(deltas: Iterable[Snapshot]) -> Snapshot:
     """Sum counter deltas from independent tasks/processes."""
-    total: Dict[str, Tuple[int, int]] = {}
+    total: Snapshot = {}
     for delta in deltas:
-        for name, (hits, misses) in delta.items():
-            h0, m0 = total.get(name, (0, 0))
-            total[name] = (h0 + hits, m0 + misses)
+        for name, counters in delta.items():
+            total[name] = tuple(a + b for a, b in zip(total.get(name, (0, 0, 0)), counters))
     return total
 
 
-def eviction_snapshot() -> Dict[str, int]:
-    """Current eviction count of every registered cache."""
-    return {name: c.evictions for name, c in _REGISTRY.items()}
-
-
-def eviction_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    """Eviction growth between two snapshots (missing names count from 0)."""
-    return {name: count - before.get(name, 0) for name, count in after.items()}
-
-
 def clear_caches() -> None:
-    """Drop all cached entries (counters survive)."""
+    """Drop every registered cache's entries (counters survive)."""
     for cache in _REGISTRY.values():
         cache.clear()
-
-
-def reset_caches() -> None:
-    """Drop all cached entries and zero all counters."""
-    for cache in _REGISTRY.values():
-        cache.reset()
 
 
 # -- persistent cross-run cache ----------------------------------------------

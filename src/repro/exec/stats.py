@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,12 @@ class CacheReport:
 class SweepStats:
     """How a sweep executed: task fan-out and cost-model cache reuse.
 
-    ``caches`` maps cache name (e.g. ``"block_cost"``) to the hit/miss
-    counts accumulated *by this sweep's tasks only* — the executor
-    snapshots counters around each task, so concurrent or prior users of
-    the caches don't pollute the report.  ``persistent_hits`` counts
-    tasks answered from a cross-run :class:`~repro.exec.memo.PersistentMemo`
-    without executing at all.
+    ``caches`` maps cache name (e.g. ``"block_cost"``) to the
+    hit/miss/eviction counts accumulated *by this sweep's tasks only* —
+    the executor snapshots counters around each task, so concurrent or
+    prior users of the caches don't pollute the report.
+    ``persistent_hits`` counts tasks answered from a cross-run
+    :class:`~repro.exec.memo.PersistentMemo` without executing at all.
     """
 
     n_tasks: int
@@ -85,26 +85,16 @@ class SweepStats:
 
     @staticmethod
     def from_counters(
-        counters: Mapping[str, Tuple[int, int]],
+        counters: Mapping[str, Tuple[int, int, int]],
         n_tasks: int,
         workers: int,
-        evictions: Optional[Mapping[str, int]] = None,
         persistent_hits: int = 0,
     ) -> "SweepStats":
-        """Build a report from ``{name: (hits, misses)}`` counter deltas."""
-        evictions = evictions or {}
-        names = set(counters) | set(evictions)
+        """Build a report from ``{name: (hits, misses, evictions)}`` deltas."""
         return SweepStats(
             n_tasks=n_tasks,
             workers=workers,
-            caches={
-                name: CacheReport(
-                    hits=counters.get(name, (0, 0))[0],
-                    misses=counters.get(name, (0, 0))[1],
-                    evictions=evictions.get(name, 0),
-                )
-                for name in names
-            },
+            caches={name: CacheReport(*counts) for name, counts in counters.items()},
             persistent_hits=persistent_hits,
         )
 

@@ -21,6 +21,7 @@ this file (see docs/api.md, "Calibration & validation").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
@@ -63,6 +64,8 @@ class GpuSpec:
         if kernel_flops <= 0:
             return 0.0
         eff = self.gemm_efficiency(kernel_flops)
+        if eff == 0.0:  # a tiny fitted ceiling underflows: the GEMM never ends
+            return math.inf
         return kernel_flops / (self.peak_flops * eff)
 
     def gemm_time(self, kernel_flops: float) -> float:

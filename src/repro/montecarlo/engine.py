@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exec.executor import run_tasks
-from ..exec.memo import PersistentMemo
+from ..exec.memo import PersistentMemo, memoized
 from ..fault.checkpoint import FLAKY_HDFS, CheckpointPlanner
 from ..fault.domains import CorrelatedFaultInjector, DomainTopology
 from ..fault.driver import ProductionRun, ProductionRunConfig
@@ -110,16 +110,11 @@ class SeedTask:
     weeks: float
 
 
-# Per-process fixture cache: one expensive build per (process, spec).
-# Safe to share across seeds because ProductionRun treats the cluster,
-# plan and planner as read-only (it only ever reads ``spare_count``).
-_FIXTURES: Dict[Tuple, Tuple] = {}
-
-
+# One expensive build per (process, spec), shared across seeds: a
+# ProductionRun treats the cluster, plan and planner as read-only (it
+# only ever reads ``spare_count``).
+@memoized("mc_fixtures")
 def _chaos_fixtures(spec: CampaignSpec) -> Tuple:
-    key = ("chaos", spec.fingerprint())
-    if key in _FIXTURES:
-        return _FIXTURES[key]
     plan = plan_for_gpus(
         spec.n_nodes * spec.gpus_per_node, tp=spec.tp, pp=spec.pp, vpp=spec.vpp
     )
@@ -130,9 +125,7 @@ def _chaos_fixtures(spec: CampaignSpec) -> Tuple:
         nodes_per_rack=spec.nodes_per_rack,
         nodes_per_pod=spec.nodes_per_pod,
     )
-    fixtures = (plan, planner, cluster, topology)
-    _FIXTURES[key] = fixtures
-    return fixtures
+    return plan, planner, cluster, topology
 
 
 def _run_chaos_seed(task: SeedTask) -> dict:

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..exec.memo import memoized
 from .routing import hash_flows_onto_uplinks
 
 
@@ -108,3 +109,17 @@ def port_split_benefit(n_flows: int, n_uplinks: int, trials: int = 200, seed: in
     unsplit = expected_conflict_stats(n_flows, n_uplinks, 1.0, trials, seed)
     split = expected_conflict_stats(n_flows, n_uplinks, 2.0, trials, seed)
     return split.mean_flow_throughput / unsplit.mean_flow_throughput
+
+
+@memoized("conflict_factor")
+def conflict_factor(n_flows: int, n_uplinks: int, trials: int) -> float:
+    """Mean fraction of its demand a flow gets when ``n_flows`` rails hash
+    onto ``n_uplinks`` split-port uplinks (each uplink carries two flows
+    at full rate, so only 3+ colliding flows lose throughput).
+
+    The analytic ring prices cross-pod hops with it (64 rails on a ToR's
+    32 uplinks) and the scheduler prices tenants sharing a pod.  Computed
+    from the seeded Monte Carlo conflict model, so the number is
+    mechanistic, not fitted.
+    """
+    return expected_conflict_stats(n_flows, n_uplinks, 2.0, trials).mean_flow_throughput

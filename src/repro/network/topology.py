@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..exec.memo import memoized
 from .link import Link
 from .routing import ecmp_choice
 from .switch import Switch, SwitchRole, agg_role, spine_role, tor_role
@@ -281,24 +282,14 @@ class ClosFabric:
         return total
 
 
-def shared_fabric(
-    n_nodes: int,
-    nodes_per_pod: int = 64,
-    rails: int = 8,
-    aggs_per_pod: int = 8,
-    n_spines: int = 8,
-    tor_uplinks_per_agg: int = 4,
-    agg_uplinks_per_spine: int = 4,
-    split_tor_downlinks: bool = True,
-    nic_rate: float = 0.0,
-) -> ClosFabric:
-    """A process-shared :class:`ClosFabric` for the given configuration.
+@memoized("clos_fabric", maxsize=8)
+def shared_fabric(n_nodes: int, nodes_per_pod: int = 64) -> ClosFabric:
+    """A process-shared :class:`ClosFabric` of ``n_nodes`` nodes.
 
     Identically-configured fabrics are immutable for pricing purposes,
     so read-only consumers (``build_comm_model``, ``validation_report``)
-    share one instance per configuration, interned in the
-    ``"clos_fabric"`` memo cache (hit/miss counters surface in sweep
-    stats; LRU-bounded so scale sweeps don't pin every size in memory).
+    share one instance per shape through the ``"clos_fabric"`` memo
+    (LRU-bounded so scale sweeps don't pin every size in memory).
     Interning costs O(1): the link graph (~49k link objects at 1,536
     nodes) is built on the shared instance's first route, so analytic
     comm models, which never route, never build it, and fabric-backend
@@ -309,34 +300,4 @@ def shared_fabric(
     ``ClosFabric`` instead — flapping a shared instance would leak the
     fault into every other consumer.
     """
-    from ..exec.memo import get_cache
-
-    cache = get_cache("clos_fabric", maxsize=8)
-    key = (
-        n_nodes,
-        nodes_per_pod,
-        rails,
-        aggs_per_pod,
-        n_spines,
-        tor_uplinks_per_agg,
-        agg_uplinks_per_spine,
-        split_tor_downlinks,
-        nic_rate,
-    )
-    if key in cache.store:
-        cache.hits += 1
-        return cache.get(key)
-    cache.misses += 1
-    fabric = ClosFabric(
-        n_nodes=n_nodes,
-        nodes_per_pod=nodes_per_pod,
-        rails=rails,
-        aggs_per_pod=aggs_per_pod,
-        n_spines=n_spines,
-        tor_uplinks_per_agg=tor_uplinks_per_agg,
-        agg_uplinks_per_spine=agg_uplinks_per_spine,
-        split_tor_downlinks=split_tor_downlinks,
-        nic_rate=nic_rate,
-    )
-    cache.put(key, fabric)
-    return fabric
+    return ClosFabric(n_nodes=n_nodes, nodes_per_pod=nodes_per_pod)

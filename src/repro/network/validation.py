@@ -137,7 +137,7 @@ def validation_report(
         )
     # Interned: at the paper's 12,288-GPU scale (1,536 nodes, ~49k
     # links) rebuilding the fabric would dwarf the pricing itself.
-    fabric = shared_fabric(n_nodes=n_nodes, nodes_per_pod=nodes_per_pod)
+    fabric = shared_fabric(n_nodes, nodes_per_pod)
     if fabric.n_pods < 2:
         raise ValueError("need >= 2 pods for the cross-pod placement")
     same_tor = tuple(range(group_size))

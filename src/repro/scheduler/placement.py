@@ -17,26 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
-from ..exec.memo import memoized
 from ..fault.domains import DomainTopology
+from ..network.ecmp import conflict_factor
 
 
 class PlacementError(RuntimeError):
     """Not enough free healthy capacity to place the job."""
-
-
-@memoized("sched_pod_conflict")
-def _pod_flow_throughput(n_flows: int, uplinks: int, trials: int = 50) -> float:
-    """Mean per-flow throughput for ``n_flows`` rails sharing one ToR's
-    split-port uplinks (Monte-Carlo ECMP conflict model, seeded)."""
-    from ..network.ecmp import expected_conflict_stats
-
-    if n_flows < 1:
-        return 1.0
-    stats = expected_conflict_stats(
-        n_flows=n_flows, n_uplinks=uplinks, uplink_to_flow_rate=2.0, trials=trials
-    )
-    return stats.mean_flow_throughput
 
 
 @dataclass
@@ -169,8 +155,7 @@ class PlacementMap:
             total = self.pod_load(pod)
             if total <= own:
                 continue
-            shared = _pod_flow_throughput(total, uplinks)
-            alone = _pod_flow_throughput(own, uplinks)
-            if alone > 0:
-                factor = min(factor, min(1.0, shared / alone))
+            shared = conflict_factor(total, uplinks, 50)
+            alone = conflict_factor(own, uplinks, 50)
+            factor = min(factor, shared / alone)
         return factor

@@ -68,6 +68,35 @@ def test_profile_validation_and_constants():
     assert profile.constants() == {"gemm_eff_max": 0.7, "inter_node_latency": 1e-5}
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{}",
+        '{"constants": []}',
+        '{"constants": {"gemm_eff_max": "x"}}',
+        '{"constants": {"gemm_eff_max": true}}',
+        '{"constants": {"gemm_eff_max": NaN}}',
+        '{"constants": {"inter_node_latency": 1' + "0" * 400 + "}}",
+        '{"constants": {"warp_speed": 9}}',
+        '{"constants": {"gemm_eff_max": 1.5}}',
+        '{"constants": {}, "source": 3}',
+        "{",
+    ],
+    ids=[
+        "list", "no-constants", "constants-list", "string-value", "bool-value",
+        "nan-value", "int-beyond-float", "unknown-name", "out-of-range",
+        "source-not-a-string", "not-json",
+    ],
+)
+def test_profile_file_maps_known_names_to_finite_numbers(text, tmp_path):
+    """A bad profile file is one ValueError naming it, not a traceback."""
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="profile.json"):
+        CalibratedProfile.load(str(path))
+
+
 def test_apply_gpu_overrides_only_set_fields():
     profile = CalibratedProfile(gemm_eff_max=0.5, kernel_launch_overhead=1e-6)
     spec = profile.apply_gpu(AMPERE)

@@ -1,5 +1,7 @@
 """Tests for the published-profile fixtures layer."""
 
+import json
+
 import pytest
 
 from repro.calibration import (
@@ -7,6 +9,7 @@ from repro.calibration import (
     default_fixture_dir,
     fit_anchors,
     load_anchors,
+    load_fixture,
     sc21_hardware_flops,
 )
 from repro.model import GPT_175B
@@ -85,6 +88,45 @@ def test_anchor_validation():
         dataclasses.replace(anchor, tolerance=0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(anchor, plan=ParallelPlan(dp=1, tp=1, pp=1))
+
+
+_ROW = {"name": "x", "model": "gpt-13b", "n_gpus": 8, "global_batch": 8,
+        "published": 40.0}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"source": 1, "anchors": []},
+        {"source": "s"},
+        {"source": "s", "anchors": [1]},
+        {"source": "s", "defaults": [], "anchors": []},
+        {"source": "s", "anchors": [{"name": "x", "n_gpus": 8}]},
+        {"source": "s", "anchors": [dict(_ROW, model=None)]},
+        {"source": "s", "anchors": [dict(_ROW, model="gpt-9000")]},
+        {"source": "s", "anchors": [dict(_ROW, n_gpus="8")]},
+        {"source": "s", "anchors": [dict(_ROW, published="x")]},
+    ],
+    ids=[
+        "empty", "list", "source-not-a-string", "no-anchors", "row-not-an-object",
+        "defaults-list", "row-lacks-fields", "no-model-no-shape", "unknown-model",
+        "string-gpus", "string-published",
+    ],
+)
+def test_bad_fixture_file_is_one_error_naming_it(payload, tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="fixture.json"):
+        load_fixture(str(path))
+
+
+def test_minimal_fixture_loads(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({"source": "s", "anchors": [_ROW]}))
+    (anchor,) = load_fixture(str(path))
+    assert anchor.id == "s/x/mfu" and anchor.n_gpus == 8
 
 
 def test_anchor_is_hashable_and_picklable():

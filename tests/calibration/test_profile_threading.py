@@ -55,10 +55,6 @@ def test_training_system_threads_profile():
     calibrated = megascale(profile=PROFILE).run(job)
     assert calibrated.iteration_time > default.iteration_time
     assert calibrated.mfu < default.mfu
-    # engines are cached under distinct (.., profile) keys
-    system = megascale(profile=PROFILE)
-    system.run(job)
-    assert all(key[-1] == PROFILE for key in system._engines)
     # compare() forwards the profile to both sides
     comparison = compare(job, profile=PROFILE)
     assert comparison.megascale.iteration_time == pytest.approx(

@@ -9,6 +9,7 @@ from repro.calibration import (
     calibration_report,
     check_drift,
     load_anchors,
+    load_baseline,
 )
 from tests.calibration.test_fit import TINY_A, TINY_B, _synthetic_anchor
 
@@ -87,6 +88,59 @@ def test_drift_gate_catches_dropped_anchor():
     report = calibration_report(anchors[:1])  # one anchor silently dropped
     violations = check_drift(report, baseline)
     assert [v.anchor_id for v in violations] == [anchors[1].id]
+
+
+def test_drift_gate_catches_anchor_missing_from_the_baseline():
+    """An empty baseline once passed the gate: with no baseline anchor,
+    no prediction was compared."""
+    anchors = small_anchors()
+    report = calibration_report(anchors)
+    for baseline in ({}, {"anchors": []}):
+        violations = check_drift(report, baseline)
+        assert [v.anchor_id for v in violations] == [a.id for a in anchors]
+        assert {v.kind for v in violations} == {"not_in_baseline"}
+        assert "not in the baseline; re-save it with --save-baseline" in (
+            violations[0].describe()
+        )
+    partial = report.to_dict()
+    del partial["anchors"][0]
+    assert [v.anchor_id for v in check_drift(report, partial)] == [anchors[0].id]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        "{}",
+        '{"anchors": {}}',
+        '{"anchors": [1]}',
+        '{"anchors": [{"anchor_id": 3, "predicted": 1.0}]}',
+        '{"anchors": [{"anchor_id": "a"}]}',
+        '{"anchors": [{"anchor_id": "a", "predicted": "1"}]}',
+        '{"anchors": [{"anchor_id": "a", "predicted": Infinity}]}',
+        '{"anchors": [{"anchor_id": "a", "predicted": 0.0}]}',
+        "{",
+    ],
+    ids=[
+        "list", "no-anchors", "anchors-object", "entry-not-an-object", "id-not-a-string",
+        "no-prediction", "string-prediction", "infinite-prediction", "zero-prediction",
+        "not-json",
+    ],
+)
+def test_baseline_file_lists_ids_with_finite_predictions(text, tmp_path):
+    """A bad baseline is one ValueError naming it; a zero prediction is
+    bad too, since drift is relative to it."""
+    path = tmp_path / "baseline.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="baseline.json"):
+        load_baseline(str(path))
+
+
+def test_saved_report_loads_as_a_baseline(tmp_path):
+    report = calibration_report(small_anchors())
+    path = str(tmp_path / "baseline.json")
+    report.save(path)
+    assert check_drift(report, load_baseline(path)) == []
 
 
 def test_drift_gate_catches_must_match_miss():

@@ -179,7 +179,8 @@ _SMALL_VALIDATE = ["validate", "--gpus", "128", "--nodes-per-pod", "8", "--trial
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """A directory of saved files, good and bad, for the trace readers."""
+    """A directory of saved files, good and bad, for the trace and
+    calibrate readers."""
     from repro.observability import TelemetryHub
 
     directory = tmp_path_factory.mktemp("saved")
@@ -189,6 +190,11 @@ def saved(tmp_path_factory):
     (directory / "list.json").write_text("[]")
     (directory / "events.json").write_text('{"traceEvents": [1]}')
     (directory / "bad.metrics.jsonl").write_text("[1, 2]\n")
+    (directory / "pair.json").write_text("[1, 2]")
+    (directory / "constants.json").write_text('{"constants": {"gemm_eff_max": "x"}}')
+    (directory / "ids.json").write_text('{"anchors": [{"anchor_id": 3}]}')
+    (directory / "stray").mkdir()
+    (directory / "stray" / "stray.json").write_text("{}")
     return directory
 
 
@@ -228,6 +234,13 @@ def saved(tmp_path_factory):
         (["diagnose"], "--trace"),
         (["diagnose", "--trace", "x.json", "--scenario", "clean"], "--scenario"),
         (["diagnose", "--scenario", "gremlins"], "--scenario"),
+        (["calibrate", "--profile", "{saved}/list.json"], "list.json"),
+        (["calibrate", "--profile", "{saved}/constants.json"], "constants.json"),
+        (["calibrate", "--check", "--baseline", "{saved}/pair.json"], "pair.json"),
+        (["calibrate", "--check", "--baseline", "{saved}/ids.json"], "ids.json"),
+        (["calibrate", "--fixtures", "{saved}/stray"], "stray.json"),
+        (["calibrate", "--check", "--profile", "{saved}/no-such-profile.json"],
+         "no-such-profile.json"),
     ],
     ids=[
         "negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
@@ -239,7 +252,10 @@ def saved(tmp_path_factory):
         "diagnose-negative-seed", "narrow-trace-width", "validate-group-size-1",
         "trace-not-a-document", "diagnose-not-a-document", "diagnose-bad-sidecar",
         "trace-unknown-lane", "diagnose-no-source", "diagnose-both-sources",
-        "diagnose-unknown-scenario",
+        "diagnose-unknown-scenario", "calibrate-profile-not-an-object",
+        "calibrate-profile-constant-not-a-number", "calibrate-baseline-not-an-object",
+        "calibrate-baseline-id-not-a-string", "calibrate-not-a-fixture",
+        "calibrate-missing-profile",
     ],
 )
 def test_invalid_input_is_one_error_line(argv, blames, saved, capsys):
@@ -251,3 +267,18 @@ def test_invalid_input_is_one_error_line(argv, blames, saved, capsys):
     assert len(lines) == 1 and lines[0].startswith("repro: error:"), captured.err
     assert blames in lines[0], captured.err  # names the bad input, not a symptom
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_calibrate_gate_fails_anchors_the_baseline_lacks(tmp_path, capsys):
+    """An empty baseline once passed the drift gate without comparing a
+    single prediction."""
+    from repro.calibration import load_anchors
+
+    baseline = tmp_path / "empty.json"
+    baseline.write_text('{"anchors": []}')
+    assert main(["calibrate", "--check", "--baseline", str(baseline)]) == 1
+    out = capsys.readouterr().out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert len(fails) == len(load_anchors())
+    assert all("not in the baseline; re-save it with --save-baseline" in f for f in fails)
+    assert "drift gate passed" not in out

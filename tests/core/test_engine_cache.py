@@ -1,10 +1,11 @@
-"""Regression tests: TrainingSystem's engine cache must key on the full
-(model, plan, gpu) identity.
+"""Regression tests: one TrainingSystem must price jobs that differ only
+in GPU spec or ZeRO stage differently.
 
-The original cache keyed only on (model name, n_gpus, tp, pp, vpp,
-micro_batch), so two jobs differing only in GPU spec or ZeRO stage
-silently reused a stale IterationEngine and returned the first job's
-timings for both.
+An engine cache once keyed only on (model name, n_gpus, tp, pp, vpp,
+micro_batch), so such jobs silently reused a stale IterationEngine and
+returned the first job's timings for both.  The system now builds a
+fresh engine per run; the pricing memos it relies on key on every
+argument.
 """
 
 from dataclasses import replace
@@ -25,7 +26,6 @@ def test_engine_cache_distinguishes_gpu_specs():
     on_hopper = system.run(_job(gpu="hopper-80g"))
     # A Hopper part is ~3x faster; identical timings mean a stale engine.
     assert on_hopper.iteration_time < on_ampere.iteration_time
-    assert len(system._engines) == 2
 
 
 def test_engine_cache_distinguishes_zero_stage():
@@ -34,7 +34,6 @@ def test_engine_cache_distinguishes_zero_stage():
     unsharded = system.run(_job(zero_stage=0))
     # ZeRO shards the optimizer state across dp: a faster optimizer step.
     assert sharded.details.optimizer_time < unsharded.details.optimizer_time
-    assert len(system._engines) == 2
 
 
 def test_engine_cache_still_reuses_identical_jobs():
@@ -42,4 +41,3 @@ def test_engine_cache_still_reuses_identical_jobs():
     a = system.run(_job())
     b = system.run(_job())  # a distinct but equal TrainingJob instance
     assert a.iteration_time == b.iteration_time
-    assert len(system._engines) == 1

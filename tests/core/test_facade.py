@@ -81,11 +81,9 @@ def test_megatron_pays_straggler_lottery():
 def test_engine_cache_reused():
     system = megascale()
     job = job_175b(256, 768)
-    system.run(job)
-    system.run(job)
-    assert len(system._engines) == 1
-    system.run(job.scaled_to(512))
-    assert len(system._engines) == 2
+    first = system.run(job)
+    assert system.run(job).iteration_time == first.iteration_time
+    assert system.run(job.scaled_to(512)).iteration_time < first.iteration_time
 
 
 def test_table_rendering():

@@ -17,13 +17,7 @@ from repro.exec import (
     get_cache,
     memoized,
 )
-from repro.exec.memo import (
-    cache_delta,
-    cache_snapshot,
-    eviction_delta,
-    eviction_snapshot,
-    merge_deltas,
-)
+from repro.exec.memo import cache_delta, cache_snapshot, merge_deltas
 from repro.hardware import AMPERE
 from repro.model import GPT_13B
 from repro.model.blocks import block_cost
@@ -86,8 +80,8 @@ def test_snapshot_delta_and_merge():
     f(1)
     f(1)
     delta = cache_delta(before, cache_snapshot())
-    assert delta["test-dummy-delta"] == (1, 1)
-    assert merge_deltas([delta, delta])["test-dummy-delta"] == (2, 2)
+    assert delta["test-dummy-delta"] == (1, 1, 0)
+    assert merge_deltas([delta, delta])["test-dummy-delta"] == (2, 2, 0)
 
 
 def test_clear_keeps_counters_reset_zeroes_them():
@@ -167,19 +161,16 @@ def test_memoized_with_maxsize_evicts_and_recomputes():
 
 def test_eviction_snapshot_delta():
     cache = get_cache("test-evict-snap", maxsize=1)
-    before = eviction_snapshot()
+    before = cache_snapshot()
     cache.put("a", 1)
     cache.put("b", 2)
-    delta = eviction_delta(before, eviction_snapshot())
-    assert delta["test-evict-snap"] == 1
+    delta = cache_delta(before, cache_snapshot())
+    assert delta["test-evict-snap"] == (0, 0, 1)
 
 
 def test_sweep_stats_reports_evictions():
     stats = SweepStats.from_counters(
-        {"block_cost": (6, 2)},
-        n_tasks=4,
-        workers=0,
-        evictions={"block_cost": 3, "other": 1},
+        {"block_cost": (6, 2, 3), "other": (0, 0, 1)}, n_tasks=4, workers=0
     )
     assert stats.evictions == 4
     assert stats.caches["block_cost"].evictions == 3

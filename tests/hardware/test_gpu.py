@@ -1,5 +1,8 @@
 """Unit tests for the GPU compute model."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.hardware import AMPERE, GPU_CATALOG, HOPPER, Gpu, scaled_spec
@@ -31,6 +34,13 @@ def test_gemm_efficiency_half_point():
 def test_gemm_time_zero_work():
     assert AMPERE.gemm_time(0) == 0.0
     assert AMPERE.gemm_efficiency(0) == 0.0
+
+
+def test_gemm_time_is_infinite_when_efficiency_underflows():
+    """A fitted efficiency ceiling of 5e-324 once raised ZeroDivisionError."""
+    spec = replace(AMPERE, gemm_eff_max=5e-324)
+    assert spec.gemm_efficiency(1e6) == 0.0
+    assert spec.gemm_time(1e6) == math.inf
 
 
 def test_gemm_time_includes_launch_overhead():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.exec.memo import PersistentMemo
+from repro.exec.memo import PersistentMemo, clear_caches, registered_caches
 from repro.fault import driver
 from repro.fault.faults import FaultInjector
 from repro.montecarlo import (
@@ -25,13 +25,6 @@ SEEDS = range(6)
 WEEKS = 0.25
 
 
-class _NeverKeeps(dict):
-    """A fixture store that keeps no entry, so every seed rebuilds its own."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 def _use_oracle_path(monkeypatch):
     """Per-event oracle sampling, the shrink enumeration and unshared
     fixtures for serial campaigns.
@@ -47,7 +40,8 @@ def _use_oracle_path(monkeypatch):
     monkeypatch.setattr(FaultInjector, "sample", oracle)
     monkeypatch.setattr(driver, "shrunk_dp", shrunk_dp_reference)
     monkeypatch.setattr(scheduler, "shrunk_dp", shrunk_dp_reference)
-    monkeypatch.setattr(engine, "_FIXTURES", _NeverKeeps())
+    # The unmemoized builder: every seed builds its own fixtures.
+    monkeypatch.setattr(engine, "_chaos_fixtures", engine._chaos_fixtures.__wrapped__)
     return calls
 
 
@@ -66,6 +60,25 @@ def test_reference_path_matches_optimized_byte_for_byte(chaos_serial, monkeypatc
     reference = run_campaign("chaos", seeds=SEEDS, weeks=WEEKS, spec=SPEC, workers=0)
     assert len(calls) == len(SEEDS)
     assert chaos_serial.to_json() == reference.to_json()
+
+
+def test_clear_caches_leaves_no_warm_state(monkeypatch):
+    """Every process-local memo is a registered cache: after
+    ``clear_caches()`` no store holds an entry, and the next campaign
+    builds its fixtures again."""
+    run_campaign("chaos", seeds=range(2), weeks=WEEKS, spec=SPEC)
+    clear_caches()
+    assert not any(cache.store for cache in registered_caches().values())
+    builds = []
+    plan_for_gpus = engine.plan_for_gpus
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return plan_for_gpus(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "plan_for_gpus", counting)
+    run_campaign("chaos", seeds=range(2), weeks=WEEKS, spec=SPEC)
+    assert len(builds) == 1  # built once, then shared by both seeds
 
 
 def test_scheduler_campaign_deterministic_across_workers(monkeypatch):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.collectives.groups import GroupCommModel, cross_pod_conflict_factor
+from repro.collectives.groups import GroupCommModel
+from repro.network.ecmp import conflict_factor
 
 
 def pair_bandwidth_reference(model: GroupCommModel, rank_a: int, rank_b: int) -> float:
@@ -23,7 +24,7 @@ def pair_bandwidth_reference(model: GroupCommModel, rank_a: int, rank_b: int) ->
         return model.node_spec.gpu_spec.nvlink_bandwidth
     rate = model.node_spec.nic_spec.line_rate * model.cc_efficiency
     if not model.fabric.same_tor(node_a, node_b):
-        rate *= cross_pod_conflict_factor()
+        rate *= conflict_factor(64, 32, 100)
     return rate
 
 

@@ -7,7 +7,10 @@ line, naming the flag.  The trace readers take saved files as outside
 input: ``trace`` and ``diagnose --trace`` on any JSON value, or on a
 saved trace with one event field deleted or replaced, end normally or in
 that one error line, and a ``trace --lane`` or ``diagnose --scenario``
-name that does not exist is that one error line, naming the flag.
+name that does not exist is that one error line, naming the flag.  The
+calibrate readers likewise take any JSON value as a ``--profile`` or
+``--baseline`` file: the gate passes, fails, or stops at that one error
+line.
 
 Smoke-marked (deselected from tier-1); CI runs it with the other gates::
 
@@ -19,11 +22,13 @@ import copy
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.calibration import FIT_PARAMS, default_fixture_dir
 from repro.cli import main
 from repro.observability.diagnosis import SCENARIOS
 
@@ -264,3 +269,58 @@ def test_trace_lane_must_name_a_lane_of_the_document(saved_run, data):
 def test_diagnose_scenario_must_be_known(name):
     argv = ["diagnose", f"--scenario={name}"]
     _assert_rejects_invalid(argv, ["--scenario"], *_run(argv))
+
+
+# -- the calibrate readers -------------------------------------------------------
+
+ONE_ANCHOR_ID = "megatron-lm-sc21/1.7b/tflops_per_gpu"
+
+
+@pytest.fixture(scope="module")
+def one_anchor(tmp_path_factory):
+    """A fixture directory holding one SC21 row, so each run prices one
+    anchor, and the path beside it that each example writes."""
+    root = tmp_path_factory.mktemp("calibrate")
+    with open(os.path.join(default_fixture_dir(), "megatron_lm_sc21.json")) as handle:
+        fixture = json.load(handle)
+    fixture["anchors"] = fixture["anchors"][:1]
+    (root / "fixtures").mkdir()
+    (root / "fixtures" / "sc21.json").write_text(json.dumps(fixture))
+    return str(root / "fixtures"), str(root / "input.json")
+
+
+# Any JSON value, or one shaped like the file the flag names, with any
+# JSON value in its fields.
+numbers = st.floats() | st.integers() | json_values
+calibrate_files = {
+    "--profile": json_values | st.builds(
+        lambda constants: {"constants": constants},
+        st.dictionaries(st.sampled_from(FIT_PARAMS) | st.text(max_size=3), numbers,
+                        max_size=3),
+    ),
+    "--baseline": json_values | st.builds(
+        lambda entries: {"anchors": entries},
+        st.lists(
+            st.fixed_dictionaries(
+                {"anchor_id": st.just(ONE_ANCHOR_ID) | json_values, "predicted": numbers}
+            )
+            | json_values,
+            max_size=2,
+        ),
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag=st.sampled_from(sorted(calibrate_files)), data=st.data())
+def test_calibrate_readers_take_any_file(one_anchor, flag, data):
+    fixtures, path = one_anchor
+    with open(path, "w") as handle:
+        json.dump(data.draw(calibrate_files[flag], label="file"), handle)
+    argv = ["calibrate", "--check", "--fixtures", fixtures, flag, path]
+    code, out, err = _run(argv)
+    lines = err.splitlines()
+    assert code in (0, 1, 2), (argv, code, out[-500:], err[-500:])
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("repro: error:"), (argv, lines)
+    assert "Traceback" not in out + err
