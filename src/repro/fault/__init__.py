@@ -1,4 +1,4 @@
-"""Fault tolerance: faults, heartbeats, detection, diagnostics, recovery."""
+"""Fault tolerance: faults, detection latency, diagnostics, recovery."""
 
 from .checkpoint import (
     FLAKY_HDFS,
@@ -11,15 +11,7 @@ from .checkpoint import (
     ShardIntegrityModel,
     lost_progress,
 )
-from .detector import Anomaly, AnomalyDetector, Verdict
-from .diagnostics import (
-    DiagnosticResult,
-    DiagnosticSuite,
-    LoopbackTest,
-    NcclAllReduceTest,
-    NcclAllToAllTest,
-    RnicToRnicTest,
-)
+from .diagnostics import DiagnosticSuite
 from .domains import (
     DEFAULT_DOMAINS,
     LEAF_LINK_FAULT,
@@ -35,12 +27,10 @@ from .driver import (
     ProductionRun,
     ProductionRunConfig,
     ProductionRunResult,
-    RobustTrainingDriver,
     catch_up_time,
     default_loss_curve,
 )
 from .elastic import ElasticDecision, shrunk_dp
-from .executor import Executor
 from .faults import (
     FAULT_CATALOG,
     FaultEvent,
@@ -51,23 +41,9 @@ from .faults import (
     detection_latency,
 )
 from .interval import IntervalPlan, expected_overhead_fraction, plan_interval, young_daly_interval
-from .scenarios import (
-    ALL_SCENARIOS,
-    CORRELATED_SCENARIOS,
-    Scenario,
-    ScenarioOutcome,
-    chaos_smoke,
-    run_all,
-    run_correlated,
-)
-from .heartbeat import ERROR_KEYWORDS, HeartbeatHistory, HeartbeatMessage, scan_log_lines
-from .manual import EvictionTicket, ManualEvictionQueue, TicketState
-from .kubernetes import MockKubernetes, Pod
 from .recovery import DegradedInterval, RecoveryLog, RecoveryRecord, effective_training_rate
 
 __all__ = [
-    "Anomaly",
-    "AnomalyDetector",
     "CheckpointCost",
     "CheckpointLoadOutcome",
     "CheckpointPlanner",
@@ -75,12 +51,9 @@ __all__ = [
     "CorrelatedFaultInjector",
     "DEFAULT_DOMAINS",
     "DegradedInterval",
-    "DiagnosticResult",
     "DiagnosticSuite",
     "DomainTopology",
-    "ERROR_KEYWORDS",
     "ElasticDecision",
-    "Executor",
     "FAULT_CATALOG",
     "FLAKY_HDFS",
     "FaultDomain",
@@ -88,49 +61,28 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "HdfsModel",
-    "HeartbeatHistory",
     "IncidentOutcome",
     "IntervalPlan",
     "LiveMonitors",
-    "ALL_SCENARIOS",
-    "CORRELATED_SCENARIOS",
     "LEAF_LINK_FAULT",
     "RACK_POWER_FAULT",
     "TOR_SWITCH_FAULT",
-    "Scenario",
-    "ScenarioOutcome",
-    "HeartbeatMessage",
-    "LoopbackTest",
     "Manifestation",
-    "MockKubernetes",
-    "EvictionTicket",
-    "ManualEvictionQueue",
-    "TicketState",
-    "NcclAllReduceTest",
-    "NcclAllToAllTest",
-    "Pod",
     "ProductionRun",
     "ProductionRunConfig",
     "ProductionRunResult",
     "RecoveryLog",
     "RecoveryRecord",
     "RetryPolicy",
-    "RnicToRnicTest",
-    "RobustTrainingDriver",
     "ShardIntegrityModel",
-    "Verdict",
     "auto_detectable_fraction",
     "catch_up_time",
-    "chaos_smoke",
     "default_loss_curve",
     "detection_latency",
     "effective_training_rate",
     "lost_progress",
-    "run_correlated",
-    "scan_log_lines",
     "shrunk_dp",
     "expected_overhead_fraction",
     "plan_interval",
-    "run_all",
     "young_daly_interval",
 ]

@@ -1,9 +1,9 @@
 """Self-check diagnostic tests (§4.3).
 
 Lightweight-but-comprehensive suite the driver runs on every node after
-suspending a job.  Each test inspects the hardware it exercises and takes
-a realistic amount of wall time; the whole suite stays within the paper's
-"< 10 minutes to detect and diagnose" envelope.
+suspending a job.  Each test takes a realistic amount of wall time; the
+whole suite stays within the paper's "< 10 minutes to detect and
+diagnose" envelope.
 
 * **Loopback** — full-mesh RNIC -> {memory, GPU} bandwidth on one host:
   catches PCIe misconfiguration and per-link degradation.
@@ -17,147 +17,21 @@ a realistic amount of wall time; the whole suite stays within the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-from ..hardware.node import Node
+from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass(frozen=True)
-class DiagnosticResult:
-    test: str
-    node_id: int
-    passed: bool
-    duration: float
-    detail: str = ""
-
-
-@dataclass
-class DiagnosticTest:
-    """Base: a named check with a fixed execution cost."""
-
-    name: str = "base"
-    duration: float = 10.0
-
-    def inspect(self, node: Node) -> Optional[str]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def run(self, node: Node) -> DiagnosticResult:
-        detail = self.inspect(node)
-        return DiagnosticResult(
-            test=self.name,
-            node_id=node.node_id,
-            passed=detail is None,
-            duration=self.duration,
-            detail=detail or "",
-        )
-
-
-@dataclass
-class LoopbackTest(DiagnosticTest):
-    """Full-mesh RNIC loopback bandwidth to memory and GPU endpoints."""
-
-    name: str = "loopback"
-    duration: float = 45.0
-    bandwidth_floor: float = 0.85  # fraction of spec below which we flag
-
-    def inspect(self, node: Node) -> Optional[str]:
-        for nic in node.nics:
-            if not nic.healthy:
-                return f"nic{nic.index} unreachable in loopback"
-            if nic.bandwidth_factor < self.bandwidth_floor:
-                return (
-                    f"nic{nic.index} loopback at {nic.bandwidth_factor:.0%} of spec "
-                    "(PCIe or cable degradation)"
-                )
-        return None
-
-
-@dataclass
-class RnicToRnicTest(DiagnosticTest):
-    """Pairwise connectivity and bandwidth between a host's RNICs."""
-
-    name: str = "rnic-to-rnic"
-    duration: float = 35.0
-
-    def inspect(self, node: Node) -> Optional[str]:
-        dead = [n.index for n in node.nics if not n.healthy]
-        if dead:
-            return f"rnic pairs involving {dead} failed connectivity"
-        return None
-
-
-@dataclass
-class NcclAllToAllTest(DiagnosticTest):
-    """Intra-host all-to-all among the node's GPUs."""
-
-    name: str = "nccl-all-to-all"
-    duration: float = 60.0
-    speed_floor: float = 0.95
-
-    def inspect(self, node: Node) -> Optional[str]:
-        for gpu in node.gpus:
-            if not gpu.healthy:
-                return f"gpu{gpu.index} failed all-to-all (NCCL error)"
-        if not node.healthy:
-            return "node hung during all-to-all"
-        if node.speed_factor < self.speed_floor:
-            return f"all-to-all bandwidth {node.speed_factor:.0%} of expectation"
-        return None
-
-
-@dataclass
-class NcclAllReduceTest(DiagnosticTest):
-    """All-reduce with same-ToR neighbours (inter-node GPU paths)."""
-
-    name: str = "nccl-all-reduce-tor"
-    duration: float = 75.0
-
-    def inspect(self, node: Node) -> Optional[str]:
-        weak = [n.index for n in node.nics if n.healthy and n.bandwidth_factor < 0.9]
-        if weak:
-            return f"inter-node all-reduce below benchmark via nics {weak}"
-        if not node.healthy:
-            return "node unresponsive in inter-node all-reduce"
-        return None
-
-
-@dataclass
 class DiagnosticSuite:
-    """The full §4.3 battery, run in order with early exit on failure."""
+    """The full §4.3 battery: each test's name and wall seconds, in run order."""
 
-    tests: List[DiagnosticTest] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.tests:
-            self.tests = [
-                LoopbackTest(),
-                RnicToRnicTest(),
-                NcclAllToAllTest(),
-                NcclAllReduceTest(),
-            ]
-
-    @property
-    def max_duration(self) -> float:
-        return sum(t.duration for t in self.tests)
-
-    def run_on(self, node: Node) -> List[DiagnosticResult]:
-        """Run the battery; stops at the first failure (the culprit)."""
-        results = []
-        for test in self.tests:
-            result = test.run(node)
-            results.append(result)
-            if not result.passed:
-                break
-        return results
-
-    def node_passes(self, node: Node) -> bool:
-        return all(r.passed for r in self.run_on(node))
-
-    def find_faulty(self, nodes: List[Node]) -> List[Node]:
-        """All-node sweep: the nodes failing any test."""
-        return [n for n in nodes if not self.node_passes(n)]
+    tests: Tuple[Tuple[str, float], ...] = (
+        ("loopback", 45.0),
+        ("rnic-to-rnic", 35.0),
+        ("nccl-all-to-all", 60.0),
+        ("nccl-all-reduce-tor", 75.0),
+    )
 
     def sweep_duration(self) -> float:
         """Wall time of a cluster sweep (nodes test themselves in parallel)."""
-        return self.max_duration
+        return sum(duration for _, duration in self.tests)

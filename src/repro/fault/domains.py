@@ -31,14 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..network.topology import ClosFabric
-from .faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    Manifestation,
-    _degrade_nic,
-    _mark_unhealthy,
-)
+from .faults import FaultEvent, FaultInjector, FaultKind, Manifestation
 
 
 # Domain-scoped fault kinds.  ``weekly_rate_per_node`` is zero: these are
@@ -48,7 +41,6 @@ RACK_POWER_FAULT = FaultKind(
     Manifestation.EXPLICIT,
     0.0,
     True,
-    _mark_unhealthy,
     needs_replacement=True,
 )
 TOR_SWITCH_FAULT = FaultKind(
@@ -56,7 +48,6 @@ TOR_SWITCH_FAULT = FaultKind(
     Manifestation.HANG,
     0.0,
     True,
-    _mark_unhealthy,
     needs_replacement=False,
     repair_time=300.0,  # switch failover + route reconvergence
 )
@@ -65,7 +56,6 @@ LEAF_LINK_FAULT = FaultKind(
     Manifestation.SILENT,
     0.0,
     False,
-    _degrade_nic,
     degraded_throughput=0.7,
     needs_replacement=False,
     repair_time=120.0,  # drain + replace the optic / reroute

@@ -1,20 +1,14 @@
-"""The robust-training driver (§4.1, Figure 5) and production runs.
+"""Production runs: the §4 fault-handling pipeline at 10k-GPU scale.
 
-Two layers:
+:class:`ProductionRun` is the multi-week timeline behind Figure 11:
+fault arrivals drive suspend/diagnose/evict/resume cycles whose
+latencies come from :func:`~repro.fault.faults.detection_latency` (the
+heartbeat and RDMA-traffic windows of §4.2), the diagnostic suite's
+duration, ordered group init and two-stage checkpoint recovery, plus a
+loss curve over the tokens actually trained.
 
-* :class:`RobustTrainingDriver` — the event-driven state machine over
-  live executors, heartbeat channels, the anomaly detector, diagnostics
-  and mock Kubernetes.  Exercised at small scale in tests (it runs real
-  heartbeats through real channels).
-* :class:`ProductionRun` — the multi-week, 10k-GPU timeline used for
-  Figure 11: fault arrivals drive suspend/diagnose/evict/resume cycles
-  with latencies priced by the same subsystems (detector windows,
-  diagnostic suite duration, ordered group init, two-stage checkpoint
-  recovery), plus a loss curve over the tokens actually trained.
-
-Degraded-mode recovery: both layers survive the unhappy paths — when
-the spare pool is exhausted they shed data-parallel replicas instead of
-stalling (the production run re-plans to
+Degraded-mode recovery: when the spare pool is exhausted the run sheds
+data-parallel replicas instead of stalling (it re-plans to
 :func:`repro.fault.elastic.shrunk_dp` of the surviving GPUs);
 correlated domain faults (:mod:`repro.fault.domains`) take out whole
 racks or pods in one event; and checkpoint loads go through the
@@ -31,11 +25,10 @@ import numpy as np
 
 from ..collectives.init import group_init_time
 from ..collectives.kvstore import REDIS_STORE
-from ..hardware.cluster import Cluster, NoSpareAvailable
+from ..hardware.cluster import Cluster
 from ..network.flapping import FlapEvent
 from ..observability.monitors import MillisecondMonitor, SecondLevelMonitor
 from ..parallel.plan import ParallelPlan
-from ..sim import Channel, Simulator
 from .checkpoint import (
     CheckpointLoadOutcome,
     CheckpointPlanner,
@@ -43,141 +36,10 @@ from .checkpoint import (
     ShardIntegrityModel,
     lost_progress,
 )
-from .detector import AnomalyDetector
 from .diagnostics import DiagnosticSuite
 from .elastic import ElasticDecision, shrunk_dp
-from .executor import Executor
 from .faults import FaultEvent, FaultInjector, Manifestation, detection_latency
-from .heartbeat import HeartbeatHistory
-from .kubernetes import MockKubernetes
 from .recovery import DegradedInterval, RecoveryLog, RecoveryRecord, effective_training_rate
-
-
-# -- live, event-driven driver (small scale) ---------------------------------
-
-
-@dataclass
-class RobustTrainingDriver:
-    """Drives executors through detect -> diagnose -> evict -> resume.
-
-    When the spare pool is exhausted the driver no longer raises: it
-    drops the faulty node, shrinks the active set, and records the loss
-    in ``shrunk`` — the live-cluster analogue of the production run's
-    elastic re-plan.
-    """
-
-    sim: Simulator
-    cluster: Cluster
-    kubernetes: MockKubernetes
-    detector: AnomalyDetector = field(default_factory=AnomalyDetector)
-    diagnostics: DiagnosticSuite = field(default_factory=DiagnosticSuite)
-    heartbeat_interval: float = 10.0
-    channel: Channel = None  # type: ignore[assignment]
-    executors: List[Executor] = field(default_factory=list)
-    histories: dict = field(default_factory=dict)
-    state: str = "initializing"
-    recoveries: int = 0
-    shrunk: List[int] = field(default_factory=list)  # dropped without replacement
-    hub: Optional[object] = None  # optional TelemetryHub ("fault" lane)
-    # node_id -> Executor index, maintained through replacement/shedding so
-    # recovery resolves faulty nodes in O(1) instead of scanning the fleet
-    # once per faulty node (O(faulty x executors) on correlated blasts).
-    _executor_by_node: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.channel is None:
-            self.channel = Channel(self.sim, latency=0.05, name="heartbeats")
-
-    def start(self) -> None:
-        self.kubernetes.allocate_pods()
-        for node in self.cluster.nodes:
-            executor = Executor(
-                sim=self.sim,
-                node=node,
-                channel=self.channel,
-                heartbeat_interval=self.heartbeat_interval,
-            )
-            executor.start()
-            self._executor_by_node[node.node_id] = len(self.executors)
-            self.executors.append(executor)
-            self.histories[node.node_id] = HeartbeatHistory(node_id=node.node_id)
-        self.state = "running"
-
-    def drain_heartbeats(self) -> int:
-        """Ingest every delivered heartbeat; returns how many."""
-        count = 0
-        while True:
-            beat = self.channel.try_recv()
-            if beat is None:
-                return count
-            history = self.histories.get(beat.node_id)
-            if history is not None:
-                history.record(beat)
-            count += 1
-
-    def check_anomalies(self) -> List:
-        """Run the §4.2 rules over current histories."""
-        self.drain_heartbeats()
-        return self.detector.sweep(list(self.histories.values()), self.sim.now)
-
-    def recover(self) -> List[int]:
-        """Suspend, diagnose, evict faulty nodes, resume.  Returns evictions.
-
-        Faulty nodes are replaced from the spare pool while it lasts;
-        past that, they are dropped and the job continues degraded.
-        """
-        self.state = "suspended"
-        suspended_at = self.sim.now
-        faulty = self.diagnostics.find_faulty(self.cluster.nodes)
-        evicted = []
-        for node in faulty:
-            slot = self._executor_by_node[node.node_id]
-            executor = self.executors[slot]
-            executor.stop()
-            try:
-                replacement = self.kubernetes.block_and_replace(node.node_id)
-            except NoSpareAvailable:
-                # Spare pool exhausted: degraded mode — shed the node.
-                # (UnknownNode would mean a stale reference — a bug — and
-                # deliberately propagates instead of being absorbed here.)
-                self.kubernetes.block_and_drop(node.node_id)
-                del self.histories[node.node_id]
-                del self._executor_by_node[node.node_id]
-                self.executors.pop(slot)
-                for node_id, index in self._executor_by_node.items():
-                    if index > slot:
-                        self._executor_by_node[node_id] = index - 1
-                self.shrunk.append(node.node_id)
-                evicted.append(node.node_id)
-                continue
-            del self.histories[node.node_id]
-            del self._executor_by_node[node.node_id]
-            new_exec = Executor(
-                sim=self.sim,
-                node=replacement,
-                channel=self.channel,
-                heartbeat_interval=self.heartbeat_interval,
-            )
-            new_exec.start()
-            self.executors[slot] = new_exec
-            self._executor_by_node[replacement.node_id] = slot
-            self.histories[replacement.node_id] = HeartbeatHistory(node_id=replacement.node_id)
-            evicted.append(node.node_id)
-        self.recoveries += 1
-        self.state = "running" if self.executors else "stalled"
-        if self.hub is not None:
-            self.hub.instant(
-                "fault",
-                "recover",
-                suspended_at,
-                evicted=len(evicted),
-                shrunk=len(self.shrunk),
-                state=self.state,
-            )
-            for node_id in evicted:
-                self.hub.instant("fault", "evict", suspended_at, rank=node_id)
-            self.hub.count("fault", "recoveries", 1)
-        return evicted
 
 
 class LiveMonitors:
@@ -366,7 +228,6 @@ class ProductionRun:
         config: Optional[ProductionRunConfig] = None,
         planner: Optional[CheckpointPlanner] = None,
         loss_curve: Callable[[float], float] = default_loss_curve,
-        diagnostics: Optional[DiagnosticSuite] = None,
         rng: Optional[np.random.Generator] = None,
         cluster: Optional[Cluster] = None,
         integrity: Optional[ShardIntegrityModel] = None,
@@ -380,7 +241,7 @@ class ProductionRun:
         self.config = config or ProductionRunConfig()
         self.planner = planner
         self.loss_curve = loss_curve
-        self.diagnostics = diagnostics or DiagnosticSuite()
+        self.diagnostics = DiagnosticSuite()
         self.rng = rng if rng is not None else np.random.default_rng(42)
         self.cluster = cluster
         self.integrity = integrity

@@ -17,12 +17,10 @@ which is what determines how the robust-training framework can detect it:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
-
-from ..hardware.node import Node
 
 
 class Manifestation(enum.Enum):
@@ -39,7 +37,6 @@ class FaultKind:
     manifestation: Manifestation
     weekly_rate_per_node: float  # expected occurrences per node-week
     auto_detectable: bool  # covered by heartbeats + diagnostic tests
-    apply: Callable[[Node], None] = field(compare=False, default=lambda node: None)
     # Throughput the job sustains while the fault is active but undetected
     # (synchronous training is gated by its slowest participant, so one
     # silently-slow host drags the whole job to this fraction).
@@ -53,39 +50,19 @@ class FaultKind:
     repair_time: float = 0.0
 
 
-def _kill_gpu(node: Node) -> None:
-    node.gpus[0].healthy = False
-
-
-def _down_nic(node: Node) -> None:
-    node.nics[0].degrade(0.0)
-
-
-def _degrade_nic(node: Node) -> None:
-    node.nics[0].degrade(0.4)
-
-
-def _slow_host(node: Node) -> None:
-    node.set_speed_factor(0.9)
-
-
-def _mark_unhealthy(node: Node) -> None:
-    node.healthy = False
-
-
 # Rates sum to roughly 100+ failures over several weeks at ~1250 nodes
 # for the >90%-auto-detected mix the paper reports (§6.2, §6.3).
-CUDA_ERROR = FaultKind("cuda-error", Manifestation.EXPLICIT, 6.0e-3, True, _mark_unhealthy)
-SEGFAULT = FaultKind("segfault", Manifestation.EXPLICIT, 3.0e-3, True, _mark_unhealthy)
-GPU_ECC = FaultKind("gpu-ecc", Manifestation.EXPLICIT, 4.2e-3, True, _kill_gpu)
-NIC_DOWN = FaultKind("nic-down", Manifestation.EXPLICIT, 2.1e-3, True, _down_nic)
-NCCL_HANG = FaultKind("nccl-hang", Manifestation.HANG, 1.8e-3, True, _mark_unhealthy)
+CUDA_ERROR = FaultKind("cuda-error", Manifestation.EXPLICIT, 6.0e-3, True)
+SEGFAULT = FaultKind("segfault", Manifestation.EXPLICIT, 3.0e-3, True)
+GPU_ECC = FaultKind("gpu-ecc", Manifestation.EXPLICIT, 4.2e-3, True)
+NIC_DOWN = FaultKind("nic-down", Manifestation.EXPLICIT, 2.1e-3, True)
+NCCL_HANG = FaultKind("nccl-hang", Manifestation.HANG, 1.8e-3, True)
 NIC_DEGRADED = FaultKind(
-    "nic-degraded", Manifestation.SILENT, 0.75e-3, False, _degrade_nic,
+    "nic-degraded", Manifestation.SILENT, 0.75e-3, False,
     degraded_throughput=0.85,
 )
 SLOW_HOST = FaultKind(
-    "slow-host", Manifestation.SILENT, 0.75e-3, False, _slow_host,
+    "slow-host", Manifestation.SILENT, 0.75e-3, False,
     degraded_throughput=0.9,
 )
 
@@ -136,7 +113,10 @@ def detection_latency(event: FaultEvent, rng: np.random.Generator, config) -> fl
 
     ``config`` supplies ``heartbeat_interval``, ``nccl_hang_timeout`` and
     ``silent_fault_detection_time`` (the production-run and scheduler
-    configs both do).
+    configs both do).  The heartbeat mechanism this abstracts is replayed
+    event by event in ``tests/oracles/live_driver.py``; a property there
+    holds that the mechanism flags every auto-detectable fault no later
+    than the top of its window here, and no silent one before its floor.
     """
     manifestation = event.kind.manifestation
     if manifestation is Manifestation.EXPLICIT:

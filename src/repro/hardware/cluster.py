@@ -17,16 +17,15 @@ class UnknownNode(LookupError):
     """The node id does not name an *active* cluster node.
 
     Raised for ids that were never part of the cluster and for nodes
-    already evicted or removed — either way the caller holds a stale or
-    bogus reference, which is a programming error, not a capacity issue.
+    already evicted — either way the caller holds a stale or bogus
+    reference, which is a programming error, not a capacity issue.
     """
 
 
 class NoSpareAvailable(LookupError):
     """The spare pool is empty — replacement is a capacity decision.
 
-    Distinct from :class:`UnknownNode` so callers (the robust driver,
-    the multi-job scheduler's spare broker) can arbitrate / retry /
+    Distinct from :class:`UnknownNode` so callers can arbitrate / retry /
     shrink on exhaustion while still letting genuine bugs propagate.
     """
 
@@ -75,9 +74,9 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         """Resolve an *active or standby* node by id.
 
-        Evicted/removed nodes are no longer resolvable: their entries are
-        purged from the index, so a stale id raises :class:`UnknownNode`
-        instead of silently returning a dead host.
+        Evicted nodes are no longer resolvable: their entries are purged
+        from the index, so a stale id raises :class:`UnknownNode` instead
+        of silently returning a dead host.
         """
         found = self._by_id.get(node_id)
         if found is None:
@@ -87,11 +86,10 @@ class Cluster:
     def node_of_rank(self, rank: int) -> Node:
         """Map a global GPU rank to its host (ranks are packed per node).
 
-        Ranks are packed over the *current* active list: after a
-        ``remove`` shrinks the cluster, ranks re-pack onto the survivors
-        (exactly what an elastic DP-shrink does).  Ranks issued against
-        the pre-shrink cluster are stale and must be re-derived — out of
-        range ones raise rather than silently aliasing another host.
+        Ranks are packed over the *current* active list, so a smaller
+        node list packs them onto fewer hosts (exactly what an elastic
+        DP-shrink does).  Out-of-range ranks raise rather than silently
+        aliasing another host.
         """
         if not self.nodes:
             raise IndexError(f"rank {rank} outside an empty cluster")
@@ -122,18 +120,6 @@ class Cluster:
         target.evicted = True
         del self._by_id[node_id]
         return replacement
-
-    def remove(self, node_id: int) -> Node:
-        """Drop a faulty node with no replacement (degraded mode).
-
-        Used when the spare pool is exhausted and the job elects to keep
-        training at a smaller data-parallel degree instead of stalling.
-        """
-        target = self._active(node_id)
-        self.nodes.remove(target)
-        target.evicted = True
-        del self._by_id[node_id]
-        return target
 
     def _active(self, node_id: int) -> Node:
         target = self._by_id.get(node_id)

@@ -3,7 +3,7 @@
 Each GPU server in the paper's cluster carries eight 200 Gbps RNICs, one
 per GPU, attached multi-rail to eight different ToR switches.  The NIC
 model tracks line rate, health (for diagnostic tests), and RDMA traffic
-counters (the heartbeat anomaly detector of §4.2 watches these).
+counters (§4.2's RDMA-traffic rule watches these).
 """
 
 from __future__ import annotations

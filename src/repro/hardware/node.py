@@ -77,11 +77,6 @@ class Node:
         for gpu in self.gpus:
             gpu.degrade(factor)
 
-    @property
-    def ip(self) -> str:
-        """A synthetic, stable address used in heartbeats and block lists."""
-        return f"10.{(self.node_id >> 16) & 0xFF}.{(self.node_id >> 8) & 0xFF}.{self.node_id & 0xFF}"
-
     def gpu(self, local_rank: int) -> Gpu:
         return self.gpus[local_rank]
 

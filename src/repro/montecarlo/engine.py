@@ -64,9 +64,10 @@ class CampaignSpec:
 
     Chaos campaigns default to a 512-node production run under the
     correlated injector with a zero-spare cluster and a flaky HDFS — the
-    full degraded-mode pipeline of :func:`repro.fault.scenarios.chaos_smoke`
-    at 4x its scale.  Scheduler campaigns reuse the multi-tenant testbed
-    of :mod:`repro.scheduler.scenarios`; only ``policy`` applies to them.
+    full degraded-mode pipeline the smoke gate
+    ``tests/smoke/test_ci_gates.py::test_chaos_smoke`` runs at 128 nodes.
+    Scheduler campaigns reuse the multi-tenant testbed of
+    :mod:`repro.scheduler.scenarios`; only ``policy`` applies to them.
     """
 
     # -- chaos scenario -----------------------------------------------------

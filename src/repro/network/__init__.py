@@ -9,7 +9,7 @@ from .congestion import (
     simulate_bottleneck,
 )
 from .ecmp import ConflictStats, conflict_stats, expected_conflict_stats, port_split_benefit
-from .flapping import FlapEvent, LinkFlapper, flap_downtime_in_window, flap_statistics
+from .flapping import FlapEvent, flap_downtime_in_window, flap_statistics
 from .flow import Flow, max_min_fair_rates, transfer_time
 from .link import DuplexLink, Link
 from .pfc import PfcState
@@ -39,7 +39,6 @@ __all__ = [
     "FlapEvent",
     "Flow",
     "Link",
-    "LinkFlapper",
     "MegaScaleControl",
     "PfcState",
     "PlacementDelta",

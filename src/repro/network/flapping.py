@@ -1,19 +1,18 @@
-"""Link flapping injection (§3.6, §6.3).
+"""Link flaps (§3.6, §6.3): the flap record and its statistics.
 
 A flapping link goes down for a few seconds, dropping all in-flight
 packets, then comes back.  The paper's lessons: (1) NCCL's retransmit
 timeout must exceed the flap duration or the job dies with a completion
 error; (2) the NIC's ``adap_retrans`` feature retries on a short interval
-and recovers quickly when the flap is brief.
+and recovers quickly when the flap is brief.  :mod:`repro.network.transport`
+prices those retransmit policies; a :class:`FlapEvent` is what the
+second-level monitor reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
-
-from ..sim import Process, Simulator
-from .link import DuplexLink
 
 
 @dataclass
@@ -24,53 +23,6 @@ class FlapEvent:
     @property
     def duration(self) -> float:
         return self.up_at - self.down_at
-
-
-@dataclass
-class LinkFlapper:
-    """Drives a link through down/up cycles on the simulation clock.
-
-    With a :class:`~repro.observability.TelemetryHub` as ``hub`` every
-    flap lands as a pair of instant events (``link-down`` / ``link-up``)
-    on the ``network`` lane at the simulated instants they fired.
-    """
-
-    sim: Simulator
-    link: DuplexLink
-    mean_interval: float  # mean seconds between flap starts
-    mean_down_time: float  # mean seconds a flap lasts
-    rng: object  # numpy Generator
-    events: List[FlapEvent] = field(default_factory=list)
-    hub: object = None  # optional TelemetryHub
-    _proc: Process = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def start(self) -> None:
-        self._proc = Process(self.sim, self._run(), name="link-flapper")
-
-    def _run(self):
-        while True:
-            wait = float(self.rng.exponential(self.mean_interval))
-            yield self.sim.timeout(wait)
-            down_at = self.sim.now
-            self.link.set_state(False)
-            if self.hub is not None:
-                self.hub.instant("network", "link-down", down_at)
-            down_for = float(self.rng.exponential(self.mean_down_time))
-            yield self.sim.timeout(down_for)
-            self.link.set_state(True)
-            self.events.append(FlapEvent(down_at, self.sim.now))
-            if self.hub is not None:
-                self.hub.instant(
-                    "network", "link-up", self.sim.now, duration=self.sim.now - down_at
-                )
-                self.hub.count("network", "flaps", 1)
-
-    def stop(self) -> None:
-        """Halt injection; a flap in progress is cut short (link restored)."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stop")
-        if not self.link.up:
-            self.link.set_state(True)
 
 
 def flap_downtime_in_window(events: List[FlapEvent], start: float, end: float) -> float:

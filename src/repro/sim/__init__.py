@@ -1,25 +1,22 @@
 """Discrete-event simulation kernel used by every MegaScale subsystem."""
 
 from .engine import Event, SimulationError, Simulator, Timeout
-from .process import AllOf, AnyOf, Interrupt, Process
+from .process import AllOf, AnyOf, Process
 from .randomness import RandomStreams
-from .resources import Channel, Resource, Store
+from .resources import Resource
 from .trace import Counter, Span, TraceRecorder
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Channel",
     "Counter",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "Resource",
     "SimulationError",
     "Simulator",
     "Span",
-    "Store",
     "Timeout",
     "TraceRecorder",
 ]

@@ -111,8 +111,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which would sort before every event
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim, name=f"timeout({delay:g})")
         self.delay = delay
         self._triggered = True
@@ -173,10 +173,14 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches ``until``.
 
-        Returns the simulation time at which execution stopped.
+        Returns the simulation time at which execution stopped.  An
+        ``until`` before the current time would rewind the clock, so it
+        raises ``ValueError``.
         """
         if self._active:
             raise SimulationError("simulator is not reentrant")
+        if until is not None and not until >= self._now:
+            raise ValueError(f"run(until={until}) is before the current time {self._now}")
         self._active = True
         try:
             while self._queue:

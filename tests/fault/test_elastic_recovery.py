@@ -13,15 +13,17 @@ from repro.fault import (
 )
 from repro.fault.domains import (
     RACK_POWER_FAULT,
+    TOR_SWITCH_FAULT,
     CorrelatedFaultInjector,
     DomainTopology,
 )
 from repro.fault.elastic import shrunk_dp
-from repro.fault.scenarios import run_correlated, spare_exhaustion_scenario
+from repro.fault.faults import CUDA_ERROR
 from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.parallel import ParallelPlan, plan_for_gpus
 from tests.oracles.elastic import shrink_dp_plans, shrunk_dp_reference
+from tests.oracles.live_driver import run_scenario
 
 
 class FixedInjector:
@@ -207,21 +209,22 @@ def test_degraded_run_is_deterministic():
     assert a.effective_iterations == b.effective_iterations
 
 
-# -- live driver + scenarios ---------------------------------------------------
+# -- the live driver oracle -----------------------------------------------------
 
 
 def test_live_driver_sheds_nodes_when_spares_run_out():
-    outcome = spare_exhaustion_scenario().run(n_nodes=4, n_spares=1)
-    assert len(outcome.injected) == 3
-    assert set(outcome.evicted) == set(outcome.injected)
+    driver, victims, _, evicted = run_scenario([CUDA_ERROR] * 3, n_nodes=4, n_spares=1)
+    assert set(evicted) == set(victims)
     # One replaced from the pool, two shed.
-    assert len(outcome.shrunk) == 2
-    assert set(outcome.shrunk) <= set(outcome.injected)
+    assert len(driver.shed) == 2
+    assert set(driver.shed) <= set(victims)
+    assert len(driver.daemons) == 2
 
 
 def test_run_correlated_scenarios_complete():
-    outcomes = run_correlated()
-    assert {o.name for o in outcomes} == {"rack-psu", "tor-switch", "spare-exhaustion"}
-    for outcome in outcomes:
+    # Rack PSU, ToR switch and a crash wider than the pool, one spare each.
+    for kinds in ([RACK_POWER_FAULT] * 2, [TOR_SWITCH_FAULT] * 2, [CUDA_ERROR] * 3):
+        driver, victims, _, evicted = run_scenario(kinds, n_spares=1)
         # Every injected fault was handled one way or the other.
-        assert set(outcome.evicted) == set(outcome.injected)
+        assert set(evicted) == set(victims)
+        assert len(driver.shed) == len(victims) - 1

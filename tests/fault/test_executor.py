@@ -1,101 +1,67 @@
-"""Direct tests for the per-node executor daemon."""
+"""Direct tests for the live oracle's per-node daemon (the executor's
+heartbeat of §4.1)."""
 
 import pytest
 
-from repro.fault.executor import HEALTHY_RDMA_RATE, Executor
 from repro.fault.faults import CUDA_ERROR, NCCL_HANG, SLOW_HOST
-from repro.hardware import Node, NodeSpec
-from repro.sim import Channel, Simulator
+from repro.hardware import Cluster
+from tests.oracles.live_driver import HEALTHY_RDMA_RATE, LiveDriver
 
 
 def make_executor(interval=10.0):
-    sim = Simulator()
-    node = Node(spec=NodeSpec())
-    channel = Channel(sim, name="hb")
-    executor = Executor(sim=sim, node=node, channel=channel, heartbeat_interval=interval)
-    return sim, node, channel, executor
-
-
-def drain(channel):
-    beats = []
-    while True:
-        beat = channel.try_recv()
-        if beat is None:
-            return beats
-        beats.append(beat)
+    driver = LiveDriver(Cluster.build(1), heartbeat_interval=interval)
+    (node_id, daemon), = driver.daemons.items()
+    return driver.sim, daemon.node, driver.histories[node_id], driver, daemon
 
 
 def test_healthy_executor_beats_on_schedule():
-    sim, node, channel, executor = make_executor(interval=5.0)
-    executor.start()
+    sim, node, beats, driver, daemon = make_executor(interval=5.0)
     sim.run(until=26.0)
-    beats = drain(channel)
-    assert len(beats) == 5  # t = 5, 10, 15, 20, 25
-    assert all(b.process_status == "running" for b in beats)
-    assert all(b.rdma_tx_rate == pytest.approx(HEALTHY_RDMA_RATE) for b in beats)
-    assert beats[0].ip == node.ip
+    assert [b.time for b in beats] == [5.0, 10.0, 15.0, 20.0, 25.0]
+    assert all(b.status == "running" for b in beats)
+    assert all(b.rdma_rate == pytest.approx(HEALTHY_RDMA_RATE) for b in beats)
 
 
 def test_explicit_fault_reports_error_and_logs():
-    sim, node, channel, executor = make_executor()
-    executor.start()
+    sim, node, beats, driver, daemon = make_executor()
     sim.run(until=15.0)
-    drain(channel)
-    executor.inject(CUDA_ERROR)
+    driver.inject(node.node_id, CUDA_ERROR)
     sim.run(until=25.0)
-    beats = drain(channel)
-    assert beats
-    assert beats[-1].process_status == "error"
-    assert any("CUDA error" in line for line in beats[-1].log_lines)
-    assert beats[-1].rdma_tx_rate == 0.0
+    assert beats[-1].status == "error"
+    assert "cuda-error" in beats[-1].log
+    assert beats[-1].rdma_rate == 0.0
     assert not node.healthy  # fault applied to the hardware
 
 
 def test_hang_keeps_status_running_but_zero_traffic():
-    sim, node, channel, executor = make_executor()
-    executor.start()
-    executor.inject(NCCL_HANG)
+    sim, node, beats, driver, daemon = make_executor()
+    driver.inject(node.node_id, NCCL_HANG)
     sim.run(until=12.0)
-    beats = drain(channel)
-    assert beats[-1].process_status == "running"
-    assert beats[-1].rdma_tx_rate == 0.0
+    assert beats[-1].status == "running"
+    assert beats[-1].rdma_rate == 0.0
 
 
 def test_silent_fault_looks_almost_healthy():
-    sim, node, channel, executor = make_executor()
-    executor.start()
-    executor.inject(SLOW_HOST)
+    sim, node, beats, driver, daemon = make_executor()
+    driver.inject(node.node_id, SLOW_HOST)
     sim.run(until=12.0)
-    beats = drain(channel)
-    assert beats[-1].process_status == "running"
+    assert beats[-1].status == "running"
     # Traffic only mildly depressed: the signature heartbeats can't catch.
-    assert beats[-1].rdma_tx_rate == pytest.approx(HEALTHY_RDMA_RATE * 0.9)
+    assert beats[-1].rdma_rate == pytest.approx(HEALTHY_RDMA_RATE * 0.9)
 
 
 def test_clear_fault_restores_healthy_beats():
-    sim, node, channel, executor = make_executor()
-    executor.start()
-    executor.inject(NCCL_HANG)
+    sim, node, beats, driver, daemon = make_executor()
+    driver.inject(node.node_id, NCCL_HANG)
     sim.run(until=12.0)
-    drain(channel)
-    executor.clear_fault()
+    daemon.fault = None
     sim.run(until=22.0)
-    beats = drain(channel)
-    assert beats[-1].rdma_tx_rate > 0
+    assert beats[-1].rdma_rate > 0
 
 
 def test_stop_halts_heartbeats():
-    sim, node, channel, executor = make_executor()
-    executor.start()
+    sim, node, beats, driver, daemon = make_executor()
     sim.run(until=12.0)
-    drain(channel)
-    executor.stop()
+    daemon.stopped = True
     sim.run(until=60.0)
-    assert drain(channel) == []
-
-
-def test_executor_validation():
-    sim = Simulator()
-    node = Node(spec=NodeSpec())
-    with pytest.raises(ValueError):
-        Executor(sim=sim, node=node, channel=Channel(sim), heartbeat_interval=0)
+    assert [b.time for b in beats] == [10.0]

@@ -1,20 +1,19 @@
-"""Tests for the fault catalog, heartbeats and anomaly detection."""
+"""Tests for the fault catalog and the live oracle's heartbeat rules."""
 
 import numpy as np
 import pytest
 
 from repro.fault import (
-    AnomalyDetector,
     FAULT_CATALOG,
+    LEAF_LINK_FAULT,
+    RACK_POWER_FAULT,
+    TOR_SWITCH_FAULT,
     FaultInjector,
-    HeartbeatHistory,
-    HeartbeatMessage,
-    Verdict,
     auto_detectable_fraction,
-    scan_log_lines,
 )
 from repro.fault.faults import CUDA_ERROR, SLOW_HOST, Manifestation
-from repro.hardware import Node, NodeSpec
+from repro.hardware import Cluster, Node, NodeSpec
+from tests.oracles.live_driver import EFFECTS, HEALTHY_RDMA_RATE, Beat, LiveDriver, verdict
 
 
 def test_catalog_covers_all_manifestations():
@@ -32,10 +31,10 @@ def test_catalog_auto_detectable_majority():
 
 def test_fault_application_mutates_node():
     node = Node(spec=NodeSpec())
-    CUDA_ERROR.apply(node)
+    EFFECTS[CUDA_ERROR.name](node)
     assert not node.healthy
     node2 = Node(spec=NodeSpec())
-    SLOW_HOST.apply(node2)
+    EFFECTS[SLOW_HOST.name](node2)
     assert node2.speed_factor == pytest.approx(0.9)
 
 
@@ -73,102 +72,38 @@ def test_injector_validation():
         FaultInjector(n_nodes=1).sample(0)
 
 
-# -- heartbeats -------------------------------------------------------------
+# -- heartbeat rules ----------------------------------------------------------
 
 
-def _beat(t, node_id=1, status="running", logs=(), tx=12e9):
-    return HeartbeatMessage(
-        time=t,
-        node_id=node_id,
-        ip="10.0.0.1",
-        pod_name="pod-1",
-        process_status=status,
-        log_lines=logs,
-        rdma_tx_rate=tx,
-        rdma_rx_rate=tx,
-    )
+def _beat(t, status="running", rate=HEALTHY_RDMA_RATE):
+    return Beat(time=t, status=status, log="", rdma_rate=rate)
 
 
-def test_log_keyword_scan():
-    found = scan_log_lines(("RuntimeError: CUDA error: illegal access",))
-    assert "CUDA error" in found
-    assert scan_log_lines(("all good",)) == []
-
-
-def test_history_ordering_enforced():
-    history = HeartbeatHistory(node_id=1)
-    history.record(_beat(10.0))
-    with pytest.raises(ValueError):
-        history.record(_beat(5.0))
-    with pytest.raises(ValueError):
-        history.record(_beat(20.0, node_id=2))
-
-
-def test_detector_missing_heartbeat():
-    history = HeartbeatHistory(node_id=1)
-    history.record(_beat(0.0))
-    detector = AnomalyDetector(heartbeat_timeout=30.0)
-    assert detector.check(history, now=10.0) is None
-    anomaly = detector.check(history, now=100.0)
-    assert anomaly is not None
-    assert anomaly.verdict is Verdict.MISSING_HEARTBEAT
-    assert anomaly.triggers_auto_recovery
+def test_effects_cover_every_fault_kind():
+    kinds = FAULT_CATALOG + [RACK_POWER_FAULT, TOR_SWITCH_FAULT, LEAF_LINK_FAULT]
+    assert set(EFFECTS) == {kind.name for kind in kinds}
 
 
 def test_detector_explicit_error_status():
-    history = HeartbeatHistory(node_id=1)
-    history.record(_beat(0.0, status="error"))
-    anomaly = AnomalyDetector().check(history, now=5.0)
-    assert anomaly.verdict is Verdict.EXPLICIT_ERROR
-
-
-def test_detector_log_keywords():
-    history = HeartbeatHistory(node_id=1)
-    history.record(_beat(0.0, logs=("Segmentation fault (core dumped)",)))
-    anomaly = AnomalyDetector().check(history, now=5.0)
-    assert anomaly.verdict is Verdict.EXPLICIT_ERROR
-    assert "Segmentation fault" in anomaly.detail
+    assert verdict([_beat(0.0, status="error")]) == "explicit-error"
 
 
 def test_detector_traffic_ceased_means_hang():
-    history = HeartbeatHistory(node_id=1)
-    for t in range(6):
-        history.record(_beat(float(t * 10), tx=12e9))
-    history.record(_beat(60.0, tx=0.0))
-    anomaly = AnomalyDetector().check(history, now=65.0)
-    assert anomaly.verdict is Verdict.TRAFFIC_CEASED
-    assert anomaly.triggers_auto_recovery
-
-
-def test_detector_traffic_decline_alerts_only():
-    history = HeartbeatHistory(node_id=1)
-    for t in range(5):
-        history.record(_beat(float(t * 10), tx=12e9))
-    history.record(_beat(50.0, tx=4e9))
-    anomaly = AnomalyDetector().check(history, now=55.0)
-    assert anomaly.verdict is Verdict.TRAFFIC_DECLINED
-    assert not anomaly.triggers_auto_recovery
+    history = [_beat(float(t * 10)) for t in range(6)] + [_beat(60.0, rate=0.0)]
+    assert verdict(history) == "traffic-ceased"
+    # No healthy baseline: a node that never had traffic has not lost it.
+    assert verdict([_beat(0.0, rate=0.0)]) is None
 
 
 def test_detector_healthy_node_clean():
-    history = HeartbeatHistory(node_id=1)
-    for t in range(6):
-        history.record(_beat(float(t * 10)))
-    assert AnomalyDetector().check(history, now=55.0) is None
+    assert verdict([_beat(float(t * 10)) for t in range(6)]) is None
+    assert verdict([]) is None
 
 
 def test_detector_sweep():
-    healthy = HeartbeatHistory(node_id=1)
-    healthy.record(_beat(50.0))
-    dead = HeartbeatHistory(node_id=2)
-    detector = AnomalyDetector()
-    anomalies = detector.sweep([healthy, dead], now=60.0)
-    assert len(anomalies) == 1
-    assert anomalies[0].node_id == 2
-
-
-def test_detector_validation():
-    with pytest.raises(ValueError):
-        AnomalyDetector(heartbeat_timeout=0)
-    with pytest.raises(ValueError):
-        AnomalyDetector(decline_ratio=1.0)
+    driver = LiveDriver(Cluster.build(2))
+    victim = driver.cluster.nodes[1].node_id
+    driver.sim.run(until=15.0)
+    driver.inject(victim, CUDA_ERROR)
+    driver.sim.run(until=30.0)
+    assert driver.check() == {victim: "explicit-error"}

@@ -1,4 +1,4 @@
-"""Tests for checkpoint-interval planning and fault scenarios."""
+"""Tests for checkpoint-interval planning and the live oracle's war stories."""
 
 import numpy as np
 import pytest
@@ -10,16 +10,10 @@ from repro.fault.interval import (
     plan_interval,
     young_daly_interval,
 )
-from repro.fault.scenarios import (
-    crash_scenario,
-    gray_failure_scenario,
-    hang_scenario,
-    multi_fault_scenario,
-    run_all,
-    straggler_scenario,
-)
+from repro.fault.faults import CUDA_ERROR, NCCL_HANG, NIC_DEGRADED, SLOW_HOST
 from repro.model import GPT_175B
 from repro.parallel import plan_for_gpus
+from tests.oracles.live_driver import run_scenario
 
 
 # -- interval planning ------------------------------------------------------
@@ -72,51 +66,52 @@ def test_plan_interval_validation():
         plan_interval(planner, injector, iteration_time=0)
 
 
-# -- scenarios -----------------------------------------------------------------
+# -- scenarios (§5, §6.3 war stories on the live oracle) ----------------------
+
+SCENARIOS = {
+    "cuda-crash": [CUDA_ERROR],
+    "nccl-hang": [NCCL_HANG],
+    "gray-nic": [NIC_DEGRADED],
+    "slow-host": [SLOW_HOST],
+    "double-fault": [CUDA_ERROR, NCCL_HANG],
+}
 
 
 def test_crash_scenario_auto_detected_and_evicted():
-    outcome = crash_scenario().run()
-    assert outcome.auto_recovered
-    victim = next(iter(outcome.injected))
-    assert outcome.detected.get(victim) == "explicit-error"
-    assert victim in outcome.evicted
+    _, (victim,), detected, evicted = run_scenario(SCENARIOS["cuda-crash"])
+    assert detected == {victim: "explicit-error"}
+    assert victim in evicted
 
 
 def test_hang_scenario_detected_via_traffic():
-    outcome = hang_scenario().run()
-    victim = next(iter(outcome.injected))
-    assert outcome.detected.get(victim) == "traffic-ceased"
-    assert victim in outcome.evicted
+    _, (victim,), detected, evicted = run_scenario(SCENARIOS["nccl-hang"])
+    assert detected.get(victim) == "traffic-ceased"
+    assert victim in evicted
 
 
 def test_gray_failure_not_auto_detected():
     # The paper's motivation for §5: heartbeats alone miss gray failures.
-    outcome = gray_failure_scenario().run()
-    victim = next(iter(outcome.injected))
-    assert outcome.detected.get(victim) in (None, "traffic-declined")
-    assert not outcome.auto_recovered or outcome.detected.get(victim) == "traffic-declined"
+    _, (victim,), detected, evicted = run_scenario(SCENARIOS["gray-nic"])
+    assert detected == {} and evicted == []
 
 
 def test_straggler_invisible_to_heartbeats():
-    outcome = straggler_scenario().run()
-    victim = next(iter(outcome.injected))
-    # Mild slowdown doesn't trip the traffic-decline rule.
-    assert outcome.detected.get(victim) is None
-    # But the diagnostic sweep during recovery (if triggered) would find
-    # it — here nothing triggered, which is exactly the paper's gap.
-    assert not outcome.evicted or victim in outcome.evicted
+    driver, (victim,), detected, evicted = run_scenario(SCENARIOS["slow-host"])
+    # Mild slowdown trips no heartbeat rule, so no recovery runs...
+    assert detected == {} and evicted == []
+    # ...though the diagnostic battery would have caught the host.
+    assert driver.recover() == [victim]
 
 
 def test_multi_fault_scenario_evicts_both():
-    outcome = multi_fault_scenario().run()
-    assert len(outcome.injected) == 2
-    for victim in outcome.injected:
-        assert victim in outcome.evicted
+    _, victims, _, evicted = run_scenario(SCENARIOS["double-fault"])
+    assert len(victims) == 2
+    assert sorted(evicted) == sorted(victims)
 
 
 def test_run_all_scenarios():
-    outcomes = run_all()
-    assert len(outcomes) == 5
-    names = {o.name for o in outcomes}
-    assert names == {"cuda-crash", "nccl-hang", "gray-nic", "slow-host", "double-fault"}
+    # Heartbeats catch exactly the auto-detectable victims of every story.
+    for name, kinds in SCENARIOS.items():
+        _, victims, detected, _ = run_scenario(kinds, n_spares=6)
+        auto = {v for v, kind in zip(victims, kinds) if kind.auto_detectable}
+        assert set(detected) == auto, name

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.sim import RandomStreams, Simulator
 from repro.network import (
     ADAPTIVE_NIC,
     DEFAULT_NCCL,
     TUNED_NCCL,
     CommunicationError,
-    DuplexLink,
-    Link,
-    LinkFlapper,
     PfcState,
     RetransmitPolicy,
     flap_downtime_in_window,
@@ -92,20 +88,6 @@ def test_unknown_algorithm_rejected():
 
 
 # -- link flapping -----------------------------------------------------------
-
-
-def test_flapper_generates_down_up_cycles():
-    sim = Simulator()
-    link = DuplexLink(Link(src="a", dst="b", bandwidth=1e9))
-    rng = RandomStreams(seed=1).stream("flaps")
-    flapper = LinkFlapper(sim, link, mean_interval=10.0, mean_down_time=2.0, rng=rng)
-    flapper.start()
-    sim.run(until=200.0)
-    flapper.stop()
-    count, mean_duration = flap_statistics(flapper.events)
-    assert count >= 5
-    assert 0.1 < mean_duration < 10.0
-    assert link.up  # flapper leaves the link up between flaps
 
 
 def test_flap_downtime_window():

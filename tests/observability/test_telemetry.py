@@ -9,7 +9,7 @@ from repro.core.features import MEGASCALE_ISO_BATCH
 from repro.exec import run_tasks
 from repro.fault import CheckpointPlanner, FaultInjector, ProductionRun
 from repro.model import GPT_13B, GPT_175B
-from repro.network import DuplexLink, Link, LinkFlapper, simulate_bottleneck
+from repro.network import simulate_bottleneck
 from repro.network.topology import ClosFabric
 from repro.collectives.runtime import RingCollectiveRuntime
 from repro.observability import (
@@ -22,7 +22,6 @@ from repro.observability import (
     lane_summary,
 )
 from repro.parallel import ParallelPlan, plan_for_gpus
-from repro.sim import RandomStreams, Simulator
 from repro.training import TrainingRunner
 
 
@@ -301,25 +300,6 @@ def test_congestion_emits_utilization_samples():
     assert all(0.0 <= v <= 1.0 + 1e-9 for _, v in series)
     (span,) = hub.spans("network")
     assert span.attr("goodput_fraction") == pytest.approx(result.goodput_fraction)
-
-
-def test_flapper_emits_instants():
-    hub = TelemetryHub()
-    sim = Simulator()
-    link = DuplexLink(Link(src="a", dst="b", bandwidth=1e9))
-    rng = RandomStreams(seed=1).stream("flaps")
-    flapper = LinkFlapper(
-        sim, link, mean_interval=10.0, mean_down_time=2.0, rng=rng, hub=hub
-    )
-    flapper.start()
-    sim.run(until=100.0)
-    flapper.stop()
-    downs = [i for i in hub.instants if i.name == "link-down"]
-    ups = [i for i in hub.instants if i.name == "link-up"]
-    assert len(ups) == len(flapper.events) >= 1
-    assert len(downs) >= len(ups)
-    assert ups[0].ts == pytest.approx(flapper.events[0].up_at)
-    assert hub.metrics.counter("network.flaps") == len(ups)
 
 
 def _double(x):

@@ -13,4 +13,7 @@ optimized production paths are held to.
 * :mod:`tests.oracles.elastic` — the shrink-plan enumeration and
   whole-host walk (§4 elastic recovery) behind
   :func:`repro.fault.elastic.shrunk_dp`.
+* :mod:`tests.oracles.live_driver` — the event-level heartbeat
+  mechanism (§4.1–4.3 daemons, detector rules, self-check battery,
+  eviction to spares) behind :func:`repro.fault.detection_latency`.
 """

@@ -116,6 +116,33 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+def test_nan_delay_rejected():
+    # A NaN timestamp compares false with every other, so it would run
+    # before every finite event.
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append("finite"))
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), lambda: fired.append("nan"))
+    sim.run()
+    assert fired == ["finite"]
+
+
+def test_run_until_before_now_rejected():
+    sim = Simulator()
+    sim.run(until=50.0)
+    with pytest.raises(ValueError):
+        sim.run(until=10.0)
+    assert sim.now == 50.0
+    fired = []
+    sim.schedule(5.0, lambda: fired.append(sim.now))
+    sim.run(until=50.0)  # ``until`` equal to now is a no-op
+    sim.run()
+    assert fired == [55.0]
+
+
 def test_step_on_empty_queue_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Process, SimulationError, Simulator
+from repro.sim import AllOf, AnyOf, Process, SimulationError, Simulator
 
 
 def test_process_runs_and_returns_value():
@@ -114,88 +114,6 @@ def test_child_failure_propagates_to_parent():
     proc = Process(sim, parent())
     sim.run()
     assert proc.value == "caught"
-
-
-def test_interrupt_wakes_process_with_cause():
-    sim = Simulator()
-    log = []
-
-    def body():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    proc = Process(sim, body())
-    sim.schedule(2.0, lambda: proc.interrupt("fault"))
-    sim.run()
-    assert log == [(2.0, "fault")]
-
-
-def test_unhandled_interrupt_terminates_quietly():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(100.0)
-
-    proc = Process(sim, body())
-    sim.schedule(1.0, lambda: proc.interrupt())
-    sim.run()
-    assert proc.triggered
-    assert proc.exception is None
-
-
-def test_interrupt_of_finished_process_is_noop():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(1.0)
-        return "ok"
-
-    proc = Process(sim, body())
-    sim.run()
-    proc.interrupt()
-    sim.run()
-    assert proc.value == "ok"
-
-
-def test_stale_wakeup_after_interrupt_is_ignored():
-    sim = Simulator()
-    hits = []
-
-    def body():
-        try:
-            yield sim.timeout(10.0)
-            hits.append("timeout")
-        except Interrupt:
-            yield sim.timeout(50.0)
-            hits.append("post-interrupt")
-
-    Process(sim, body())
-    proc2 = [p for p in [] ]  # noqa: F841 - keep structure simple
-    sim.run(until=5.0)
-    # interrupt at t=5; the original t=10 timeout must not re-wake the body
-    # (it resumed into a new 50s sleep).
-
-    def interrupter(target):
-        target.interrupt("now")
-
-    sim2 = Simulator()
-    hits2 = []
-
-    def body2():
-        try:
-            yield sim2.timeout(10.0)
-            hits2.append("timeout")
-        except Interrupt:
-            yield sim2.timeout(50.0)
-            hits2.append("post-interrupt")
-
-    p = Process(sim2, body2())
-    sim2.schedule(5.0, lambda: p.interrupt("x"))
-    sim2.run()
-    assert hits2 == ["post-interrupt"]
-    assert sim2.now == 55.0
 
 
 def test_all_of_collects_values_in_order():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Channel."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Channel, Process, Resource, SimulationError, Simulator, Store
+from repro.sim import Process, Resource, SimulationError, Simulator
 
 
 def test_resource_capacity_enforced():
@@ -60,128 +60,3 @@ def test_resource_available_accounting():
     sim.run()
     assert res.in_use == 1
     assert res.available == 2
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for i in range(3):
-            yield sim.timeout(1.0)
-            store.put(i)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((sim.now, item))
-
-    Process(sim, producer())
-    Process(sim, consumer())
-    sim.run()
-    assert got == [(1.0, 0), (2.0, 1), (3.0, 2)]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    Process(sim, consumer())
-    sim.schedule(9.0, lambda: store.put("late"))
-    sim.run()
-    assert got == [(9.0, "late")]
-
-
-def test_bounded_store_blocks_putter():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer():
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        events.append((f"got-{item}", sim.now))
-
-    Process(sim, producer())
-    Process(sim, consumer())
-    sim.run()
-    assert ("put-a", 0.0) in events
-    assert ("put-b", 5.0) in events  # unblocked by the get at t=5
-    assert store.items == ("b",)
-
-
-def test_store_try_get_nonblocking():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("x")
-    sim.run()
-    assert store.try_get() == "x"
-    assert store.try_get() is None
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
-def test_channel_latency_delays_delivery():
-    sim = Simulator()
-    chan = Channel(sim, latency=2.0)
-    got = []
-
-    def receiver():
-        msg = yield chan.recv()
-        got.append((sim.now, msg))
-
-    Process(sim, receiver())
-    sim.schedule(1.0, lambda: chan.send("hello"))
-    sim.run()
-    assert got == [(3.0, "hello")]
-    assert chan.sent == 1
-    assert chan.delivered == 1
-
-
-def test_channel_zero_latency_same_tick():
-    sim = Simulator()
-    chan = Channel(sim)
-    chan.send("now")
-    sim.run()
-    assert chan.try_recv() == "now"
-    assert chan.try_recv() is None
-
-
-def test_channel_preserves_order():
-    sim = Simulator()
-    chan = Channel(sim, latency=1.0)
-    got = []
-
-    def receiver():
-        for _ in range(3):
-            msg = yield chan.recv()
-            got.append(msg)
-
-    Process(sim, receiver())
-    for i in range(3):
-        chan.send(i)
-    sim.run()
-    assert got == [0, 1, 2]
-
-
-def test_channel_negative_latency_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Channel(sim, latency=-0.5)

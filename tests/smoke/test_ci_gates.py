@@ -11,6 +11,7 @@ Each test writes what it produced (summaries, traces, reports) under its
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -27,14 +28,67 @@ def _lanes(trace_path):
     return lane_summary(load_trace_document(str(trace_path)))
 
 
-def test_chaos_smoke(tmp_path):
-    """Every live fault scenario (independent and correlated domains) plus
-    a zero-spare correlated production run, for seeds 0-2: chaos_smoke
-    raises on a non-monotone recovery timeline or a nondeterministic
-    replay."""
-    from repro.fault.scenarios import chaos_smoke
+def _chaos_run(seed, n_nodes=128):
+    """A zero-spare correlated production run under a flaky HDFS: the full
+    degraded-mode pipeline, with weeks of faults compressed 20x."""
+    from repro.fault import (
+        FLAKY_HDFS,
+        CheckpointPlanner,
+        CorrelatedFaultInjector,
+        DomainTopology,
+        ProductionRun,
+    )
+    from repro.hardware import Cluster
+    from repro.model import GPT_175B
+    from repro.parallel import plan_for_gpus
 
-    _save_json(tmp_path / "chaos-smoke.json", chaos_smoke(seeds=(0, 1, 2)))
+    plan = plan_for_gpus(n_nodes * 8, tp=8, pp=8, vpp=2)
+    injector = CorrelatedFaultInjector(
+        n_nodes=n_nodes,
+        topology=DomainTopology(n_nodes=n_nodes, nodes_per_rack=4, nodes_per_pod=16),
+        rng=np.random.default_rng(seed),
+        rate_multiplier=20.0,
+    )
+    return ProductionRun(
+        plan,
+        injector,
+        planner=CheckpointPlanner(model=GPT_175B, plan=plan),
+        rng=np.random.default_rng(seed),
+        cluster=Cluster.build(n_nodes=n_nodes, n_spares=0),
+        integrity=FLAKY_HDFS,
+    )
+
+
+def test_chaos_smoke(tmp_path):
+    """A zero-spare correlated production run for seeds 0-2: every recovery
+    timeline is monotone and a replay under the same seed matches it."""
+    week = 7 * 86400.0
+    summaries = []
+    for seed in (0, 1, 2):
+        result = _chaos_run(seed).run(duration=week)
+        again = _chaos_run(seed).run(duration=week)
+        timeline = [
+            (r.fault.time, r.detected_at, r.diagnosed_at, r.resumed_at)
+            for r in result.log.records
+        ]
+        for record in timeline:
+            assert list(record) == sorted(record), f"non-monotone recovery timeline: {record}"
+        assert timeline == [
+            (r.fault.time, r.detected_at, r.diagnosed_at, r.resumed_at)
+            for r in again.log.records
+        ], f"seed {seed}: run is not deterministic"
+        assert result.wall_time > 0 and result.completed_iterations >= 0
+        summaries.append(
+            {
+                "seed": seed,
+                "restarts": result.restarts,
+                "fallback_loads": result.log.fallback_loads(),
+                "degraded_intervals": len(result.log.degraded),
+                "final_dp": result.final_dp,
+                "effective_rate": result.effective_rate(6.34),
+            }
+        )
+    _save_json(tmp_path / "chaos-smoke.json", summaries)
 
 
 def test_scheduler_priority_beats_fifo_on_goodput(tmp_path):

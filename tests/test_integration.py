@@ -7,24 +7,21 @@ trace recording -> observability analysis.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import compare, job_175b, job_530b, megascale, megatron_lm
 from repro.core.features import MEGASCALE_ISO_BATCH
-from repro.fault import (
-    CheckpointPlanner,
-    FaultInjector,
-    MockKubernetes,
-    ProductionRun,
-    RobustTrainingDriver,
-)
+from repro.fault import CheckpointPlanner, FaultInjector, ProductionRun
 from repro.fault.faults import GPU_ECC
 from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.observability import DistributedTimeline, analyze, localize_hang, simulate_timeout_logs
 from repro.observability.cuda_events import CudaEventTimer
 from repro.parallel import ParallelPlan, bubble_fraction, plan_for_gpus
-from repro.sim import Simulator, TraceRecorder
+from repro.sim import TraceRecorder
 from repro.training import IterationEngine
+from tests.oracles.live_driver import LiveDriver
 
 
 def test_end_to_end_comparison_all_paper_scales():
@@ -61,14 +58,39 @@ def test_engine_trace_feeds_observability():
     assert bubble < bubble_fraction(4, 2, 8) + 0.25
 
 
-def test_pipeline_makespan_matches_bubble_theory():
-    # With uniform stages and no comm, makespan ~= (1 + (p-1)/(v*m)) * work.
-    plan = ParallelPlan(dp=1, tp=8, pp=4, vpp=2)
-    engine = IterationEngine(GPT_175B, plan, MEGASCALE_ISO_BATCH)
-    m = 16
-    makespan, busy = engine.pipeline_makespan(m)
-    predicted = busy * (1 + bubble_fraction(4, 2, m))
-    assert makespan == pytest.approx(predicted, rel=0.1)
+# (p, v) whose p·v chunks divide GPT-175B's 96 layers; interleaving needs p > 1.
+_SHAPES = [
+    (p, v) for p in (1, 2, 3, 4, 6, 8) for v in (1, 2, 3, 4)
+    if 96 % (p * v) == 0 and (v == 1 or p > 1)
+]
+
+
+@st.composite
+def _pipeline_shapes(draw):
+    p, v = draw(st.sampled_from(_SHAPES))
+    # Interleaved 1F1B runs micro-batches in groups of p.
+    m = p * draw(st.integers(1, 4)) if v > 1 else draw(st.integers(1, 16))
+    return p, v, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=_pipeline_shapes(),
+    F=st.floats(1e-3, 10.0),
+    B=st.floats(1e-3, 10.0),
+)
+def test_pipeline_makespan_matches_bubble_theory(shape, F, B):
+    # Megatron-LM's interleaved bubble (Narayanan et al. 2021): with no p2p
+    # time and no embedding or logits extras, the makespan is exactly
+    # m·v·(F+B)·(1 + (p-1)/(v·m)), and the search's lower bound is tight.
+    p, v, m = shape
+    engine = IterationEngine(GPT_175B, ParallelPlan(dp=1, tp=8, pp=p, vpp=v), MEGASCALE_ISO_BATCH)
+    engine.f_chunk, engine.b_chunk = F, B
+    engine.p2p_time = engine.embed_extra = engine.logits_fwd = engine.logits_bwd = 0.0
+    expected = m * v * (F + B) * (1 + bubble_fraction(p, v, m))
+    assert engine.pipeline_makespan(m)[0] == pytest.approx(expected, rel=1e-12)
+    bounds = engine.analytic_bounds(global_batch=m)
+    assert bounds.compute_floor + bounds.bubble_floor == pytest.approx(expected, rel=1e-12)
 
 
 def test_straggler_detection_pipeline_round_trip():
@@ -86,23 +108,19 @@ def test_straggler_detection_pipeline_round_trip():
 
 
 def test_fault_to_recovery_full_loop():
-    sim = Simulator()
     cluster = Cluster.build(n_nodes=4, n_spares=2)
-    driver = RobustTrainingDriver(
-        sim=sim, cluster=cluster, kubernetes=MockKubernetes(cluster=cluster)
-    )
-    driver.start()
-    sim.run(until=30.0)
-    victim = driver.executors[2]
-    victim.inject(GPU_ECC)
-    sim.run(until=70.0)
-    anomalies = driver.check_anomalies()
-    assert anomalies, "ECC fault must surface through heartbeats"
+    driver = LiveDriver(cluster)
+    driver.sim.run(until=30.0)
+    victim = cluster.nodes[2].node_id
+    driver.inject(victim, GPU_ECC)
+    driver.sim.run(until=70.0)
+    assert driver.check(), "ECC fault must surface through heartbeats"
     evicted = driver.recover()
-    assert victim.node.node_id in evicted
+    assert victim in evicted
     # The replacement heartbeats too.
-    sim.run(until=120.0)
-    assert driver.check_anomalies() == []
+    driver.sim.run(until=120.0)
+    assert driver.check() == {}
+    assert all(driver.histories.values())
 
 
 def test_hang_localization_matches_planted_fault():

@@ -1,10 +1,7 @@
-"""Tests for priority communication launch and manual eviction."""
+"""Tests for priority communication launch."""
 
 import pytest
 
-from repro.fault.kubernetes import MockKubernetes
-from repro.fault.manual import ManualEvictionQueue, TicketState
-from repro.hardware import Cluster
 from repro.training.priority import (
     CommOp,
     chunk_prefetch_ops,
@@ -67,66 +64,3 @@ def test_chunk_prefetch_instance():
     with pytest.raises(ValueError):
         chunk_prefetch_ops([0.1], compute_chunk_time=0.0)
 
-
-# -- manual eviction -------------------------------------------------------------
-
-
-def make_queue_and_k8s():
-    cluster = Cluster.build(n_nodes=4, n_spares=2)
-    return ManualEvictionQueue(), MockKubernetes(cluster=cluster), cluster
-
-
-def test_ticket_lifecycle():
-    queue, k8s, cluster = make_queue_and_k8s()
-    victim = cluster.nodes[1]
-    ticket = queue.file(victim.node_id, reason="heat-map outlier", evidence="+11% fwd")
-    assert ticket.state is TicketState.PENDING
-    assert queue.pending() == [ticket]
-    queue.approve(ticket.ticket_id)
-    executed = queue.execute_approved(k8s)
-    assert executed == [victim.node_id]
-    assert ticket.state is TicketState.EXECUTED
-    assert victim.evicted
-    assert "replaced by node" in ticket.resolution
-
-
-def test_reject_leaves_node_alone():
-    queue, k8s, cluster = make_queue_and_k8s()
-    node = cluster.nodes[0]
-    ticket = queue.file(node.node_id, reason="suspicion")
-    queue.reject(ticket.ticket_id, "insufficient evidence")
-    assert queue.execute_approved(k8s) == []
-    assert not node.evicted
-    assert ticket.state is TicketState.REJECTED
-
-
-def test_double_approval_rejected():
-    queue, _, cluster = make_queue_and_k8s()
-    ticket = queue.file(cluster.nodes[0].node_id, reason="x")
-    queue.approve(ticket.ticket_id)
-    with pytest.raises(ValueError):
-        queue.approve(ticket.ticket_id)
-    with pytest.raises(ValueError):
-        queue.reject(ticket.ticket_id, "too late")
-
-
-def test_audit_log_tracks_everything():
-    queue, k8s, cluster = make_queue_and_k8s()
-    ticket = queue.file(cluster.nodes[2].node_id, reason="straggler", filed_by="alice")
-    queue.approve(ticket.ticket_id, approver="driver")
-    queue.execute_approved(k8s)
-    log = "\n".join(queue.audit_log)
-    assert "alice" in log
-    assert "approved" in log
-    assert "executed" in log
-
-
-def test_ticket_validation_and_lookup():
-    queue, _, cluster = make_queue_and_k8s()
-    with pytest.raises(ValueError):
-        queue.file(1, reason="")
-    with pytest.raises(KeyError):
-        queue.approve(999)
-    t1 = queue.file(7, reason="a")
-    t2 = queue.file(7, reason="b")
-    assert queue.history_of(7) == [t1, t2]
