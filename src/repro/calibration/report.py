@@ -89,12 +89,6 @@ class CalibrationReport:
         """``must_match`` anchors outside their tolerance."""
         return tuple(r for r in self.rows if r.must_match and not r.within_tolerance)
 
-    def row(self, anchor_id: str) -> ReportRow:
-        for row in self.rows:
-            if row.anchor_id == anchor_id:
-                return row
-        raise KeyError(anchor_id)
-
     def to_dict(self) -> dict:
         return {
             "profile": self.profile.to_dict() if self.profile is not None else None,

@@ -12,17 +12,15 @@ from .fabric import (
     routed_step_cost,
 )
 from .groups import DEFAULT_CC_EFFICIENCY, GroupCommModel, build_comm_model
-from .hierarchical import HierarchicalCost, flat_all_reduce, hierarchical_all_reduce, hierarchical_speedup
+from .hierarchical import HierarchicalCost, hierarchical_all_reduce
 from .init import (
     InitBreakdown,
     count_groups,
     group_init_time,
-    init_time_seconds,
     paper_sequence,
 )
 from .kvstore import (
     REDIS_STORE,
-    STORE_CATALOG,
     TCP_STORE,
     SimulatedKvServer,
     StoreModel,
@@ -31,7 +29,6 @@ from .kvstore import (
 from .primitives import (
     COST_BACKENDS,
     INTER_NODE_LATENCY,
-    all_to_all,
     point_to_point,
     ring_all_gather,
     ring_all_reduce,
@@ -56,20 +53,15 @@ __all__ = [
     "routed_step_cost",
     "validate_backend",
     "HierarchicalCost",
-    "flat_all_reduce",
     "hierarchical_all_reduce",
-    "hierarchical_speedup",
     "InitBreakdown",
     "REDIS_STORE",
-    "STORE_CATALOG",
     "SimulatedKvServer",
     "StoreModel",
     "TCP_STORE",
-    "all_to_all",
     "build_comm_model",
     "count_groups",
     "group_init_time",
-    "init_time_seconds",
     "paper_sequence",
     "point_to_point",
     "ring_all_gather",

@@ -127,13 +127,6 @@ class FabricCollectiveCost:
     step: RoutedStepCost  # identical steps: one routing outcome
     time: float
 
-    @property
-    def effective_bandwidth(self) -> float:
-        """Realized per-NIC goodput: bytes each rank moves / total time."""
-        if self.time <= 0.0 or self.n_ranks == 0:
-            return float("inf")
-        return self.n_steps * (self.size / self.n_ranks) / self.time
-
 
 def ring_steps(kind: str, n: int) -> int:
     """Steps of an ``n``-rank ring collective: n-1, or 2(n-1) for all-reduce."""

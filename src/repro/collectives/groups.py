@@ -147,14 +147,6 @@ class GroupCommModel:
 
     # -- diagnostics -------------------------------------------------------------
 
-    def describe(self) -> str:
-        dp_bw = self.ring_bandwidth(self.plan.dp_group(0))
-        return (
-            f"GroupCommModel(nic={self._nic_rate / 125e6:.0f}Gbps, "
-            f"cc_eff={self.cc_efficiency:.2f}, dp_ring={dp_bw / 1e9:.1f}GB/s, "
-            f"backend={self.backend})"
-        )
-
 
 def build_comm_model(
     plan: ParallelPlan,

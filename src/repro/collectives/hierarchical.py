@@ -52,30 +52,3 @@ def hierarchical_all_reduce(
     inter = ring_all_reduce(size / gpus_per_node, n_nodes, inter_bandwidth, inter_latency)
     intra_ag = ring_all_gather(size, gpus_per_node, intra_bandwidth, intra_latency)
     return HierarchicalCost(intra_reduce=intra_rs, inter_phase=inter, intra_broadcast=intra_ag)
-
-
-def flat_all_reduce(
-    size: float,
-    n_nodes: int,
-    gpus_per_node: int,
-    inter_bandwidth: float,
-    inter_latency: float = 12e-6,
-) -> float:
-    """One ring over every GPU; every step crosses the network."""
-    world = n_nodes * gpus_per_node
-    return ring_all_reduce(size, world, inter_bandwidth, inter_latency)
-
-
-def hierarchical_speedup(
-    size: float,
-    n_nodes: int,
-    gpus_per_node: int = 8,
-    intra_bandwidth: float = 250e9,
-    inter_bandwidth: float = 22.5e9,
-) -> float:
-    """flat time / hierarchical time for one configuration."""
-    flat = flat_all_reduce(size, n_nodes, gpus_per_node, inter_bandwidth)
-    hier = hierarchical_all_reduce(
-        size, n_nodes, gpus_per_node, intra_bandwidth, inter_bandwidth
-    ).total
-    return flat / hier

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from ..parallel.plan import ParallelPlan
-from .kvstore import REDIS_STORE, STORE_CATALOG, StoreModel, TCP_STORE
+from .kvstore import REDIS_STORE, StoreModel, TCP_STORE
 
 # Store synchronizations torch.distributed performs per new_group call in
 # the naive flow (prefix-store setup, rendezvous completion, trailing
@@ -118,14 +118,6 @@ def group_init_time(
         rendezvous_time=rendezvous,
         nccl_bootstrap_time=bootstrap,
     )
-
-
-def init_time_seconds(plan: ParallelPlan, store_name: str = "tcpstore", ordered: bool = False) -> float:
-    """Convenience wrapper returning just the total."""
-    store = STORE_CATALOG.get(store_name)
-    if store is None:
-        raise ValueError(f"unknown store {store_name!r} (have {sorted(STORE_CATALOG)})")
-    return group_init_time(plan, store, ordered).total
 
 
 def paper_sequence(plan: ParallelPlan) -> dict:

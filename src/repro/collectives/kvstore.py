@@ -60,8 +60,6 @@ class StoreModel:
 TCP_STORE = StoreModel(name="tcpstore", op_time=203e-6, blocking=True)
 REDIS_STORE = StoreModel(name="redis", op_time=70e-6, blocking=False)
 
-STORE_CATALOG = {s.name: s for s in (TCP_STORE, REDIS_STORE)}
-
 
 class SimulatedKvServer:
     """Event-driven store used to *demonstrate* the convoy in tests.

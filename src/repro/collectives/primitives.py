@@ -81,14 +81,6 @@ def tree_broadcast(size: float, n_ranks: int, bandwidth: float, latency: float =
     return depth * (size / bandwidth + latency)
 
 
-def all_to_all(size: float, n_ranks: int, bandwidth: float, latency: float = 0.0) -> float:
-    """All-to-all where each rank holds ``size`` bytes total to distribute."""
-    _check(size, n_ranks, bandwidth, latency)
-    if n_ranks == 1 or size == 0:
-        return 0.0
-    return size * (n_ranks - 1) / n_ranks / bandwidth + (n_ranks - 1) * latency
-
-
 def point_to_point(size: float, bandwidth: float, latency: float = 0.0) -> float:
     """A single send/recv pair (pipeline-parallel activations)."""
     _check(size, 1, bandwidth, latency)

@@ -48,10 +48,6 @@ class CollectiveRun:
     total_time: float
     steps: List[RingStepResult] = field(default_factory=list)
 
-    @property
-    def slowest_step(self) -> float:
-        return max((s.duration for s in self.steps), default=0.0)
-
 
 class RingCollectiveRuntime:
     """Executes ring collectives between nodes of a fabric."""

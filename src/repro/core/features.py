@@ -37,26 +37,6 @@ class FeatureSet:
     def with_options(self, **changes) -> "FeatureSet":
         return replace(self, **changes)
 
-    def describe(self) -> str:
-        on = [
-            label
-            for label, flag in (
-                ("ptb", self.parallel_block),
-                (f"swa:{self.sliding_window}", self.sliding_window is not None),
-                ("lamb", self.lamb),
-                ("tp-ov", self.tp_overlap),
-                ("pp-ov", self.pp_overlap),
-                ("dp-ov", self.dp_overlap),
-                ("flash", self.flash_attention),
-                ("fused", self.fused_kernels),
-                ("async-data", self.async_data_pipeline),
-                ("tree-load", self.tree_based_loading),
-                ("clean", self.clean_codepath),
-            )
-            if flag
-        ]
-        return f"{self.name}[{', '.join(on) or 'baseline'}]"
-
 
 # The paper's default sliding window (window << seq_len = 2048).
 DEFAULT_SWA_WINDOW = 1024

@@ -38,43 +38,3 @@ SECOND = 1.0
 MINUTE = 60.0
 HOUR = 3600.0
 DAY = 86400.0
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte count (decimal prefixes)."""
-    for unit, scale in (("TB", TB), ("GB", GB), ("MB", MB), ("KB", KB)):
-        if abs(n) >= scale:
-            return f"{n / scale:.2f} {unit}"
-    return f"{n:.0f} B"
-
-
-def fmt_rate(bytes_per_s: float) -> str:
-    """Human-readable link rate in bits/second."""
-    bits = bytes_per_s * 8
-    for unit, scale in (("Tbps", 1e12), ("Gbps", 1e9), ("Mbps", 1e6)):
-        if abs(bits) >= scale:
-            return f"{bits / scale:.1f} {unit}"
-    return f"{bits:.0f} bps"
-
-
-def fmt_time(seconds: float) -> str:
-    """Human-readable duration."""
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f} ms"
-    if seconds < MINUTE:
-        return f"{seconds:.2f} s"
-    if seconds < HOUR:
-        return f"{seconds / MINUTE:.1f} min"
-    if seconds < DAY:
-        return f"{seconds / HOUR:.2f} h"
-    return f"{seconds / DAY:.2f} days"
-
-
-def fmt_flops(flops_per_s: float) -> str:
-    """Human-readable compute rate."""
-    for unit, scale in (("PFLOP/s", PFLOPS), ("TFLOP/s", TFLOPS), ("GFLOP/s", GFLOPS)):
-        if abs(flops_per_s) >= scale:
-            return f"{flops_per_s / scale:.1f} {unit}"
-    return f"{flops_per_s:.0f} FLOP/s"

@@ -1,6 +1,5 @@
-"""Data pipeline substrate: datasets, loaders, shared-memory staging."""
+"""Data pipeline substrate: loaders and shared-memory staging."""
 
-from .dataset import EpochSampler, TokenDataset, shards_disjoint_and_complete
 from .loader import (
     LoaderConfig,
     LoaderStats,
@@ -10,12 +9,9 @@ from .loader import (
 from .shm import SharedMemoryBuffer
 
 __all__ = [
-    "EpochSampler",
     "LoaderConfig",
     "LoaderStats",
     "SharedMemoryBuffer",
-    "TokenDataset",
-    "shards_disjoint_and_complete",
     "simulate_redundant_loading",
     "simulate_tree_loading",
 ]

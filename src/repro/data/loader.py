@@ -51,10 +51,6 @@ class LoaderStats:
     def mean_stall(self) -> float:
         return float(np.mean(self.stalls)) if self.stalls else 0.0
 
-    @property
-    def total_stall(self) -> float:
-        return float(np.sum(self.stalls))
-
 
 def _disk_read(sim: Simulator, disk: Resource, nbytes: float, bandwidth: float):
     """Serialize on the disk for the transfer duration."""

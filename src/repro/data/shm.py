@@ -41,9 +41,6 @@ class SharedMemoryBuffer:
         self._entries[iteration] = nbytes
         self.used_bytes += nbytes
 
-    def has(self, iteration: int) -> bool:
-        return iteration in self._entries
-
     def copy_out_time(self, iteration: int) -> float:
         """One worker's copy duration for a staged iteration."""
         nbytes = self._entries.get(iteration)

@@ -48,14 +48,6 @@ class MemoCache:
         self.misses = 0
         self.evictions = 0
 
-    @property
-    def calls(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.calls if self.calls else 0.0
-
     def get(self, key: Any) -> Any:
         """The cached value (refreshing recency); KeyError on a miss."""
         if self.maxsize is None:
@@ -95,13 +87,6 @@ class MemoCache:
     def clear(self) -> None:
         """Drop entries; counters are kept (they describe past calls)."""
         self.store.clear()
-
-    def reset(self) -> None:
-        """Drop entries *and* zero the counters."""
-        self.store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 # Registry of every process-local cache, keyed by name.
@@ -259,9 +244,6 @@ class PersistentMemo:
             self.stale_dropped = len(payload["entries"])
             return {}
         return dict(payload["entries"])
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -53,11 +53,6 @@ class SweepStats:
         return self.hits + self.misses
 
     @property
-    def evictions(self) -> int:
-        """LRU evictions across all bounded cost-model caches."""
-        return sum(c.evictions for c in self.caches.values())
-
-    @property
     def hit_rate(self) -> float:
         """Aggregate cost-model cache hit rate across all caches."""
         return self.hits / self.calls if self.calls else 0.0

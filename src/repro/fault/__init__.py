@@ -37,7 +37,6 @@ from .faults import (
     FaultInjector,
     FaultKind,
     Manifestation,
-    auto_detectable_fraction,
     detection_latency,
 )
 from .interval import IntervalPlan, expected_overhead_fraction, plan_interval, young_daly_interval
@@ -75,7 +74,6 @@ __all__ = [
     "RecoveryRecord",
     "RetryPolicy",
     "ShardIntegrityModel",
-    "auto_detectable_fraction",
     "catch_up_time",
     "default_loss_curve",
     "detection_latency",

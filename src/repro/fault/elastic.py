@@ -41,17 +41,3 @@ class ElasticDecision:
     old_plan: ParallelPlan
     new_plan: ParallelPlan
     available_gpus: int
-
-    @property
-    def throughput_factor(self) -> float:
-        """Fraction of healthy tokens-per-iteration the new plan sustains.
-
-        Per-replica batch is held constant, so tokens scale with DP.
-        """
-        return self.new_plan.dp / self.old_plan.dp
-
-    def describe(self) -> str:
-        return (
-            f"dp {self.old_plan.dp} -> {self.new_plan.dp} on {self.available_gpus} GPUs "
-            f"({self.throughput_factor:.0%} throughput)"
-        )

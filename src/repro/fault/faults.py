@@ -101,13 +101,6 @@ class FaultEvent:
         return len(self.affected_nodes)
 
 
-def auto_detectable_fraction(events: List[FaultEvent]) -> float:
-    """Fraction the robust framework handles without humans (paper: >90%)."""
-    if not events:
-        return 1.0
-    return sum(1 for e in events if e.kind.auto_detectable) / len(events)
-
-
 def detection_latency(event: FaultEvent, rng: np.random.Generator, config) -> float:
     """Seconds from ``event`` until the framework notices it (one RNG draw).
 
@@ -207,6 +200,3 @@ class FaultInjector:
         events.extend(self._extra_events(horizon))
         events.sort(key=event_order)
         return events
-
-    def expected_faults(self, horizon: float) -> float:
-        return self.cluster_rate_per_second() * horizon

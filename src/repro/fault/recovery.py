@@ -111,22 +111,10 @@ class RecoveryLog:
         if self.degraded and self.degraded[-1].end is None:
             self.degraded[-1].end = max(self.degraded[-1].start, at)
 
-    @property
-    def restarts(self) -> int:
-        return len(self.records)
-
     def auto_fraction(self) -> float:
         if not self.records:
             return 1.0
         return sum(1 for r in self.records if r.auto) / len(self.records)
-
-    def mean_detect_and_diagnose(self) -> float:
-        """Average detection + diagnosis time (paper: < 10 minutes)."""
-        if not self.records:
-            return 0.0
-        return sum(r.detected_at - r.fault.time + r.diagnosis_time for r in self.records) / len(
-            self.records
-        )
 
     def mean_downtime(self) -> float:
         if not self.records:

@@ -1,7 +1,7 @@
 """Hardware models: GPUs, NICs, hosts, and the cluster node pool."""
 
 from .cluster import Cluster, NoSpareAvailable, UnknownNode
-from .gpu import AMPERE, GPU_CATALOG, HOPPER, Gpu, GpuSpec, scaled_spec
+from .gpu import AMPERE, GPU_CATALOG, HOPPER, Gpu, GpuSpec
 from .nic import CX6_200G, CX6_200G_ADAP, Nic, NicSpec
 from .node import Node, NodeSpec, build_nodes
 
@@ -21,5 +21,4 @@ __all__ = [
     "NodeSpec",
     "UnknownNode",
     "build_nodes",
-    "scaled_spec",
 ]

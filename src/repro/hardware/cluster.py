@@ -8,7 +8,7 @@ network fabric is handled by :mod:`repro.network.topology`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .node import Node, NodeSpec, build_nodes
 
@@ -56,52 +56,10 @@ class Cluster:
             spares=build_nodes(n_spares, spec) if n_spares else [],
         )
 
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_gpus(self) -> int:
-        return sum(n.n_gpus for n in self.nodes)
-
     @property
     def spare_count(self) -> int:
         """Healthy standby nodes still available for replacement."""
         return len(self.spares)
-
-    def node(self, node_id: int) -> Node:
-        """Resolve an *active or standby* node by id.
-
-        Evicted nodes are no longer resolvable: their entries are purged
-        from the index, so a stale id raises :class:`UnknownNode` instead
-        of silently returning a dead host.
-        """
-        found = self._by_id.get(node_id)
-        if found is None:
-            raise UnknownNode(f"node {node_id} is not part of the cluster")
-        return found
-
-    def node_of_rank(self, rank: int) -> Node:
-        """Map a global GPU rank to its host (ranks are packed per node).
-
-        Ranks are packed over the *current* active list, so a smaller
-        node list packs them onto fewer hosts (exactly what an elastic
-        DP-shrink does).  Out-of-range ranks raise rather than silently
-        aliasing another host.
-        """
-        if not self.nodes:
-            raise IndexError(f"rank {rank} outside an empty cluster")
-        gpus_per_node = self.nodes[0].n_gpus
-        index = rank // gpus_per_node
-        if rank < 0 or not 0 <= index < len(self.nodes):
-            raise IndexError(f"rank {rank} outside cluster of {self.n_gpus} GPUs")
-        return self.nodes[index]
-
-    def gpu_of_rank(self, rank: int):
-        gpus_per_node = self.nodes[0].n_gpus
-        return self.node_of_rank(rank).gpu(rank % gpus_per_node)
 
     def evict(self, node_id: int) -> Node:
         """Remove a faulty node from the active set (Kubernetes eviction).
@@ -126,9 +84,3 @@ class Cluster:
         if target is None or target not in self.nodes:
             raise UnknownNode(f"node {node_id} is not active")
         return target
-
-    def faulty_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.has_fault()]
-
-    def slowest_speed_factor(self) -> float:
-        return min(n.speed_factor for n in self.nodes)

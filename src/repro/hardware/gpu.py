@@ -22,7 +22,7 @@ this file (see docs/api.md, "Calibration & validation").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 from ..core.units import GFLOPS, GiB, MICROSECOND, TB, TFLOPS
@@ -96,27 +96,6 @@ class Gpu:
     healthy: bool = True
     counters: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def effective_peak(self) -> float:
-        return self.spec.peak_flops * self.speed_factor
-
-    def compute_time(self, kernel_flops: float) -> float:
-        """GEMM time adjusted for this device's degradation.
-
-        Only the compute term is derated: a part running at
-        ``speed_factor`` executes FLOPs slower but launches kernels at
-        the normal rate, so the launch overhead is charged undiluted.
-        At ``speed_factor == 1.0`` this equals ``spec.gemm_time`` exactly.
-        """
-        if self.speed_factor <= 0:
-            raise ValueError(f"GPU {self.index} has non-positive speed factor")
-        if kernel_flops <= 0:
-            return 0.0
-        return (
-            self.spec.gemm_compute_time(kernel_flops) / self.speed_factor
-            + self.spec.kernel_launch_overhead
-        )
-
     def degrade(self, speed_factor: float) -> None:
         if not 0 < speed_factor <= 1:
             raise ValueError("speed_factor must be in (0, 1]")
@@ -152,25 +131,3 @@ HOPPER: GpuSpec = GpuSpec(
 )
 
 GPU_CATALOG: Dict[str, GpuSpec] = {spec.name: spec for spec in (AMPERE, HOPPER)}
-
-
-def scaled_spec(base: GpuSpec, speed_factor: float) -> GpuSpec:
-    """A derated copy of ``base`` (for whole-cluster what-if studies).
-
-    Pure clock derating scales ``peak_flops`` *and* ``gemm_flops_half``
-    by the same factor: the saturation knee arises from fixed per-kernel
-    overhead time, so in ideal-time units (``kernel_flops / peak_flops``)
-    the efficiency curve must be invariant —
-    ``scaled.gemm_efficiency(s * f) == base.gemm_efficiency(f)``.
-    Scaling only the peak would silently move the knee to a *larger*
-    fraction of the derated peak, biasing what-if studies toward small
-    kernels.
-    """
-    if speed_factor <= 0:
-        raise ValueError("speed_factor must be positive")
-    return replace(
-        base,
-        name=f"{base.name}-x{speed_factor:g}",
-        peak_flops=base.peak_flops * speed_factor,
-        gemm_flops_half=base.gemm_flops_half * speed_factor,
-    )

@@ -2,16 +2,14 @@
 
 Each GPU server in the paper's cluster carries eight 200 Gbps RNICs, one
 per GPU, attached multi-rail to eight different ToR switches.  The NIC
-model tracks line rate, health (for diagnostic tests), and RDMA traffic
-counters (§4.2's RDMA-traffic rule watches these).
+model tracks line rate and health (for diagnostic tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.units import Gbps
-from ..sim.trace import Counter
 
 
 @dataclass(frozen=True)
@@ -46,18 +44,6 @@ class Nic:
     # Degradation factor on achievable bandwidth (bad PCIe config, bad
     # signal quality on the AOC cable, ...).
     bandwidth_factor: float = 1.0
-    tx_bytes: Counter = field(default_factory=lambda: Counter("tx_bytes"))
-    rx_bytes: Counter = field(default_factory=lambda: Counter("rx_bytes"))
-
-    @property
-    def effective_rate(self) -> float:
-        return self.spec.line_rate * self.bandwidth_factor
-
-    def record_tx(self, now: float, nbytes: float) -> None:
-        self.tx_bytes.add(now, nbytes)
-
-    def record_rx(self, now: float, nbytes: float) -> None:
-        self.rx_bytes.add(now, nbytes)
 
     def degrade(self, bandwidth_factor: float) -> None:
         if not 0 <= bandwidth_factor <= 1:

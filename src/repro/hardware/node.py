@@ -65,10 +65,6 @@ class Node:
             ]
 
     @property
-    def n_gpus(self) -> int:
-        return len(self.gpus)
-
-    @property
     def speed_factor(self) -> float:
         """Slowest GPU's speed factor; training is gated by the slowest."""
         return min(g.speed_factor for g in self.gpus)
@@ -76,20 +72,6 @@ class Node:
     def set_speed_factor(self, factor: float) -> None:
         for gpu in self.gpus:
             gpu.degrade(factor)
-
-    def gpu(self, local_rank: int) -> Gpu:
-        return self.gpus[local_rank]
-
-    def nic(self, local_rank: int) -> Nic:
-        return self.nics[local_rank]
-
-    def has_fault(self) -> bool:
-        """Whether any component on this host is degraded or unhealthy."""
-        if not self.healthy:
-            return True
-        if any(not g.healthy or g.speed_factor < 1.0 for g in self.gpus):
-            return True
-        return any(not n.healthy or n.bandwidth_factor < 1.0 for n in self.nics)
 
 
 def build_nodes(n_nodes: int, spec: Optional[NodeSpec] = None) -> List[Node]:

@@ -2,10 +2,8 @@
 
 from .blocks import BlockCost, activation_bytes, block_cost, tp_collective_time
 from .flops import (
-    executed_flops_per_token,
     iteration_model_flops,
     layer_forward_flops,
-    mfu,
     model_flops_per_token,
     tokens_per_second,
     training_days,
@@ -24,12 +22,10 @@ __all__ = [
     "activation_bytes",
     "block_cost",
     "checkpoint_bytes_per_gpu",
-    "executed_flops_per_token",
     "fits",
     "iteration_model_flops",
     "layer_forward_flops",
     "memory_breakdown",
-    "mfu",
     "model_flops_per_token",
     "tokens_per_second",
     "tp_collective_time",

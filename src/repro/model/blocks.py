@@ -68,14 +68,6 @@ class BlockCost:
     def backward_tp_comm(self) -> float:
         return self.tp_ops_backward * self.tp_op_time
 
-    @property
-    def forward_total_unoverlapped(self) -> float:
-        return self.forward_compute + self.forward_tp_comm
-
-    @property
-    def backward_total_unoverlapped(self) -> float:
-        return self.backward_compute + self.backward_tp_comm
-
 
 def activation_bytes(model: ModelSpec, micro_batch: int) -> float:
     """Size of the full hidden activation of one micro-batch."""

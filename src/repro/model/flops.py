@@ -90,33 +90,9 @@ def model_flops_per_token(spec: ModelSpec, include_logits: bool = True) -> float
     return total / spec.seq_len
 
 
-def executed_flops_per_token(spec: ModelSpec, include_logits: bool = True) -> float:
-    """Fwd+bwd FLOPs the configured model actually performs per token."""
-    per_layer = layer_forward_flops(spec, batch=1)
-    forward = spec.n_layers * per_layer.total
-    if include_logits:
-        forward += logits_forward_flops(spec, batch=1)
-    total = forward * (1.0 + BACKWARD_MULTIPLIER)
-    return total / spec.seq_len
-
-
 def iteration_model_flops(spec: ModelSpec, global_batch: int) -> float:
     """Reference model FLOPs of one optimizer step at ``global_batch``."""
     return model_flops_per_token(spec) * global_batch * spec.seq_len
-
-
-def mfu(
-    spec: ModelSpec,
-    global_batch: int,
-    iteration_time: float,
-    n_gpus: int,
-    peak_flops: float,
-) -> float:
-    """Model FLOPs Utilization for one measured iteration."""
-    if iteration_time <= 0 or n_gpus <= 0 or peak_flops <= 0:
-        raise ValueError("iteration_time, n_gpus and peak_flops must be positive")
-    achieved = iteration_model_flops(spec, global_batch) / iteration_time
-    return achieved / (n_gpus * peak_flops)
 
 
 def tokens_per_second(spec: ModelSpec, global_batch: int, iteration_time: float) -> float:

@@ -120,8 +120,3 @@ def checkpoint_bytes_per_gpu(model: ModelSpec, tp: int, pp: int, dp: int, zero_s
     if zero_stage >= 1:
         optimizer /= dp
     return n_params * PARAM_BYTES + optimizer
-
-
-def total_checkpoint_bytes(model: ModelSpec) -> float:
-    """Unique checkpoint content across the job (no DP duplication)."""
-    return model.n_params * (PARAM_BYTES + OPTIMIZER_BYTES_PER_PARAM)

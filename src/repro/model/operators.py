@@ -49,10 +49,6 @@ class OperatorCost:
     forward: float
     backward: float
 
-    @property
-    def total(self) -> float:
-        return self.forward + self.backward
-
 
 def _gemm_cost(gpu: GpuSpec, name: str, forward_flops: float) -> OperatorCost:
     """A sharded GEMM; backward runs dgrad + wgrad, each fwd-sized."""

@@ -40,10 +40,6 @@ class ModelSpec:
             raise ValueError("attention_window must be positive or None")
 
     @property
-    def head_dim(self) -> int:
-        return self.hidden_size // self.n_heads
-
-    @property
     def ffn_hidden(self) -> int:
         return self.hidden_size * self.ffn_multiplier
 

@@ -9,14 +9,14 @@ from .congestion import (
     simulate_bottleneck,
 )
 from .ecmp import ConflictStats, conflict_stats, expected_conflict_stats, port_split_benefit
-from .flapping import FlapEvent, flap_downtime_in_window, flap_statistics
-from .flow import Flow, max_min_fair_rates, transfer_time
-from .link import DuplexLink, Link
+from .flapping import FlapEvent, flap_downtime_in_window
+from .flow import Flow, max_min_fair_rates
+from .link import Link
 from .pfc import PfcState
-from .routing import ecmp_choice, hash_flows_onto_uplinks, max_uplink_load
+from .routing import ecmp_choice, hash_flows_onto_uplinks
 from .switch import TOMAHAWK4, Switch, SwitchSpec, agg_role, spine_role, tor_role
 from .topology import ClosFabric, shared_fabric
-from .transfers import Transfer, TransferEngine, execute_transfers
+from .transfers import Transfer, TransferEngine
 from .transport import (
     ADAPTIVE_NIC,
     DEFAULT_NCCL,
@@ -35,7 +35,6 @@ __all__ = [
     "CongestionResult",
     "DEFAULT_NCCL",
     "DcqcnControl",
-    "DuplexLink",
     "FlapEvent",
     "Flow",
     "Link",
@@ -51,21 +50,17 @@ __all__ = [
     "Transfer",
     "TransferEngine",
     "ValidationReport",
-    "execute_transfers",
     "agg_role",
     "conflict_stats",
     "ecmp_choice",
     "expected_conflict_stats",
     "flap_downtime_in_window",
-    "flap_statistics",
     "hash_flows_onto_uplinks",
     "max_min_fair_rates",
-    "max_uplink_load",
     "port_split_benefit",
     "shared_fabric",
     "simulate_bottleneck",
     "spine_role",
     "tor_role",
-    "transfer_time",
     "validation_report",
 ]

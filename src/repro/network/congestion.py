@@ -29,9 +29,6 @@ class CongestionControl:
         self.base_rtt = base_rtt
         self.rate = line_rate * 0.5  # slow-ish start
 
-    def on_signal(self, rtt: float, ecn_marked: bool, dt: float) -> None:
-        raise NotImplementedError
-
 
 class DcqcnControl(CongestionControl):
     """DCQCN: multiplicative decrease on ECN, DCQCN-style recovery.

@@ -1,4 +1,4 @@
-"""Link flaps (§3.6, §6.3): the flap record and its statistics.
+"""Link flaps (§3.6, §6.3): the flap record and its downtime in a window.
 
 A flapping link goes down for a few seconds, dropping all in-flight
 packets, then comes back.  The paper's lessons: (1) NCCL's retransmit
@@ -12,17 +12,13 @@ second-level monitor reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 
 @dataclass
 class FlapEvent:
     down_at: float
     up_at: float
-
-    @property
-    def duration(self) -> float:
-        return self.up_at - self.down_at
 
 
 def flap_downtime_in_window(events: List[FlapEvent], start: float, end: float) -> float:
@@ -35,22 +31,3 @@ def flap_downtime_in_window(events: List[FlapEvent], start: float, end: float) -
         hi = min(end, ev.up_at)
         total += max(0.0, hi - lo)
     return total
-
-
-def reduced_flap_rate(base_interval: float, quality_factor: float) -> float:
-    """Mean flap interval after link-quality hardening.
-
-    The paper reduced flapping "to a satisfactory level" by tightening
-    signal-strength and AOC-cable quality control; we expose that as a
-    multiplicative improvement on the mean time between flaps.
-    """
-    if quality_factor < 1:
-        raise ValueError("quality_factor >= 1 (it lengthens the interval)")
-    return base_interval * quality_factor
-
-
-def flap_statistics(events: List[FlapEvent]) -> Tuple[int, float]:
-    """(count, mean duration) of observed flaps."""
-    if not events:
-        return 0, 0.0
-    return len(events), sum(e.duration for e in events) / len(events)

@@ -60,9 +60,7 @@ def _assign_local_rates(flows: Sequence[Flow]) -> Dict[int, Flow]:
 
     Same-host traffic never crosses a fabric link, so it is priced as
     latency-only local traffic: the flow runs at its full demand — and
-    an *unbounded* demand means an unbounded rate, not zero.  (A ``0.0``
-    rate here used to make :func:`transfer_time` raise ``RuntimeError``
-    for perfectly healthy local transfers.)
+    an *unbounded* demand means an unbounded rate, not zero.
     """
     remaining = {f.flow_id: f for f in flows if f.path}
     for f in flows:
@@ -177,15 +175,3 @@ def max_min_fair_rates(flows: Sequence[Flow]) -> Dict[int, float]:
         f.rate = rate
         allocated[f.flow_id] = rate
     return allocated
-
-
-def transfer_time(size: float, flow: Flow) -> float:
-    """Seconds to move ``size`` bytes at the flow's allocated rate."""
-    if size < 0:
-        raise ValueError("negative transfer size")
-    if size == 0:
-        return 0.0
-    if flow.rate <= 0:
-        raise RuntimeError(f"flow {flow.flow_id} has no allocated rate")
-    latency = sum(l.latency for l in flow.path)
-    return size / flow.rate + latency

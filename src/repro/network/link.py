@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -43,35 +43,3 @@ class Link:
         if nbytes < 0:
             raise ValueError("cannot carry negative bytes")
         self.bytes_carried += nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.up else "DOWN"
-        return f"<Link {self.name} {self.bandwidth / 125e6:.0f}Gbps {state}>"
-
-
-@dataclass
-class DuplexLink:
-    """A bidirectional connection modelled as two independent links.
-
-    ``reverse`` is a fresh :class:`Link`, so this models a standalone
-    cable; a :class:`~repro.network.topology.ClosFabric` link and its
-    reverse change state through its fabric's ``set_link_state``.
-    """
-
-    forward: Link
-    reverse: Link = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.reverse = Link(
-            src=self.forward.dst,
-            dst=self.forward.src,
-            bandwidth=self.forward.bandwidth,
-            latency=self.forward.latency,
-        )
-
-    def set_state(self, up: bool) -> None:
-        self.forward.up = self.reverse.up = up
-
-    @property
-    def up(self) -> bool:
-        return self.forward.up and self.reverse.up

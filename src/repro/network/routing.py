@@ -29,9 +29,3 @@ def hash_flows_onto_uplinks(flow_ids: Sequence[int], src: str, dst: str, n_uplin
     for fid in flow_ids:
         buckets[ecmp_choice(fid, src, dst, n_uplinks)].append(fid)
     return buckets
-
-
-def max_uplink_load(flow_ids: Sequence[int], src: str, dst: str, n_uplinks: int) -> int:
-    """Largest number of flows sharing one uplink (1 == conflict-free)."""
-    buckets = hash_flows_onto_uplinks(flow_ids, src, dst, n_uplinks)
-    return max((len(v) for v in buckets.values()), default=0)

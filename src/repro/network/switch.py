@@ -124,7 +124,3 @@ class Switch:
     def __post_init__(self) -> None:
         if self.counters is None:
             self.counters = {}
-
-    @property
-    def layer(self) -> str:
-        return self.role.layer

@@ -270,17 +270,6 @@ class ClosFabric:
             self._pick(dst_tor, dst_nic, flow_id),
         ]
 
-    def path_latency(self, path: List[Link]) -> float:
-        return sum(l.latency for l in path)
-
-    def bisection_bandwidth(self) -> float:
-        """Aggregate spine-layer bandwidth (upper bound on cross-pod traffic)."""
-        total = 0.0
-        for (src, dst), links in self.parallel_links.items():
-            if src.startswith("agg") and dst.startswith("spine"):
-                total += sum(l.bandwidth for l in links)
-        return total
-
 
 @memoized("clos_fabric", maxsize=8)
 def shared_fabric(n_nodes: int, nodes_per_pod: int = 64) -> ClosFabric:

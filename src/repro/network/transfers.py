@@ -39,10 +39,6 @@ class Transfer:
             raise ValueError("transfer size must be positive")
         self.remaining = self.size
 
-    @property
-    def finished(self) -> bool:
-        return self.finished_at is not None
-
 
 class TransferEngine:
     """Schedules transfers and reallocates bandwidth on every change."""
@@ -131,16 +127,3 @@ class TransferEngine:
             if t.done is not None and not t.done.triggered:
                 t.done.succeed(t)
         self._reallocate_and_arm()
-
-
-def execute_transfers(
-    sim: Simulator,
-    submissions: List,
-    engine: Optional[TransferEngine] = None,
-) -> TransferEngine:
-    """Submit ``(delay, path, size)`` tuples on a schedule and run all."""
-    engine = engine or TransferEngine(sim)
-    for delay, path, size in submissions:
-        sim.schedule(delay, lambda path=path, size=size: engine.submit(path, size))
-    sim.run()
-    return engine

@@ -40,7 +40,7 @@ from .telemetry import (
     PercentileDigest,
     TelemetryHub,
 )
-from .timeline import DistributedTimeline, TimelineEvent, pipeline_group_timeline
+from .timeline import DistributedTimeline, TimelineEvent
 from .viz3d import DependencyGraph, RankView, rank_view, render
 
 __all__ = [
@@ -82,7 +82,6 @@ __all__ = [
     "consistent_peak_mfu",
     "launch_skew_trend",
     "localize_hang",
-    "pipeline_group_timeline",
     "rank_view",
     "render",
     "render_ascii",

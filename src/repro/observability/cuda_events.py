@@ -84,17 +84,8 @@ class CudaEventTimer:
             raise KeyError(f"no records for rank {rank} segment {segment!r}")
         return float(np.mean(values))
 
-    def ranks(self) -> List[int]:
-        return sorted({r.rank for r in self.records})
-
     def segments(self) -> List[str]:
         return sorted({r.segment for r in self.records})
-
-    def step_records(self, step: int) -> List[EventRecord]:
-        return [r for r in self.records if r.step == step]
-
-    def rank_step_total(self, rank: int, step: int) -> float:
-        return sum(r.duration for r in self.records if r.rank == rank and r.step == step)
 
     def matrix(self, segment: str) -> Tuple[List[int], np.ndarray]:
         """(ranks, per-rank mean duration) for one segment — heat-map input.

@@ -21,7 +21,7 @@ that loop for the reproduction:
 
 Everything is a pure function of the telemetry, so reports are
 byte-identical for a fixed seed; :mod:`.scenarios` injects known causes
-and asserts the top-ranked finding blames the right one (the CI gate).
+so a gate can assert the top-ranked finding blames the right one.
 """
 
 from .baselines import (
@@ -48,8 +48,6 @@ from .engine import (
 from .scenarios import (
     SCENARIOS,
     TRUE_CAUSE,
-    diagnose_scenario,
-    diagnose_smoke,
     run_scenario,
 )
 from .view import TelemetryView
@@ -73,8 +71,6 @@ __all__ = [
     "detect_shifts",
     "diagnose_files",
     "diagnose_hub",
-    "diagnose_scenario",
-    "diagnose_smoke",
     "extract_expectation",
     "extract_iterations",
     "overlap_score",

@@ -70,12 +70,6 @@ class ResidualRow:
     dominant_term: str  # largest positive residual term
     plan_changed: bool  # step ran under a different (dp, world) than expected
 
-    def residual(self, name: str) -> float:
-        for key, value in self.residuals:
-            if key == name:
-                return value
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ResidualWindow:

@@ -3,7 +3,8 @@
 Each scenario builds a small training run (GPT-13B, dp=2 x tp=2 x pp=4)
 on a :class:`~repro.observability.TelemetryHub`, runs healthy for the
 first ``k`` steps, then injects exactly one known cause and keeps
-emitting telemetry.  ``diagnose_smoke`` asserts, per seed:
+emitting telemetry.  The smoke job's gate (``diagnose_smoke`` in
+``tests/oracles/gates.py``) asserts, per seed:
 
 * the report is byte-identical across two independent runs,
 * the top-ranked finding blames the injected cause,
@@ -20,10 +21,9 @@ cycle back into :mod:`repro.observability` during package init.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..telemetry import TelemetryHub
-from .engine import DiagnosisReport, diagnose_hub
 
 SCENARIOS = (
     "clean",
@@ -161,57 +161,3 @@ def run_scenario(name: str, seed: int = 0, n_steps: int = 24) -> TelemetryHub:
             )
         clock += iteration.iteration_time
     return hub
-
-
-def diagnose_scenario(name: str, seed: int = 0, n_steps: int = 24) -> DiagnosisReport:
-    """Run one scenario and diagnose its hub."""
-    return diagnose_hub(run_scenario(name, seed=seed, n_steps=n_steps))
-
-
-def diagnose_smoke(seeds: Sequence[int] = (0, 1, 2)) -> List[dict]:
-    """The CI gate: every scenario, every seed, every guarantee.
-
-    Raises ``AssertionError`` on any violation; returns one summary dict
-    per (scenario, seed) on success.
-    """
-    summaries: List[dict] = []
-    for seed in seeds:
-        for name in SCENARIOS:
-            first = diagnose_scenario(name, seed=seed).to_json()
-            second = diagnose_scenario(name, seed=seed).to_json()
-            if first != second:
-                raise AssertionError(
-                    f"{name} seed {seed}: report not byte-identical across runs"
-                )
-            report = diagnose_hub(run_scenario(name, seed=seed))
-            truth = TRUE_CAUSE[name]
-            top = report.top()
-            if truth is None:
-                if report.findings or not report.clean:
-                    raise AssertionError(
-                        f"clean seed {seed}: expected zero findings, got "
-                        f"{[f.cause for f in report.findings]}"
-                    )
-            else:
-                if top is None:
-                    raise AssertionError(
-                        f"{name} seed {seed}: no findings (expected {truth})"
-                    )
-                if top.cause != truth:
-                    raise AssertionError(
-                        f"{name} seed {seed}: top finding blames "
-                        f"{top.cause!r}, expected {truth!r} (ranking: "
-                        f"{[(f.cause, round(f.score, 2)) for f in report.findings]})"
-                    )
-            summaries.append(
-                {
-                    "scenario": name,
-                    "seed": seed,
-                    "top_cause": top.cause if top else None,
-                    "findings": len(report.findings),
-                    "anomalies": len(report.anomalies),
-                    "clean": report.clean,
-                    "report_bytes": len(first),
-                }
-            )
-    return summaries

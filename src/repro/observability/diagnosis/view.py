@@ -115,9 +115,6 @@ class TelemetryView:
 
     # -- queries -----------------------------------------------------------
 
-    def subsystems(self) -> List[str]:
-        return sorted(self._spans)
-
     def spans(self, subsystem: str, name: Optional[str] = None) -> List[Span]:
         items = self._spans.get(subsystem, [])
         if name is None:
@@ -136,9 +133,6 @@ class TelemetryView:
 
     def gauge(self, name: str) -> List[Tuple[float, float]]:
         return list(self._gauges.get(name, []))
-
-    def gauge_names(self) -> List[str]:
-        return sorted(self._gauges)
 
     def end_time(self) -> float:
         """Latest timestamp anywhere in the view."""

@@ -290,13 +290,20 @@ def lane_subsystems(document: dict) -> Dict[int, str]:
 
 
 def _record_problem(record: Any) -> Optional[str]:
-    """Why ``record`` is not a metric record, or None if it is one."""
+    """Why ``record`` is not a metric record, or None if it is one.
+
+    A metric record has one of the kinds the registry writes and a
+    string name; a gauge's ``series``, when present, is a list of
+    ``[t, value]`` number pairs.
+    """
     if not isinstance(record, dict):
         return "is not an object"
-    if record.get("kind") != "gauge" or "series" not in record:
-        return None
+    if record.get("kind") not in ("counter", "gauge", "digest"):
+        return "is not a metric record ('kind' is not counter, gauge or digest)"
     if not isinstance(record.get("name"), str):
-        return "is a gauge series without a string 'name'"
+        return "is a metric record without a string 'name'"
+    if record["kind"] != "gauge" or "series" not in record:
+        return None
     series = record["series"]
     if not isinstance(series, list) or not all(
         isinstance(point, list) and len(point) == 2 and all(map(_is_number, point))

@@ -6,8 +6,7 @@ The paper deploys *second-level* monitoring for overall health (ECN/PFC
 congested and whether DP/PP transfers run at their physical limit.
 
 Both tiers here consume the same simulated substrate the rest of the
-system uses: flap events, congestion results, and link utilization
-samples.
+system uses: flap events and link utilization samples.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..network.congestion import CongestionResult
 from ..network.flapping import FlapEvent, flap_downtime_in_window
 
 
@@ -53,16 +51,6 @@ class SecondLevelMonitor:
         if recent:
             return HealthFinding("warning", "link", f"{len(recent)} flap(s) in the window")
         return HealthFinding("ok", "link", "no flapping observed")
-
-    def check_congestion_posture(self, result: CongestionResult) -> HealthFinding:
-        if result.pfc_pause_fraction > self.pfc_pause_warning:
-            return HealthFinding(
-                "critical",
-                "pfc",
-                f"PFC paused {result.pfc_pause_fraction:.1%} of the time under "
-                f"{result.algorithm}: head-of-line blocking likely (§3.6)",
-            )
-        return HealthFinding("ok", "pfc", f"PFC pauses {result.pfc_pause_fraction:.2%}")
 
 
 @dataclass

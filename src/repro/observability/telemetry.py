@@ -197,28 +197,11 @@ class MetricsRegistry:
 
     # -- queries -----------------------------------------------------------
 
-    def counter(self, name: str, **labels: Any) -> float:
-        return self._counters.get((name, _label_key(labels)), 0.0)
-
-    def gauge_series(self, name: str, **labels: Any) -> List[Tuple[float, float]]:
-        return list(self._gauges.get((name, _label_key(labels)), []))
-
-    def digest(self, name: str, **labels: Any) -> Optional[PercentileDigest]:
-        return self._digests.get((name, _label_key(labels)))
-
     def gauges(self) -> List[Tuple[str, LabelItems, List[Tuple[float, float]]]]:
         """All gauge series, sorted by (name, labels) for stable export."""
         return [
             (name, labels, list(series))
             for (name, labels), series in sorted(self._gauges.items())
-        ]
-
-    def counters(self, prefix: str = "") -> List[Tuple[str, LabelItems, float]]:
-        """All counters (optionally name-prefix filtered), sorted for stable export."""
-        return [
-            (name, labels, value)
-            for (name, labels), value in sorted(self._counters.items())
-            if name.startswith(prefix)
         ]
 
     # -- export ------------------------------------------------------------
@@ -347,11 +330,6 @@ class TelemetryHub:
     def subsystems(self) -> List[str]:
         """Active subsystem names in lane (pid) order."""
         return sorted(self._lanes, key=self._lanes.get)
-
-    def span_count(self, subsystem: Optional[str] = None) -> int:
-        if subsystem is not None:
-            return len(self._recorders.get(subsystem, ()))
-        return sum(len(r) for r in self._recorders.values())
 
     def spans(self, subsystem: str) -> List[Span]:
         return list(self._recorders.get(subsystem, ()))

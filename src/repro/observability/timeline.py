@@ -41,10 +41,6 @@ class DistributedTimeline:
         ]
         return cls(events=events, lanes=lanes)
 
-    @property
-    def span_count(self) -> int:
-        return len(self.events)
-
     def extent(self) -> Tuple[float, float]:
         if not self.events:
             return (0.0, 0.0)
@@ -100,12 +96,3 @@ class DistributedTimeline:
                     row[i] = glyph
             lines.append(f"rank {rank:5d} |{''.join(row)}|")
         return "\n".join(lines)
-
-
-def pipeline_group_timeline(
-    trace: TraceRecorder, pp_group: List[int]
-) -> DistributedTimeline:
-    """Figure 8's view: the events of one pipeline-parallel group."""
-    if not pp_group:
-        raise ValueError("pipeline group must be non-empty")
-    return DistributedTimeline.from_trace(trace, ranks=pp_group)

@@ -5,11 +5,10 @@ from .convergence import (
     Batcher,
     TrainingCurve,
     curves_match,
-    improvement,
     make_markov_corpus,
     train_lm,
 )
-from .distributed import Zero2Trainer, max_param_divergence, train_single
+from .distributed import Zero2Trainer
 from .lamb import Lamb
 from .tinylm import LmConfig, TinyTransformerLM, causal_mask, gelu, layer_norm
 
@@ -21,12 +20,9 @@ __all__ = [
     "TinyTransformerLM",
     "TrainingCurve",
     "Zero2Trainer",
-    "max_param_divergence",
-    "train_single",
     "causal_mask",
     "curves_match",
     "gelu",
-    "improvement",
     "layer_norm",
     "make_markov_corpus",
     "train_lm",

@@ -149,8 +149,3 @@ def curves_match(
     la = np.mean(a.losses[-tail:])
     lb = np.mean(b.losses[-tail:])
     return abs(la - lb) <= tolerance
-
-
-def improvement(curve: TrainingCurve) -> float:
-    """Initial minus final loss — sanity check that training worked."""
-    return curve.losses[0] - curve.final_loss

@@ -15,7 +15,7 @@ paper can shard state freely without touching convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -87,12 +87,6 @@ class Zero2Trainer:
             for r in range(self.dp)
         ]
 
-    def optimizer_state_elements(self) -> List[int]:
-        """Optimizer-state sizes per worker (the ZeRO-2 saving, testable)."""
-        return [
-            sum(v.size for v in opt.m.values()) for opt in self.optimizers
-        ]
-
     def step(self, tokens: np.ndarray, targets: np.ndarray) -> float:
         """One global step: shard the batch, sync grads, sharded update.
 
@@ -115,34 +109,3 @@ class Zero2Trainer:
             self.optimizers[rank].step(shard_params, shard_grads[rank])
         all_gather_params(self.workers, self.shards)
         return float(np.mean(losses))
-
-    def replicas_consistent(self, atol: float = 0.0) -> bool:
-        """All replicas hold identical parameters after a step."""
-        reference = self.workers[0].params
-        for worker in self.workers[1:]:
-            for name, value in reference.items():
-                if not np.allclose(worker.params[name], value, atol=atol, rtol=0):
-                    return False
-        return True
-
-
-def train_single(
-    config: LmConfig,
-    batches: List[Tuple[np.ndarray, np.ndarray]],
-    lr: float = 3e-3,
-    seed: int = 0,
-) -> TinyTransformerLM:
-    """Reference: one process, full global batch, plain ADAM."""
-    model = TinyTransformerLM(config, seed=seed)
-    opt = Adam(model.params, lr=lr)
-    for tokens, targets in batches:
-        _, grads = model.loss_and_grads(tokens, targets)
-        opt.step(model.params, grads)
-    return model
-
-
-def max_param_divergence(a: TinyTransformerLM, b: TinyTransformerLM) -> float:
-    """Largest absolute weight difference between two models."""
-    return max(
-        float(np.max(np.abs(a.params[name] - b.params[name]))) for name in a.params
-    )

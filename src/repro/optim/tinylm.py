@@ -276,14 +276,3 @@ class TinyTransformerLM:
         grads["pos_emb"][: tokens.shape[1]] += dx.sum(0)
         np.add.at(grads["tok_emb"], tokens, dx)
         return loss, grads
-
-    def loss(self, tokens: np.ndarray, targets: np.ndarray) -> float:
-        logits, _ = self.forward(tokens)
-        probs = softmax(logits.astype(np.float64))
-        B, S, _ = logits.shape
-        idx = (np.arange(B)[:, None], np.arange(S)[None, :], targets)
-        return float(-np.log(np.maximum(probs[idx], np.finfo(np.float64).tiny)).mean())
-
-    @property
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())

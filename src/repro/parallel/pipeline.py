@@ -1,8 +1,8 @@
-"""Pipeline-parallel schedules: GPipe, 1F1B, interleaved 1F1B (§2, Fig. 2).
+"""Pipeline-parallel schedules: 1F1B and interleaved 1F1B (§2, Fig. 2).
 
-A schedule is a per-stage ordered list of :class:`PipelineTask`, and
-:func:`forward_dependency` / :func:`backward_dependency` name the
-upstream task each one consumes.  These are the readable definition.
+A schedule is a per-stage ordered list of :class:`PipelineTask`; that
+list is the readable definition (``tests/oracles/pipeline.py`` pairs it
+with each task's upstream dependency and polls it as a task loop).
 The iteration engine prices the schedule from :func:`compile_schedule`:
 the same tasks and dependencies compiled once per (p, v, m) into
 per-stage integer arrays (each task's dependency position and a small
@@ -15,7 +15,7 @@ analysis (`bubble_fraction`) and are property-tested against that pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -37,14 +37,6 @@ class PipelineTask:
     @property
     def key(self) -> Tuple[str, int, int]:
         return (self.kind, self.microbatch, self.chunk)
-
-
-def gpipe_schedule(p: int, m: int, stage: int) -> List[PipelineTask]:
-    """GPipe: all forwards, a flush, then all backwards."""
-    _validate(p, 1, m, stage)
-    forwards = [PipelineTask("F", mb, 0) for mb in range(m)]
-    backwards = [PipelineTask("B", mb, 0) for mb in reversed(range(m))]
-    return forwards + backwards
 
 
 def one_f_one_b_schedule(p: int, m: int, stage: int) -> List[PipelineTask]:
@@ -106,36 +98,6 @@ def interleaved_schedule(p: int, v: int, m: int, stage: int) -> List[PipelineTas
     return tasks
 
 
-def forward_dependency(
-    p: int, v: int, stage: int, task: PipelineTask
-) -> Optional[Tuple[int, PipelineTask]]:
-    """The (stage, task) whose output this forward consumes, or None.
-
-    The virtual-stage order walks stages 0..p-1 within a chunk, then wraps
-    to chunk+1 on stage 0.
-    """
-    if task.kind != "F":
-        raise ValueError("forward_dependency takes an F task")
-    if stage > 0:
-        return (stage - 1, PipelineTask("F", task.microbatch, task.chunk))
-    if task.chunk > 0:
-        return (p - 1, PipelineTask("F", task.microbatch, task.chunk - 1))
-    return None  # first virtual stage reads input data
-
-
-def backward_dependency(
-    p: int, v: int, stage: int, task: PipelineTask
-) -> Optional[Tuple[int, PipelineTask]]:
-    """The (stage, task) whose gradient this backward consumes, or None."""
-    if task.kind != "B":
-        raise ValueError("backward_dependency takes a B task")
-    if stage < p - 1:
-        return (stage + 1, PipelineTask("B", task.microbatch, task.chunk))
-    if task.chunk < v - 1:
-        return (0, PipelineTask("B", task.microbatch, task.chunk + 1))
-    return None  # last virtual stage starts from the loss
-
-
 PHASES = ("warmup", "steady", "cooldown")
 
 
@@ -175,10 +137,10 @@ def compile_schedule(p: int, v: int, m: int) -> CompiledSchedule:
     Stage ``s`` runs ``w`` warm-up forwards, then (forward, backward)
     pairs, then the remaining backwards, so a position maps to the
     stage's forward or backward counter ``k`` in closed form, and ``k``
-    to (micro-batch, chunk) as in :func:`interleaved_schedule`.  The
-    dependency rules of :func:`forward_dependency` and
-    :func:`backward_dependency` keep ``k`` (or step it back by ``p`` where
-    they wrap to the neighbouring chunk), and the inverse map gives the
+    to (micro-batch, chunk) as in :func:`interleaved_schedule`.  A
+    forward consumes the previous stage's forward of the same ``k`` (a
+    backward the next stage's backward); across a chunk wrap the
+    dependency steps ``k`` back by ``p``, and the inverse map gives the
     dependency's position on its stage.  Memoized per shape in a
     bounded cache; ``clear_caches()`` empties it.
     """
@@ -239,17 +201,6 @@ def lamb_bubble_reduction(v: int, p: int, m: int, batch_scale: int = 4) -> float
     before = batch_scale * bubble_fraction(p, v, m)
     after = bubble_fraction(p, v, m * batch_scale)
     return 1.0 - after / before
-
-
-def schedule_for(p: int, v: int, m: int, stage: int, kind: str = "interleaved") -> List[PipelineTask]:
-    """Dispatch on schedule name: gpipe | 1f1b | interleaved."""
-    if kind == "gpipe":
-        return gpipe_schedule(p, m, stage)
-    if kind == "1f1b":
-        return one_f_one_b_schedule(p, m, stage)
-    if kind == "interleaved":
-        return interleaved_schedule(p, v, m, stage)
-    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def _validate_interleaving(p: int, m: int) -> None:

@@ -88,31 +88,6 @@ class ParallelPlan:
         start = self.rank_of(pp_rank, 0, tp_rank)
         return range(start, start + self.dp * stride, stride)
 
-    def pp_group(self, rank: int) -> List[int]:
-        _, dp_rank, tp_rank = self.coords(rank)
-        return [self.rank_of(p, dp_rank, tp_rank) for p in range(self.pp)]
-
-    def all_tp_groups(self) -> List[List[int]]:
-        return [
-            [self.rank_of(p, d, t) for t in range(self.tp)]
-            for p in range(self.pp)
-            for d in range(self.dp)
-        ]
-
-    def all_dp_groups(self) -> List[List[int]]:
-        return [
-            [self.rank_of(p, d, t) for d in range(self.dp)]
-            for p in range(self.pp)
-            for t in range(self.tp)
-        ]
-
-    def all_pp_groups(self) -> List[List[int]]:
-        return [
-            [self.rank_of(p, d, t) for p in range(self.pp)]
-            for d in range(self.dp)
-            for t in range(self.tp)
-        ]
-
     # -- pipeline neighbours -------------------------------------------------
 
     def next_pp_rank(self, rank: int) -> int:

@@ -10,7 +10,7 @@ but restructured in a way that MegaScale's DP overlap exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..model.memory import GRAD_BYTES, OPTIMIZER_BYTES_PER_PARAM, PARAM_BYTES, params_per_gpu
 from ..model.transformer import ModelSpec
@@ -70,18 +70,6 @@ def optimizer_state_bytes(model: ModelSpec, plan: ParallelPlan) -> float:
     if plan.zero_stage >= 1:
         return full / plan.dp
     return full
-
-
-def sharded_state_summary(model: ModelSpec, plan: ParallelPlan) -> Tuple[float, float, float]:
-    """(param_bytes, grad_bytes, optimizer_bytes) per GPU under the plan."""
-    n = params_per_gpu(model, plan.tp, plan.pp)
-    params = n * PARAM_BYTES
-    grads = n * GRAD_BYTES
-    if plan.zero_stage >= 2:
-        grads /= plan.dp
-    if plan.zero_stage >= 3:
-        params /= plan.dp
-    return params, grads, optimizer_state_bytes(model, plan)
 
 
 def optimizer_step_time(model: ModelSpec, plan: ParallelPlan, memory_bandwidth: float) -> float:

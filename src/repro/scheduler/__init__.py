@@ -12,7 +12,7 @@ adds the control plane over :class:`~repro.hardware.cluster.Cluster`:
 * :mod:`repro.scheduler.spare_pool` — the deterministic spare broker
 * :mod:`repro.scheduler.scheduler` — the event loop, degradation ladder
   and cluster-wide goodput report
-* :mod:`repro.scheduler.scenarios` — the multi-tenant chaos CI gate
+* :mod:`repro.scheduler.scenarios` — the multi-tenant chaos scenario
 """
 
 from .job import JobSpec, JobState, JobStatus
@@ -25,7 +25,7 @@ from .scheduler import (
     SchedulerConfig,
     SchedulerDecision,
 )
-from .scenarios import build_scheduler, multi_tenant_chaos, run_policy
+from .scenarios import build_scheduler, run_policy
 from .spare_pool import ARBITRATION_POLICIES, SpareClaim, SpareGrant, SparePool
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "SpareGrant",
     "SparePool",
     "build_scheduler",
-    "multi_tenant_chaos",
     "run_policy",
 ]

@@ -81,9 +81,6 @@ class SchedulerDecision:
     job: str
     detail: Tuple[Tuple[str, Any], ...] = ()
 
-    def detail_dict(self) -> Dict[str, Any]:
-        return dict(self.detail)
-
 
 @dataclass(frozen=True)
 class GoodputSegment:

@@ -1,18 +1,14 @@
 """Discrete-event simulation kernel used by every MegaScale subsystem."""
 
 from .engine import Event, SimulationError, Simulator, Timeout
-from .process import AllOf, AnyOf, Process
-from .randomness import RandomStreams
+from .process import AllOf, Process
 from .resources import Resource
-from .trace import Counter, Span, TraceRecorder
+from .trace import Span, TraceRecorder
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Counter",
     "Event",
     "Process",
-    "RandomStreams",
     "Resource",
     "SimulationError",
     "Simulator",

@@ -47,19 +47,6 @@ class Event:
         return self._triggered
 
     @property
-    def ok(self) -> bool:
-        """Whether the event occurred without an exception."""
-        return self._triggered and self._exception is None
-
-    @property
-    def value(self) -> Any:
-        if not self._triggered:
-            raise SimulationError(f"event {self.name!r} has not been triggered")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    @property
     def exception(self) -> Optional[BaseException]:
         return self._exception
 
@@ -99,10 +86,6 @@ class Event:
             stub._triggered = True
             stub.callbacks = [lambda _stub: callback(self)]
             self.sim._schedule_event(stub)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else "pending"
-        return f"<Event {self.name!r} {state} at t={self.sim.now:.6f}>"
 
 
 class Timeout(Event):
@@ -195,11 +178,3 @@ class Simulator:
         finally:
             self._active = False
         return self._now
-
-    def peek(self) -> float:
-        """Timestamp of the next pending event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)

@@ -7,7 +7,7 @@ A *process* is a Python generator that yields waitables:
   exception inside the generator).
 * another :class:`Process` — suspend until that process finishes; the yield
   evaluates to its return value.
-* :class:`AllOf` / :class:`AnyOf` — composite conditions.
+* :class:`AllOf` — a composite condition.
 
 A process is itself an :class:`Event` that triggers when the generator
 returns, so processes compose: a parent may ``yield child``.
@@ -106,28 +106,3 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([c._value for c in self._children])
-
-
-class AnyOf(Event):
-    """Triggers when the first child event triggers.
-
-    The value is a ``(index, value)`` pair identifying which child fired.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: Simulator, events: Iterable[Any], name: str = "any_of") -> None:
-        super().__init__(sim, name=name)
-        self._children = [_as_event(sim, e) for e in events]
-        if not self._children:
-            raise SimulationError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
-            child.add_callback(lambda ev, i=index: self._on_child(i, ev))
-
-    def _on_child(self, index: int, child: Event) -> None:
-        if self.triggered:
-            return
-        if child.exception is not None:
-            self.fail(child.exception)
-            return
-        self.succeed((index, child._value))

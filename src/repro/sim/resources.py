@@ -24,14 +24,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
     def acquire(self) -> Event:
         """Return an event that triggers once a slot is held."""
         ev = self.sim.event(name=f"{self.name}:acquire")

@@ -14,7 +14,6 @@ from .overlap import (
     pp_policy,
     tp_exposed_per_layer,
 )
-from .priority import CommOp, chunk_prefetch_ops, exposed_stall, priority_benefit, priority_order
 from .runner import RunResult, TrainingRunner, mfu_consistency
 from .stragglers import (
     PerturbationModel,
@@ -30,11 +29,6 @@ __all__ = [
     "PerturbationModel",
     "PpPolicy",
     "RunResult",
-    "CommOp",
-    "chunk_prefetch_ops",
-    "exposed_stall",
-    "priority_benefit",
-    "priority_order",
     "StragglerModel",
     "TpExposure",
     "TrainingRunner",

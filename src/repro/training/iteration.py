@@ -177,30 +177,6 @@ class IterationEngine:
         )
         self.pp = pp_policy(features)
 
-    def check_memory(self):
-        """(fits, MemoryBreakdown) for this engine's configuration.
-
-        Advisory, not enforced: the engine will happily price an
-        infeasible config so what-if studies can quantify *how far* out
-        of memory a plan is.
-        """
-        from ..model.memory import fits as fits_fn, memory_breakdown
-
-        plan = self.plan
-        kwargs = dict(
-            tp=plan.tp,
-            pp=plan.pp,
-            dp=plan.dp,
-            micro_batch=plan.micro_batch,
-            vpp=plan.vpp,
-            zero_stage=plan.zero_stage,
-            recompute=plan.recompute,
-        )
-        return (
-            fits_fn(self.base_model, self.gpu, **kwargs),
-            memory_breakdown(self.base_model, **kwargs),
-        )
-
     def task_time(self, stage: int, kind: str, chunk: int) -> float:
         """Compute (+ exposed TP comm) seconds of one pipeline task."""
         base = self.f_chunk if kind == "F" else self.b_chunk
@@ -407,8 +383,10 @@ class IterationEngine:
 
         data, dp, optimizer = self._dp_phase_times(global_batch)
         base = data.exposed_stall + optimizer
-        lower = base + pipeline_lower + dp.exposed
         upper = base + pipeline_upper + dp.total_comm
+        # At an exact tie (v = m = 1, no p2p time, no extras) the two sums
+        # can round one ulp apart; keep them ordered in floating point.
+        lower = min(base + pipeline_lower + dp.exposed, upper)
         return IterationBounds(
             lower=lower,
             upper=upper,

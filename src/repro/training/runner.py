@@ -212,10 +212,6 @@ class TrainingRunner:
             raise ValueError("n_trials must be >= 1")
         return [self.run(n_iterations, trial=t) for t in range(n_trials)]
 
-    def simulate_once(self) -> IterationResult:
-        """A single clean iteration (no noise), for calibration checks."""
-        return self._engine.simulate(self.global_batch)
-
 
 def mfu_consistency(results: List[RunResult]) -> float:
     """Spread of mean MFU across runs (max - min), Figure 6's headline."""

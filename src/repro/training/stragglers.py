@@ -112,6 +112,3 @@ class PerturbationModel:
         total = noise + gc + drift
         self._samples.append(total)
         return total
-
-    def mean_overhead(self) -> float:
-        return float(np.mean(self._samples)) if self._samples else 0.0

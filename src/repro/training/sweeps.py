@@ -2,7 +2,7 @@
 
 Structured helpers so examples, benchmarks and downstream users don't
 re-implement the sweep plumbing: strong scaling (fixed batch, growing
-GPUs), weak scaling (batch proportional to GPUs), and batch sweeps.
+GPUs) and weak scaling (batch proportional to GPUs).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from ..core.config import TrainingJob
-from ..core.megascale import TrainingSystem, compare
+from ..core.megascale import compare
 from ..core.report import Comparison
 from ..exec import PersistentMemo, SweepStats, run_tasks
 
@@ -66,30 +66,13 @@ class SweepResult:
     compares equal to its serial twin point-for-point.
     """
 
-    kind: str  # "strong" | "weak" | "batch"
+    kind: str  # "strong" | "weak"
     points: List[SweepPoint]
     stats: Optional[SweepStats] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("a sweep needs at least one point")
-
-    def mfu_series(self, system: str = "megascale") -> List[float]:
-        if system == "megascale":
-            return [p.comparison.megascale.mfu for p in self.points]
-        if system == "baseline":
-            return [p.comparison.baseline.mfu for p in self.points]
-        raise ValueError(f"unknown system {system!r}")
-
-    def speedups(self) -> List[float]:
-        return [p.speedup for p in self.points]
-
-    def megascale_always_wins(self) -> bool:
-        return all(p.speedup > 1.0 for p in self.points)
-
-    def mfu_drop(self, system: str = "megascale") -> float:
-        series = self.mfu_series(system)
-        return series[0] - series[-1]
 
     def table(self) -> str:
         lines = [f"{'GPUs':>7s} {'batch':>7s} {'baseline':>9s} {'megascale':>10s} {'speedup':>8s}"]
@@ -189,39 +172,3 @@ def weak_scaling_sweep(
     batches = [max(1, round(n * ratio)) for n in gpu_counts]
     jobs = [base_job.scaled_to(n, b) for n, b in zip(gpu_counts, batches)]
     return _run_comparison_sweep("weak", jobs, batches, compare_fn, workers, cache)
-
-
-def batch_sweep(
-    base_job: TrainingJob,
-    batches: Sequence[int],
-    compare_fn: Callable[[TrainingJob], Comparison] = compare,
-    workers: int = 0,
-    cache: Optional[PersistentMemo] = None,
-    backend: str = "analytic",
-) -> SweepResult:
-    """Fixed GPUs, varying global batch (the LAMB scaling axis)."""
-    compare_fn = _bind_backend(compare_fn, backend)
-    jobs = [base_job.scaled_to(base_job.n_gpus, b) for b in batches]
-    return _run_comparison_sweep("batch", jobs, list(batches), compare_fn, workers, cache)
-
-
-def single_system_sweep(
-    system: TrainingSystem,
-    base_job: TrainingJob,
-    gpu_counts: Sequence[int],
-    workers: int = 0,
-    cache: Optional[PersistentMemo] = None,
-) -> List[float]:
-    """MFU of one system across scales (no baseline run)."""
-    jobs = [base_job.scaled_to(n) for n in gpu_counts]
-    key_fn = (
-        (lambda job: job_cache_key(f"single:{system!r}", system.run, job))
-        if cache is not None
-        else None
-    )
-    reports, _stats = run_tasks(
-        system.run, jobs, workers=workers, cache=cache, cache_key=key_fn
-    )
-    if cache is not None:
-        cache.flush()
-    return [r.mfu for r in reports]

@@ -57,9 +57,7 @@ def test_report_records_profile_and_tolerance_verdicts():
     assert report.profile == profile
     payload = json.loads(report.to_json())
     assert payload["profile"]["source"] == "unit-test"
-    assert report.row(anchors[0].id).anchor_id == anchors[0].id
-    with pytest.raises(KeyError):
-        report.row("nope")
+    assert report.rows[0].anchor_id == anchors[0].id
     text = report.describe()
     assert anchors[0].id in text and "max |rel err|" in text
 
@@ -187,7 +185,9 @@ def test_committed_profile_and_baseline_gate(tmp_path):
     with open(baseline_path, "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
     assert check_drift(report, baseline) == []
-    headline = report.row("megascale-nsdi24/175b-12288-megascale/mfu")
+    (headline,) = [
+        r for r in report.rows if r.anchor_id == "megascale-nsdi24/175b-12288-megascale/mfu"
+    ]
     assert headline.within_tolerance, (
         f"headline anchor off by {headline.rel_error:+.1%} "
         f"(tolerance ±{headline.tolerance:.0%})"

@@ -9,7 +9,6 @@ from repro.collectives import (
     build_comm_model,
     count_groups,
     group_init_time,
-    init_time_seconds,
     paper_sequence,
     simulated_barrier_time,
 )
@@ -73,10 +72,6 @@ def test_cc_efficiency_validation():
         build_comm_model(PLAN, cc_efficiency=0.0)
 
 
-def test_describe_contains_rates():
-    assert "Gbps" in build_comm_model(PLAN).describe()
-
-
 # -- §3.5 initialization -------------------------------------------------------
 
 
@@ -125,18 +120,18 @@ def test_round_half_up_group_sizing():
 
 def test_init_under_30s_at_10k_gpus():
     plan = plan_for_gpus(12288, tp=8, pp=8, vpp=6)
-    assert init_time_seconds(plan, "redis", ordered=True) < 30.0
+    assert group_init_time(plan, REDIS_STORE, ordered=True).total < 30.0
 
 
 def test_ordered_init_scales_linearly():
-    t1 = init_time_seconds(plan_for_gpus(1024, tp=8, pp=8), "redis", ordered=True)
-    t4 = init_time_seconds(plan_for_gpus(4096, tp=8, pp=8), "redis", ordered=True)
+    t1 = group_init_time(plan_for_gpus(1024, tp=8, pp=8), REDIS_STORE, ordered=True).total
+    t4 = group_init_time(plan_for_gpus(4096, tp=8, pp=8), REDIS_STORE, ordered=True).total
     assert 2.0 < t4 / t1 < 6.0  # ~linear, not quadratic
 
 
 def test_naive_init_scales_quadratically():
-    t1 = init_time_seconds(plan_for_gpus(1024, tp=8, pp=8), "tcpstore")
-    t4 = init_time_seconds(plan_for_gpus(4096, tp=8, pp=8), "tcpstore")
+    t1 = group_init_time(plan_for_gpus(1024, tp=8, pp=8), TCP_STORE).total
+    t4 = group_init_time(plan_for_gpus(4096, tp=8, pp=8), TCP_STORE).total
     assert t4 / t1 > 10.0
 
 
@@ -146,11 +141,6 @@ def test_init_breakdown_components():
         b.barrier_time + b.rendezvous_time + b.nccl_bootstrap_time
     )
     assert b.barrier_count == 3 * b.n_groups
-
-
-def test_unknown_store_rejected():
-    with pytest.raises(ValueError):
-        init_time_seconds(PLAN, "etcd")
 
 
 def test_store_validation():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.collectives import (
-    all_to_all,
     point_to_point,
     ring_all_gather,
     ring_all_reduce,
@@ -34,7 +33,7 @@ def test_all_reduce_equals_rs_plus_ag():
 
 
 def test_single_rank_collectives_free():
-    for fn in (ring_all_reduce, ring_all_gather, ring_reduce_scatter, all_to_all, tree_broadcast):
+    for fn in (ring_all_reduce, ring_all_gather, ring_reduce_scatter, tree_broadcast):
         assert fn(1e9, 1, BW) == 0.0
 
 
@@ -54,11 +53,6 @@ def test_broadcast_log_depth():
     t8 = tree_broadcast(1e9, 8, BW, lat)
     t64 = tree_broadcast(1e9, 64, BW, lat)
     assert t64 == pytest.approx(2 * t8)  # log2(64)=6 vs log2(8)=3
-
-
-def test_all_to_all_cost():
-    t = all_to_all(1e9, 4, BW)
-    assert t == pytest.approx(1e9 * 3 / 4 / BW)
 
 
 def test_point_to_point():

@@ -13,6 +13,7 @@ from repro.hardware.gpu import AMPERE
 from repro.hardware.node import NodeSpec
 from repro.network import ClosFabric, Link
 from repro.parallel import ParallelPlan
+from tests.metrics import reset_cache
 from tests.oracles.groups import ring_bandwidth_reference
 
 cc_efficiencies = st.floats(min_value=0.01, max_value=1.0)
@@ -66,14 +67,14 @@ def test_any_ring_price_matches_pair_scan(data, gpus_per_node, nodes_per_pod, cc
 
 def test_conflict_factor_looked_up_only_for_cross_pod_pairs():
     cache = get_cache("conflict_factor")
-    cache.reset()
+    reset_cache(cache)
     in_pod = build_comm_model(ParallelPlan(dp=4, tp=8, pp=8))
     in_pod.dp_collective_time("all_reduce", 1e9)
     in_pod.pp_p2p_time(1e6)
-    assert cache.calls == 0
+    assert cache.hits + cache.misses == 0
     cross_pod = build_comm_model(ParallelPlan(dp=192, tp=8, pp=8))
     cross_pod.dp_collective_time("all_reduce", 1e9)
-    assert cache.calls == 1
+    assert cache.hits + cache.misses == 1
 
 
 def test_nvlink_slower_than_nic_rejected():

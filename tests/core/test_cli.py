@@ -230,6 +230,8 @@ def saved(tmp_path_factory):
         (["diagnose", "--trace", "{saved}/list.json"], "list.json"),
         (["diagnose", "--trace", "{saved}/session.json",
           "--metrics", "{saved}/bad.metrics.jsonl"], "bad.metrics.jsonl"),
+        (["diagnose", "--trace", "{saved}/session.json",
+          "--metrics", "{saved}/session.json"], "session.json"),
         (["trace", "{saved}/session.json", "--lane", "nosuchlane"], "--lane"),
         (["diagnose"], "--trace"),
         (["diagnose", "--trace", "x.json", "--scenario", "clean"], "--scenario"),
@@ -251,6 +253,7 @@ def saved(tmp_path_factory):
         "production-negative-seed", "schedule-negative-seed", "validate-negative-seed",
         "diagnose-negative-seed", "narrow-trace-width", "validate-group-size-1",
         "trace-not-a-document", "diagnose-not-a-document", "diagnose-bad-sidecar",
+        "diagnose-trace-as-sidecar",
         "trace-unknown-lane", "diagnose-no-source", "diagnose-both-sources",
         "diagnose-unknown-scenario", "calibrate-profile-not-an-object",
         "calibrate-profile-constant-not-a-number", "calibrate-baseline-not-an-object",

@@ -110,7 +110,6 @@ def test_report_consistency_with_paper_units():
 def test_features_presets_differ():
     assert MEGATRON_LM.tp_overlap is False
     assert MEGASCALE_ISO_BATCH.tp_overlap is True
-    assert "baseline" in MEGATRON_LM.describe()
 
 
 def test_job_report_is_value_object():

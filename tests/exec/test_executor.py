@@ -4,6 +4,7 @@ import pytest
 
 from repro import compare, job_175b
 from repro.exec import PersistentMemo, SweepExecutor, run_tasks
+from tests.metrics import counter
 
 
 def _square(x):
@@ -118,4 +119,4 @@ def test_cached_tasks_still_emit_spans(tmp_path):
     by_task = {dict(s.attrs)["task"]: dict(s.attrs) for s in spans}
     assert by_task[0]["cached"] is True
     assert by_task[1]["cached"] is False
-    assert hub.metrics.counter("exec.persistent_hits") == 1
+    assert counter(hub.metrics, "exec.persistent_hits") == 1

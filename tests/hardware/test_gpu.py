@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.hardware import AMPERE, GPU_CATALOG, HOPPER, Gpu, scaled_spec
+from repro.hardware import AMPERE, GPU_CATALOG, HOPPER, Gpu
 
 
 def test_catalog_contains_both_generations():
@@ -62,21 +62,9 @@ def test_memory_bound_time():
 
 def test_gpu_instance_degradation():
     gpu = Gpu(spec=AMPERE, index=0)
-    base = gpu.compute_time(1e12)
+    assert gpu.speed_factor == 1.0
     gpu.degrade(0.9)
-    # Only the compute term is derated; launch overhead is charged at
-    # the normal rate (a slow part does not launch kernels slower).
-    expected = AMPERE.gemm_compute_time(1e12) / 0.9 + AMPERE.kernel_launch_overhead
-    assert gpu.compute_time(1e12) == pytest.approx(expected)
-    assert gpu.compute_time(1e12) < base / 0.9  # old formula inflated overhead
-    assert gpu.effective_peak == pytest.approx(AMPERE.peak_flops * 0.9)
-
-
-def test_gpu_compute_time_healthy_is_exact_gemm_time():
-    """At speed_factor == 1.0 the degradation path is a no-op, bit for bit."""
-    gpu = Gpu(spec=AMPERE, index=0)
-    for flops in (0.0, 1.0, 1e9, 1e12, 3.7e13):
-        assert gpu.compute_time(flops) == AMPERE.gemm_time(flops)
+    assert gpu.speed_factor == 0.9
 
 
 def test_gpu_degrade_validation():
@@ -85,38 +73,6 @@ def test_gpu_degrade_validation():
         gpu.degrade(0.0)
     with pytest.raises(ValueError):
         gpu.degrade(1.5)
-
-
-def test_scaled_spec():
-    slow = scaled_spec(AMPERE, 0.5)
-    assert slow.peak_flops == pytest.approx(AMPERE.peak_flops * 0.5)
-    assert slow.name != AMPERE.name
-
-
-def test_scaled_spec_keeps_efficiency_knee_invariant():
-    """Pure clock derating must not move the efficiency curve's knee.
-
-    In ideal-time units (kernel_flops / peak_flops) the saturating curve
-    is invariant: a kernel taking the same ideal time on the derated part
-    achieves the same efficiency fraction.
-    """
-    for s in (0.25, 0.5, 0.9):
-        slow = scaled_spec(AMPERE, s)
-        # Knee stays at the same fraction of peak.
-        assert slow.gemm_flops_half / slow.peak_flops == pytest.approx(
-            AMPERE.gemm_flops_half / AMPERE.peak_flops
-        )
-        for f in (1e9, 28e9, 1e12):
-            assert slow.gemm_efficiency(s * f) == pytest.approx(
-                AMPERE.gemm_efficiency(f)
-            )
-            # Consequence: compute time scales exactly by 1/s at matched
-            # ideal-time workloads.
-            assert slow.gemm_compute_time(s * f) == pytest.approx(
-                AMPERE.gemm_compute_time(f)
-            )
-    with pytest.raises(ValueError):
-        scaled_spec(AMPERE, 0.0)
 
 
 def test_spec_validation():

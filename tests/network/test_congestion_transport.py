@@ -10,10 +10,8 @@ from repro.network import (
     PfcState,
     RetransmitPolicy,
     flap_downtime_in_window,
-    flap_statistics,
     simulate_bottleneck,
 )
-from repro.network.flapping import reduced_flap_rate
 
 
 # -- PFC -----------------------------------------------------------------
@@ -98,16 +96,6 @@ def test_flap_downtime_window():
     assert flap_downtime_in_window(events, 2.0, 10.5) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         flap_downtime_in_window(events, 5.0, 1.0)
-
-
-def test_flap_statistics_empty():
-    assert flap_statistics([]) == (0, 0.0)
-
-
-def test_quality_hardening_reduces_flap_rate():
-    assert reduced_flap_rate(60.0, 10.0) == pytest.approx(600.0)
-    with pytest.raises(ValueError):
-        reduced_flap_rate(60.0, 0.5)
 
 
 # -- retransmission --------------------------------------------------------

@@ -9,9 +9,7 @@ from repro.network import (
     ecmp_choice,
     expected_conflict_stats,
     max_min_fair_rates,
-    max_uplink_load,
     port_split_benefit,
-    transfer_time,
 )
 
 
@@ -28,11 +26,6 @@ def test_ecmp_choice_stable_and_in_range():
 def test_ecmp_spreads_flows():
     choices = {ecmp_choice(f, "tor0", "agg0", 16) for f in range(200)}
     assert len(choices) == 16
-
-
-def test_max_uplink_load():
-    assert max_uplink_load(list(range(64)), "t", "a", 64) >= 1
-    assert max_uplink_load([1], "t", "a", 4) == 1
 
 
 def test_conflict_stats_single_flow_clean():
@@ -122,16 +115,6 @@ def test_flow_over_down_link_raises():
     dead = Link(src="a", dst="b", bandwidth=1e9, up=False)
     with pytest.raises(RuntimeError):
         max_min_fair_rates([Flow(flow_id=0, path=[dead])])
-
-
-def test_transfer_time():
-    link = Link(src="a", dst="b", bandwidth=1e9, latency=1e-3)
-    flow = Flow(flow_id=0, path=[link])
-    max_min_fair_rates([flow])
-    assert transfer_time(1e9, flow) == pytest.approx(1.0 + 1e-3)
-    assert transfer_time(0, flow) == 0.0
-    with pytest.raises(ValueError):
-        transfer_time(-1, flow)
 
 
 def test_flow_demand_validation():

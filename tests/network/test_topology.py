@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.units import Gbps
-from repro.network import ClosFabric, DuplexLink, Link, TOMAHAWK4, agg_role, tor_role
+from repro.network import ClosFabric, Link, TOMAHAWK4, agg_role, tor_role
 
 
 def make_fabric(n_nodes=128, **kw):
@@ -40,7 +40,7 @@ def test_fabric_pods_and_tors():
     assert fabric.n_pods == 2
     assert fabric.pod_of(0) == 0
     assert fabric.pod_of(64) == 1
-    tors = [s for s in fabric.switches.values() if s.layer == "tor"]
+    tors = [s for s in fabric.switches.values() if s.role.layer == "tor"]
     assert len(tors) == 2 * 8
 
 
@@ -106,11 +106,6 @@ def test_path_validation():
     assert fabric.path(3, 3, rail=0) == []
 
 
-def test_bisection_bandwidth_positive():
-    fabric = make_fabric(n_nodes=128)
-    assert fabric.bisection_bandwidth() > 0
-
-
 def test_link_validation():
     with pytest.raises(ValueError):
         Link(src="a", dst="b", bandwidth=0)
@@ -121,14 +116,6 @@ def test_link_validation():
     assert link.bytes_carried == 100.0
     with pytest.raises(ValueError):
         link.carry(-1.0)
-
-
-def test_duplex_link_state():
-    duplex = DuplexLink(Link(src="a", dst="b", bandwidth=1e9))
-    assert duplex.up
-    duplex.set_state(False)
-    assert not duplex.forward.up and not duplex.reverse.up
-    assert not duplex.up
 
 
 def test_fabric_validation():

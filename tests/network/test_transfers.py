@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network import Link
-from repro.network.transfers import Transfer, TransferEngine, execute_transfers
+from repro.network.transfers import Transfer, TransferEngine
 from repro.sim import Simulator
 
 
@@ -17,7 +17,6 @@ def test_single_transfer_time():
     link = make_link(1e9)
     t = engine.submit([link], size=2e9)
     engine.run_to_completion()
-    assert t.finished
     assert t.finished_at == pytest.approx(2.0)
     assert link.bytes_carried == pytest.approx(2e9, rel=1e-6)
 
@@ -55,7 +54,9 @@ def test_late_arrival_slows_down_existing():
         (0.0, [link], 2e9),
         (1.0, [link], 0.5e9),
     ]
-    engine = execute_transfers(sim, submissions, engine)
+    for delay, path, size in submissions:
+        sim.schedule(delay, lambda path=path, size=size: engine.submit(path, size))
+    sim.run()
     first, second = sorted(engine.completed, key=lambda t: t.started_at)
     # First runs alone for 1 s (1e9 moved), then shares: remaining 1e9 at
     # 0.5 GB/s while the newcomer moves its 0.5e9 (finishing at t=2),

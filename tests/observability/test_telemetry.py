@@ -23,6 +23,7 @@ from repro.observability import (
 )
 from repro.parallel import ParallelPlan, plan_for_gpus
 from repro.training import TrainingRunner
+from tests.metrics import counter, digest, gauge_series
 
 
 # -- metrics registry ---------------------------------------------------------
@@ -33,8 +34,8 @@ def test_counter_monotone_and_labelled():
     metrics.inc("rdma_bytes", 10, rank=0)
     metrics.inc("rdma_bytes", 5, rank=0)
     metrics.inc("rdma_bytes", 7, rank=1)
-    assert metrics.counter("rdma_bytes", rank=0) == 15
-    assert metrics.counter("rdma_bytes", rank=1) == 7
+    assert counter(metrics, "rdma_bytes", rank=0) == 15
+    assert counter(metrics, "rdma_bytes", rank=1) == 7
     with pytest.raises(ValueError):
         metrics.inc("rdma_bytes", -1)
 
@@ -43,7 +44,7 @@ def test_gauge_series_and_records():
     metrics = MetricsRegistry()
     for t in range(5):
         metrics.sample("mfu", float(t), 0.5 + 0.01 * t)
-    series = metrics.gauge_series("mfu")
+    series = gauge_series(metrics, "mfu")
     assert len(series) == 5 and series[-1] == (4.0, 0.54)
     kinds = {r["kind"] for r in metrics.records()}
     assert kinds == {"gauge"}
@@ -190,7 +191,7 @@ def test_lane_summary_and_recorder_round_trip():
     assert lanes["unit/fault"]["instants"] == 1
     recorder = lane_recorder(document, "training")
     assert len(recorder) == 2
-    span = recorder.spans(name="forward")[0]
+    span = next(s for s in recorder if s.name == "forward")
     assert span.start == pytest.approx(0.0) and span.end == pytest.approx(1.0)
     with pytest.raises(KeyError):
         lane_recorder(document, "nonexistent")
@@ -227,6 +228,9 @@ def test_save_writes_trace_and_metrics(tmp_path):
         ("metrics", '{"kind": "gauge", "series": [[0, 1]]}'),
         ("metrics", '{"kind": "gauge", "name": "m", "series": [[0]]}'),
         ("metrics", '{"kind": "gauge", "name": "m", "series": [["0", 1]]}'),
+        ("metrics", '{"a": 1}'),
+        ("metrics", '{"kind": "counter", "name": 3, "value": 1}'),
+        ("metrics", json.dumps({"traceEvents": [], "displayTimeUnit": "ms"})),
     ],
 )
 def test_readers_reject_saved_files_of_the_wrong_shape(tmp_path, reader, text):
@@ -268,13 +272,13 @@ def test_training_runner_emits_spans_and_gauges():
         terms = [span.attr(k) for k in ("pipeline", "data_stall", "dp_exposed", "optimizer", "perturbation")]
         assert span.attr("iteration_time") == pytest.approx(sum(terms))
     assert expectation.attr("dp") == runner.plan.dp
-    mfu = hub.metrics.gauge_series("training.mfu", rank=0)
+    mfu = gauge_series(hub.metrics, "training.mfu", rank=0)
     assert [v for _, v in mfu] == result.mfu_series
     # Spans lie on an absolute clock: step 1 starts after step 0's iteration.
     step0 = [s for s in spans if s.attr("step") == 0]
     step1 = [s for s in spans if s.attr("step") == 1]
     assert min(s.start for s in step1) >= max(s.start for s in step0)
-    assert hub.metrics.counter("training.iterations") == 3
+    assert counter(hub.metrics, "training.iterations") == 3
 
 
 def test_collective_runtime_emits_span_with_attrs():
@@ -287,15 +291,15 @@ def test_collective_runtime_emits_span_with_attrs():
     assert span.attr("bytes") == 1 << 20
     assert span.attr("algorithm") == "ring"
     assert span.duration == pytest.approx(run.total_time)
-    assert hub.metrics.counter("collectives.bytes_moved") == 1 << 20
-    digest = hub.metrics.digest("collectives.step_time", kind="all_reduce")
-    assert digest is not None and digest.count == len(run.steps)
+    assert counter(hub.metrics, "collectives.bytes_moved") == 1 << 20
+    summary = digest(hub.metrics, "collectives.step_time", kind="all_reduce")
+    assert summary is not None and summary["count"] == len(run.steps)
 
 
 def test_congestion_emits_utilization_samples():
     hub = TelemetryHub()
     result = simulate_bottleneck("megascale", n_flows=4, duration=0.01, hub=hub)
-    series = hub.metrics.gauge_series("network.link_utilization[megascale]", rank=0)
+    series = gauge_series(hub.metrics, "network.link_utilization[megascale]", rank=0)
     assert len(series) > 10
     assert all(0.0 <= v <= 1.0 + 1e-9 for _, v in series)
     (span,) = hub.spans("network")
@@ -314,7 +318,7 @@ def test_sweep_executor_emits_candidate_spans():
     assert len(spans) == 3
     # Deterministic pseudo-time axis: task i occupies [i, i+1).
     assert [(s.start, s.end) for s in spans] == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-    assert hub.metrics.counter("exec.tasks") == 3
+    assert counter(hub.metrics, "exec.tasks") == 3
 
 
 def test_sweep_executor_memo_counters_match_stats():
@@ -324,10 +328,10 @@ def test_sweep_executor_memo_counters_match_stats():
     jobs = [job_175b(256, 768), job_175b(512, 768)]
     _, stats = run_tasks(compare, jobs, hub=hub)
     total_hits = sum(
-        hub.metrics.counter("exec.memo_hits", cache=name) for name in stats.caches
+        counter(hub.metrics, "exec.memo_hits", cache=name) for name in stats.caches
     )
     total_misses = sum(
-        hub.metrics.counter("exec.memo_misses", cache=name) for name in stats.caches
+        counter(hub.metrics, "exec.memo_misses", cache=name) for name in stats.caches
     )
     assert total_hits == stats.hits
     assert total_misses == stats.misses
@@ -369,7 +373,7 @@ def test_production_run_emits_fault_and_monitor_telemetry():
             s.start <= inst.ts <= s.end for s in fault_spans if s.name == "recover"
         )
     # Effective-iterations gauge tracked the run.
-    series = hub.metrics.gauge_series("fault.effective_iterations", rank=0)
+    series = gauge_series(hub.metrics, "fault.effective_iterations", rank=0)
     assert series and series[-1][1] == pytest.approx(result.effective_iterations)
 
 

@@ -9,7 +9,6 @@ from repro.optim import (
     Lamb,
     LmConfig,
     curves_match,
-    improvement,
     make_markov_corpus,
     train_lm,
 )
@@ -109,13 +108,13 @@ def corpus():
 
 def test_training_reduces_loss(corpus):
     curve = train_lm(CFG, "adam", lr=3e-3, batch_size=8, n_steps=80, corpus=corpus)
-    assert improvement(curve) > 0.15
+    assert curve.losses[0] - curve.final_loss > 0.15
     assert curve.final_loss < curve.losses[0]
 
 
 def test_lamb_trains_tiny_lm(corpus):
     curve = train_lm(CFG, "lamb", lr=4e-3, batch_size=8, n_steps=80, corpus=corpus)
-    assert improvement(curve) > 0.1
+    assert curve.losses[0] - curve.final_loss > 0.1
 
 
 def test_ptb_swa_convergence_matches_baseline(corpus):

@@ -15,6 +15,15 @@ def small_config(**kw):
     return LmConfig(**defaults)
 
 
+def _loss(model, tokens, targets):
+    """Mean cross-entropy of a forward pass, computed in float64."""
+    logits, _ = model.forward(tokens)
+    probs = softmax(logits.astype(np.float64))
+    B, S, _ = logits.shape
+    idx = (np.arange(B)[:, None], np.arange(S)[None, :], targets)
+    return float(-np.log(np.maximum(probs[idx], np.finfo(np.float64).tiny)).mean())
+
+
 def _grad_check(config, n_probes=3, seed=0):
     model = TinyTransformerLM(config, seed=1)
     rng = np.random.default_rng(seed)
@@ -27,9 +36,9 @@ def _grad_check(config, n_probes=3, seed=0):
             eps = 1e-6
             orig = p[idx]
             p[idx] = orig + eps
-            lp = model.loss(tokens, targets)
+            lp = _loss(model, tokens, targets)
             p[idx] = orig - eps
-            lm = model.loss(tokens, targets)
+            lm = _loss(model, tokens, targets)
             p[idx] = orig
             numeric = (lp - lm) / (2 * eps)
             assert grads[name][idx] == pytest.approx(numeric, abs=1e-5), (name, idx)
@@ -81,7 +90,7 @@ def test_initial_loss_near_uniform():
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, config.vocab_size, (8, config.seq_len))
     targets = rng.integers(0, config.vocab_size, (8, config.seq_len))
-    assert model.loss(tokens, targets) == pytest.approx(np.log(config.vocab_size), abs=0.7)
+    assert _loss(model, tokens, targets) == pytest.approx(np.log(config.vocab_size), abs=0.7)
 
 
 def test_window_restricts_information_flow():
@@ -115,15 +124,6 @@ def test_config_validation():
         LmConfig(d_model=10, n_heads=3)
     with pytest.raises(ValueError):
         LmConfig(attention_window=0)
-
-
-def test_n_params_counts_everything():
-    config = small_config()
-    model = TinyTransformerLM(config)
-    assert model.n_params == sum(v.size for v in model.params.values())
-    # Parallel block drops one LayerNorm per layer.
-    ptb = TinyTransformerLM(small_config(parallel_block=True))
-    assert ptb.n_params < model.n_params
 
 
 def test_primitives():

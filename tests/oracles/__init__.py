@@ -16,4 +16,9 @@ optimized production paths are held to.
 * :mod:`tests.oracles.live_driver` — the event-level heartbeat
   mechanism (§4.1–4.3 daemons, detector rules, self-check battery,
   eviction to spares) behind :func:`repro.fault.detection_latency`.
+* :mod:`tests.oracles.zero2` — single-process ADAM training and the
+  replica checks behind :class:`repro.optim.distributed.Zero2Trainer`.
+* :mod:`tests.oracles.gates` — the smoke job's scenario gates over
+  :func:`repro.scheduler.run_policy` and
+  :func:`repro.observability.diagnosis.run_scenario`.
 """

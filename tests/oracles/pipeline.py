@@ -3,23 +3,48 @@
 :meth:`repro.training.iteration.IterationEngine.pipeline_makespan` runs
 one pass over integer arrays compiled once per (p, v, m).  This is the
 loop it replaced: it regenerates every stage's interleaved-1F1B task
-list, re-derives each task's dependency with
-:func:`~repro.parallel.pipeline.forward_dependency` /
-:func:`~repro.parallel.pipeline.backward_dependency`, and polls the
-stages in order, each running until it blocks on an upstream task.  The
-property tests in ``tests/training/test_makespan_recurrence.py`` hold
-the two equal bit for bit, traced spans included.
+list, re-derives each task's dependency with :func:`forward_dependency`
+/ :func:`backward_dependency`, and polls the stages in order, each
+running until it blocks on an upstream task.  The property tests in
+``tests/training/test_makespan_recurrence.py`` hold the two equal bit
+for bit, traced spans included.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.parallel.pipeline import (
-    backward_dependency,
-    forward_dependency,
-    interleaved_schedule,
-)
+from repro.parallel.pipeline import PipelineTask, interleaved_schedule
+
+
+def forward_dependency(
+    p: int, v: int, stage: int, task: PipelineTask
+) -> Optional[Tuple[int, PipelineTask]]:
+    """The (stage, task) whose output this forward consumes, or None.
+
+    The virtual-stage order walks stages 0..p-1 within a chunk, then wraps
+    to chunk+1 on stage 0.
+    """
+    if task.kind != "F":
+        raise ValueError("forward_dependency takes an F task")
+    if stage > 0:
+        return (stage - 1, PipelineTask("F", task.microbatch, task.chunk))
+    if task.chunk > 0:
+        return (p - 1, PipelineTask("F", task.microbatch, task.chunk - 1))
+    return None  # first virtual stage reads input data
+
+
+def backward_dependency(
+    p: int, v: int, stage: int, task: PipelineTask
+) -> Optional[Tuple[int, PipelineTask]]:
+    """The (stage, task) whose gradient this backward consumes, or None."""
+    if task.kind != "B":
+        raise ValueError("backward_dependency takes a B task")
+    if stage < p - 1:
+        return (stage + 1, PipelineTask("B", task.microbatch, task.chunk))
+    if task.chunk < v - 1:
+        return (0, PipelineTask("B", task.microbatch, task.chunk + 1))
+    return None  # last virtual stage starts from the loss
 
 
 def pipeline_makespan_reference(

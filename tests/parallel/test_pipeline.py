@@ -8,28 +8,17 @@ from hypothesis import strategies as st
 
 from repro.parallel import (
     PipelineTask,
-    backward_dependency,
     bubble_fraction,
-    forward_dependency,
-    gpipe_schedule,
     interleaved_schedule,
     lamb_bubble_reduction,
     one_f_one_b_schedule,
-    schedule_for,
 )
 from repro.parallel.pipeline import compile_schedule, schedule_slots
+from tests.oracles.pipeline import backward_dependency, forward_dependency
 
 
 def _task_counts(tasks):
     return Counter(t.kind for t in tasks)
-
-
-def test_gpipe_all_forwards_then_backwards():
-    tasks = gpipe_schedule(p=4, m=8, stage=1)
-    kinds = [t.kind for t in tasks]
-    assert kinds == ["F"] * 8 + ["B"] * 8
-    # Backwards run in reverse micro-batch order.
-    assert [t.microbatch for t in tasks[8:]] == list(reversed(range(8)))
 
 
 def test_1f1b_task_counts_and_warmup():
@@ -138,14 +127,6 @@ def test_lamb_bubble_reduction():
     # 1/16 ratio (the paper quotes 87.5%; see EXPERIMENTS.md).
     reduction = lamb_bubble_reduction(v=6, p=8, m=8, batch_scale=4)
     assert reduction == pytest.approx(1 - 1 / 16)
-
-
-def test_schedule_dispatch():
-    assert schedule_for(4, 1, 8, 0, "gpipe") == gpipe_schedule(4, 8, 0)
-    assert schedule_for(4, 1, 8, 0, "1f1b") == one_f_one_b_schedule(4, 8, 0)
-    assert schedule_for(4, 2, 8, 0, "interleaved") == interleaved_schedule(4, 2, 8, 0)
-    with pytest.raises(ValueError):
-        schedule_for(4, 1, 8, 0, "nope")
 
 
 def test_task_validation():

@@ -42,13 +42,13 @@ def test_dp_before_pp_keeps_dp_groups_contiguous():
 
 def test_pp_last_means_pp_groups_far_apart():
     plan = make_plan()
-    group = plan.pp_group(0)
+    group = [plan.rank_of(p, 0, 0) for p in range(plan.pp)]
     assert group == [0, 32, 64, 96, 128, 160, 192, 224]
 
 
 def test_legacy_pp_before_dp_order():
     plan = make_plan(dp_before_pp=False)
-    assert plan.pp_group(0) == [0, 8, 16, 24, 32, 40, 48, 56]
+    assert [plan.rank_of(p, 0, 0) for p in range(plan.pp)] == [0, 8, 16, 24, 32, 40, 48, 56]
     assert list(plan.dp_group(0)) == [0, 64, 128, 192]
 
 
@@ -65,7 +65,15 @@ def test_dp_group_range_lists_every_dp_rank(dp, tp, pp, dp_before_pp):
 
 def test_groups_partition_world():
     plan = make_plan()
-    for groups in (plan.all_tp_groups(), plan.all_dp_groups(), plan.all_pp_groups()):
+    ranks = range(plan.world_size)
+    pp_groups = {
+        tuple(plan.rank_of(p, d, t) for p in range(plan.pp))
+        for d in range(plan.dp)
+        for t in range(plan.tp)
+    }
+    tp_groups = {tuple(plan.tp_group(r)) for r in ranks}
+    dp_groups = {tuple(plan.dp_group(r)) for r in ranks}
+    for groups in (tp_groups, dp_groups, pp_groups):
         seen = sorted(r for g in groups for r in g)
         assert seen == list(range(plan.world_size))
 

@@ -14,6 +14,7 @@ from repro.parallel import ParallelPlan
 from repro.parallel.search import PP_LIMIT, canonical_key, plan_cache_key, search_plans
 from repro.parallel.tuner import candidate_plans, evaluate_plan, feasible
 from repro.training.iteration import IterationEngine
+from tests.metrics import counter, gauge_series
 
 
 # -- exactness: pruned search == exhaustive search ----------------------------
@@ -222,12 +223,15 @@ def test_search_emits_counters_spans_and_incumbent_trajectory():
     s = result.stats
 
     m = hub.metrics
-    assert m.counter("exec.search_enumerated") == s.enumerated
-    assert m.counter("exec.search_feasible") == s.feasible
-    assert m.counter("exec.search_bound_pruned") == s.bound_pruned
-    assert m.counter("exec.search_evaluated") == s.evaluated
+    assert counter(m, "exec.search_enumerated") == s.enumerated
+    assert counter(m, "exec.search_feasible") == s.feasible
+    assert counter(m, "exec.search_bound_pruned") == s.bound_pruned
+    assert counter(m, "exec.search_evaluated") == s.evaluated
 
-    names = [name for name, _, _ in m.counters(prefix="exec.search_")]
+    names = [
+        r["name"] for r in m.records()
+        if r["kind"] == "counter" and r["name"].startswith("exec.search_")
+    ]
     assert "exec.search_enumerated" in names and "exec.search_evaluated" in names
 
     spans = hub.spans("exec")
@@ -236,7 +240,7 @@ def test_search_emits_counters_spans_and_incumbent_trajectory():
     assert sum(1 for sp in spans if sp.name == "search:price") == s.priced
 
     assert s.incumbent  # the frontier moved at least once
-    best_series = m.gauge_series("exec.search_incumbent_best", rank=0)
+    best_series = gauge_series(m, "exec.search_incumbent_best", rank=0)
     assert len(best_series) == len(s.incumbent)
     # The incumbent best only ever improves.
     bests = [b for _, b, _ in s.incumbent]

@@ -1,17 +1,13 @@
-"""Tests for ZeRO sharding math and rank placement."""
+"""Tests for ZeRO sharding math."""
 
 import pytest
 
-from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.parallel import (
     ParallelPlan,
     dp_comm_events,
     optimizer_state_bytes,
     optimizer_step_time,
-    packed_placement,
-    sharded_state_summary,
-    validate_placement,
 )
 from repro.parallel.zero import chunk_grad_bytes, chunk_param_bytes
 
@@ -53,52 +49,7 @@ def test_optimizer_state_sharded_by_dp():
     assert sharded == pytest.approx(unsharded / PLAN.dp)
 
 
-def test_sharded_state_summary_zero3():
-    params2, grads2, _ = sharded_state_summary(GPT_175B, PLAN)
-    params3, grads3, _ = sharded_state_summary(GPT_175B, PLAN.with_options(zero_stage=3))
-    assert params3 == pytest.approx(params2 / PLAN.dp)
-    assert grads3 == pytest.approx(grads2)
-
-
 def test_optimizer_step_time_positive_and_sharded():
     fast = optimizer_step_time(GPT_175B, PLAN, memory_bandwidth=2e12)
     slow = optimizer_step_time(GPT_175B, PLAN.with_options(zero_stage=0), 2e12)
     assert 0 < fast < slow
-
-
-def test_packed_placement_tp_intra_node():
-    cluster = Cluster.build(n_nodes=32)
-    placement = packed_placement(PLAN, cluster)
-    assert placement.tp_groups_intra_node()
-    assert validate_placement(placement, gpus_per_node=8) == []
-
-
-def test_packed_placement_dp_span_smaller_than_pp_span():
-    # dp-before-pp keeps DP groups on fewer distinct "hops" than PP would.
-    cluster = Cluster.build(n_nodes=32)
-    placement = packed_placement(PLAN, cluster)
-    assert placement.dp_group_node_span() == PLAN.dp  # 4 adjacent nodes
-
-
-def test_placement_cluster_too_small():
-    cluster = Cluster.build(n_nodes=2)
-    with pytest.raises(ValueError):
-        packed_placement(PLAN, cluster)
-
-
-def test_placement_warns_on_tp_across_nodes():
-    plan = ParallelPlan(dp=1, tp=16, pp=1)
-    cluster = Cluster.build(n_nodes=2)
-    placement = packed_placement(plan, cluster)
-    warnings = validate_placement(placement, gpus_per_node=8)
-    assert any("tp=16" in w for w in warnings)
-
-
-def test_placement_lookup_helpers():
-    cluster = Cluster.build(n_nodes=32)
-    placement = packed_placement(PLAN, cluster)
-    node0 = cluster.nodes[0].node_id
-    assert placement.node_of(0) == node0
-    assert placement.ranks_on(node0) == list(range(8))
-    assert placement.same_node(0, 7)
-    assert not placement.same_node(0, 8)

@@ -18,10 +18,9 @@ from repro.scheduler import (
     ClusterScheduler,
     JobSpec,
     JobState,
-    multi_tenant_chaos,
     run_policy,
 )
-from repro.scheduler.scenarios import _fingerprint
+from tests.oracles.gates import _fingerprint, multi_tenant_chaos
 
 
 class ScriptedInjector:
@@ -82,12 +81,12 @@ def test_last_spare_contention_priority_wins_and_loser_shrinks():
         duration=40_000.0,
     )
     grants = {
-        d.job: d.detail_dict() for d in report.decisions if d.action == "grant"
+        d.job: dict(d.detail) for d in report.decisions if d.action == "grant"
     }
     assert list(grants) == ["prod"], "the high-priority claimant wins the spare"
     assert grants["prod"]["granted"] == 1
     # Both jobs were short; both shrank, neither stalled.
-    shrunk = {d.job: d.detail_dict()["dp"] for d in report.actions("shrink")}
+    shrunk = {d.job: dict(d.detail)["dp"] for d in report.actions("shrink")}
     assert shrunk["prod"] == 5 and shrunk["research"] == 4
     assert not report.actions("stall")
     # spares accounting is consistent across jobs and with the cluster.
@@ -134,7 +133,7 @@ def test_preemption_rescues_a_stalling_high_priority_job():
     )
     preempts = report.actions("preempt")
     assert preempts and all(d.job == "research" for d in preempts)
-    assert preempts[0].detail_dict()["by"] == "prod"
+    assert dict(preempts[0].detail)["by"] == "prod"
     assert report.per_job["research"].preemptions == 1
     # The victim keeps training at its floor instead of stalling.
     assert scheduler.jobs["research"].plan.dp >= 1
@@ -202,9 +201,38 @@ def test_shrink_lands_on_whole_hosts_when_tp_pp_is_not_a_host_multiple():
     report = scheduler.run(
         ScriptedInjector([rack_fault(1000.0, [5], rack=1)]), duration=40_000.0
     )
-    assert [d.detail_dict()["dp"] for d in report.actions("shrink")] == [2]
+    assert [dict(d.detail)["dp"] for d in report.actions("shrink")] == [2]
     resized = report.actions("shrink") + report.actions("regrow")
     assert resized and all(
-        d.detail_dict()["dp"] * 12 % job.gpus_per_node == 0 for d in resized
+        dict(d.detail)["dp"] * 12 % job.gpus_per_node == 0 for d in resized
     )
     assert scheduler.jobs["odd"].plan.dp == 4
+
+
+def test_job_pending_at_admission_is_placed_degraded_on_retry():
+    """A job that does not fit at admission is re-placed on its first retry.
+
+    8 nodes, no spares, no faults: the pinned job holds 4 nodes, so the
+    8-node job is denied at t=0, then ``_try_replace`` places it on the
+    4 free nodes at half its DP and the next retry finds no more room.
+    """
+    topology = DomainTopology(n_nodes=8, nodes_per_rack=4, nodes_per_pod=8)
+    jobs = (
+        JobSpec(name="pinned", plan=plan_for_gpus(32, tp=8, pp=1), preemptible=False),
+        JobSpec(name="wide", plan=plan_for_gpus(64, tp=8, pp=1)),
+    )
+    scheduler = ClusterScheduler(
+        cluster=Cluster.build(n_nodes=8, n_spares=0),
+        topology=topology,
+        jobs=jobs,
+        rng=np.random.default_rng(0),
+    )
+    report = scheduler.run(ScriptedInjector([]), duration=86400.0)
+    wide = [(d.time, d.action, dict(d.detail)) for d in report.decisions if d.job == "wide"]
+    assert wide[0] == (0.0, "deny", {"needed": 8, "reason": "no-capacity"})
+    assert wide[1] == (300.0, "place", {"dp": 4, "healthy_dp": 8, "nodes": 4})
+    assert wide[2][1:] == ("resume", {"dp": 4})
+    assert wide[3][:2] == (600.0, "deny")
+    assert wide[3][2]["reason"] == "retry-backoff" and wide[3][2]["attempt"] == 1
+    summary = report.per_job["wide"]
+    assert (summary.final_state, summary.final_dp, summary.healthy_dp) == ("degraded", 4, 8)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, SimulationError, Simulator
+from repro.sim import Event, Process, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -61,7 +61,11 @@ def test_event_succeed_delivers_value():
     sim = Simulator()
     ev = sim.event("e")
     got = []
-    ev.add_callback(lambda e: got.append(e.value))
+
+    def waiter():
+        got.append((yield ev))
+
+    Process(sim, waiter())
     ev.succeed(42)
     sim.run()
     assert got == [42]
@@ -82,8 +86,6 @@ def test_event_fail_carries_exception():
     ev.fail(boom)
     sim.run()
     assert ev.exception is boom
-    with pytest.raises(ValueError):
-        _ = ev.value
 
 
 def test_fail_requires_exception_instance():
@@ -92,22 +94,15 @@ def test_fail_requires_exception_instance():
         sim.event().fail("not an exception")  # type: ignore[arg-type]
 
 
-def test_value_before_trigger_raises():
-    sim = Simulator()
-    ev = sim.event("pending")
-    with pytest.raises(SimulationError):
-        _ = ev.value
-
-
 def test_late_callback_on_processed_event_still_fires():
     sim = Simulator()
     ev = sim.event()
     ev.succeed("x")
     sim.run()
     got = []
-    ev.add_callback(lambda e: got.append(e.value))
+    ev.add_callback(got.append)
     sim.run()
-    assert got == ["x"]
+    assert got == [ev]
 
 
 def test_negative_timeout_rejected():
@@ -147,13 +142,6 @@ def test_step_on_empty_queue_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.step()
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.schedule(7.0, lambda: None)
-    assert sim.peek() == 7.0
 
 
 def test_nested_scheduling_from_callback():

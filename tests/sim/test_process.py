@@ -2,7 +2,19 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Process, SimulationError, Simulator
+from repro.sim import AllOf, Process, SimulationError, Simulator
+
+
+def value_of(sim, event):
+    """What ``yield event`` evaluates to, read by a parent process."""
+    box = []
+
+    def parent():
+        box.append((yield event))
+
+    Process(sim, parent())
+    sim.run()
+    return box[0]
 
 
 def test_process_runs_and_returns_value():
@@ -16,7 +28,7 @@ def test_process_runs_and_returns_value():
     proc = Process(sim, body())
     sim.run()
     assert proc.triggered
-    assert proc.value == "done"
+    assert value_of(sim, proc) == "done"
     assert sim.now == 3.0
 
 
@@ -65,7 +77,7 @@ def test_process_waits_on_child_process():
 
     proc = Process(sim, parent())
     sim.run()
-    assert proc.value == 14
+    assert value_of(sim, proc) == 14
 
 
 def test_yielding_raw_generator_spawns_child():
@@ -81,7 +93,7 @@ def test_yielding_raw_generator_spawns_child():
 
     proc = Process(sim, parent())
     sim.run()
-    assert proc.value == "inner"
+    assert value_of(sim, proc) == "inner"
 
 
 def test_exception_in_process_fails_it():
@@ -113,7 +125,7 @@ def test_child_failure_propagates_to_parent():
 
     proc = Process(sim, parent())
     sim.run()
-    assert proc.value == "caught"
+    assert value_of(sim, proc) == "caught"
 
 
 def test_all_of_collects_values_in_order():
@@ -125,7 +137,7 @@ def test_all_of_collects_values_in_order():
 
     proc = Process(sim, body())
     sim.run()
-    assert proc.value == ["c", "a"]
+    assert value_of(sim, proc) == ["c", "a"]
     assert sim.now == 3.0
 
 
@@ -133,25 +145,7 @@ def test_all_of_empty_triggers_immediately():
     sim = Simulator()
     cond = AllOf(sim, [])
     assert cond.triggered
-    assert cond.value == []
-
-
-def test_any_of_returns_first_winner():
-    sim = Simulator()
-
-    def body():
-        index, value = yield AnyOf(sim, [sim.timeout(5.0, "slow"), sim.timeout(2.0, "fast")])
-        return index, value, sim.now
-
-    proc = Process(sim, body())
-    sim.run()
-    assert proc.value == (1, "fast", 2.0)
-
-
-def test_any_of_requires_children():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        AnyOf(sim, [])
+    assert value_of(sim, cond) == []
 
 
 def test_non_generator_body_rejected():

@@ -51,12 +51,3 @@ def test_resource_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_resource_available_accounting():
-    sim = Simulator()
-    res = Resource(sim, capacity=3)
-    res.acquire()
-    sim.run()
-    assert res.in_use == 1
-    assert res.available == 2

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.observability import lane_summary, load_trace_document
+from tests.oracles.gates import diagnose_smoke, multi_tenant_chaos
 
 pytestmark = pytest.mark.smoke
 
@@ -95,8 +96,6 @@ def test_scheduler_priority_beats_fifo_on_goodput(tmp_path):
     """Multi-tenant chaos for seeds 0-2: multi_tenant_chaos checks replay
     identity, monotone goodput, balanced spare ledgers and bounded
     stalls; the arbitrating scheduler must beat FIFO spares on goodput."""
-    from repro.scheduler import multi_tenant_chaos
-
     summaries = multi_tenant_chaos(seeds=(0, 1, 2))
     _save_json(tmp_path / "scheduler-smoke.json", summaries)
     for row in summaries:
@@ -118,8 +117,6 @@ def test_diagnose_smoke(tmp_path):
     """Every injected-cause scenario for seeds 0-2: diagnose_smoke raises
     unless top-1 blames the injected cause, the clean scenario yields no
     findings and each report is byte-identical across re-diagnosis."""
-    from repro.observability.diagnosis import diagnose_smoke
-
     _save_json(tmp_path / "diagnose-smoke.json", diagnose_smoke(seeds=(0, 1, 2)))
 
 

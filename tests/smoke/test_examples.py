@@ -12,17 +12,12 @@ Smoke-marked (deselected from tier-1); CI runs it with the other gates::
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from tests.smoke.entry_points import EXAMPLES, ROOT, SMALL_ARGS
+
 pytestmark = pytest.mark.smoke
-
-ROOT = Path(__file__).resolve().parents[2]
-EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
-
-# Arguments that keep a long-running example short.
-SMALL_ARGS = {"convergence_microbenchmark.py": ["20"]}
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)

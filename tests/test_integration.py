@@ -7,7 +7,7 @@ trace recording -> observability analysis.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import compare, job_175b, job_530b, megascale, megatron_lm
@@ -50,7 +50,7 @@ def test_engine_trace_feeds_observability():
     trace = TraceRecorder()
     makespan, busy = engine.pipeline_makespan(m=8, trace=trace)
     timeline = DistributedTimeline.from_trace(trace)
-    assert timeline.span_count == 4 * 8 * 2 * 2  # stages x mb x chunks x {F,B}
+    assert len(timeline.events) == 4 * 8 * 2 * 2  # stages x mb x chunks x {F,B}
     start, end = timeline.extent()
     assert end == pytest.approx(makespan)
     # Measured stage-0 bubbles are consistent with the closed form (loose).
@@ -79,6 +79,8 @@ def _pipeline_shapes(draw):
     F=st.floats(1e-3, 10.0),
     B=st.floats(1e-3, 10.0),
 )
+# A tie (v = m = 1) whose lower-bound sum rounded one ulp above the upper.
+@example(shape=(6, 1, 1), F=1.0, B=2.7353998875211243)
 def test_pipeline_makespan_matches_bubble_theory(shape, F, B):
     # Megatron-LM's interleaved bubble (Narayanan et al. 2021): with no p2p
     # time and no embedding or logits extras, the makespan is exactly

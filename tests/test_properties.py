@@ -15,13 +15,9 @@ from repro.collectives import ring_all_gather, ring_all_reduce, ring_reduce_scat
 from repro.model import GPT_13B
 from repro.model.memory import memory_breakdown
 from repro.network import Flow, Link, max_min_fair_rates
-from repro.parallel import (
-    ParallelPlan,
-    backward_dependency,
-    forward_dependency,
-    interleaved_schedule,
-)
+from repro.parallel import ParallelPlan, interleaved_schedule
 from repro.sim import Simulator
+from tests.oracles.pipeline import backward_dependency, forward_dependency
 
 
 # -- event loop ---------------------------------------------------------------
@@ -145,7 +141,15 @@ def test_rank_coords_bijective(plan):
 
 @given(plan_strategy)
 def test_groups_partition_world(plan):
-    for groups in (plan.all_tp_groups(), plan.all_dp_groups(), plan.all_pp_groups()):
+    ranks = range(plan.world_size)
+    pp_groups = {
+        tuple(plan.rank_of(p, d, t) for p in range(plan.pp))
+        for d in range(plan.dp)
+        for t in range(plan.tp)
+    }
+    tp_groups = {tuple(plan.tp_group(r)) for r in ranks}
+    dp_groups = {tuple(plan.dp_group(r)) for r in ranks}
+    for groups in (tp_groups, dp_groups, pp_groups):
         flat = sorted(r for g in groups for r in g)
         assert flat == list(range(plan.world_size))
 

@@ -1,4 +1,4 @@
-"""Additional property-based tests: transfers, hierarchy, tuner, priority."""
+"""Additional property-based tests: transfers, hierarchy, stragglers."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.collectives.hierarchical import hierarchical_all_reduce
 from repro.network import Link
 from repro.network.transfers import TransferEngine
 from repro.sim import Simulator
-from repro.training.priority import CommOp, exposed_stall, fifo_order, priority_order
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -24,7 +23,7 @@ def test_transfer_engine_conserves_bytes_and_orders_finishes(sizes, bandwidth):
     transfers = [engine.submit([link], size=s) for s in sizes]
     engine.run_to_completion()
     # All complete, carrying exactly the requested bytes.
-    assert all(t.finished for t in transfers)
+    assert all(t.finished_at is not None for t in transfers)
     assert link.bytes_carried == pytest.approx(sum(sizes), rel=1e-3)
     # With simultaneous starts and fair sharing, smaller transfers never
     # finish after strictly larger ones.
@@ -50,22 +49,6 @@ def test_hierarchical_components_nonnegative_and_monotone(size, n_nodes, gpn):
         size * 2, n_nodes, gpn, intra_bandwidth=250e9, inter_bandwidth=22.5e9
     )
     assert bigger.total >= cost.total
-
-
-@settings(deadline=None, max_examples=25)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=5.0),  # duration
-            st.floats(min_value=0.0, max_value=20.0),  # deadline
-        ),
-        min_size=1,
-        max_size=7,
-    )
-)
-def test_edf_never_worse_than_fifo(op_specs):
-    ops = [CommOp(f"op{i}", d, dl) for i, (d, dl) in enumerate(op_specs)]
-    assert exposed_stall(ops, priority_order(ops)) <= exposed_stall(ops, fifo_order(ops)) + 1e-9
 
 
 @settings(deadline=None, max_examples=20)

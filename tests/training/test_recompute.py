@@ -57,11 +57,20 @@ def test_plan_validates_recompute():
         ParallelPlan(dp=1, tp=1, pp=1, recompute="sometimes")
 
 
+def _memory_kwargs(plan):
+    return dict(
+        tp=plan.tp, pp=plan.pp, dp=plan.dp, micro_batch=plan.micro_batch,
+        vpp=plan.vpp, zero_stage=plan.zero_stage, recompute=plan.recompute,
+    )
+
+
 def test_engine_memory_check_advisory():
-    engine = IterationEngine(GPT_175B, ParallelPlan(dp=4, tp=8, pp=8, vpp=6), MEGASCALE_ISO_BATCH)
-    ok, breakdown = engine.check_memory()
-    assert ok
+    plan = ParallelPlan(dp=4, tp=8, pp=8, vpp=6)
+    assert fits(GPT_175B, AMPERE, **_memory_kwargs(plan))
+    breakdown = memory_breakdown(GPT_175B, **_memory_kwargs(plan))
     assert breakdown.total < AMPERE.memory_bytes
-    tight = IterationEngine(GPT_175B, ParallelPlan(dp=32, tp=8, pp=1), MEGASCALE_ISO_BATCH)
-    ok_tight, breakdown_tight = tight.check_memory()
+    # The engine prices a plan whether or not it fits: memory is advisory.
+    tight = ParallelPlan(dp=32, tp=8, pp=1)
+    breakdown_tight = memory_breakdown(GPT_175B, **_memory_kwargs(tight))
     assert breakdown_tight.parameters > breakdown.parameters
+    assert IterationEngine(GPT_175B, tight, MEGASCALE_ISO_BATCH).simulate(256).iteration_time > 0

@@ -4,14 +4,12 @@ import json
 
 import pytest
 
-from repro import job_175b, megascale
+from repro import job_175b
 from repro.core.jobfile import job_from_dict, job_to_dict, load_job, save_job
 from repro.observability.export import span_to_event
 from repro.sim import TraceRecorder
 from repro.training.sweeps import (
     SweepResult,
-    batch_sweep,
-    single_system_sweep,
     strong_scaling_sweep,
     weak_scaling_sweep,
 )
@@ -29,14 +27,13 @@ def test_strong_sweep_structure(strong):
     assert strong.kind == "strong"
     assert [p.n_gpus for p in strong.points] == [256, 512, 1024]
     assert all(p.global_batch == 768 for p in strong.points)
-    assert strong.megascale_always_wins()
+    assert all(p.speedup > 1.0 for p in strong.points)
 
 
 def test_strong_sweep_mfu_declines(strong):
-    assert strong.mfu_drop("megascale") > 0
-    assert strong.mfu_drop("baseline") > 0
-    with pytest.raises(ValueError):
-        strong.mfu_series("other")
+    first, last = strong.points[0].comparison, strong.points[-1].comparison
+    assert first.megascale.mfu > last.megascale.mfu
+    assert first.baseline.mfu > last.baseline.mfu
 
 
 def test_sweep_table_renders(strong):
@@ -50,19 +47,6 @@ def test_weak_sweep_scales_batch():
     assert sweep.points[0].global_batch == 768
     assert sweep.points[1].global_batch == 1536
     assert sweep.kind == "weak"
-
-
-def test_batch_sweep():
-    sweep = batch_sweep(job_175b(256, 768), batches=[256, 768])
-    assert [p.global_batch for p in sweep.points] == [256, 768]
-    # Bigger batch amortizes fixed costs: higher MFU.
-    assert sweep.points[1].comparison.megascale.mfu > sweep.points[0].comparison.megascale.mfu
-
-
-def test_single_system_sweep():
-    mfus = single_system_sweep(megascale(), job_175b(256, 768), [256, 512])
-    assert len(mfus) == 2
-    assert all(0 < m < 1 for m in mfus)
 
 
 def test_empty_sweep_rejected():
@@ -85,13 +69,10 @@ def test_parallel_strong_sweep_identical_to_serial():
     assert parallel.stats.workers == 4 and serial.stats.workers == 0
 
 
-def test_parallel_weak_and_batch_sweeps_identical_to_serial():
+def test_parallel_weak_sweep_identical_to_serial():
     base = job_175b(256, 768)
     assert weak_scaling_sweep(base, [256, 512], workers=2).points == (
         weak_scaling_sweep(base, [256, 512]).points
-    )
-    assert batch_sweep(base, [256, 768], workers=2).points == (
-        batch_sweep(base, [256, 768]).points
     )
 
 
@@ -103,14 +84,6 @@ def test_sweep_stats_show_cost_model_reuse():
     assert stats.caches["block_cost"].hits > 0
     assert stats.hit_rate > 0
     assert "tasks" in stats.describe()
-
-
-def test_single_system_sweep_parallel_matches_serial():
-    mfus_serial = single_system_sweep(megascale(), job_175b(256, 768), [256, 512])
-    mfus_parallel = single_system_sweep(
-        megascale(), job_175b(256, 768), [256, 512], workers=2
-    )
-    assert mfus_parallel == mfus_serial
 
 
 # -- cross-run persistent cache -------------------------------------------------
@@ -131,19 +104,6 @@ def test_strong_sweep_persistent_cache_skips_repriced_points(tmp_path):
     assert second.points[:2] == first.points  # bit-identical to the live run
     uncached = strong_scaling_sweep(base, [256, 512, 1024])
     assert second.points == uncached.points
-
-
-def test_single_system_sweep_persistent_cache(tmp_path):
-    from repro.exec import PersistentMemo
-
-    path = str(tmp_path / "single.pkl")
-    with PersistentMemo(path) as memo:
-        first = single_system_sweep(megascale(), job_175b(256, 768), [256], cache=memo)
-    with PersistentMemo(path) as memo:
-        assert memo.entries  # first run persisted its point
-        second = single_system_sweep(megascale(), job_175b(256, 768), [256], cache=memo)
-        assert memo.hits == 1
-    assert second == first
 
 
 # -- jobfiles ------------------------------------------------------------------
