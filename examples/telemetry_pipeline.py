@@ -22,7 +22,6 @@ import numpy as np
 from repro.collectives.runtime import RingCollectiveRuntime
 from repro.core.features import MEGASCALE_ISO_BATCH
 from repro.fault import CheckpointPlanner, CorrelatedFaultInjector, ProductionRun
-from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.network.congestion import simulate_bottleneck
 from repro.network.topology import ClosFabric
@@ -64,7 +63,7 @@ def main() -> None:
         CorrelatedFaultInjector(n_nodes=n_nodes, rng=np.random.default_rng(seed)),
         planner=CheckpointPlanner(model=GPT_175B, plan=plan),
         rng=np.random.default_rng(seed),
-        cluster=Cluster.build(n_nodes=n_nodes, n_spares=4),
+        spares=4,
         hub=hub,
     )
     result = run.run(duration=weeks * 7 * 86400.0)

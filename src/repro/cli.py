@@ -232,17 +232,20 @@ def cmd_production(args) -> int:
     from .model import MODEL_CATALOG
     from .parallel import plan_for_gpus
 
+    if args.spares is not None and not args.correlated:
+        raise ValueError(
+            "--spares needs --correlated (an uncorrelated run has unlimited spares)"
+        )
     plan = plan_for_gpus(args.gpus, tp=args.tp, pp=args.pp, vpp=args.vpp)
     model = MODEL_CATALOG[args.model]
     n_nodes = max(1, args.gpus // 8)
-    cluster = None
+    spares = None
     integrity = None
     if args.correlated:
         from .fault import FLAKY_HDFS, CorrelatedFaultInjector
-        from .hardware import Cluster
 
         injector = CorrelatedFaultInjector(n_nodes=n_nodes, rng=np.random.default_rng(args.seed))
-        cluster = Cluster.build(n_nodes=n_nodes, n_spares=args.spares)
+        spares = 16 if args.spares is None else args.spares
         integrity = FLAKY_HDFS
     else:
         injector = FaultInjector(n_nodes=n_nodes, rng=np.random.default_rng(args.seed))
@@ -254,7 +257,7 @@ def cmd_production(args) -> int:
         injector,
         planner=CheckpointPlanner(model=model, plan=plan),
         rng=np.random.default_rng(args.seed),
-        cluster=cluster,
+        spares=spares,
         integrity=integrity,
         hub=hub,
     )
@@ -542,8 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--correlated", action="store_true",
                    help="include rack/ToR/leaf-link fault domains, a finite "
                         "spare pool, and flaky checkpoint storage")
-    p.add_argument("--spares", type=non_negative_int, default=16,
-                   help="spare-pool size when --correlated (0 forces the elastic path)")
+    p.add_argument("--spares", type=non_negative_int,
+                   help="spare-pool size, with --correlated only (default 16; "
+                        "0 forces the elastic path)")
     _add_job_args(p)
     p.add_argument("--weeks", type=positive_float, default=2.0)
     p.add_argument("--seed", type=non_negative_int, default=0)

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..collectives.init import group_init_time
 from ..collectives.kvstore import REDIS_STORE
-from ..hardware.cluster import Cluster
 from ..network.flapping import FlapEvent
 from ..observability.monitors import MillisecondMonitor, SecondLevelMonitor
 from ..parallel.plan import ParallelPlan
@@ -179,6 +178,7 @@ class IncidentOutcome:
     extra_lost_iterations: int  # from an N-1 checkpoint fallback
     fell_back: bool
     spares_consumed: int
+    provisioned: int  # fresh hosts a provisioning stall brought in
     replan: Optional[ElasticDecision]
     load: Optional[CheckpointLoadOutcome]
 
@@ -212,10 +212,12 @@ class ProductionRunResult:
 class ProductionRun:
     """Simulates a fault-ridden multi-week run at 10k+ GPU scale.
 
-    With a ``cluster`` the spare pool is finite: replacements consume
-    spares, and once they run out the run re-plans to the largest DP
-    degree the surviving GPUs sustain (:func:`shrunk_dp`), stalling for
-    fresh machines only when not even one replica fits.  With an
+    With ``spares`` set the spare pool holds that many hosts (``None``
+    is an unlimited pool): replacements consume spares, and once they
+    run out the run re-plans to the largest DP degree the surviving GPUs
+    sustain (:func:`shrunk_dp`), stalling for fresh machines only when
+    not even one replica fits.  The machines a stall brings in stay in
+    the run, so a later fault can shrink onto them.  With an
     ``integrity`` model checkpoint loads can hit corrupt shards and retry
     per ``retry_policy``, falling back to the N−1 checkpoint at the price
     of one extra checkpoint interval of lost iterations.
@@ -229,7 +231,7 @@ class ProductionRun:
         planner: Optional[CheckpointPlanner] = None,
         loss_curve: Callable[[float], float] = default_loss_curve,
         rng: Optional[np.random.Generator] = None,
-        cluster: Optional[Cluster] = None,
+        spares: Optional[int] = None,
         integrity: Optional[ShardIntegrityModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
         gpus_per_node: int = 8,
@@ -243,7 +245,9 @@ class ProductionRun:
         self.loss_curve = loss_curve
         self.diagnostics = DiagnosticSuite()
         self.rng = rng if rng is not None else np.random.default_rng(42)
-        self.cluster = cluster
+        if spares is not None and spares < 0:
+            raise ValueError("spares must be non-negative")
+        self.spares = spares
         self.integrity = integrity
         self.retry_policy = retry_policy or RetryPolicy()
         self.gpus_per_node = gpus_per_node
@@ -303,6 +307,7 @@ class ProductionRun:
         needed = event.blast_radius if event.kind.needs_replacement else 0
         consumed = needed if spares_left is None else min(needed, spares_left)
         short = needed - consumed
+        provisioned = 0
         decision: Optional[ElasticDecision] = None
         replace = 0.0
         if needed:
@@ -311,6 +316,7 @@ class ProductionRun:
             if dp == 0:
                 # Not even one replica fits: stall for fresh machines.
                 replace = cfg.spare_provisioning_time
+                provisioned = short
             else:
                 # At dp == plan.dp spares (or idle survivors of an earlier
                 # shrink) absorb the loss; below it the run sheds replicas.
@@ -337,6 +343,7 @@ class ProductionRun:
             extra_lost_iterations=extra,
             fell_back=load_outcome.fell_back if load_outcome is not None else False,
             spares_consumed=consumed,
+            provisioned=provisioned,
             replan=decision,
             load=load_outcome,
         )
@@ -359,7 +366,7 @@ class ProductionRun:
         plan = self.plan
         healthy_dp = self.plan.dp
         factor = 1.0  # tokens-per-iteration fraction of the healthy plan
-        spares_left = self.cluster.spare_count if self.cluster is not None else None
+        spares_left = self.spares
         available_gpus = plan.world_size
 
         def accrue(seconds: float, speed: float = 1.0) -> None:
@@ -423,7 +430,7 @@ class ProductionRun:
             if spares_left is not None:
                 spares_left -= outcome.spares_consumed
             if event.kind.needs_replacement:
-                short = event.blast_radius - outcome.spares_consumed
+                short = event.blast_radius - outcome.spares_consumed - outcome.provisioned
                 available_gpus -= short * self.gpus_per_node
             if outcome.replan is not None:
                 plan = outcome.replan.new_plan

@@ -22,7 +22,7 @@ this file (see docs/api.md, "Calibration & validation").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ..core.units import GFLOPS, GiB, MICROSECOND, TB, TFLOPS
@@ -79,27 +79,6 @@ class GpuSpec:
         if bytes_moved < 0:
             raise ValueError("bytes_moved must be non-negative")
         return bytes_moved / self.memory_bandwidth + n_kernels * self.kernel_launch_overhead
-
-
-@dataclass
-class Gpu:
-    """A GPU instance in the cluster: a spec plus mutable health state.
-
-    ``speed_factor`` < 1 models a degraded part (the paper's computational
-    stragglers ran ~10% slow); ``healthy = False`` marks a device that
-    fails NCCL operations (the probabilistic blocking GPUs of §5.2).
-    """
-
-    spec: GpuSpec
-    index: int
-    speed_factor: float = 1.0
-    healthy: bool = True
-    counters: Dict[str, float] = field(default_factory=dict)
-
-    def degrade(self, speed_factor: float) -> None:
-        if not 0 < speed_factor <= 1:
-            raise ValueError("speed_factor must be in (0, 1]")
-        self.speed_factor = speed_factor
 
 
 # Catalog entries.  The Ampere entry approximates the paper's production

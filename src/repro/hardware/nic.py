@@ -1,8 +1,10 @@
-"""RDMA NIC model.
+"""RDMA NIC spec.
 
 Each GPU server in the paper's cluster carries eight 200 Gbps RNICs, one
-per GPU, attached multi-rail to eight different ToR switches.  The NIC
-model tracks line rate and health (for diagnostic tests).
+per GPU, attached multi-rail to eight different ToR switches.  The spec
+carries the line rate that prices inter-node traffic; adaptive
+retransmission (§3.6) is a transport policy,
+:data:`repro.network.transport.ADAPTIVE_NIC`.
 """
 
 from __future__ import annotations
@@ -18,36 +20,10 @@ class NicSpec:
 
     name: str
     line_rate: float  # bytes/s
-    base_latency: float  # one-way wire+DMA latency, seconds
-    adap_retrans: bool = False  # adaptive retransmission feature (§3.6)
 
     def __post_init__(self) -> None:
         if self.line_rate <= 0:
             raise ValueError("line_rate must be positive")
-        if self.base_latency < 0:
-            raise ValueError("base_latency must be non-negative")
 
 
-CX6_200G = NicSpec(name="cx6-200g", line_rate=200 * Gbps, base_latency=2e-6)
-CX6_200G_ADAP = NicSpec(
-    name="cx6-200g-adap", line_rate=200 * Gbps, base_latency=2e-6, adap_retrans=True
-)
-
-
-@dataclass
-class Nic:
-    """An RNIC instance: spec plus mutable health and traffic state."""
-
-    spec: NicSpec
-    index: int
-    healthy: bool = True
-    # Degradation factor on achievable bandwidth (bad PCIe config, bad
-    # signal quality on the AOC cable, ...).
-    bandwidth_factor: float = 1.0
-
-    def degrade(self, bandwidth_factor: float) -> None:
-        if not 0 <= bandwidth_factor <= 1:
-            raise ValueError("bandwidth_factor must be in [0, 1]")
-        self.bandwidth_factor = bandwidth_factor
-        if bandwidth_factor == 0:
-            self.healthy = False
+CX6_200G = NicSpec(name="cx6-200g", line_rate=200 * Gbps)

@@ -8,8 +8,8 @@ to deterministic distributions, built on three layers:
 
 1. **Throughput** — seeds fan out over :func:`repro.exec.run_tasks`
    process pools; inside each process the expensive campaign fixtures
-   (cluster, parallel plan, checkpoint planner, domain topology) are
-   built once and shared across every seed, because a
+   (parallel plan, checkpoint planner, domain topology) are built once
+   and shared across every seed, because a
    :class:`~repro.fault.driver.ProductionRun` only reads them.  Fault
    timelines come from the batched count-first sampler
    (:class:`~repro.fault.faults.FaultInjector`).
@@ -42,7 +42,6 @@ from ..exec.memo import PersistentMemo, memoized
 from ..fault.checkpoint import FLAKY_HDFS, CheckpointPlanner
 from ..fault.domains import CorrelatedFaultInjector, DomainTopology
 from ..fault.driver import ProductionRun, ProductionRunConfig
-from ..hardware.cluster import Cluster
 from ..model import GPT_175B
 from ..observability.telemetry import PercentileDigest
 from ..parallel.plan import plan_for_gpus
@@ -63,7 +62,7 @@ class CampaignSpec:
     """The defining parameters of a campaign (everything but the seeds).
 
     Chaos campaigns default to a 512-node production run under the
-    correlated injector with a zero-spare cluster and a flaky HDFS — the
+    correlated injector with zero spares and a flaky HDFS — the
     full degraded-mode pipeline the smoke gate
     ``tests/smoke/test_ci_gates.py::test_chaos_smoke`` runs at 128 nodes.
     Scheduler campaigns reuse the multi-tenant testbed of
@@ -112,27 +111,25 @@ class SeedTask:
 
 
 # One expensive build per (process, spec), shared across seeds: a
-# ProductionRun treats the cluster, plan and planner as read-only (it
-# only ever reads ``spare_count``).
+# ProductionRun treats the plan and planner as read-only.
 @memoized("mc_fixtures")
 def _chaos_fixtures(spec: CampaignSpec) -> Tuple:
     plan = plan_for_gpus(
         spec.n_nodes * spec.gpus_per_node, tp=spec.tp, pp=spec.pp, vpp=spec.vpp
     )
     planner = CheckpointPlanner(model=_MODELS[spec.model], plan=plan)
-    cluster = Cluster.build(n_nodes=spec.n_nodes, n_spares=spec.spares)
     topology = DomainTopology(
         n_nodes=spec.n_nodes,
         nodes_per_rack=spec.nodes_per_rack,
         nodes_per_pod=spec.nodes_per_pod,
     )
-    return plan, planner, cluster, topology
+    return plan, planner, topology
 
 
 def _run_chaos_seed(task: SeedTask) -> dict:
     """One production run under correlated chaos; returns plain data."""
     spec = task.spec
-    plan, planner, cluster, topology = _chaos_fixtures(spec)
+    plan, planner, topology = _chaos_fixtures(spec)
     injector = CorrelatedFaultInjector(
         n_nodes=spec.n_nodes,
         topology=topology,
@@ -144,7 +141,7 @@ def _run_chaos_seed(task: SeedTask) -> dict:
         injector,
         planner=planner,
         rng=np.random.default_rng(task.seed),
-        cluster=cluster,
+        spares=spec.spares,
         integrity=FLAKY_HDFS,
         gpus_per_node=spec.gpus_per_node,
     )

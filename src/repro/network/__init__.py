@@ -14,7 +14,7 @@ from .flow import Flow, max_min_fair_rates
 from .link import Link
 from .pfc import PfcState
 from .routing import ecmp_choice, hash_flows_onto_uplinks
-from .switch import TOMAHAWK4, Switch, SwitchSpec, agg_role, spine_role, tor_role
+from .switch import TOMAHAWK4, SwitchSpec, agg_role, tor_role
 from .topology import ClosFabric, shared_fabric
 from .transfers import Transfer, TransferEngine
 from .transport import (
@@ -43,7 +43,6 @@ __all__ = [
     "PlacementDelta",
     "RetransmitPolicy",
     "SwiftControl",
-    "Switch",
     "SwitchSpec",
     "TOMAHAWK4",
     "TUNED_NCCL",
@@ -60,7 +59,6 @@ __all__ = [
     "port_split_benefit",
     "shared_fabric",
     "simulate_bottleneck",
-    "spine_role",
     "tor_role",
     "validation_report",
 ]

@@ -1,4 +1,4 @@
-"""Switch models (§3.6).
+"""Switch specs and their CLOS roles (§3.6).
 
 The paper's fabric is built from Broadcom Tomahawk-4-class chips:
 25.6 Tbps total, 64 x 400 Gbps ports, arranged in a three-layer CLOS with
@@ -11,7 +11,6 @@ uplinks with twice the bandwidth of any single downlink flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..core.units import Gbps, Tbps
 
@@ -99,28 +98,3 @@ def agg_role(spec: SwitchSpec = TOMAHAWK4) -> SwitchRole:
         downlink_rate=spec.port_rate,
         uplink_rate=spec.port_rate,
     )
-
-
-def spine_role(spec: SwitchSpec = TOMAHAWK4) -> SwitchRole:
-    return SwitchRole(
-        spec=spec,
-        layer="spine",
-        downlink_ports=spec.n_ports,
-        uplink_ports=0,
-        downlink_rate=spec.port_rate,
-        uplink_rate=0.0,
-    )
-
-
-@dataclass
-class Switch:
-    """A switch instance in the fabric."""
-
-    role: SwitchRole
-    name: str
-    healthy: bool = True
-    counters: Dict[str, float] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.counters is None:
-            self.counters = {}

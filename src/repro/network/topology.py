@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..exec.memo import memoized
 from .link import Link
 from .routing import ecmp_choice
-from .switch import Switch, SwitchRole, agg_role, spine_role, tor_role
+from .switch import agg_role, tor_role
 
 
 class _LinkGraph:
@@ -53,10 +53,9 @@ class ClosFabric:
     """A fabric's shape, placement arithmetic and (built lazily) its links.
 
     ``pod_of``, ``same_tor``, ``hops`` and ``nodes_in_pod`` answer by
-    arithmetic.  The link graph — ``switches``, ``links`` and
-    ``parallel_links`` — is built the first time one of them is read,
-    which only routing (:meth:`path`) and :meth:`set_link_state` do:
-    about 49k :class:`~repro.network.link.Link` objects at 12,288 GPUs
+    arithmetic.  The link graph — ``links`` and ``parallel_links`` — is
+    built the first time one of them is read, which only routing
+    (:meth:`path`) and :meth:`set_link_state` do: about 49k :class:`~repro.network.link.Link` objects at 12,288 GPUs
     that an analytic comm model never needs.
 
     The fabric owns its links' up/down state: :meth:`set_link_state` is
@@ -74,7 +73,6 @@ class ClosFabric:
     split_tor_downlinks: bool = True
     nic_rate: float = 0.0  # derived from the ToR role if 0
 
-    switches = _LinkGraph()
     links = _LinkGraph()
     # Parallel links between switch pairs for ECMP: (src, dst) -> [Link].
     parallel_links = _LinkGraph()
@@ -86,7 +84,6 @@ class ClosFabric:
             raise ValueError("rails and nodes_per_pod must be positive")
         self._tor = tor_role(split_downlinks=self.split_tor_downlinks)
         self._agg = agg_role()
-        self._spine = spine_role()
         if self.nic_rate == 0.0:
             self.nic_rate = self._tor.downlink_rate
         # Down links as sorted (src, dst, parallel index) entries.
@@ -106,17 +103,8 @@ class ClosFabric:
         return f"tor{pod}.{rail}"
 
     def _build(self) -> None:
-        self.switches: Dict[str, Switch] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         self.parallel_links: Dict[Tuple[str, str], List[Link]] = {}
-        for pod in range(self.n_pods):
-            for rail in range(self.rails):
-                self._add_switch(self.tor_name(pod, rail), self._tor)
-            for a in range(self.aggs_per_pod):
-                self._add_switch(f"agg{pod}.{a}", self._agg)
-        for s in range(self.n_spines):
-            self._add_switch(f"spine{s}", self._spine)
-
         for node in range(self.n_nodes):
             pod = node // self.nodes_per_pod
             for rail in range(self.rails):
@@ -136,9 +124,6 @@ class ClosFabric:
                     spine = f"spine{s}"
                     for k in range(self.agg_uplinks_per_spine):
                         self._add_parallel(agg, spine, k, self._agg.uplink_rate)
-
-    def _add_switch(self, name: str, role: SwitchRole) -> None:
-        self.switches[name] = Switch(role=role, name=name)
 
     def _add_duplex(self, a: str, b: str, bandwidth: float, latency: float) -> None:
         for src, dst in ((a, b), (b, a)):

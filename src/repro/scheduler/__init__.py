@@ -4,7 +4,8 @@ and graceful degradation under multi-tenant chaos.
 The paper's cluster is a shared service: concurrent training jobs are
 placed topology-aware onto one fabric, contend for ToR uplinks, and —
 during correlated incidents — for one finite spare pool.  This package
-adds the control plane over :class:`~repro.hardware.cluster.Cluster`:
+is the control plane over a cluster of node indices (the index space of
+:class:`~repro.fault.domains.DomainTopology`) and a count of spares:
 
 * :mod:`repro.scheduler.job` — job specs and runtime state
 * :mod:`repro.scheduler.placement` — topology-aware placement and the

@@ -34,7 +34,6 @@ from ..fault.domains import (
     FaultDomain,
 )
 from ..fault.faults import CUDA_ERROR, NCCL_HANG, NIC_DEGRADED
-from ..hardware.cluster import Cluster
 from ..parallel.plan import plan_for_gpus
 from .job import JobSpec
 from .scheduler import ClusterScheduler, MultiJobReport, SchedulerConfig
@@ -85,11 +84,10 @@ def build_scheduler(
     topology = DomainTopology(
         n_nodes=TESTBED_NODES, nodes_per_rack=4, nodes_per_pod=8
     )
-    cluster = Cluster.build(n_nodes=TESTBED_NODES, n_spares=TESTBED_SPARES)
     return ClusterScheduler(
-        cluster=cluster,
         topology=topology,
         jobs=testbed_jobs(),
+        spares=TESTBED_SPARES,
         policy=policy,
         config=config,
         rng=np.random.default_rng(seed),

@@ -40,7 +40,6 @@ from ..collectives.kvstore import REDIS_STORE
 from ..fault.domains import DomainTopology
 from ..fault.elastic import shrunk_dp
 from ..fault.faults import FaultEvent, FaultInjector, Manifestation, detection_latency
-from ..hardware.cluster import Cluster
 from ..parallel.plan import ParallelPlan
 from .job import JobSpec, JobState, JobStatus
 from .placement import PlacementError, PlacementMap
@@ -164,31 +163,33 @@ class MultiJobReport:
 
 
 class ClusterScheduler:
-    """Places and drives concurrent jobs on one shared cluster."""
+    """Places and drives concurrent jobs on one shared cluster.
+
+    The cluster is ``topology.n_nodes`` hosts plus ``spares`` standby
+    hosts.  ``placement`` is the only record of which hosts are up and
+    who owns them; ``pool`` holds the only spare count.
+    """
 
     def __init__(
         self,
-        cluster: Cluster,
         topology: DomainTopology,
         jobs: Sequence[JobSpec],
+        spares: int = 0,
         policy: str = "priority",
         config: Optional[SchedulerConfig] = None,
         rng: Optional[np.random.Generator] = None,
         hub: Optional[object] = None,
     ) -> None:
-        if len(cluster.nodes) != topology.n_nodes:
-            raise ValueError("cluster size must match the domain topology")
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError("job names must be unique")
-        self.cluster = cluster
         self.topology = topology
         self.policy = policy
         self.config = config or SchedulerConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.hub = hub
         self.placement = PlacementMap(topology=topology)
-        self.pool = SparePool(cluster=cluster, policy=policy)
+        self.pool = SparePool(spares, policy=policy)
         self.decisions: List[SchedulerDecision] = []
         self.segments: List[GoodputSegment] = []
         self.jobs: Dict[str, JobStatus] = {}
@@ -220,9 +221,6 @@ class ClusterScheduler:
     def _push(self, time: float, kind: str, payload: Any) -> None:
         self._seq += 1
         heapq.heappush(self._queue, (time, self._seq, kind, payload))
-
-    def _node_at(self, index: int):
-        return self.cluster.nodes[index]
 
     def _refresh_contention(self) -> None:
         for status in self.jobs.values():
@@ -330,7 +328,6 @@ class ClusterScheduler:
             if index in self.placement.dead:
                 continue
             self.placement.kill(index)
-            self._node_at(index).healthy = False
             if index not in self.placement.owner:
                 # Broken free hosts get repaired on the provisioning
                 # timescale — capacity returns, it is just never free now.
@@ -377,7 +374,6 @@ class ClusterScheduler:
         status.incidents += 1
         replaced = hit[: grant.granted]
         for index in replaced:
-            self.cluster.evict(self._node_at(index).node_id)
             self.placement.revive(index)
         self.pool.record(status.name, grant.granted)
         if grant.granted:
@@ -633,7 +629,6 @@ class ClusterScheduler:
         for index in sorted(self.placement.dead):
             if self.placement.owner.get(index) == job:
                 self.placement.revive(index)
-                self._node_at(index).healthy = True
         status.state = JobState.RUNNING if status.plan.dp >= status.healthy_dp \
             else JobState.DEGRADED
         self._set_down(status, t + self._init_time(status.plan))
@@ -646,7 +641,6 @@ class ClusterScheduler:
         if index not in self.placement.dead or index in self.placement.owner:
             return
         self.placement.revive(index)
-        self._node_at(index).healthy = True
         self._decide(t, "provisioned", "cluster", node=index)
         for name, status in self.jobs.items():
             if status.state in (
@@ -708,7 +702,6 @@ class ClusterScheduler:
             taken.append(index)
         consumed = 0
         for index in revivable[: count - len(taken)]:
-            self.cluster.evict(self._node_at(index).node_id)
             self.placement.revive(index)
             taken.append(index)
             consumed += 1

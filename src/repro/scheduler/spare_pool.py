@@ -18,10 +18,8 @@ fully determines the arbitration history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Sequence
-
-from ..hardware.cluster import Cluster
 
 ARBITRATION_POLICIES = ("priority", "fifo")
 
@@ -61,34 +59,31 @@ class SpareGrant:
 
 @dataclass
 class SparePool:
-    """Deterministic broker over a :class:`Cluster`'s standby pool.
+    """Deterministic broker over a finite standby pool of ``spares`` hosts.
 
-    The pool itself lives on the cluster (``cluster.spares``); the broker
-    decides *who* consumes it and keeps the per-job ledger that the
-    goodput report and the contention tests audit.  Consumption is
-    recorded by :meth:`record` (the scheduler evicts through the cluster,
-    which pops the pool), so ``sum(consumed_by) + cluster.spare_count``
-    always equals the initial pool size.
+    The pool is a count, and this broker holds it: it decides *who*
+    consumes the standby hosts and keeps the per-job ledger that the
+    goodput report and the contention tests audit.  :meth:`record` is the
+    one writer of ``available``, so ``sum(consumed_by) + available``
+    always equals ``initial``.
     """
 
-    cluster: Cluster
+    spares: InitVar[int]
     policy: str = "priority"
     consumed_by: Dict[str, int] = field(default_factory=dict)
     ledger: List[SpareGrant] = field(default_factory=list)
-    initial: int = -1
+    initial: int = field(init=False)
+    available: int = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, spares: int) -> None:
         if self.policy not in ARBITRATION_POLICIES:
             raise ValueError(
                 f"unknown arbitration policy {self.policy!r}; "
                 f"expected one of {ARBITRATION_POLICIES}"
             )
-        if self.initial < 0:
-            self.initial = self.cluster.spare_count
-
-    @property
-    def available(self) -> int:
-        return self.cluster.spare_count
+        if spares < 0:
+            raise ValueError("spares must be non-negative")
+        self.initial = self.available = spares
 
     def order(self, claims: Sequence[SpareClaim]) -> List[SpareClaim]:
         """The deterministic service order for one claim batch."""
@@ -115,11 +110,16 @@ class SparePool:
         return grants
 
     def record(self, job: str, consumed: int) -> None:
-        """Account ``consumed`` pool nodes to ``job`` (post-eviction)."""
+        """Take ``consumed`` standby hosts from the pool for ``job``."""
         if consumed < 0:
             raise ValueError("cannot consume a negative number of spares")
+        if consumed > self.available:
+            raise ValueError(
+                f"{job!r} takes {consumed} spares; only {self.available} left"
+            )
         if consumed:
             self.consumed_by[job] = self.consumed_by.get(job, 0) + consumed
+            self.available -= consumed
 
     def consumed(self) -> int:
         return sum(self.consumed_by.values())

@@ -202,6 +202,7 @@ def saved(tmp_path_factory):
     "argv, blames",
     [
         (["production", "--spares", "-3"], "--spares"),
+        (["production", "--spares", "0"], "--spares"),
         (["trace", "no-such-trace.json"], "no-such-trace.json"),
         (["mc", "--seeds", "0"], "--seeds"),
         (["mc", "--weeks", "-1"], "weeks"),
@@ -245,7 +246,7 @@ def saved(tmp_path_factory):
          "no-such-profile.json"),
     ],
     ids=[
-        "negative-spares", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
+        "negative-spares", "spares-without-correlated", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
         "zero-tp", "zero-pp", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
         "nan-drift-tolerance", "negative-drift-tolerance", "nan-max-rel-error",
         "inf-max-rel-error", "nan-weeks", "inf-weeks", "nan-days",

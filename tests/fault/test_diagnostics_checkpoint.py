@@ -3,52 +3,40 @@
 import pytest
 
 from repro.fault import CheckpointPlanner, DiagnosticSuite, HdfsModel, lost_progress
-from repro.hardware import Node, NodeSpec
 from repro.model import GPT_175B
 from repro.parallel import ParallelPlan, plan_for_gpus
-from tests.oracles.live_driver import self_check
+from tests.oracles.live_driver import Host, self_check
 
 
 def test_healthy_node_passes_full_suite():
-    assert self_check(Node(spec=NodeSpec())) is None
+    assert self_check(Host(0)) is None
 
 
 def test_loopback_catches_degraded_nic():
-    node = Node(spec=NodeSpec())
-    node.nics[2].degrade(0.5)
-    assert self_check(node) == "loopback"
+    assert self_check(Host(0, nic_factor=0.5)) == "loopback"
 
 
 def test_all_to_all_catches_dead_gpu():
-    node = Node(spec=NodeSpec())
-    node.gpus[5].healthy = False
-    assert self_check(node) == "nccl-all-to-all"
+    assert self_check(Host(0, gpus_healthy=False)) == "nccl-all-to-all"
 
 
 def test_all_to_all_catches_slow_host():
-    node = Node(spec=NodeSpec())
-    node.set_speed_factor(0.9)
-    assert self_check(node) == "nccl-all-to-all"
+    assert self_check(Host(0, speed_factor=0.9)) == "nccl-all-to-all"
 
 
 def test_suite_early_exits_on_failure():
-    node = Node(spec=NodeSpec())
-    node.nics[0].degrade(0.0)  # fails loopback, the first test, and RNIC-to-RNIC
-    assert self_check(node) == "loopback"
-    assert self_check(node) == DiagnosticSuite().tests[0][0]
+    host = Host(0, nic_factor=0.0)  # fails loopback, the first test, and RNIC-to-RNIC
+    assert self_check(host) == "loopback"
+    assert self_check(host) == DiagnosticSuite().tests[0][0]
 
 
 def test_suite_finds_faulty_among_fleet():
-    nodes = [Node(spec=NodeSpec()) for _ in range(10)]
-    nodes[3].gpus[0].healthy = False
-    nodes[7].nics[1].degrade(0.3)
-    nodes[8].nics[4].degrade(0.87)  # loopback passes, the ToR all-reduce does not
-    faulty = {n.node_id: self_check(n) for n in nodes if self_check(n) is not None}
-    assert faulty == {
-        nodes[3].node_id: "nccl-all-to-all",
-        nodes[7].node_id: "loopback",
-        nodes[8].node_id: "nccl-all-reduce-tor",
-    }
+    hosts = [Host(i) for i in range(10)]
+    hosts[3].gpus_healthy = False
+    hosts[7].nic_factor = 0.3
+    hosts[8].nic_factor = 0.87  # loopback passes, the ToR all-reduce does not
+    faulty = {h.host_id: self_check(h) for h in hosts if self_check(h) is not None}
+    assert faulty == {3: "nccl-all-to-all", 7: "loopback", 8: "nccl-all-reduce-tor"}
     assert set(faulty.values()) <= {name for name, _ in DiagnosticSuite().tests}
 
 

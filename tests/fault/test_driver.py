@@ -12,49 +12,47 @@ from repro.fault import (
     default_loss_curve,
 )
 from repro.fault.faults import CUDA_ERROR, NCCL_HANG
-from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.parallel import plan_for_gpus
 from tests.oracles.live_driver import LiveDriver
 
 
 def make_driver(n_nodes=4, n_spares=2):
-    cluster = Cluster.build(n_nodes=n_nodes, n_spares=n_spares)
-    driver = LiveDriver(cluster)
-    return driver.sim, cluster, driver
+    driver = LiveDriver(n_nodes, n_spares)
+    return driver.sim, driver
 
 
 def test_driver_receives_heartbeats():
-    sim, cluster, driver = make_driver()
+    sim, driver = make_driver()
     sim.run(until=35.0)
     for history in driver.histories.values():
         assert history
 
 
 def test_driver_detects_explicit_fault_and_recovers():
-    sim, cluster, driver = make_driver()
+    sim, driver = make_driver()
     sim.run(until=25.0)
-    victim = cluster.nodes[1].node_id
+    victim = 1
     driver.inject(victim, CUDA_ERROR)
     sim.run(until=60.0)
     assert victim in driver.check()
     evicted = driver.recover()
     assert victim in evicted
-    assert len(cluster.nodes) == 4  # replenished from spares
+    assert len(driver.spares) == 1  # replenished from spares
     assert len(driver.daemons) == 4
 
 
 def test_driver_detects_hang_via_traffic():
-    sim, cluster, driver = make_driver()
+    sim, driver = make_driver()
     sim.run(until=45.0)
-    victim = cluster.nodes[0].node_id
+    victim = 0
     driver.inject(victim, NCCL_HANG)
     sim.run(until=120.0)
     assert driver.check().get(victim) == "traffic-ceased"
 
 
 def test_driver_healthy_cluster_reports_nothing():
-    sim, cluster, driver = make_driver()
+    sim, driver = make_driver()
     sim.run(until=60.0)
     assert driver.check() == {}
     assert driver.flags == {}

@@ -19,7 +19,6 @@ from repro.fault.domains import (
 )
 from repro.fault.elastic import shrunk_dp
 from repro.fault.faults import CUDA_ERROR
-from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.parallel import ParallelPlan, plan_for_gpus
 from tests.oracles.elastic import shrink_dp_plans, shrunk_dp_reference
@@ -111,7 +110,7 @@ def make_run(n_spares=0, events=None, seed=11):
         injector,
         planner=CheckpointPlanner(model=GPT_175B, plan=plan),
         rng=np.random.default_rng(seed),
-        cluster=Cluster.build(n_nodes=8, n_spares=n_spares),
+        spares=n_spares,
     )
 
 
@@ -172,6 +171,28 @@ def test_successive_rack_faults_shrink_monotonically():
     assert result.final_dp == 4
 
 
+def test_hosts_a_provisioning_stall_brings_in_stay_in_the_run():
+    """Two hosts, no spares: a rack fault on both stalls for fresh
+    machines, and a later one-host crash shrinks onto them instead of
+    stalling again."""
+    plan = ParallelPlan(dp=2, tp=8, pp=1)
+    events = [
+        rack_event(1000.0, (0, 1)),
+        FaultEvent(time=50_000.0, kind=CUDA_ERROR, node_index=0),
+    ]
+    run = ProductionRun(
+        plan,
+        FixedInjector(events),
+        planner=CheckpointPlanner(model=GPT_175B, plan=plan),
+        rng=np.random.default_rng(11),
+        spares=0,
+    )
+    stall, crash = run.run(86400.0).log.records
+    provisioning = ProductionRunConfig().spare_provisioning_time
+    assert stall.replanned_dp is None and stall.downtime > provisioning
+    assert crash.replanned_dp == 1 and crash.downtime < provisioning
+
+
 def test_log_effective_rate_tracks_measured_rate():
     duration = 14 * 86400.0
     result = make_run(n_spares=0).run(duration)
@@ -197,7 +218,7 @@ def test_degraded_run_is_deterministic():
             injector,
             planner=CheckpointPlanner(model=GPT_175B, plan=plan),
             rng=np.random.default_rng(5),
-            cluster=Cluster.build(n_nodes=n_nodes, n_spares=2),
+            spares=2,
         )
 
     a = build().run(7 * 86400.0)

@@ -4,18 +4,17 @@ heartbeat of §4.1)."""
 import pytest
 
 from repro.fault.faults import CUDA_ERROR, NCCL_HANG, SLOW_HOST
-from repro.hardware import Cluster
 from tests.oracles.live_driver import HEALTHY_RDMA_RATE, LiveDriver
 
 
 def make_executor(interval=10.0):
-    driver = LiveDriver(Cluster.build(1), heartbeat_interval=interval)
-    (node_id, daemon), = driver.daemons.items()
-    return driver.sim, daemon.node, driver.histories[node_id], driver, daemon
+    driver = LiveDriver(1, heartbeat_interval=interval)
+    (host_id, daemon), = driver.daemons.items()
+    return driver.sim, daemon.host, driver.histories[host_id], driver, daemon
 
 
 def test_healthy_executor_beats_on_schedule():
-    sim, node, beats, driver, daemon = make_executor(interval=5.0)
+    sim, host, beats, driver, daemon = make_executor(interval=5.0)
     sim.run(until=26.0)
     assert [b.time for b in beats] == [5.0, 10.0, 15.0, 20.0, 25.0]
     assert all(b.status == "running" for b in beats)
@@ -23,27 +22,27 @@ def test_healthy_executor_beats_on_schedule():
 
 
 def test_explicit_fault_reports_error_and_logs():
-    sim, node, beats, driver, daemon = make_executor()
+    sim, host, beats, driver, daemon = make_executor()
     sim.run(until=15.0)
-    driver.inject(node.node_id, CUDA_ERROR)
+    driver.inject(host.host_id, CUDA_ERROR)
     sim.run(until=25.0)
     assert beats[-1].status == "error"
     assert "cuda-error" in beats[-1].log
     assert beats[-1].rdma_rate == 0.0
-    assert not node.healthy  # fault applied to the hardware
+    assert not host.healthy  # fault applied to the host
 
 
 def test_hang_keeps_status_running_but_zero_traffic():
-    sim, node, beats, driver, daemon = make_executor()
-    driver.inject(node.node_id, NCCL_HANG)
+    sim, host, beats, driver, daemon = make_executor()
+    driver.inject(host.host_id, NCCL_HANG)
     sim.run(until=12.0)
     assert beats[-1].status == "running"
     assert beats[-1].rdma_rate == 0.0
 
 
 def test_silent_fault_looks_almost_healthy():
-    sim, node, beats, driver, daemon = make_executor()
-    driver.inject(node.node_id, SLOW_HOST)
+    sim, host, beats, driver, daemon = make_executor()
+    driver.inject(host.host_id, SLOW_HOST)
     sim.run(until=12.0)
     assert beats[-1].status == "running"
     # Traffic only mildly depressed: the signature heartbeats can't catch.
@@ -51,8 +50,8 @@ def test_silent_fault_looks_almost_healthy():
 
 
 def test_clear_fault_restores_healthy_beats():
-    sim, node, beats, driver, daemon = make_executor()
-    driver.inject(node.node_id, NCCL_HANG)
+    sim, host, beats, driver, daemon = make_executor()
+    driver.inject(host.host_id, NCCL_HANG)
     sim.run(until=12.0)
     daemon.fault = None
     sim.run(until=22.0)
@@ -60,7 +59,7 @@ def test_clear_fault_restores_healthy_beats():
 
 
 def test_stop_halts_heartbeats():
-    sim, node, beats, driver, daemon = make_executor()
+    sim, host, beats, driver, daemon = make_executor()
     sim.run(until=12.0)
     daemon.stopped = True
     sim.run(until=60.0)

@@ -11,8 +11,7 @@ from repro.fault import (
     FaultInjector,
 )
 from repro.fault.faults import CUDA_ERROR, SLOW_HOST, Manifestation
-from repro.hardware import Cluster, Node, NodeSpec
-from tests.oracles.live_driver import EFFECTS, HEALTHY_RDMA_RATE, Beat, LiveDriver, verdict
+from tests.oracles.live_driver import EFFECTS, HEALTHY_RDMA_RATE, Beat, Host, LiveDriver, verdict
 
 
 def test_catalog_covers_all_manifestations():
@@ -29,12 +28,12 @@ def test_catalog_auto_detectable_majority():
 
 
 def test_fault_application_mutates_node():
-    node = Node(spec=NodeSpec())
-    EFFECTS[CUDA_ERROR.name](node)
-    assert not node.healthy
-    node2 = Node(spec=NodeSpec())
-    EFFECTS[SLOW_HOST.name](node2)
-    assert node2.speed_factor == pytest.approx(0.9)
+    host = Host(0)
+    EFFECTS[CUDA_ERROR.name](host)
+    assert not host.healthy
+    host2 = Host(1)
+    EFFECTS[SLOW_HOST.name](host2)
+    assert host2.speed_factor == pytest.approx(0.9)
 
 
 def test_injector_produces_expected_volume():
@@ -99,8 +98,8 @@ def test_detector_healthy_node_clean():
 
 
 def test_detector_sweep():
-    driver = LiveDriver(Cluster.build(2))
-    victim = driver.cluster.nodes[1].node_id
+    driver = LiveDriver(2)
+    victim = 1
     driver.sim.run(until=15.0)
     driver.inject(victim, CUDA_ERROR)
     driver.sim.run(until=30.0)

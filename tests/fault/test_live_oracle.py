@@ -26,7 +26,6 @@ from repro.fault import (
     detection_latency,
 )
 from repro.fault.faults import CUDA_ERROR, NCCL_HANG
-from repro.hardware import Cluster
 from tests.oracles.live_driver import DELIVERY_LATENCY, LiveDriver, self_check
 
 CONFIG = ProductionRunConfig()
@@ -60,7 +59,7 @@ def window(kind):
 )
 @example(kinds=[CUDA_ERROR], phase=0.0, n_nodes=3, spares=1)  # just after a beat
 def test_detection_latency_never_undercuts_the_heartbeat_mechanism(kinds, phase, n_nodes, spares):
-    driver = LiveDriver(Cluster.build(n_nodes, n_spares=spares), heartbeat_interval=H)
+    driver = LiveDriver(n_nodes, spares, heartbeat_interval=H)
     injected_at = H + phase  # after every node's first, healthy beat
     driver.sim.run(until=injected_at)
     victims = dict(zip(driver.daemons, kinds))
@@ -82,7 +81,7 @@ def test_detection_latency_never_undercuts_the_heartbeat_mechanism(kinds, phase,
             assert flag[0] - injected_at <= top
         else:
             assert flag is None or flag[0] - injected_at >= floor
-            assert self_check(driver.daemons[node_id].node) is not None
+            assert self_check(driver.daemons[node_id].host) is not None
 
     recovered_at = driver.sim.now
     assert sorted(driver.recover()) == sorted(victims)
@@ -96,7 +95,7 @@ def test_detection_latency_never_undercuts_the_heartbeat_mechanism(kinds, phase,
 
 @pytest.mark.parametrize("kind", [CUDA_ERROR, NCCL_HANG], ids=lambda kind: kind.name)
 def test_fault_just_after_a_beat_is_flagged_one_interval_plus_delivery_later(kind):
-    driver = LiveDriver(Cluster.build(3), heartbeat_interval=H)
+    driver = LiveDriver(3, heartbeat_interval=H)
     driver.sim.run(until=2 * H)  # every node's beat at 2h is on its way
     victim = next(iter(driver.daemons))
     driver.inject(victim, kind)

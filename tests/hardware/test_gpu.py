@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.hardware import AMPERE, GPU_CATALOG, HOPPER, Gpu
+from repro.hardware import AMPERE, GPU_CATALOG, HOPPER
 
 
 def test_catalog_contains_both_generations():
@@ -58,21 +58,6 @@ def test_memory_bound_time():
     assert t == pytest.approx(1.0 + AMPERE.kernel_launch_overhead)
     with pytest.raises(ValueError):
         AMPERE.memory_bound_time(-1.0)
-
-
-def test_gpu_instance_degradation():
-    gpu = Gpu(spec=AMPERE, index=0)
-    assert gpu.speed_factor == 1.0
-    gpu.degrade(0.9)
-    assert gpu.speed_factor == 0.9
-
-
-def test_gpu_degrade_validation():
-    gpu = Gpu(spec=AMPERE, index=0)
-    with pytest.raises(ValueError):
-        gpu.degrade(0.0)
-    with pytest.raises(ValueError):
-        gpu.degrade(1.5)
 
 
 def test_spec_validation():

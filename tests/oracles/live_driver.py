@@ -5,7 +5,9 @@ driver with its training process's status, a log line and its RDMA
 traffic rate; the driver flags a node whose beat reports an error or
 whose traffic ceased after a healthy baseline; on recovery it runs the
 self-check battery on every node and evicts the failures to spares,
-shedding them once the spares run out.  ``ProductionRun`` and
+shedding them once the spares run out.  Each node is a :class:`Host`
+record holding only what a fault changes and the battery reads; the
+spares are a list of fresh ones.  ``ProductionRun`` and
 ``ClusterScheduler`` price all of this as one draw of
 :func:`repro.fault.detection_latency`; the property in
 ``tests/fault/test_live_oracle.py`` holds that draw to this mechanism.
@@ -18,8 +20,6 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fault import FaultKind, Manifestation
-from repro.hardware.cluster import Cluster, NoSpareAvailable
-from repro.hardware.node import Node
 from repro.sim import Process, Simulator
 
 DELIVERY_LATENCY = 0.05  # seconds from a daemon's beat to the driver
@@ -27,30 +27,41 @@ HEALTHY_RDMA_RATE = 12e9  # bytes/s of a healthy node's training traffic
 TRAFFIC_FLOOR = 1e6  # bytes/s below which traffic has ceased
 
 
-def _unhealthy(node: Node) -> None:
-    node.healthy = False
+@dataclass
+class Host:
+    """One node as faults leave it and the §4.3 battery reads it."""
+
+    host_id: int
+    healthy: bool = True  # the training process runs (a crash or hang stops it)
+    gpus_healthy: bool = True  # every GPU answers (an ECC error kills one)
+    speed_factor: float = 1.0  # the slowest GPU's speed, fraction of spec
+    nic_factor: float = 1.0  # the slowest RNIC's bandwidth, fraction of spec; 0 is down
+
+
+def _unhealthy(host: Host) -> None:
+    host.healthy = False
 
 
 def _degrade_nic(factor: float):
-    return lambda node: node.nics[0].degrade(factor)
+    return lambda host: setattr(host, "nic_factor", factor)
 
 
-# What each fault does to its node's hardware, keyed by ``FaultKind.name``.
+# What each fault does to its node, keyed by ``FaultKind.name``.
 EFFECTS = {
     "cuda-error": _unhealthy,
     "segfault": _unhealthy,
-    "gpu-ecc": lambda node: setattr(node.gpus[0], "healthy", False),
+    "gpu-ecc": lambda host: setattr(host, "gpus_healthy", False),
     "nic-down": _degrade_nic(0.0),
     "nccl-hang": _unhealthy,
     "nic-degraded": _degrade_nic(0.4),
-    "slow-host": lambda node: node.set_speed_factor(0.9),
+    "slow-host": lambda host: setattr(host, "speed_factor", 0.9),
     "rack-psu": _unhealthy,
     "tor-switch": _unhealthy,
     "leaf-link-degraded": _degrade_nic(0.4),
 }
 
 
-def self_check(node: Node) -> Optional[str]:
+def self_check(host: Host) -> Optional[str]:
     """The §4.3 battery on one node: the first test it fails, or ``None``.
 
     Loopback fails on a dead NIC or one below 85% of spec (so
@@ -58,11 +69,11 @@ def self_check(node: Node) -> Optional[str]:
     intra-host all-to-all on a dead GPU or a hung or >5%-slow host; the
     ToR all-reduce on a NIC below 90% of spec.
     """
-    if any(not nic.healthy or nic.bandwidth_factor < 0.85 for nic in node.nics):
+    if host.nic_factor < 0.85:
         return "loopback"
-    if not node.healthy or node.speed_factor < 0.95 or not all(g.healthy for g in node.gpus):
+    if not host.healthy or not host.gpus_healthy or host.speed_factor < 0.95:
         return "nccl-all-to-all"
-    if any(nic.bandwidth_factor < 0.9 for nic in node.nics):
+    if host.nic_factor < 0.9:
         return "nccl-all-reduce-tor"
     return None
 
@@ -90,8 +101,8 @@ def verdict(history: Sequence[Beat]) -> Optional[str]:
 class Daemon:
     """One node's robust-training daemon: a beat every heartbeat interval."""
 
-    def __init__(self, driver: "LiveDriver", node: Node) -> None:
-        self.node = node
+    def __init__(self, driver: "LiveDriver", host: Host) -> None:
+        self.host = host
         self.fault: Optional[FaultKind] = None
         self.stopped = False
         Process(driver.sim, self._run(driver))
@@ -112,59 +123,64 @@ class Daemon:
             if self.stopped:
                 return
             beat = self.beat(driver.sim.now)
-            driver.sim.schedule(DELIVERY_LATENCY, partial(driver.receive, self.node.node_id, beat))
+            driver.sim.schedule(DELIVERY_LATENCY, partial(driver.receive, self.host.host_id, beat))
 
 
 class LiveDriver:
-    """The §4.1 driver over a cluster's active nodes, on its own simulator."""
+    """The §4.1 driver over hosts ``0 .. n_nodes - 1``, on its own simulator.
 
-    def __init__(self, cluster: Cluster, heartbeat_interval: float = 10.0) -> None:
+    ``spares`` holds ``n_spares`` fresh hosts, ids from ``n_nodes`` up.
+    """
+
+    def __init__(
+        self, n_nodes: int, n_spares: int = 0, heartbeat_interval: float = 10.0
+    ) -> None:
         self.sim = Simulator()
-        self.cluster = cluster
         self.heartbeat_interval = heartbeat_interval
+        self.spares = [Host(host_id) for host_id in range(n_nodes, n_nodes + n_spares)]
         self.daemons: Dict[int, Daemon] = {}
         self.histories: Dict[int, List[Beat]] = {}
-        self.flags: Dict[int, Tuple[float, str]] = {}  # node id -> first (time, verdict)
+        self.flags: Dict[int, Tuple[float, str]] = {}  # host id -> first (time, verdict)
         self.shed: List[int] = []  # evicted with no spare left
-        for node in cluster.nodes:
-            self._launch(node)
+        for host_id in range(n_nodes):
+            self._launch(Host(host_id))
 
-    def _launch(self, node: Node) -> None:
-        self.daemons[node.node_id] = Daemon(self, node)
-        self.histories[node.node_id] = []
+    def _launch(self, host: Host) -> None:
+        self.daemons[host.host_id] = Daemon(self, host)
+        self.histories[host.host_id] = []
 
-    def inject(self, node_id: int, kind: FaultKind) -> None:
-        daemon = self.daemons[node_id]
-        EFFECTS[kind.name](daemon.node)
+    def inject(self, host_id: int, kind: FaultKind) -> None:
+        daemon = self.daemons[host_id]
+        EFFECTS[kind.name](daemon.host)
         daemon.fault = kind
 
-    def receive(self, node_id: int, beat: Beat) -> None:
-        history = self.histories.get(node_id)
+    def receive(self, host_id: int, beat: Beat) -> None:
+        history = self.histories.get(host_id)
         if history is None:
-            return  # sent before its node was evicted
+            return  # sent before its host was evicted
         history.append(beat)
         found = verdict(history)
         if found is not None:
-            self.flags.setdefault(node_id, (self.sim.now, found))
+            self.flags.setdefault(host_id, (self.sim.now, found))
 
     def check(self) -> Dict[int, str]:
-        """The current verdict of every flagged active node."""
-        found = {node_id: verdict(history) for node_id, history in self.histories.items()}
-        return {node_id: v for node_id, v in found.items() if v is not None}
+        """The current verdict of every flagged active host."""
+        found = {host_id: verdict(history) for host_id, history in self.histories.items()}
+        return {host_id: v for host_id, v in found.items() if v is not None}
 
     def recover(self) -> List[int]:
-        """Run the battery on every node; evict each failure. Returns their ids."""
+        """Run the battery on every host; evict each failure. Returns their ids."""
         evicted = []
-        for node_id, daemon in list(self.daemons.items()):
-            if self_check(daemon.node) is None:
+        for host_id, daemon in list(self.daemons.items()):
+            if self_check(daemon.host) is None:
                 continue
             daemon.stopped = True
-            del self.daemons[node_id], self.histories[node_id]
-            evicted.append(node_id)
-            try:
-                self._launch(self.cluster.evict(node_id))
-            except NoSpareAvailable:
-                self.shed.append(node_id)
+            del self.daemons[host_id], self.histories[host_id]
+            evicted.append(host_id)
+            if self.spares:
+                self._launch(self.spares.pop(0))
+            else:
+                self.shed.append(host_id)
         return evicted
 
 
@@ -176,11 +192,11 @@ def run_scenario(
     Returns the driver, the victims, the verdicts at 225 s and the nodes
     a recovery then evicted (none when nothing was flagged).
     """
-    driver = LiveDriver(Cluster.build(n_nodes, n_spares=n_spares))
+    driver = LiveDriver(n_nodes, n_spares)
     driver.sim.run(until=45.0)
     victims = list(driver.daemons)[: len(kinds)]
-    for node_id, kind in zip(victims, kinds):
-        driver.inject(node_id, kind)
+    for host_id, kind in zip(victims, kinds):
+        driver.inject(host_id, kind)
     driver.sim.run(until=225.0)
     detected = driver.check()
     return driver, victims, detected, driver.recover() if detected else []

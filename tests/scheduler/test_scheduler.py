@@ -11,7 +11,6 @@ import pytest
 
 from repro.fault.domains import RACK_POWER_FAULT, DomainTopology
 from repro.fault.faults import FaultEvent
-from repro.hardware.cluster import Cluster
 from repro.observability.telemetry import SUBSYSTEM_LANES, TelemetryHub
 from repro.parallel.plan import ParallelPlan, plan_for_gpus
 from repro.scheduler import (
@@ -46,7 +45,6 @@ def rack_fault(t, nodes, rack):
 def make_scheduler(policy="priority", n_spares=1, seed=0, hub=None):
     """Two tp=8 tenants filling 12 nodes; rack 1 (4-7) straddles both."""
     topology = DomainTopology(n_nodes=12, nodes_per_rack=4, nodes_per_pod=8)
-    cluster = Cluster.build(n_nodes=12, n_spares=n_spares)
     jobs = (
         JobSpec(name="prod", plan=plan_for_gpus(48, tp=8, pp=1),
                 priority=10, weight=2.0, preemptible=False),
@@ -54,9 +52,9 @@ def make_scheduler(policy="priority", n_spares=1, seed=0, hub=None):
                 priority=1, weight=1.0),
     )
     return ClusterScheduler(
-        cluster=cluster,
         topology=topology,
         jobs=jobs,
+        spares=n_spares,
         policy=policy,
         rng=np.random.default_rng(seed),
         hub=hub,
@@ -192,7 +190,6 @@ def test_shrink_lands_on_whole_hosts_when_tp_pp_is_not_a_host_multiple():
     """
     job = JobSpec(name="odd", plan=ParallelPlan(dp=4, tp=4, pp=3), preemptible=False)
     scheduler = ClusterScheduler(
-        cluster=Cluster.build(n_nodes=8, n_spares=0),
         topology=DomainTopology(n_nodes=8, nodes_per_rack=4, nodes_per_pod=8),
         jobs=(job,),
         rng=np.random.default_rng(0),
@@ -222,7 +219,6 @@ def test_job_pending_at_admission_is_placed_degraded_on_retry():
         JobSpec(name="wide", plan=plan_for_gpus(64, tp=8, pp=1)),
     )
     scheduler = ClusterScheduler(
-        cluster=Cluster.build(n_nodes=8, n_spares=0),
         topology=topology,
         jobs=jobs,
         rng=np.random.default_rng(0),

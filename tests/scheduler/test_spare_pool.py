@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.hardware.cluster import Cluster
 from repro.scheduler.spare_pool import SpareClaim, SparePool
 
 
 def make_pool(n_spares=2, policy="priority"):
-    cluster = Cluster.build(n_nodes=4, n_spares=n_spares)
-    return SparePool(cluster=cluster, policy=policy), cluster
+    return SparePool(n_spares, policy=policy)
 
 
 def test_priority_order_outranks_weight_and_seq():
-    pool, _ = make_pool()
+    pool = make_pool()
     claims = [
         SpareClaim(job="c", needed=1, priority=1, weight=9.0, seq=0),
         SpareClaim(job="a", needed=1, priority=5, weight=1.0, seq=1),
@@ -22,7 +20,7 @@ def test_priority_order_outranks_weight_and_seq():
 
 
 def test_fifo_order_is_submission_order():
-    pool, _ = make_pool(policy="fifo")
+    pool = make_pool(policy="fifo")
     claims = [
         SpareClaim(job="low", needed=1, priority=0, weight=1.0, seq=0),
         SpareClaim(job="high", needed=1, priority=99, weight=9.0, seq=1),
@@ -31,7 +29,7 @@ def test_fifo_order_is_submission_order():
 
 
 def test_arbitrate_splits_pool_with_partial_grant():
-    pool, _ = make_pool(n_spares=2)
+    pool = make_pool(n_spares=2)
     claims = [
         SpareClaim(job="lo", needed=2, priority=1, seq=0),
         SpareClaim(job="hi", needed=2, priority=9, seq=1),
@@ -43,7 +41,7 @@ def test_arbitrate_splits_pool_with_partial_grant():
 
 
 def test_arbitrate_is_pure_and_repeatable():
-    pool, _ = make_pool(n_spares=1)
+    pool = make_pool(n_spares=1)
     claims = [
         SpareClaim(job="x", needed=1, priority=2, seq=0),
         SpareClaim(job="y", needed=1, priority=2, seq=1),
@@ -54,17 +52,19 @@ def test_arbitrate_is_pure_and_repeatable():
 
 
 def test_ledger_balances_through_eviction():
-    pool, cluster = make_pool(n_spares=2)
+    pool = make_pool(n_spares=2)
     assert pool.initial == 2 and pool.consistent()
-    cluster.evict(cluster.nodes[0].node_id)
-    pool.record("job", 1)
+    pool.record("job", 1)  # one evicted host replaced from the pool
     assert pool.consumed() == 1 and pool.available == 1
     assert pool.consistent()
+    with pytest.raises(ValueError):
+        pool.record("other", 2)  # more than the pool holds
+    assert pool.available == 1 and pool.consistent()
 
 
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
-        SparePool(cluster=Cluster.build(n_nodes=2), policy="roulette")
+        SparePool(2, policy="roulette")
 
 
 def test_invalid_claims_rejected():

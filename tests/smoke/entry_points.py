@@ -66,4 +66,6 @@ CLI_RUNS = [
     (["calibrate", "--check", "--baseline", "short-baseline.json"], 1),
     # A flag value argparse rejects: one ``repro: error:`` line, status 2.
     (["tune", "--tp", "0"], 2),
+    # A spare pool without --correlated, which alone has a finite one.
+    (["production", "--spares", "0"], 2),
 ]

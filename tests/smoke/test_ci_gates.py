@@ -39,7 +39,6 @@ def _chaos_run(seed, n_nodes=128):
         DomainTopology,
         ProductionRun,
     )
-    from repro.hardware import Cluster
     from repro.model import GPT_175B
     from repro.parallel import plan_for_gpus
 
@@ -55,7 +54,7 @@ def _chaos_run(seed, n_nodes=128):
         injector,
         planner=CheckpointPlanner(model=GPT_175B, plan=plan),
         rng=np.random.default_rng(seed),
-        cluster=Cluster.build(n_nodes=n_nodes, n_spares=0),
+        spares=0,
         integrity=FLAKY_HDFS,
     )
 

@@ -14,7 +14,6 @@ from repro import compare, job_175b, job_530b, megascale, megatron_lm
 from repro.core.features import MEGASCALE_ISO_BATCH
 from repro.fault import CheckpointPlanner, FaultInjector, ProductionRun
 from repro.fault.faults import GPU_ECC
-from repro.hardware import Cluster
 from repro.model import GPT_175B
 from repro.observability import DistributedTimeline, analyze, localize_hang, simulate_timeout_logs
 from repro.observability.cuda_events import CudaEventTimer
@@ -110,10 +109,9 @@ def test_straggler_detection_pipeline_round_trip():
 
 
 def test_fault_to_recovery_full_loop():
-    cluster = Cluster.build(n_nodes=4, n_spares=2)
-    driver = LiveDriver(cluster)
+    driver = LiveDriver(4, n_spares=2)
     driver.sim.run(until=30.0)
-    victim = cluster.nodes[2].node_id
+    victim = 2
     driver.inject(victim, GPU_ECC)
     driver.sim.run(until=70.0)
     assert driver.check(), "ECC fault must surface through heartbeats"
