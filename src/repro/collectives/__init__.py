@@ -9,7 +9,7 @@ from .fabric import (
     fabric_collective_cost,
     ring_flows,
     ring_steps,
-    routed_step_cost,
+    route_step,
 )
 from .groups import DEFAULT_CC_EFFICIENCY, GroupCommModel, build_comm_model
 from .hierarchical import HierarchicalCost, hierarchical_all_reduce
@@ -50,7 +50,7 @@ __all__ = [
     "fabric_collective_cost",
     "ring_flows",
     "ring_steps",
-    "routed_step_cost",
+    "route_step",
     "validate_backend",
     "HierarchicalCost",
     "hierarchical_all_reduce",

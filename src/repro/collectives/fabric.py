@@ -12,21 +12,26 @@ oversubscribed uplink — so same-ToR placement, port splitting and ECMP
 hash conflicts show up in collective *prices*, not just in standalone
 network studies.
 
-A routed step is three functions, shared by :class:`FabricCostModel`
-and the event runtime (:mod:`repro.collectives.runtime`), which only
-differ in the transport they price: :func:`ring_flows` routes a ring,
-:func:`routed_step_cost` prices one step of it, and :func:`ring_steps`
-counts the steps of a collective.
+A routed step is shared by :class:`FabricCostModel` and the event
+runtime (:mod:`repro.collectives.runtime`), which only differ in the
+transport they price: :func:`ring_flows` routes a ring,
+:func:`route_step` water-fills one step of it into a bytes-independent
+:class:`RoutedStep`, whose :meth:`RoutedStep.cost` prices a segment
+size, and :func:`ring_steps` counts the steps of a collective.  :class:`FabricCostModel` routes each
+distinct ring once per fabric state (the ``fabric_ring`` memo), so the
+collectives of every size over one ring share its routing.
 
 On an uncongested single-pod placement the fabric price degenerates
 exactly to the alpha-beta model: every neighbour path is
-nic -> ToR -> nic (two 1 us links) and :data:`RING_SOFTWARE_LATENCY`
-tops the per-step latency up to
-:data:`~repro.collectives.primitives.INTER_NODE_LATENCY`, while each
+nic -> ToR -> nic (two :data:`~repro.network.topology.LINK_LATENCY`
+links) and :data:`RING_SOFTWARE_LATENCY` tops the per-step latency up
+to :data:`~repro.collectives.primitives.INTER_NODE_LATENCY`, while each
 NIC-bound flow owns its links and runs at
 ``nic_rate * cc_efficiency`` — the same bandwidth the analytic model
 charges for a same-pod ring.  Cross-pod rings pick up the extra switch
-hops, ECMP link sharing, and PFC penalties on top.
+hops, ECMP link sharing, and PFC penalties on top, which is why that
+uncongested price is a floor on every routed one
+(:meth:`FabricCostModel.collective_floor`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..exec.memo import get_cache
 from ..network.flow import Flow, max_min_fair_rates
 from ..network.link import Link
-from ..network.topology import ClosFabric
+from ..network.topology import LINK_LATENCY, ClosFabric
 from .primitives import DEFAULT_CC_EFFICIENCY
 
 __all__ = [
@@ -47,18 +52,22 @@ __all__ = [
     "FabricCostModel",
     "PfcPenaltyModel",
     "RING_SOFTWARE_LATENCY",
+    "RoutedStep",
     "RoutedStepCost",
     "fabric_collective_cost",
     "ring_flows",
     "ring_steps",
-    "routed_step_cost",
+    "route_step",
 ]
 
 # Software/launch overhead added to every ring step.  Chosen so that a
-# clean intra-pod path (two 1 us NIC<->ToR links) lands exactly on the
-# analytic model's INTER_NODE_LATENCY of 12 us — which is what makes the
-# fabric backend degenerate to the alpha-beta cost on a single-ToR group.
+# clean intra-pod path (two LINK_LATENCY NIC<->ToR links) lands exactly
+# on the analytic model's INTER_NODE_LATENCY of 12 us — which is what
+# makes the fabric backend degenerate to the alpha-beta cost on a
+# single-ToR group.
 RING_SOFTWARE_LATENCY = 10e-6
+# The least latency a routed flow pays: a same-pod path of two links.
+MIN_ROUTED_LATENCY = RING_SOFTWARE_LATENCY + 2 * LINK_LATENCY
 
 
 @dataclass(frozen=True)
@@ -156,28 +165,63 @@ def ring_flows(fabric: ClosFabric, nodes: Sequence[int], demand: float) -> List[
     return flows
 
 
-def routed_step_cost(
+@dataclass(frozen=True)
+class RoutedStep:
+    """The bytes-independent outcome of routing one ring step.
+
+    Everything :func:`route_step` derives from the water-fill — link
+    load, PFC pauses, each flow's effective rate and path latency — so
+    :meth:`cost` prices any segment size without routing again.
+    """
+
+    max_link_load: int  # flows sharing the most-loaded link
+    utilization: float  # worst link's effective-rate utilization
+    oversubscription: float  # worst effective offered-load / capacity (0 if unbounded demand)
+    paused_flows: int  # flows paying a PFC penalty
+    software_latency: float  # a flowless step's whole price
+    flows: Tuple[Tuple[int, float, float], ...]  # (flow id, effective rate, latency)
+
+    def cost(self, segment_bytes: float) -> RoutedStepCost:
+        """This step with every flow moving ``segment_bytes``: it ends
+        when the slowest flow finishes."""
+        if segment_bytes < 0:
+            raise ValueError("segment_bytes must be non-negative")
+        if not self.flows:
+            return RoutedStepCost(self.software_latency, 0, 0, 0.0, 0.0, 0, 0)
+        duration, slowest = 0.0, 0
+        for flow_id, rate, latency in self.flows:
+            t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + latency
+            if t > duration:
+                duration, slowest = t, flow_id
+        return RoutedStepCost(
+            duration=duration,
+            n_flows=len(self.flows),
+            max_link_load=self.max_link_load,
+            utilization=self.utilization,
+            oversubscription=self.oversubscription,
+            paused_flows=self.paused_flows,
+            slowest_flow=slowest,
+        )
+
+
+def route_step(
     flows: Sequence[Flow],
-    segment_bytes: float,
     software_latency: float,
     cc_efficiency: float,
     penalty: Optional[PfcPenaltyModel],
-) -> RoutedStepCost:
-    """Completion time of one ring step whose pair transfers are ``flows``.
+) -> RoutedStep:
+    """Water-fill one ring step whose pair transfers are ``flows``.
 
     The flows share links max-min fairly (one
     :func:`~repro.network.flow.max_min_fair_rates` solve, which also
     stores each flow's rate).  A flow's ``demand`` caps it at its NIC
     line rate; an unbounded (infinite) demand offers no load, so PFC
-    penalties never apply to it.  The step ends when the slowest flow
-    finishes.
+    penalties never apply to it.
     """
-    if segment_bytes < 0:
-        raise ValueError("segment_bytes must be non-negative")
     if not 0 < cc_efficiency <= 1:
         raise ValueError("cc_efficiency must be in (0, 1]")
     if not flows:
-        return RoutedStepCost(software_latency, 0, 0, 0.0, 0.0, 0, 0)
+        return RoutedStep(0, 0.0, 0.0, 0, software_latency, ())
     max_min_fair_rates(flows)
 
     load: Dict[Link, int] = {}
@@ -189,7 +233,8 @@ def routed_step_cost(
     # PFC pauses trigger on the *offered* wire load (what the NICs try
     # to push); the realized per-flow goodput then derates by both the
     # congestion-control efficiency and the pause fraction.
-    duration, slowest, paused = 0.0, 0, 0
+    paused = 0
+    priced: List[Tuple[int, float, float]] = []
     effective: Dict[Link, float] = {}
     offered: Dict[Link, float] = {}
     for flow in flows:
@@ -210,21 +255,18 @@ def routed_step_cost(
         latency = sum(l.latency for l in flow.path) + software_latency
         if pause > 0.0:
             latency += penalty.retransmit_latency
-        t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + latency
-        if t > duration:
-            duration, slowest = t, flow.flow_id
+        priced.append((flow.flow_id, rate, latency))
     utilization = max(min(1.0, effective[l] / l.bandwidth) for l in load)
     oversubscription = max(
         (value / link.bandwidth for link, value in offered.items()), default=0.0
     )
-    return RoutedStepCost(
-        duration=duration,
-        n_flows=len(flows),
+    return RoutedStep(
         max_link_load=max_link_load,
         utilization=utilization,
         oversubscription=oversubscription,
         paused_flows=paused,
-        slowest_flow=slowest,
+        software_latency=software_latency,
+        flows=tuple(priced),
     )
 
 
@@ -250,10 +292,23 @@ class FabricCostModel:
         if self.nic_rate is None:
             self.nic_rate = self.fabric.nic_rate
 
-    def _price(self, flows: Sequence[Flow], segment_bytes: float) -> RoutedStepCost:
-        return routed_step_cost(
-            flows, segment_bytes, RING_SOFTWARE_LATENCY, self.cc_efficiency,
-            DEFAULT_PFC_PENALTY,
+    def route(self, nodes: Tuple[int, ...]) -> RoutedStep:
+        """One step of the ring over ``nodes``, routed once per fabric state.
+
+        Memoized in the ``fabric_ring`` cache, keyed like
+        :func:`fabric_collective_cost` by the fabric's fingerprint, so the
+        collectives of every kind and size over one ring share one
+        routing and water-fill.
+        """
+        key = (nodes, self.cc_efficiency, self.nic_rate, self.fabric.fingerprint())
+        return get_cache("fabric_ring").lookup(
+            key,
+            lambda: route_step(
+                ring_flows(self.fabric, nodes, self.nic_rate),
+                RING_SOFTWARE_LATENCY,
+                self.cc_efficiency,
+                DEFAULT_PFC_PENALTY,
+            ),
         )
 
     def collective_cost(
@@ -278,7 +333,7 @@ class FabricCostModel:
                 kind, float(size), n, 0, RoutedStepCost(0.0, 0, 0, 0.0, 0.0, 0, 0), 0.0
             )
         else:
-            step = self._price(ring_flows(self.fabric, nodes, self.nic_rate), size / n)
+            step = self.route(nodes).cost(size / n)
             cost = FabricCollectiveCost(
                 kind, float(size), n, n_steps, step, n_steps * step.duration
             )
@@ -292,7 +347,46 @@ class FabricCostModel:
         if src_node == dst_node:
             return 0.0
         path = self.fabric.path(src_node, dst_node, rail=0, flow_id=flow_id)
-        return self._price([Flow(flow_id, path, self.nic_rate)], size).duration
+        step = route_step(
+            [Flow(flow_id, path, self.nic_rate)], RING_SOFTWARE_LATENCY,
+            self.cc_efficiency, DEFAULT_PFC_PENALTY,
+        )
+        return step.cost(size).duration
+
+    # -- floors: priced without routing ---------------------------------------
+
+    def _floor_step(self, segment_bytes: float) -> float:
+        """The least a routed step moving ``segment_bytes`` per flow lasts.
+
+        A flow's rate is at most its demand (the water-fill never
+        exceeds it), times ``cc_efficiency``, times ``1.0 - pause`` <= 1;
+        its latency is at least :data:`MIN_ROUTED_LATENCY`.  Written as
+        :meth:`RoutedStep.cost` writes a flow's time (``rate * 1.0`` is
+        exact), so rounding keeps the order: an uncongested same-pod step
+        equals this floor bit for bit and no routed step is below it.
+        """
+        rate = self.nic_rate * self.cc_efficiency
+        return (segment_bytes / rate if segment_bytes > 0 else 0.0) + MIN_ROUTED_LATENCY
+
+    def collective_floor(self, kind: str, size: float, n: int) -> float:
+        """A floor on :meth:`collective_cost` for any ``n``-rank ring with
+        at least two distinct nodes, without routing it.
+
+        A ring on one node routes no flow and pays only the software
+        latency per step, so it has no such floor.
+        """
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        n_steps = ring_steps(kind, n)
+        if n == 1 or size == 0:
+            return 0.0
+        return n_steps * self._floor_step(size / n)
+
+    def p2p_floor(self, size: float) -> float:
+        """A floor on :meth:`p2p_time` between two distinct nodes."""
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        return self._floor_step(size)
 
     def _emit(self, hub, cost: FabricCollectiveCost) -> None:
         if hub is None:
@@ -326,28 +420,35 @@ class FabricCostModel:
 def fabric_collective_cost(
     kind: str,
     size: float,
-    nodes: Tuple[int, ...],
+    ranks: Sequence[int],
     fabric: ClosFabric,
     cc_efficiency: float = DEFAULT_CC_EFFICIENCY,
     nic_rate: Optional[float] = None,
     hub=None,
+    gpus_per_node: int = 1,
 ) -> FabricCollectiveCost:
     """Memoized fabric pricing — the ``backend="fabric"`` entry point.
 
-    Keyed by every pricing parameter plus
+    Prices the ring over the fabric nodes of ``ranks``, packed
+    ``gpus_per_node`` to a node (with the default 1, ``ranks`` are the
+    nodes).  Keyed by every pricing parameter plus
     :meth:`~repro.network.topology.ClosFabric.fingerprint`, so two
     identically-configured healthy fabrics share entries while a fabric
     degraded through
     :meth:`~repro.network.topology.ClosFabric.set_link_state` never
-    reuses them.  ``hub`` is not part of the key, and telemetry is
-    emitted only when the price is computed fresh — a memo hit is not a
-    new routed collective.
+    reuses them.  A ``range`` of ranks (every
+    :meth:`~repro.parallel.plan.ParallelPlan.dp_group`) hashes and
+    compares in O(1), by its start, step and length, so a hit does no
+    per-rank work; the node tuple is built only on a miss.  ``hub`` is
+    not part of the key, and telemetry is emitted only when the price is
+    computed fresh — a memo hit is not a new routed collective.
     """
-    nodes = tuple(nodes)
-    key = (kind, float(size), nodes, cc_efficiency, nic_rate, fabric.fingerprint())
-    return get_cache("fabric_collective_cost").lookup(
-        key,
-        lambda: FabricCostModel(
-            fabric, cc_efficiency=cc_efficiency, nic_rate=nic_rate
-        ).collective_cost(kind, size, nodes, hub=hub),
-    )
+    ranks = ranks if isinstance(ranks, range) else tuple(ranks)
+    key = (kind, float(size), ranks, gpus_per_node, cc_efficiency, nic_rate, fabric.fingerprint())
+
+    def price() -> FabricCollectiveCost:
+        nodes = tuple(rank // gpus_per_node for rank in ranks)
+        model = FabricCostModel(fabric, cc_efficiency=cc_efficiency, nic_rate=nic_rate)
+        return model.collective_cost(kind, size, nodes, hub=hub)
+
+    return get_cache("fabric_collective_cost").lookup(key, price)

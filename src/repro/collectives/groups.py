@@ -40,8 +40,10 @@ class GroupCommModel:
     ``backend`` selects the pricing model (see
     :data:`~repro.collectives.primitives.COST_BACKENDS`): ``"analytic"``
     uses the alpha-beta forms with topology-derived bandwidth derating;
-    ``"fabric"`` routes every collective's per-step flows over the
-    actual CLOS links (:mod:`repro.collectives.fabric`).
+    ``"fabric"`` routes every inter-host collective's per-step flows over
+    the actual CLOS links (:mod:`repro.collectives.fabric`).  The
+    ``*_floor`` methods bracket the prices from below without routing,
+    for plan search's ladder.
     """
 
     plan: ParallelPlan
@@ -87,6 +89,13 @@ class GroupCommModel:
             rate *= conflict_factor(64, 32, 100)
         return rate
 
+    def _one_host(self, ranks: Sequence[int]) -> bool:
+        """Whether every rank sits on one host: as in :meth:`ring_bandwidth`,
+        exactly when the lowest and highest rank do."""
+        if isinstance(ranks, range):
+            return self._node_of_rank(ranks[0]) == self._node_of_rank(ranks[-1])
+        return self._node_of_rank(min(ranks)) == self._node_of_rank(max(ranks))
+
     def ring_bandwidth(self, ranks: Sequence[int]) -> float:
         """Slowest neighbour-pair bandwidth around the ring, in O(1) for a range.
 
@@ -109,22 +118,27 @@ class GroupCommModel:
     def dp_collective_time(
         self, kind: str, size: float, ranks: Optional[Sequence[int]] = None
     ) -> float:
-        """Time of one DP collective of ``size`` bytes (full tensor)."""
+        """Time of one DP collective of ``size`` bytes (full tensor).
+
+        On the fabric backend a ring whose ranks all share one host moves
+        over NVLink, not the fabric, so it is priced as the analytic model
+        prices it; every other ring is routed.
+        """
         if kind not in ("all_gather", "reduce_scatter", "all_reduce"):
             raise ValueError(f"unknown DP collective {kind!r}")
         ranks = ranks if ranks is not None else self.plan.dp_group(0)
         n = len(ranks)
         if n == 1:
             return 0.0
-        if self.backend == "fabric":
-            nodes = tuple(self._node_of_rank(r) for r in ranks)
+        if self.backend == "fabric" and not self._one_host(ranks):
             return fabric_collective_cost(
                 kind,
                 size,
-                nodes,
+                ranks,
                 self.fabric,
                 cc_efficiency=self.cc_efficiency,
                 nic_rate=self._nic_rate,
+                gpus_per_node=self.node_spec.gpus_per_node,
             ).time
         bandwidth = self.ring_bandwidth(ranks)
         if kind == "all_gather":
@@ -132,6 +146,22 @@ class GroupCommModel:
         if kind == "reduce_scatter":
             return ring_reduce_scatter(size, n, bandwidth, self.inter_node_latency)
         return ring_all_reduce(size, n, bandwidth, self.inter_node_latency)
+
+    def dp_collective_floor(
+        self, kind: str, size: float, ranks: Optional[Sequence[int]] = None
+    ) -> float:
+        """A floor on :meth:`dp_collective_time`, priced without routing.
+
+        The analytic price is its own floor.  On the fabric backend a
+        routed ring is floored by
+        :meth:`~repro.collectives.fabric.FabricCostModel.collective_floor`
+        (alpha-beta at NIC x cc, no ECMP conflict derate, the least
+        routed-step latency); a one-host ring keeps its exact price.
+        """
+        ranks = ranks if ranks is not None else self.plan.dp_group(0)
+        if self._fabric_model is None or self._one_host(ranks):
+            return self.dp_collective_time(kind, size, ranks)
+        return self._fabric_model.collective_floor(kind, size, len(ranks))
 
     # -- PP point-to-point -------------------------------------------------------
 
@@ -144,6 +174,16 @@ class GroupCommModel:
             return self._fabric_model.p2p_time(size, node_a, node_b, flow_id=src_rank)
         bandwidth = self._pair_bandwidth(src_rank, dst_rank)
         return point_to_point(size, bandwidth, self.inter_node_latency)
+
+    def pp_p2p_floor(self, size: float, src_rank: int = 0, dst_rank: Optional[int] = None) -> float:
+        """A floor on :meth:`pp_p2p_time`, priced without routing (as
+        :meth:`dp_collective_floor`: a same-host hop keeps its price)."""
+        if dst_rank is None:
+            dst_rank = self.plan.next_pp_rank(src_rank)
+        node_a, node_b = self._node_of_rank(src_rank), self._node_of_rank(dst_rank)
+        if self._fabric_model is not None and node_a != node_b:
+            return self._fabric_model.p2p_floor(size)
+        return self.pp_p2p_time(size, src_rank, dst_rank)
 
     # -- diagnostics -------------------------------------------------------------
 
@@ -162,8 +202,8 @@ def build_comm_model(
     so plan-search loops that price hundreds of candidates on the same
     cluster shape reuse one fabric (and its warm cost memo).  The
     analytic backend only asks the fabric node-to-pod questions, so it
-    never builds the fabric's link graph; the fabric backend builds it
-    on its first route.
+    never builds the fabric's links; the fabric backend builds the link
+    bundles its routes use, on first use.
     """
     node_spec = node_spec or NodeSpec()
     n_nodes = -(-plan.world_size // node_spec.gpus_per_node)

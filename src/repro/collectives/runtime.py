@@ -5,7 +5,7 @@ price collectives in closed form.  This module *executes* a ring
 collective step by step on the simulation kernel: every step moves each
 segment over the fabric cost model's routed step
 (:func:`~repro.collectives.fabric.ring_flows` priced by
-:func:`~repro.collectives.fabric.routed_step_cost`) with max-min
+:func:`~repro.collectives.fabric.route_step`) with max-min
 bandwidth sharing — both a validation of the closed forms (they must
 agree on a clean fabric) and the tool for studying collectives under
 degraded links, background traffic, or heterogeneous paths.  The
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 from ..network.flow import check_links_up
 from ..network.topology import ClosFabric
 from ..sim import Process, Simulator
-from .fabric import ring_flows, ring_steps, routed_step_cost
+from .fabric import ring_flows, ring_steps, route_step
 
 # Per-step launch overhead of the executed ring (NCCL's step barrier).
 SOFTWARE_LATENCY = 7e-6
@@ -98,7 +98,7 @@ class RingCollectiveRuntime:
         # them all.  A link taken down mid-collective fails the next step
         # that crosses it instead of reusing the price.
         flows = ring_flows(self.fabric, self.node_of_rank, float("inf"))
-        cost = routed_step_cost(flows, size / n, SOFTWARE_LATENCY, 1.0, None)
+        cost = route_step(flows, SOFTWARE_LATENCY, 1.0, None).cost(size / n)
         steps: List[RingStepResult] = []
         done = {"t": 0.0}
 

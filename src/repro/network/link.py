@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 
 @dataclass(eq=False)  # identity equality/hash: links are used as dict keys
@@ -34,10 +33,6 @@ class Link:
     @property
     def name(self) -> str:
         return f"{self.src}->{self.dst}"
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
 
     def carry(self, nbytes: float) -> None:
         if nbytes < 0:

@@ -23,7 +23,6 @@ class SwitchSpec:
     total_bandwidth: float  # bytes/s
     n_ports: int
     port_rate: float  # bytes/s per port
-    latency: float = 600e-9  # cut-through forwarding latency
 
     def __post_init__(self) -> None:
         if self.n_ports < 2:

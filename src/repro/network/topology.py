@@ -27,6 +27,11 @@ from .routing import ecmp_choice
 from .switch import agg_role, tor_role
 
 
+# Latency of every fabric link (NIC<->ToR, ToR<->agg, agg<->spine):
+# propagation plus one switch traversal.
+LINK_LATENCY = 1e-6
+
+
 class _LinkGraph:
     """A link-graph attribute of :class:`ClosFabric`, built on first read.
 
@@ -53,10 +58,15 @@ class ClosFabric:
     """A fabric's shape, placement arithmetic and (built lazily) its links.
 
     ``pod_of``, ``same_tor``, ``hops`` and ``nodes_in_pod`` answer by
-    arithmetic.  The link graph — ``links`` and ``parallel_links`` — is
-    built the first time one of them is read, which only routing
-    (:meth:`path`) and :meth:`set_link_state` do: about 49k :class:`~repro.network.link.Link` objects at 12,288 GPUs
-    that an analytic comm model never needs.
+    arithmetic.  Links are built on demand, at two grains.  A route
+    (:meth:`path`) builds only the ``(src, dst)`` bundles of parallel
+    :class:`~repro.network.link.Link` objects it picks from, the first
+    time it picks from each.  The whole graph — ``links`` and
+    ``parallel_links``, about 49k links at 12,288 GPUs — is built the
+    first time one of them is read (by :meth:`set_link_state`, a test
+    or a link counter), and that build reuses every bundle a route
+    already made, so each link has one ``Link`` object however it was
+    first reached.  An analytic comm model builds none.
 
     The fabric owns its links' up/down state: :meth:`set_link_state` is
     the one writer, and it records the down links in one sorted tuple
@@ -88,6 +98,9 @@ class ClosFabric:
             self.nic_rate = self._tor.downlink_rate
         # Down links as sorted (src, dst, parallel index) entries.
         self._down: Tuple[Tuple[str, str, int], ...] = ()
+        # The bundles built so far, (src, dst) -> [Link]; after a full
+        # build, the same dict object as ``parallel_links``.
+        self._bundles: Dict[Tuple[str, str], List[Link]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -102,6 +115,16 @@ class ClosFabric:
     def tor_name(self, pod: int, rail: int) -> str:
         return f"tor{pod}.{rail}"
 
+    def _bundle(self, src: str, dst: str, count: int, bandwidth: float) -> List[Link]:
+        """The ``src -> dst`` bundle of ``count`` links, built on first use."""
+        bundle = self._bundles.get((src, dst))
+        if bundle is None:
+            bundle = self._bundles[(src, dst)] = [
+                Link(src=src, dst=dst, bandwidth=bandwidth, latency=LINK_LATENCY)
+                for _ in range(count)
+            ]
+        return bundle
+
     def _build(self) -> None:
         self.links: Dict[Tuple[str, str], Link] = {}
         self.parallel_links: Dict[Tuple[str, str], List[Link]] = {}
@@ -109,34 +132,32 @@ class ClosFabric:
             pod = node // self.nodes_per_pod
             for rail in range(self.rails):
                 tor = self.tor_name(pod, rail)
-                self._add_duplex(f"node{node}.nic{rail}", tor, self.nic_rate, 1e-6)
+                self._add_duplex(f"node{node}.nic{rail}", tor, 1, self.nic_rate)
 
         for pod in range(self.n_pods):
             for rail in range(self.rails):
                 tor = self.tor_name(pod, rail)
                 for a in range(self.aggs_per_pod):
                     agg = f"agg{pod}.{a}"
-                    for k in range(self.tor_uplinks_per_agg):
-                        self._add_parallel(tor, agg, k, self._tor.uplink_rate)
+                    self._add_duplex(tor, agg, self.tor_uplinks_per_agg, self._tor.uplink_rate)
             for a in range(self.aggs_per_pod):
                 agg = f"agg{pod}.{a}"
                 for s in range(self.n_spines):
                     spine = f"spine{s}"
-                    for k in range(self.agg_uplinks_per_spine):
-                        self._add_parallel(agg, spine, k, self._agg.uplink_rate)
+                    self._add_duplex(agg, spine, self.agg_uplinks_per_spine, self._agg.uplink_rate)
+        self._bundles = self.parallel_links
 
-    def _add_duplex(self, a: str, b: str, bandwidth: float, latency: float) -> None:
-        for src, dst in ((a, b), (b, a)):
-            link = Link(src=src, dst=dst, bandwidth=bandwidth, latency=latency)
-            self.links[link.key] = link
-            self.parallel_links.setdefault((src, dst), []).append(link)
+    def _add_duplex(self, a: str, b: str, count: int, bandwidth: float) -> None:
+        """Both directions' bundles between ``a`` and ``b`` into the graph.
 
-    def _add_parallel(self, a: str, b: str, index: int, bandwidth: float) -> None:
-        for src, dst in ((a, b), (b, a)):
-            link = Link(src=src, dst=dst, bandwidth=bandwidth, latency=1e-6)
-            # Keyed with the parallel index to keep links distinct.
-            self.links[(f"{src}#{index}", dst)] = link
-            self.parallel_links.setdefault((src, dst), []).append(link)
+        A NIC link is keyed by its ``(src, dst)``; a switch uplink, one of
+        a parallel bundle, by ``("src#index", dst)`` to keep links distinct.
+        """
+        nic = a.startswith("node")
+        for index in range(count):
+            for src, dst in ((a, b), (b, a)):
+                bundle = self.parallel_links[(src, dst)] = self._bundle(src, dst, count, bandwidth)
+                self.links[(src, dst) if nic else (f"{src}#{index}", dst)] = bundle[index]
 
     # -- queries ------------------------------------------------------------
 
@@ -215,8 +236,8 @@ class ClosFabric:
             return 2  # nic -> tor -> nic
         return 6  # nic -> tor -> agg -> spine -> agg -> tor -> nic
 
-    def _pick(self, src: str, dst: str, flow_id: int) -> Link:
-        candidates = self.parallel_links[(src, dst)]
+    def _pick(self, src: str, dst: str, flow_id: int, count: int, bandwidth: float) -> Link:
+        candidates = self._bundle(src, dst, count, bandwidth)
         if self._down:
             candidates = [
                 l for i, l in enumerate(candidates) if (src, dst, i) not in self._down
@@ -226,7 +247,10 @@ class ClosFabric:
         return candidates[ecmp_choice(flow_id, src, dst, len(candidates))]
 
     def path(self, src: int, dst: int, rail: int, flow_id: int = 0) -> List[Link]:
-        """ECMP-resolved link path for a rail-aligned flow."""
+        """ECMP-resolved link path for a rail-aligned flow.
+
+        Builds only the bundles it picks from (see the class docstring).
+        """
         self._check_node(src)
         self._check_node(dst)
         if not 0 <= rail < self.rails:
@@ -238,21 +262,24 @@ class ClosFabric:
         dst_nic = f"node{dst}.nic{rail}"
         src_tor = self.tor_name(src_pod, rail)
         dst_tor = self.tor_name(dst_pod, rail)
+        nic = self.nic_rate
         if src_pod == dst_pod:
             return [
-                self._pick(src_nic, src_tor, flow_id),
-                self._pick(src_tor, dst_nic, flow_id),
+                self._pick(src_nic, src_tor, flow_id, 1, nic),
+                self._pick(src_tor, dst_nic, flow_id, 1, nic),
             ]
+        tors, tor_rate = self.tor_uplinks_per_agg, self._tor.uplink_rate
+        aggs, agg_rate = self.agg_uplinks_per_spine, self._agg.uplink_rate
         agg_up = f"agg{src_pod}.{ecmp_choice(flow_id, src_tor, 'aggsel', self.aggs_per_pod)}"
         spine = f"spine{ecmp_choice(flow_id, agg_up, 'spinesel', self.n_spines)}"
         agg_down = f"agg{dst_pod}.{ecmp_choice(flow_id, spine, 'aggdown', self.aggs_per_pod)}"
         return [
-            self._pick(src_nic, src_tor, flow_id),
-            self._pick(src_tor, agg_up, flow_id),
-            self._pick(agg_up, spine, flow_id),
-            self._pick(spine, agg_down, flow_id),
-            self._pick(agg_down, dst_tor, flow_id),
-            self._pick(dst_tor, dst_nic, flow_id),
+            self._pick(src_nic, src_tor, flow_id, 1, nic),
+            self._pick(src_tor, agg_up, flow_id, tors, tor_rate),
+            self._pick(agg_up, spine, flow_id, aggs, agg_rate),
+            self._pick(spine, agg_down, flow_id, aggs, agg_rate),
+            self._pick(agg_down, dst_tor, flow_id, tors, tor_rate),
+            self._pick(dst_tor, dst_nic, flow_id, 1, nic),
         ]
 
 
@@ -264,10 +291,12 @@ def shared_fabric(n_nodes: int, nodes_per_pod: int = 64) -> ClosFabric:
     so read-only consumers (``build_comm_model``, ``validation_report``)
     share one instance per shape through the ``"clos_fabric"`` memo
     (LRU-bounded so scale sweeps don't pin every size in memory).
-    Interning costs O(1): the link graph (~49k link objects at 1,536
-    nodes) is built on the shared instance's first route, so analytic
-    comm models, which never route, never build it, and fabric-backend
-    plan search builds it once per shape instead of once per candidate.
+    Interning costs O(1): a route builds only the link bundles it uses,
+    the first time it uses them, and the whole link graph (~49k link
+    objects at 1,536 nodes) only on its first read.  So analytic comm
+    models, which never route, build no links, and fabric-backend plan
+    search builds each bundle once per shape instead of once per
+    candidate.
 
     Callers that intend to *degrade* links
     (:meth:`ClosFabric.set_link_state`) must build a private

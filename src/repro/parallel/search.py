@@ -9,7 +9,10 @@ the engine as rarely as possible, with two mechanisms:
 1. **An admissible lower bound** —
    :meth:`~repro.training.iteration.IterationEngine.analytic_bounds`
    floors every candidate's exact iteration time with closed forms, at
-   microseconds per candidate.
+   microseconds per candidate.  The bound depends on the backend: on
+   ``"analytic"`` its communication terms are the exact prices; on
+   ``"fabric"`` they are alpha-beta floors at NIC x cc that route
+   nothing, so only the candidates the search prices are routed.
 2. **Best-first branch-and-bound** — one ladder holds every feasible
    candidate sorted by ``(lower bound, canonical index)`` and is priced
    in that order.  Once ``top_k`` candidates are priced, the incumbent

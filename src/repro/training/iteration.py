@@ -12,6 +12,8 @@ the overlap models of :mod:`repro.training.overlap`.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,17 +35,18 @@ from .overlap import dp_exposed_time, pp_policy, tp_exposed_per_layer
 class IterationBounds:
     """Closed-form brackets on :meth:`IterationEngine.simulate` time.
 
-    Computed without executing the pipeline task graph, so they cost
-    microseconds instead of milliseconds.  The guarantees (for the
-    default ``simulate`` arguments — uniform stage speeds, zero
-    perturbation) are:
+    Computed without executing the pipeline task graph (and, on the
+    fabric backend, without routing), so they cost microseconds instead
+    of milliseconds.  The guarantees (for the default ``simulate``
+    arguments — uniform stage speeds, zero perturbation) are:
 
     * ``lower <= simulate(global_batch).iteration_time <= upper``
 
-    Component floors (``compute_floor``, ``bubble_floor``,
-    ``comm_floor``) are the analytic terms the lower bound is built
-    from; each is individually a valid floor on its phase of the
-    iteration.
+    ``upper`` is ``math.inf`` on the fabric backend, which has no cheap
+    upper bound (a routed price has no closed-form ceiling).  Component
+    floors (``compute_floor``, ``bubble_floor``, ``comm_floor``) are the
+    analytic terms the lower bound is built from; each is individually a
+    valid floor on its phase of the iteration.
     """
 
     lower: float
@@ -172,10 +175,17 @@ class IterationEngine:
         self.embed_extra = embedding_cost(self.exec_model, self.gpu, plan.tp, plan.micro_batch)
         logits = logits_block_cost(self.exec_model, self.gpu, plan.tp, plan.micro_batch)
         self.logits_fwd, self.logits_bwd = logits.forward, logits.backward
-        self.p2p_time = self.comm.pp_p2p_time(
-            activation_bytes(self.exec_model, plan.micro_batch)
-        )
+        self.p2p_bytes = activation_bytes(self.exec_model, plan.micro_batch)
         self.pp = pp_policy(features)
+
+    @functools.cached_property
+    def p2p_time(self) -> float:
+        """Seconds of one pipeline hop (stage 0's activations to stage 1).
+
+        Priced on first read: on the fabric backend that routes the hop,
+        which :meth:`simulate` needs and :meth:`analytic_bounds` does not.
+        """
+        return self.comm.pp_p2p_time(self.p2p_bytes)
 
     def task_time(self, stage: int, kind: str, chunk: int) -> float:
         """Compute (+ exposed TP comm) seconds of one pipeline task."""
@@ -310,22 +320,29 @@ class IterationEngine:
 
     # -- analytic bounds (no task-graph execution) ---------------------------------
 
-    def _dp_phase_times(self, global_batch: int):
+    def _dp_phase_times(self, global_batch: int, floor: bool = False):
         """(data_cost, dp_exposure, optimizer_time) — the closed-form,
-        non-pipeline phases of :meth:`simulate`, priced exactly.
+        non-pipeline phases of :meth:`simulate`, priced exactly, or with
+        ``floor`` floored without routing (see :meth:`analytic_bounds`).
 
         DP collective times are computed first: the asynchronous data
         pipeline hides next-step preprocessing under *this* step's
         gradient synchronization (§3.4), so that phase's duration is the
         finite hide window ``data_pipeline_cost`` charges residuals
-        against."""
+        against.  A floored grad sync would overstate the stall, so
+        ``floor`` hides under an unbounded window instead."""
         events = dp_comm_events(self.base_model, self.plan)
-        timed = [(e, self.comm.dp_collective_time(e.kind, e.size)) for e in events]
+        price = self.comm.dp_collective_floor if floor else self.comm.dp_collective_time
+        timed = [(e, price(e.kind, e.size)) for e in events]
         grad_sync = sum(
             t for e, t in timed if e.kind in ("reduce_scatter", "all_reduce")
         )
         data = data_pipeline_cost(
-            self.base_model, self.plan, global_batch, self.features, hide_window=grad_sync
+            self.base_model,
+            self.plan,
+            global_batch,
+            self.features,
+            hide_window=math.inf if floor else grad_sync,
         )
         window = overlap_window(data, self.features)
         dp = dp_exposed_time(timed, self.features, data_load_window=window)
@@ -355,15 +372,38 @@ class IterationEngine:
           every dependency edge's transfer time; DP exposure is capped
           at the total collective time (everything spills).
 
+        On the fabric backend nothing is routed: the DP collectives and
+        the p2p hop are floored by
+        :meth:`~repro.collectives.groups.GroupCommModel.dp_collective_floor`
+        and :meth:`~repro.collectives.groups.GroupCommModel.pp_p2p_floor`
+        (a one-host ring or same-host hop keeps its exact analytic
+        price), and ``upper`` is ``math.inf``.  The lower bound stays
+        admissible because every term it floors only grows with the
+        prices it replaces:
+
+        * no routed flow outruns its NIC x cc demand (the water-fill never
+          exceeds a flow's demand, and a PFC pause only derates it);
+        * no routed step pays under the 12 us of a same-pod step
+          (:data:`~repro.collectives.fabric.MIN_ROUTED_LATENCY`), so each
+          collective and hop is at least its floor;
+        * DP exposure grows with every collective's time (the prefetch
+          window it is credited against does not depend on them), and the
+          bubble floor grows with the hop;
+        * the data stall shrinks as grad sync grows, so it is floored at
+          an unbounded hide window.
+
         Bounds hold for the default ``simulate`` arguments (uniform
         stage speeds, no perturbation) — the configuration
         :func:`~repro.parallel.search.search_plans` prices.
         """
         plan = self.plan
+        routed = self.backend == "fabric"
         m = plan.n_microbatches(global_batch)
         p, v = plan.pp, plan.vpp
         F, B = self.f_chunk, self.b_chunk
-        p2p = self.p2p_time if p > 1 else 0.0
+        p2p = 0.0
+        if p > 1:
+            p2p = self.comm.pp_p2p_floor(self.p2p_bytes) if routed else self.p2p_time
         logits = self.logits_fwd + self.logits_bwd
 
         stage_work = m * v * (F + B)
@@ -373,17 +413,18 @@ class IterationEngine:
         bubble_floor = (p - 1) * (F + B + 2.0 * p2p)
         pipeline_lower = max(compute_floor, busy_last + bubble_floor)
 
-        # Upper: all serial work anywhere + every edge's transfer + the
-        # worst-case sender-side blocking of each actual send.
-        sends = sum(self.pp_send_counts(m)) if p > 1 else 0
-        total_busy = (
-            p * stage_work + m * self.embed_extra + m * logits + sends * p2p
-        )
-        pipeline_upper = total_busy + 2.0 * m * v * p * p2p
-
-        data, dp, optimizer = self._dp_phase_times(global_batch)
+        data, dp, optimizer = self._dp_phase_times(global_batch, floor=routed)
         base = data.exposed_stall + optimizer
-        upper = base + pipeline_upper + dp.total_comm
+        upper = math.inf
+        if not routed:
+            # Upper: all serial work anywhere + every edge's transfer + the
+            # worst-case sender-side blocking of each actual send.
+            sends = sum(self.pp_send_counts(m)) if p > 1 else 0
+            total_busy = (
+                p * stage_work + m * self.embed_extra + m * logits + sends * p2p
+            )
+            pipeline_upper = total_busy + 2.0 * m * v * p * p2p
+            upper = base + pipeline_upper + dp.total_comm
         # At an exact tie (v = m = 1, no p2p time, no extras) the two sums
         # can round one ulp apart; keep them ordered in floating point.
         lower = min(base + pipeline_lower + dp.exposed, upper)

@@ -15,13 +15,14 @@ from repro.collectives import (
     ring_all_gather,
     ring_all_reduce,
     ring_flows,
-    routed_step_cost,
+    route_step,
     validate_backend,
 )
-from repro.collectives.fabric import RING_SOFTWARE_LATENCY
+from repro.collectives.fabric import MIN_ROUTED_LATENCY, RING_SOFTWARE_LATENCY
 from repro.collectives.primitives import INTER_NODE_LATENCY
 from repro.exec.memo import get_cache
 from repro.network import ClosFabric, Flow, Link
+from repro.network.topology import LINK_LATENCY
 from repro.parallel import ParallelPlan
 from tests.metrics import counter, reset_cache
 
@@ -54,9 +55,12 @@ def test_fabric_degenerates_to_alpha_beta_on_single_tor_group(n, size, kind):
 
 def test_ring_software_latency_tops_up_to_inter_node_latency():
     # The degeneration above is exact because a clean intra-pod path
-    # (two 1 us links) plus the software latency equals the analytic
-    # model's per-step latency.
-    assert RING_SOFTWARE_LATENCY + 2e-6 == pytest.approx(INTER_NODE_LATENCY)
+    # (two links) plus the software latency equals the analytic model's
+    # per-step latency, and every link the fabric builds has LINK_LATENCY.
+    assert RING_SOFTWARE_LATENCY + 2 * LINK_LATENCY == pytest.approx(INTER_NODE_LATENCY)
+    assert MIN_ROUTED_LATENCY == RING_SOFTWARE_LATENCY + 2 * LINK_LATENCY
+    fabric = _fabric(n_nodes=16, nodes_per_pod=8)
+    assert {link.latency for link in fabric.links.values()} == {LINK_LATENCY}
 
 
 @settings(max_examples=25, deadline=None)
@@ -159,7 +163,7 @@ def test_pfc_penalty_kicks_in_at_three_flows_on_split_uplink():
     shared = Link(src="tor", dst="agg", bandwidth=2.0, latency=1e-6)
     for n_flows, expect_paused in ((2, 0), (3, 3)):
         flows = [Flow(i, [shared], demand=1.0) for i in range(n_flows)]
-        cost = routed_step_cost(flows, 1e6, RING_SOFTWARE_LATENCY, 1.0, penalty)
+        cost = route_step(flows, RING_SOFTWARE_LATENCY, 1.0, penalty).cost(1e6)
         assert cost.paused_flows == expect_paused
 
 
@@ -169,7 +173,7 @@ def test_utilization_reports_effective_rates():
     # pre-derate fair-share allocation (which would claim 1.0).
     link = Link(src="a", dst="b", bandwidth=10.0, latency=1e-6)
     flows = [Flow(0, [link], demand=10.0)]
-    cost = routed_step_cost(flows, 1e3, RING_SOFTWARE_LATENCY, 0.5, None)
+    cost = route_step(flows, RING_SOFTWARE_LATENCY, 0.5, None).cost(1e3)
     assert cost.utilization == pytest.approx(0.5)
     assert cost.oversubscription == pytest.approx(0.5)
 
@@ -181,7 +185,7 @@ def test_oversubscription_reports_derated_offered_load():
     penalty = PfcPenaltyModel(pause_per_excess=0.1, retransmit_latency=0.0)
     link = Link(src="a", dst="b", bandwidth=10.0, latency=1e-6)
     flows = [Flow(0, [link], demand=30.0)]
-    cost = routed_step_cost(flows, 1e3, RING_SOFTWARE_LATENCY, 1.0, penalty)
+    cost = route_step(flows, RING_SOFTWARE_LATENCY, 1.0, penalty).cost(1e3)
     assert cost.paused_flows == 1
     assert cost.oversubscription == pytest.approx(30.0 * 0.8 / 10.0)  # 2.4, not 3.0
     assert cost.utilization == pytest.approx(10.0 * 0.8 / 10.0)
@@ -189,7 +193,7 @@ def test_oversubscription_reports_derated_offered_load():
 
 def test_unbounded_demand_never_pays_pfc():
     flows = ring_flows(_fabric(), range(8), float("inf"))
-    cost = routed_step_cost(flows, 1e6, RING_SOFTWARE_LATENCY, 1.0, PfcPenaltyModel())
+    cost = route_step(flows, RING_SOFTWARE_LATENCY, 1.0, PfcPenaltyModel()).cost(1e6)
     assert cost.paused_flows == 0
     assert cost.oversubscription == 0.0
 
@@ -241,6 +245,114 @@ def test_iteration_engine_backend_roundtrip():
     assert f.iteration_time == pytest.approx(a.iteration_time, rel=1e-6)
     with pytest.raises(ValueError):
         IterationEngine(model, plan, MEGASCALE_ISO_BATCH, backend="nope")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["gpt-7b", "gpt-13b", "gpt-30b"]),
+    n_gpus=st.sampled_from([16, 32, 64, 128, 256, 512]),
+)
+def test_backends_agree_under_one_tor(data, name, n_gpus):
+    # Up to 512 GPUs every rank sits under one ToR set (one 64-node pod):
+    # no ECMP conflict, no shared link, so every routed ring and hop
+    # degenerates to alpha-beta, and a one-host ring is NVLink-priced on
+    # both backends.  Whole iterations agree to rounding.
+    from repro.core.features import MEGASCALE_ISO_BATCH
+    from repro.hardware import AMPERE
+    from repro.model import MODEL_CATALOG
+    from repro.parallel.tuner import candidate_plans, feasible
+    from repro.training import IterationEngine
+
+    model, batch = MODEL_CATALOG[name], 4 * n_gpus
+    plans = [p for p in candidate_plans(model, n_gpus) if feasible(model, p, AMPERE, batch)]
+    plan = data.draw(st.sampled_from(plans))
+    a = IterationEngine(model, plan, MEGASCALE_ISO_BATCH).simulate(batch)
+    f = IterationEngine(model, plan, MEGASCALE_ISO_BATCH, backend="fabric").simulate(batch)
+    assert abs(f.iteration_time - a.iteration_time) <= 1e-15 * a.iteration_time
+
+
+def test_one_host_dp_ring_is_priced_at_nvlink_on_both_backends():
+    # tp=1, dp=8: the whole DP ring shares one host, so no flow crosses
+    # the fabric; the ring moves over NVLink, as the analytic model says.
+    plan = ParallelPlan(dp=8, tp=1, pp=2)
+    analytic = build_comm_model(plan, backend="analytic")
+    fab = build_comm_model(plan, backend="fabric")
+    for kind in ("all_gather", "reduce_scatter", "all_reduce"):
+        expected = analytic.dp_collective_time(kind, 2e9)
+        assert expected > 1e-3  # bytes over NVLink, not 7 latency-only steps
+        assert fab.dp_collective_time(kind, 2e9) == expected
+        assert fab.dp_collective_floor(kind, 2e9) == expected
+
+
+# -- floors: admissible prices without routing -----------------------------------
+
+FLOOR_FABRICS = {
+    # Four pods of four nodes: cross-pod ECMP over 8 aggs x 4 uplinks.
+    "small": dict(n_nodes=16, nodes_per_pod=4),
+    # One uplink per hop and two aggs/spines per pod: flows collide.
+    "narrow": dict(
+        n_nodes=16, nodes_per_pod=4, aggs_per_pod=2, n_spines=2,
+        tor_uplinks_per_agg=1, agg_uplinks_per_spine=1,
+    ),
+}
+
+
+def _floor_model(shape: str) -> GroupCommModel:
+    # 16 nodes x 8 GPUs: rank r sits on node r // 8.
+    return GroupCommModel(
+        plan=ParallelPlan(dp=16, tp=8, pp=1),
+        fabric=ClosFabric(**FLOOR_FABRICS[shape]),
+        backend="fabric",
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(FLOOR_FABRICS)),
+    ranks=st.lists(st.integers(0, 127), min_size=2, max_size=16),
+    size=st.floats(min_value=0.0, max_value=4e9),
+    kind=st.sampled_from(["all_gather", "reduce_scatter", "all_reduce"]),
+)
+def test_fabric_floors_never_exceed_routed_prices(shape, ranks, size, kind):
+    # Random rings, nodes repeated and spread over pods, so links are
+    # shared (ECMP collisions, repeated NICs) and PFC pauses occur: the
+    # floor holds with no tolerance, and so does the p2p floor.
+    model = _floor_model(shape)
+    assert model.dp_collective_floor(kind, size, ranks) <= model.dp_collective_time(
+        kind, size, ranks
+    )
+    src, dst = ranks[0], ranks[1]
+    assert model.pp_p2p_floor(size, src, dst) <= model.pp_p2p_time(size, src, dst)
+
+
+def test_fabric_floor_is_exact_on_an_uncongested_pod_and_below_a_congested_ring():
+    model = _floor_model("narrow")
+    in_pod = range(0, 32, 8)  # nodes 0-3: one pod, one flow per NIC link
+    for kind in ("all_gather", "all_reduce"):
+        routed = model.dp_collective_time(kind, 1e9, in_pod)
+        assert model.dp_collective_floor(kind, 1e9, in_pod) == routed
+    striped = [8 * ((i % 4) * 4 + i // 4) for i in range(16)]  # every hop crosses pods
+    floor = model.dp_collective_floor("all_gather", 1e9, striped)
+    assert floor < model.dp_collective_time("all_gather", 1e9, striped)
+    assert model.pp_p2p_floor(1e8, 0, 8) == model.pp_p2p_time(1e8, 0, 8)
+    assert model.pp_p2p_floor(1e8, 0, 32) < model.pp_p2p_time(1e8, 0, 32)
+
+
+def test_one_ring_is_routed_once_for_every_collective_over_it():
+    ring = get_cache("fabric_ring")
+    reset_cache(ring)
+    reset_cache(get_cache("fabric_collective_cost"))
+    model = build_comm_model(ParallelPlan(dp=16, tp=8, pp=2), backend="fabric")
+    for kind, size in (("all_gather", 1e9), ("reduce_scatter", 1e9), ("all_gather", 3e8)):
+        model.dp_collective_time(kind, size)
+    assert ring.misses == 1 and ring.hits == 2
+    # The shared routing prices each size exactly as a fresh routing does.
+    fresh = route_step(
+        ring_flows(model.fabric, tuple(range(16)), model.node_spec.nic_spec.line_rate),
+        RING_SOFTWARE_LATENCY, DEFAULT_CC_EFFICIENCY, PfcPenaltyModel(),
+    ).cost(3e8 / 16)
+    assert model.dp_collective_time("all_gather", 3e8) == 15 * fresh.duration
 
 
 # -- memoization ---------------------------------------------------------------
@@ -320,14 +432,16 @@ def test_direct_link_write_raises_instead_of_caching():
     # Writing ``link.up`` behind the fabric's back leaves the fingerprint
     # healthy, so a price computed now would be cached under the healthy
     # key.  Routing still uses the link, and the flow solver refuses it.
-    cache = get_cache("fabric_collective_cost")
-    reset_cache(cache)
+    # Both memos start cold: a warm one would serve the healthy price.
+    caches = [get_cache("fabric_collective_cost"), get_cache("fabric_ring")]
+    for cache in caches:
+        reset_cache(cache)
     fabric = _fabric(n_nodes=8, nodes_per_pod=8)
     fabric.links[("node0.nic0", "tor0.0")].up = False
     assert not fabric.degraded()
     with pytest.raises(RuntimeError, match="down link node0.nic0->tor0.0"):
         fabric_collective_cost("all_gather", 1e9, (0, 1, 2, 3), fabric)
-    assert not cache.store
+    assert not any(cache.store for cache in caches)
 
 
 def test_fingerprint_invalidation_survives_pickle():

@@ -1,6 +1,8 @@
 """Tests for the CLOS fabric, links and switches."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.units import Gbps
 from repro.network import ClosFabric, Link, TOMAHAWK4, agg_role, tor_role
@@ -171,3 +173,75 @@ def test_routing_avoids_links_set_down():
         fabric.set_link_state(src, dst, False, index=3)
     with pytest.raises(RuntimeError, match="no live link"):
         fabric.path(0, 9, rail=0)
+
+
+# -- on-demand bundles -------------------------------------------------------------
+
+# (src, dst, index) of one uplink taken down, or None for a healthy fabric.
+DOWN_LINKS = [
+    None,
+    ("tor0.0", "agg0.0", 1),
+    ("agg0.3", "spine2", 0),
+    ("spine5", "agg1.4", 3),
+    ("agg2.1", "tor2.0", 2),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 1023)),
+        min_size=1,
+        max_size=24,
+    ),
+    down=st.sampled_from(DOWN_LINKS),
+    down_first=st.booleans(),
+)
+def test_on_demand_bundles_are_the_full_graphs_links(flows, down, down_first):
+    """A route builds only the bundles it picks from, as the very Link
+    objects the whole graph later holds, and prices bit for bit as the
+    same route on a fabric whose whole graph was read first — with a link
+    taken down before or after the first route."""
+    from repro.collectives import PfcPenaltyModel, route_step
+    from repro.collectives.fabric import RING_SOFTWARE_LATENCY
+    from repro.network import Flow
+
+    lazy, full = make_fabric(16, nodes_per_pod=4), make_fabric(16, nodes_per_pod=4)
+    assert full.links
+
+    def degrade(fabric):
+        if down is not None:
+            fabric.set_link_state(down[0], down[1], False, index=down[2])
+
+    def route(fabric):
+        return [fabric.path(src, dst, rail=0, flow_id=f) for src, dst, f in flows]
+
+    def index(fabric, link):
+        bundle = fabric.parallel_links[(link.src, link.dst)]
+        return next(i for i, other in enumerate(bundle) if other is link)
+
+    def price(paths):
+        flows_ = [Flow(i, path, 25e9) for i, path in enumerate(paths) if path]
+        return route_step(flows_, RING_SOFTWARE_LATENCY, 0.9, PfcPenaltyModel()).cost(1e8)
+
+    if down_first:
+        degrade(lazy)
+        degrade(full)
+    first = route(lazy)
+    if not down_first:
+        assert "links" not in vars(lazy)  # routing built bundles, not the graph
+        degrade(lazy)
+        degrade(full)
+    lazy_paths, full_paths = route(lazy), route(full)
+
+    for path in first:
+        for link in path:
+            index(lazy, link)  # the full graph holds this very object
+    assert [[(l.src, l.dst, index(lazy, l)) for l in p] for p in lazy_paths] == [
+        [(l.src, l.dst, index(full, l)) for l in p] for p in full_paths
+    ]
+    assert all(link.up for path in lazy_paths for link in path)
+    if down is not None:
+        assert not lazy.parallel_links[(down[0], down[1])][down[2]].up
+    assert price(lazy_paths) == price(full_paths)
+    assert lazy.fingerprint() == full.fingerprint()

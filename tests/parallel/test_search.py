@@ -1,12 +1,17 @@
 """Tests for best-first branch-and-bound plan search: exactness,
 admissibility, pruning."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collectives import GroupCommModel
 from repro.core.features import MEGASCALE_ISO_BATCH, MEGATRON_LM
 from repro.exec import PersistentMemo
+from repro.exec.memo import clear_caches
+from repro.network import ClosFabric
 from repro.hardware import AMPERE
 from repro.model import GPT_13B, GPT_175B, MODEL_CATALOG
 from repro.observability import TelemetryHub
@@ -162,6 +167,77 @@ def test_bounds_bracket_exact_engine_time(model, n_gpus, batch, features):
         assert bounds.lower <= exact + 1e-9, f"inadmissible lower bound for {plan}"
         assert exact <= bounds.upper + 1e-9, f"upper bound below exact for {plan}"
         assert bounds.lower <= bounds.upper
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["gpt-7b", "gpt-13b", "gpt-30b"]),
+    n_gpus=st.sampled_from([16, 32, 64, 128]),
+    top_k=st.integers(1, 5),
+    nodes_per_pod=st.sampled_from([1, 2, 4]),
+)
+def test_fabric_bounds_admissible_and_pruned_fabric_search_exact(
+    data, name, n_gpus, top_k, nodes_per_pod
+):
+    """The fabric ladder's routing-free floor keeps the search exact, and
+    stays below ``simulate`` also on a private many-pod fabric, where DP
+    rings and pipeline hops cross pods."""
+    model, batch = MODEL_CATALOG[name], 4 * n_gpus
+    pruned = search_plans(model, n_gpus, batch, top_k=top_k, backend="fabric")
+    brute = search_plans(model, n_gpus, batch, top_k=top_k, backend="fabric", exhaustive=True)
+    assert pruned.top == brute.top
+
+    plans = [p for p in candidate_plans(model, n_gpus) if feasible(model, p, AMPERE, batch)]
+    plan = data.draw(st.sampled_from(plans))
+    fabric = ClosFabric(n_nodes=-(-n_gpus // 8), nodes_per_pod=nodes_per_pod)
+    comm = GroupCommModel(plan=plan, fabric=fabric, backend="fabric")
+    engine = IterationEngine(model, plan, MEGASCALE_ISO_BATCH, comm_model=comm)
+    bounds = engine.analytic_bounds(batch)
+    exact = engine.simulate(batch).iteration_time
+    # The floors are exact in floating point; the bound sums its terms in
+    # another order than ``simulate``, which can round a tight (pp=1)
+    # bound up to two ulps over, on either backend.
+    assert bounds.lower <= exact * (1 + 1e-15)
+    assert bounds.upper == math.inf
+
+
+def test_cold_fabric_bounds_route_nothing(monkeypatch):
+    """Pricing the fabric ladder calls no router, fabric price or water-fill."""
+    import repro.collectives.fabric as fabric_module
+    import repro.collectives.groups as groups_module
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ClosFabric, "path", counted("path", ClosFabric.path))
+    monkeypatch.setattr(
+        groups_module, "fabric_collective_cost",
+        counted("fabric_collective_cost", groups_module.fabric_collective_cost),
+    )
+    monkeypatch.setattr(
+        fabric_module, "max_min_fair_rates",
+        counted("max_min_fair_rates", fabric_module.max_min_fair_rates),
+    )
+    clear_caches()
+    # Cross-pod DP rings, cross-host pipeline hops, and a one-host ring.
+    plans = [
+        ParallelPlan(dp=48, tp=8, pp=8, vpp=4),
+        ParallelPlan(dp=96, tp=4, pp=8, vpp=4),
+        ParallelPlan(dp=8, tp=1, pp=96),
+    ]
+    engines = [IterationEngine(GPT_175B, p, MEGASCALE_ISO_BATCH, backend="fabric") for p in plans]
+    for engine in engines:
+        engine.analytic_bounds(3072)
+    assert calls == []
+    engines[0].simulate(3072)  # exact pricing still routes
+    assert {"path", "fabric_collective_cost", "max_min_fair_rates"} <= set(calls)
 
 
 def test_analytic_bounds_validate_inputs():

@@ -151,9 +151,13 @@ def test_tune_fabric_backend_end_to_end():
     assert 1 <= len(results) <= 3
     assert all(r.iteration_time > 0 and 0 < r.mfu < 1 for r in results)
     # 16 GPUs = 2 nodes in one pod: the fabric price degenerates to the
-    # analytic one, so the leaderboards must coincide.
+    # analytic one, so the leaderboards must coincide — plans and times,
+    # including dp=8 tp=1, whose DP ring never leaves one host.
     analytic = search_plans(GPT_13B, n_gpus=16, global_batch=64, top_k=3).top
     assert [r.plan for r in results] == [r.plan for r in analytic]
+    assert [r.iteration_time for r in results] == pytest.approx(
+        [r.iteration_time for r in analytic], rel=1e-15, abs=0.0
+    )
 
 
 def test_tune_rejects_unknown_backend():
