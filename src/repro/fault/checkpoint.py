@@ -125,57 +125,6 @@ class CheckpointPlanner:
         """Shortest safe interval: the async drain must finish first."""
         return self.save_cost().stage2_async
 
-    def load_with_retry(
-        self,
-        rng: np.random.Generator,
-        integrity: "ShardIntegrityModel",
-        policy: Optional["RetryPolicy"] = None,
-        optimized: bool = True,
-        bandwidth_factor: float = 1.0,
-    ) -> "CheckpointLoadOutcome":
-        """Load the latest checkpoint, verifying shards and retrying.
-
-        Each attempt either fails transiently partway through (charged a
-        partial read plus backoff) or completes and is checksummed; a
-        corrupt shard costs the full read plus backoff.  After
-        ``policy.max_attempts`` attempts or once cumulative retry time
-        passes ``policy.timeout``, the loader falls back to the N−1
-        checkpoint, which was verified when written and always loads.
-        """
-        policy = policy or RetryPolicy()
-        base = self.recovery_time(optimized) / bandwidth_factor
-        total = 0.0
-        backoff = policy.base_backoff
-        attempts = 0
-        transient_failures = 0
-        checksum_failures = 0
-        fell_back = True
-        for _ in range(policy.max_attempts):
-            attempts += 1
-            if integrity.io_fails(rng):
-                # The stream died partway: charge a partial read.
-                total += integrity.partial_read_fraction * base + backoff
-                transient_failures += 1
-            else:
-                total += base + integrity.checksum_time
-                if not integrity.read_corrupt(rng):
-                    fell_back = False
-                    break
-                checksum_failures += 1
-                total += backoff
-            backoff *= policy.backoff_multiplier
-            if total > policy.timeout:
-                break
-        if fell_back:
-            total += base + integrity.checksum_time
-        return CheckpointLoadOutcome(
-            total_time=total,
-            attempts=attempts,
-            fell_back=fell_back,
-            transient_failures=transient_failures,
-            checksum_failures=checksum_failures,
-        )
-
     def save_with_retry(
         self,
         rng: np.random.Generator,
@@ -311,6 +260,58 @@ class CheckpointSaveOutcome:
     drain_time: float  # background HDFS upload including retries
     attempts: int
     committed: bool  # False: the drain gave up; previous checkpoint stands
+
+
+def load_with_retry(
+    recovery: float,
+    rng: np.random.Generator,
+    integrity: ShardIntegrityModel,
+    policy: Optional[RetryPolicy] = None,
+    bandwidth_factor: float = 1.0,
+) -> CheckpointLoadOutcome:
+    """Load the latest checkpoint, verifying shards and retrying.
+
+    ``recovery`` is one clean load (:meth:`CheckpointPlanner.recovery_time`)
+    at full bandwidth.  Each attempt either fails transiently partway
+    through (charged a partial read plus backoff) or completes and is
+    checksummed; a corrupt shard costs the full read plus backoff.  After
+    ``policy.max_attempts`` attempts or once cumulative retry time passes
+    ``policy.timeout``, the loader falls back to the N−1 checkpoint,
+    which was verified when written and always loads.
+    """
+    policy = policy or RetryPolicy()
+    base = recovery / bandwidth_factor
+    total = 0.0
+    backoff = policy.base_backoff
+    attempts = 0
+    transient_failures = 0
+    checksum_failures = 0
+    fell_back = True
+    for _ in range(policy.max_attempts):
+        attempts += 1
+        if integrity.io_fails(rng):
+            # The stream died partway: charge a partial read.
+            total += integrity.partial_read_fraction * base + backoff
+            transient_failures += 1
+        else:
+            total += base + integrity.checksum_time
+            if not integrity.read_corrupt(rng):
+                fell_back = False
+                break
+            checksum_failures += 1
+            total += backoff
+        backoff *= policy.backoff_multiplier
+        if total > policy.timeout:
+            break
+    if fell_back:
+        total += base + integrity.checksum_time
+    return CheckpointLoadOutcome(
+        total_time=total,
+        attempts=attempts,
+        fell_back=fell_back,
+        transient_failures=transient_failures,
+        checksum_failures=checksum_failures,
+    )
 
 
 def lost_progress(checkpoint_interval_iterations: int, iteration_time: float) -> float:

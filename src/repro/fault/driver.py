@@ -23,8 +23,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..collectives.init import group_init_time
-from ..collectives.kvstore import REDIS_STORE
 from ..network.flapping import FlapEvent
 from ..observability.monitors import MillisecondMonitor, SecondLevelMonitor
 from ..parallel.plan import ParallelPlan
@@ -33,10 +31,11 @@ from .checkpoint import (
     CheckpointPlanner,
     RetryPolicy,
     ShardIntegrityModel,
+    load_with_retry,
     lost_progress,
 )
 from .diagnostics import DiagnosticSuite
-from .elastic import ElasticDecision, shrunk_dp
+from .elastic import ElasticDecision, restart_price, shrunk_dp
 from .faults import FaultEvent, FaultInjector, Manifestation, detection_latency
 from .recovery import DegradedInterval, RecoveryLog, RecoveryRecord, effective_training_rate
 
@@ -220,7 +219,9 @@ class ProductionRun:
     the run, so a later fault can shrink onto them.  With an
     ``integrity`` model checkpoint loads can hit corrupt shards and retry
     per ``retry_policy``, falling back to the N−1 checkpoint at the price
-    of one extra checkpoint interval of lost iterations.
+    of one extra checkpoint interval of lost iterations.  The ``planner``
+    prices restores on its model, node and HDFS for whatever plan the run
+    resumes on.
     """
 
     def __init__(
@@ -244,6 +245,7 @@ class ProductionRun:
         self.planner = planner
         self.loss_curve = loss_curve
         self.diagnostics = DiagnosticSuite()
+        self._diagnose = self.diagnostics.sweep_duration()  # charged per incident
         self.rng = rng if rng is not None else np.random.default_rng(42)
         if spares is not None and spares < 0:
             raise ValueError("spares must be non-negative")
@@ -257,32 +259,23 @@ class ProductionRun:
     # -- per-incident latencies ------------------------------------------------
 
     def _checkpoint_load(
-        self, planner: Optional[CheckpointPlanner], bandwidth_factor: float
+        self, recovery: Optional[float], bandwidth_factor: float
     ) -> Tuple[float, int, Optional[CheckpointLoadOutcome]]:
         """(load time, extra lost iterations, detail) for one restore."""
         cfg = self.config
-        if planner is None:
+        if recovery is None:
             return 120.0, 0, None
         if self.integrity is None:
-            return planner.recovery_time(cfg.checkpoint_load_optimized), 0, None
-        outcome = planner.load_with_retry(
+            return recovery, 0, None
+        outcome = load_with_retry(
+            recovery,
             self.rng,
             self.integrity,
             policy=self.retry_policy,
-            optimized=cfg.checkpoint_load_optimized,
             bandwidth_factor=bandwidth_factor,
         )
         extra = cfg.checkpoint_interval_iterations if outcome.fell_back else 0
         return outcome.total_time, extra, outcome
-
-    def _planner_for(self, plan: ParallelPlan) -> Optional[CheckpointPlanner]:
-        if self.planner is None:
-            return None
-        if plan is self.plan or plan == self.planner.plan:
-            return self.planner
-        return CheckpointPlanner(
-            model=self.planner.model, plan=plan, node=self.planner.node, hdfs=self.planner.hdfs
-        )
 
     def resolve_incident(
         self,
@@ -293,14 +286,18 @@ class ProductionRun:
     ) -> IncidentOutcome:
         """Price one fault end-to-end: diagnose, replace/shrink, re-init, load.
 
-        The diagnostic sweep is sampled exactly once and threaded through
-        both the downtime and the ``diagnosed_at`` timestamp.
+        The diagnostic sweep is priced once per run and threaded through
+        both the downtime and the ``diagnosed_at`` timestamp.  The restart
+        (resumed plan, group init, clean checkpoint load) is priced once
+        per distinct plan by :func:`~repro.fault.elastic.restart_price`;
+        per incident only the lost iterations and the load's retry
+        outcome are drawn.
         """
         cfg = self.config
         plan = plan if plan is not None else self.plan
         if available_gpus is None:
             available_gpus = plan.world_size
-        diagnose = self.diagnostics.sweep_duration()
+        diagnose = self._diagnose
         auto = event.kind.auto_detectable
         manual = 0.0 if auto else cfg.manual_intervention_time
 
@@ -308,7 +305,7 @@ class ProductionRun:
         consumed = needed if spares_left is None else min(needed, spares_left)
         short = needed - consumed
         provisioned = 0
-        decision: Optional[ElasticDecision] = None
+        resume_dp = plan.dp
         replace = 0.0
         if needed:
             remaining = available_gpus - short * self.gpus_per_node
@@ -320,21 +317,24 @@ class ProductionRun:
             else:
                 # At dp == plan.dp spares (or idle survivors of an earlier
                 # shrink) absorb the loss; below it the run sheds replicas.
-                if dp < plan.dp:
-                    decision = ElasticDecision(
-                        old_plan=plan, new_plan=plan.with_options(dp=dp), available_gpus=remaining
-                    )
+                resume_dp = dp
                 if consumed:
                     replace = cfg.kubernetes_replacement_time
 
-        resumed_plan = decision.new_plan if decision is not None else plan
-        init = group_init_time(resumed_plan, REDIS_STORE, ordered=True).total
+        restart = restart_price(
+            plan, resume_dp, self.planner, cfg.checkpoint_load_optimized
+        )
+        decision: Optional[ElasticDecision] = None
+        if resume_dp < plan.dp:
+            decision = ElasticDecision(
+                old_plan=plan, new_plan=restart.plan, available_gpus=remaining
+            )
         lost = int(self.rng.integers(0, cfg.checkpoint_interval_iterations))
         bandwidth_factor = event.kind.degraded_throughput if not event.kind.needs_replacement else 1.0
         load, extra, load_outcome = self._checkpoint_load(
-            self._planner_for(resumed_plan), bandwidth_factor
+            restart.recovery_time, bandwidth_factor
         )
-        downtime = diagnose + manual + event.kind.repair_time + replace + init + load
+        downtime = diagnose + manual + event.kind.repair_time + replace + restart.init_time + load
         return IncidentOutcome(
             downtime=downtime,
             diagnose=diagnose,

@@ -53,6 +53,13 @@ from .tuner import TunedPlan, candidate_plans, evaluate_plan, feasible
 # The deepest pipeline the search considers.
 PP_LIMIT = 64
 
+# Relative slack on the prune test.  ``analytic_bounds`` sums its terms
+# in another order than ``simulate``, so a tight lower bound can round up
+# to two ulps (4.2e-16 relative has been seen) over the exact time; a
+# candidate is certified out only when its floor clears the incumbent by
+# more than this.
+PRUNE_SLACK = 1e-15
+
 
 # Canonical candidate order: smaller model-parallel footprints first
 # (less communication), then deeper interleaving, then micro-batch.
@@ -177,11 +184,13 @@ class _Incumbent:
     def prunes(self, lower: float) -> bool:
         """Whether an admissible lower bound certifies exclusion.
 
-        Strict inequality: a candidate whose floor merely *equals* the
-        incumbent could still tie into the top-k, so it is priced.
+        A candidate whose floor merely *equals* the incumbent could still
+        tie into the top-k, and a floor can round up to two ulps over the
+        exact time, so only a floor above the incumbent by more than
+        :data:`PRUNE_SLACK` (relative) prunes.
         """
         threshold = self.threshold
-        return threshold is not None and lower > threshold
+        return threshold is not None and lower > threshold * (1 + PRUNE_SLACK)
 
 
 def search_plans(

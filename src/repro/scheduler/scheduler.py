@@ -35,10 +35,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..collectives.init import group_init_time
-from ..collectives.kvstore import REDIS_STORE
 from ..fault.domains import DomainTopology
-from ..fault.elastic import shrunk_dp
+from ..fault.elastic import restart_price, shrunk_dp
 from ..fault.faults import FaultEvent, FaultInjector, Manifestation, detection_latency
 from ..parallel.plan import ParallelPlan
 from .job import JobSpec, JobState, JobStatus
@@ -167,7 +165,12 @@ class ClusterScheduler:
 
     The cluster is ``topology.n_nodes`` hosts plus ``spares`` standby
     hosts.  ``placement`` is the only record of which hosts are up and
-    who owns them; ``pool`` holds the only spare count.
+    who owns them; ``pool`` holds the only spare count.  Per event the
+    loop reads the placement's maintained counts: contention reprices
+    from per-pod counts, and a regrow or re-place first checks from the
+    capacity counts whether the job can grow at all, building index
+    lists only when it can.  Restarts (shrunk plan and group init) are
+    priced once per plan by :func:`~repro.fault.elastic.restart_price`.
     """
 
     def __init__(
@@ -269,7 +272,7 @@ class ClusterScheduler:
     # -- per-incident latencies ----------------------------------------------
 
     def _init_time(self, plan: ParallelPlan) -> float:
-        return group_init_time(plan, REDIS_STORE, ordered=True).total
+        return restart_price(plan, plan.dp).init_time
 
     def _set_down(self, status: JobStatus, until: float) -> None:
         if until > status.down_until:
@@ -405,12 +408,12 @@ class ClusterScheduler:
     ) -> None:
         """A losing claimant walks preempt -> shrink -> bounded stall."""
         cfg = self.config
-        alive = self.placement.nodes_of(status.name)
         if self.policy == "fifo":
             # Naive baseline: losers wait for fresh machines, full stop.
             self._stall(t, status, detect)
             return
-        best_dp = self._best_dp(status, len(alive))
+        alive = self.placement.n_alive(status.name)
+        best_dp = self._best_dp(status, alive)
         floor = cfg.preempt_dp_floor * status.healthy_dp
         if best_dp < max(1, floor):
             reclaimed = self._preempt_capacity(t, status, len(dead))
@@ -419,18 +422,18 @@ class ClusterScheduler:
                 # them and fold the reclaimed indices into the job.
                 self._abandon_dead(t, status.name, dead)
                 dead = []
-                alive = self.placement.nodes_of(status.name)
-                best_dp = self._best_dp(status, len(alive))
+                alive = self.placement.n_alive(status.name)
+                best_dp = self._best_dp(status, alive)
         if best_dp < 1:
             # Graceful shedding did not cover dp=1: displace the weakest
             # lower-priority tenant entirely rather than stall a
             # high-priority job.
-            needed = status.spec.min_nodes - len(alive)
+            needed = status.spec.min_nodes - alive
             if needed > 0 and self._displace_victim(t, status, needed):
                 self._abandon_dead(t, status.name, dead)
                 dead = []
-                alive = self.placement.nodes_of(status.name)
-                best_dp = self._best_dp(status, len(alive))
+                alive = self.placement.n_alive(status.name)
+                best_dp = self._best_dp(status, alive)
         if best_dp >= 1:
             self._abandon_dead(t, status.name, dead)
             self._shrink_to(t, status, best_dp, detect)
@@ -449,11 +452,11 @@ class ClusterScheduler:
     def _shrink_to(self, t: float, status: JobStatus, dp: int, detect: float) -> None:
         cfg = self.config
         old_dp = status.plan.dp
-        new_plan = status.spec.plan.with_options(dp=dp)
-        status.plan = new_plan
+        restart = restart_price(status.spec.plan, dp)
+        status.plan = restart.plan
         restored = dp >= status.healthy_dp
         status.state = JobState.RUNNING if restored else JobState.DEGRADED
-        down = detect + cfg.diagnose_time + self._init_time(new_plan)
+        down = detect + cfg.diagnose_time + restart.init_time
         self._set_down(status, t + down)
         if restored:
             self._decide(t, "resume", status.name, dp=dp, at=t + down)
@@ -684,45 +687,34 @@ class ClusterScheduler:
         # A DEGRADED job past its budget simply stays degraded: it is
         # still training, so nothing blocks on the empty pool.
 
-    def _claimable(self) -> Tuple[List[int], List[int]]:
-        """(free healthy indices, dead unowned indices coverable by spares)."""
-        free = self.placement.free_indices()
-        dead_unowned = [
-            i for i in sorted(self.placement.dead)
-            if i not in self.placement.owner
-        ]
-        return free, dead_unowned[: self.pool.available]
-
     def _take_capacity(self, job: str, count: int) -> List[int]:
         """Claim ``count`` hosts: free ones first, then spare-backed
         revivals of dead unowned slots.  Caller checked availability."""
-        free, revivable = self._claimable()
-        taken: List[int] = []
-        for index in free[:count]:
-            taken.append(index)
-        consumed = 0
-        for index in revivable[: count - len(taken)]:
+        taken = self.placement.free_indices()[:count]
+        revivable = [
+            i for i in sorted(self.placement.dead)
+            if i not in self.placement.owner
+        ][: min(count - len(taken), self.pool.available)]
+        for index in revivable:
             self.placement.revive(index)
-            taken.append(index)
-            consumed += 1
-        self.pool.record(job, consumed)
+        taken.extend(revivable)
+        self.pool.record(job, len(revivable))
         self.placement.assign(job, taken)
         return taken
 
     def _try_regrow(self, t: float, status: JobStatus) -> bool:
-        alive = self.placement.nodes_of(status.name)
-        free, revivable = self._claimable()
-        budget = len(alive) + len(free) + len(revivable)
+        alive = self.placement.n_alive(status.name)
+        budget = alive + self.placement.n_claimable(self.pool.available)
         dp = self._best_dp(status, budget)
         if dp <= status.plan.dp:
             return False
-        new_plan = status.spec.plan.with_options(dp=dp)
-        needed = new_plan.world_size // status.spec.gpus_per_node - len(alive)
+        restart = restart_price(status.spec.plan, dp)
+        needed = restart.plan.world_size // status.spec.gpus_per_node - alive
         self._take_capacity(status.name, needed)
-        status.plan = new_plan
+        status.plan = restart.plan
         restored = dp >= status.healthy_dp
         status.state = JobState.RUNNING if restored else JobState.DEGRADED
-        self._set_down(status, t + self._init_time(new_plan))
+        self._set_down(status, t + restart.init_time)
         self._decide(
             t, "regrow", status.name,
             dp=dp, healthy_dp=status.healthy_dp, added=needed,
@@ -733,18 +725,17 @@ class ClusterScheduler:
         return True
 
     def _try_replace(self, t: float, status: JobStatus) -> bool:
-        free, revivable = self._claimable()
-        budget = len(free) + len(revivable)
+        budget = self.placement.n_claimable(self.pool.available)
         dp = self._best_dp(status, budget)
         if dp < 1:
             return False
-        new_plan = status.spec.plan.with_options(dp=dp)
-        needed = new_plan.world_size // status.spec.gpus_per_node
+        restart = restart_price(status.spec.plan, dp)
+        needed = restart.plan.world_size // status.spec.gpus_per_node
         self._take_capacity(status.name, needed)
-        status.plan = new_plan
+        status.plan = restart.plan
         status.state = JobState.RUNNING if dp >= status.healthy_dp \
             else JobState.DEGRADED
-        self._set_down(status, t + self._init_time(new_plan))
+        self._set_down(status, t + restart.init_time)
         self._decide(
             t, "place", status.name,
             dp=dp, nodes=needed, healthy_dp=status.healthy_dp,

@@ -11,7 +11,7 @@ from repro.fault import (
     RetryPolicy,
     ShardIntegrityModel,
 )
-from repro.fault.checkpoint import HdfsModel
+from repro.fault.checkpoint import HdfsModel, load_with_retry
 from repro.fault.faults import CUDA_ERROR
 from repro.model import GPT_175B
 from repro.parallel import plan_for_gpus
@@ -53,8 +53,10 @@ def test_degraded_bandwidth_slows_hdfs():
 
 def test_clean_load_is_single_attempt():
     planner = make_planner()
-    outcome = planner.load_with_retry(
-        np.random.default_rng(0), ShardIntegrityModel()  # zero failure probabilities
+    outcome = load_with_retry(
+        planner.recovery_time(True),
+        np.random.default_rng(0),
+        ShardIntegrityModel(),  # zero failure probabilities
     )
     assert outcome.attempts == 1
     assert not outcome.fell_back
@@ -67,7 +69,9 @@ def test_always_corrupt_falls_back_after_bounded_retries():
     planner = make_planner()
     integrity = ShardIntegrityModel(corruption_probability=0.999999)
     policy = RetryPolicy(max_attempts=3, base_backoff=2.0, timeout=1e9)
-    outcome = planner.load_with_retry(np.random.default_rng(0), integrity, policy=policy)
+    outcome = load_with_retry(
+        planner.recovery_time(True), np.random.default_rng(0), integrity, policy=policy
+    )
     assert outcome.fell_back
     assert outcome.attempts == 3  # bounded, never infinite
     assert outcome.checksum_failures == 3
@@ -82,7 +86,9 @@ def test_timeout_cuts_retries_short():
     integrity = ShardIntegrityModel(corruption_probability=0.999999)
     # A timeout shorter than one read: the first failed attempt trips it.
     policy = RetryPolicy(max_attempts=10, base_backoff=1.0, timeout=1.0)
-    outcome = planner.load_with_retry(np.random.default_rng(0), integrity, policy=policy)
+    outcome = load_with_retry(
+        planner.recovery_time(True), np.random.default_rng(0), integrity, policy=policy
+    )
     assert outcome.fell_back
     assert outcome.attempts == 1
 
@@ -91,7 +97,9 @@ def test_transient_failures_charge_partial_reads():
     planner = make_planner()
     integrity = ShardIntegrityModel(transient_failure_probability=0.999999)
     policy = RetryPolicy(max_attempts=2, base_backoff=3.0, timeout=1e9)
-    outcome = planner.load_with_retry(np.random.default_rng(0), integrity, policy=policy)
+    outcome = load_with_retry(
+        planner.recovery_time(True), np.random.default_rng(0), integrity, policy=policy
+    )
     assert outcome.fell_back
     assert outcome.transient_failures == 2
     base = planner.recovery_time(True)
@@ -104,8 +112,8 @@ def test_load_retry_deterministic_given_seed():
     integrity = ShardIntegrityModel(
         corruption_probability=0.3, transient_failure_probability=0.3
     )
-    a = planner.load_with_retry(np.random.default_rng(9), integrity)
-    b = planner.load_with_retry(np.random.default_rng(9), integrity)
+    a = load_with_retry(planner.recovery_time(True), np.random.default_rng(9), integrity)
+    b = load_with_retry(planner.recovery_time(True), np.random.default_rng(9), integrity)
     assert a == b
 
 

@@ -1,17 +1,23 @@
 """Tests for the live driver oracle and the production-run simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.fault import (
     CheckpointPlanner,
+    FaultEvent,
     FaultInjector,
     ProductionRun,
     ProductionRunConfig,
     catch_up_time,
     default_loss_curve,
 )
+from repro.fault.checkpoint import HdfsModel
 from repro.fault.faults import CUDA_ERROR, NCCL_HANG
+from repro.hardware.nic import NicSpec
+from repro.hardware.node import NodeSpec
 from repro.model import GPT_175B
 from repro.parallel import plan_for_gpus
 from tests.oracles.live_driver import LiveDriver
@@ -115,3 +121,31 @@ def test_production_run_validation():
     run = ProductionRun(plan, FaultInjector(n_nodes=32))
     with pytest.raises(ValueError):
         run.run(0.0)
+
+
+@pytest.mark.parametrize(
+    "change, optimized",
+    [
+        ({"hdfs": HdfsModel(aggregate_read_bandwidth=30e9)}, True),
+        ({"node": NodeSpec(nic_spec=NicSpec("slow-rnic", 12.5e9))}, True),
+        ({}, False),
+    ],
+    ids=["hdfs", "node", "optimized"],
+)
+def test_restart_price_keys_on_everything_the_load_reads(change, optimized):
+    """Two runs in one process whose restores differ in one input each
+    pay their own clean load, not the first run's memoized price."""
+    plan = plan_for_gpus(256, tp=8, pp=8)
+    base = CheckpointPlanner(model=GPT_175B, plan=plan)
+    other = replace(base, **change)
+    event = FaultEvent(time=1.0, kind=CUDA_ERROR, node_index=0)
+    downtimes = []
+    for planner, config in (
+        (base, ProductionRunConfig()),
+        (other, ProductionRunConfig(checkpoint_load_optimized=optimized)),
+    ):
+        run = ProductionRun(plan, FaultInjector(n_nodes=32), config=config, planner=planner)
+        downtimes.append(run.resolve_incident(event).downtime)
+    expected = other.recovery_time(optimized) - base.recovery_time(True)
+    assert expected != 0.0
+    assert downtimes[1] - downtimes[0] == pytest.approx(expected)

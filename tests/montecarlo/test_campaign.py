@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exec.memo import PersistentMemo, clear_caches, registered_caches
-from repro.fault import driver
+from repro.fault import driver, elastic
 from repro.fault.faults import FaultInjector
 from repro.montecarlo import (
     CampaignSpec,
@@ -17,6 +17,7 @@ from repro.montecarlo import (
 )
 from repro.scheduler import scheduler
 from tests.oracles import fault_sampler
+from tests.oracles import placement as placement_oracle
 from tests.oracles.elastic import shrunk_dp_reference
 
 # Small enough to keep the suite fast, big enough to produce incidents.
@@ -26,8 +27,9 @@ WEEKS = 0.25
 
 
 def _use_oracle_path(monkeypatch):
-    """Per-event oracle sampling, the shrink enumeration and unshared
-    fixtures for serial campaigns.
+    """Per-event oracle sampling, the shrink enumeration, scan-based
+    placement queries, unmemoized restart prices and unshared fixtures
+    for serial campaigns.
 
     Returns the list of horizons the oracle sampled, one per injector.
     """
@@ -40,6 +42,10 @@ def _use_oracle_path(monkeypatch):
     monkeypatch.setattr(FaultInjector, "sample", oracle)
     monkeypatch.setattr(driver, "shrunk_dp", shrunk_dp_reference)
     monkeypatch.setattr(scheduler, "shrunk_dp", shrunk_dp_reference)
+    placement_oracle.install(monkeypatch)
+    # Every incident and scheduler event prices its restart afresh.
+    monkeypatch.setattr(driver, "restart_price", elastic._price_restart)
+    monkeypatch.setattr(scheduler, "restart_price", elastic._price_restart)
     # The unmemoized builder: every seed builds its own fixtures.
     monkeypatch.setattr(engine, "_chaos_fixtures", engine._chaos_fixtures.__wrapped__)
     return calls
@@ -65,20 +71,29 @@ def test_reference_path_matches_optimized_byte_for_byte(chaos_serial, monkeypatc
 def test_clear_caches_leaves_no_warm_state(monkeypatch):
     """Every process-local memo is a registered cache: after
     ``clear_caches()`` no store holds an entry, and the next campaign
-    builds its fixtures again."""
+    builds its fixtures and prices its restarts again."""
     run_campaign("chaos", seeds=range(2), weeks=WEEKS, spec=SPEC)
     clear_caches()
     assert not any(cache.store for cache in registered_caches().values())
     builds = []
+    priced = []
     plan_for_gpus = engine.plan_for_gpus
+    price_restart = elastic._price_restart
 
     def counting(*args, **kwargs):
         builds.append(args)
         return plan_for_gpus(*args, **kwargs)
 
+    def counting_price(*args):
+        priced.append(args)
+        return price_restart(*args)
+
     monkeypatch.setattr(engine, "plan_for_gpus", counting)
+    monkeypatch.setattr(elastic, "_price_restart", counting_price)
     run_campaign("chaos", seeds=range(2), weeks=WEEKS, spec=SPEC)
     assert len(builds) == 1  # built once, then shared by both seeds
+    # Each distinct restart priced once, then shared by every incident.
+    assert priced and len(priced) == len(registered_caches()["restart_price"].store)
 
 
 def test_scheduler_campaign_deterministic_across_workers(monkeypatch):

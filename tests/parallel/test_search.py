@@ -16,7 +16,14 @@ from repro.hardware import AMPERE
 from repro.model import GPT_13B, GPT_175B, MODEL_CATALOG
 from repro.observability import TelemetryHub
 from repro.parallel import ParallelPlan
-from repro.parallel.search import PP_LIMIT, canonical_key, plan_cache_key, search_plans
+from repro.parallel.search import (
+    PP_LIMIT,
+    PRUNE_SLACK,
+    _Incumbent,
+    canonical_key,
+    plan_cache_key,
+    search_plans,
+)
 from repro.parallel.tuner import candidate_plans, evaluate_plan, feasible
 from repro.training.iteration import IterationEngine
 from tests.metrics import counter, gauge_series
@@ -321,3 +328,17 @@ def test_search_emits_counters_spans_and_incumbent_trajectory():
     # The incumbent best only ever improves.
     bests = [b for _, b, _ in s.incumbent]
     assert bests == sorted(bests, reverse=True)
+
+
+def test_incumbent_keeps_a_floor_within_rounding_of_the_kth_best():
+    """A lower bound can round up to two ulps over the exact time, so a
+    floor one ulp above the k-th best may belong to a candidate that ties
+    into the top k: it is priced, not pruned."""
+    incumbent = _Incumbent(top_k=2)
+    t = 6.34
+    incumbent.add(5.0, 0)
+    incumbent.add(t, 1)
+    assert incumbent.threshold == t
+    assert not incumbent.prunes(math.nextafter(t, math.inf))
+    assert not incumbent.prunes(t * (1 + PRUNE_SLACK))
+    assert incumbent.prunes(t * (1 + 4 * PRUNE_SLACK))
