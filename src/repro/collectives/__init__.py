@@ -7,7 +7,6 @@ from .fabric import (
     PfcPenaltyModel,
     RoutedStepCost,
     fabric_collective_cost,
-    ring_flows,
     ring_steps,
     route_step,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "PfcPenaltyModel",
     "RoutedStepCost",
     "fabric_collective_cost",
-    "ring_flows",
     "ring_steps",
     "route_step",
     "validate_backend",

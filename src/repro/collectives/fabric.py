@@ -6,19 +6,25 @@ ranks actually sit.  This backend expands a ring collective into its
 per-step flow set, routes every neighbour-pair flow over the
 :class:`~repro.network.topology.ClosFabric` with deterministic ECMP
 hashing, computes the step completion time under max-min fair link
-sharing (:func:`repro.network.flow.max_min_fair_rates`), and applies a
-PFC pause/retransmit penalty to flows whose path crosses an
-oversubscribed uplink — so same-ToR placement, port splitting and ECMP
-hash conflicts show up in collective *prices*, not just in standalone
-network studies.
+sharing, and applies a PFC pause/retransmit penalty to flows whose path
+crosses an oversubscribed uplink — so same-ToR placement, port
+splitting and ECMP hash conflicts show up in collective *prices*, not
+just in standalone network studies.
 
-A routed step is shared by :class:`FabricCostModel` and the event
-runtime (:mod:`repro.collectives.runtime`), which only differ in the
-transport they price: :func:`ring_flows` routes a ring,
-:func:`route_step` water-fills one step of it into a bytes-independent
-:class:`RoutedStep`, whose :meth:`RoutedStep.cost` prices a segment
-size, and :func:`ring_steps` counts the steps of a collective.  :class:`FabricCostModel` routes each
-distinct ring once per fabric state (the ``fabric_ring`` memo), so the
+A ring step is routed and priced as integer arrays.  :func:`ring_route`
+is the one ring router: a same-pod pair is its two NIC link ids by
+arithmetic (no ``Flow``, ``Link`` or device name), and every other pair
+goes through :meth:`~repro.network.topology.ClosFabric.path_ids`, which
+hashes the same device names as :meth:`ClosFabric.path`.
+:func:`price_route` water-fills the step on its edge arrays and prices
+it into a bytes-independent :class:`RoutedStep`, whose
+:meth:`RoutedStep.cost` prices a segment size; :func:`ring_steps`
+counts the steps of a collective.  :class:`FabricCostModel` and the
+event runtime (:mod:`repro.collectives.runtime`) share both, and only
+differ in the transport they price.  :func:`route_step` prices a list of
+routed :class:`~repro.network.flow.Flow` objects (the pipeline hop)
+through the same pricer.  :class:`FabricCostModel` routes each distinct
+ring once per fabric state (the ``fabric_ring`` memo), so the
 collectives of every size over one ring share its routing.
 
 On an uncongested single-pod placement the fabric price degenerates
@@ -36,13 +42,13 @@ uncongested price is a floor on every routed one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exec.memo import get_cache
-from ..network.flow import Flow, max_min_fair_rates
-from ..network.link import Link
+from ..network.flow import Flow, _index_links, _waterfill, max_min_fair_rates
 from ..network.topology import LINK_LATENCY, ClosFabric
 from .primitives import DEFAULT_CC_EFFICIENCY
 
@@ -55,7 +61,8 @@ __all__ = [
     "RoutedStep",
     "RoutedStepCost",
     "fabric_collective_cost",
-    "ring_flows",
+    "price_route",
+    "ring_route",
     "ring_steps",
     "route_step",
 ]
@@ -68,6 +75,9 @@ __all__ = [
 RING_SOFTWARE_LATENCY = 10e-6
 # The least latency a routed flow pays: a same-pod path of two links.
 MIN_ROUTED_LATENCY = RING_SOFTWARE_LATENCY + 2 * LINK_LATENCY
+# A fabric path's latency by its link count (2 or 6): the builtin sum of
+# its links' latencies, as a Flow's path is summed.
+_PATH_LATENCY = np.array([sum((LINK_LATENCY,) * links) for links in range(7)])
 
 
 @dataclass(frozen=True)
@@ -149,28 +159,12 @@ def ring_steps(kind: str, n: int) -> int:
     )
 
 
-def ring_flows(fabric: ClosFabric, nodes: Sequence[int], demand: float) -> List[Flow]:
-    """The routed flows of one step of the ring over ``nodes``.
-
-    Ring position i sends to position i+1 on rail 0 with ECMP flow id i,
-    each flow offering ``demand`` bytes/s.  Same-host pairs move over
-    NVLink, not the fabric, and get no flow.
-    """
-    n = len(nodes)
-    flows: List[Flow] = []
-    for i, src in enumerate(nodes):
-        dst = nodes[(i + 1) % n]
-        if src != dst:
-            flows.append(Flow(i, fabric.path(src, dst, rail=0, flow_id=i), demand))
-    return flows
-
-
 @dataclass(frozen=True)
 class RoutedStep:
     """The bytes-independent outcome of routing one ring step.
 
-    Everything :func:`route_step` derives from the water-fill — link
-    load, PFC pauses, each flow's effective rate and path latency — so
+    Everything the pricer derives from the water-fill — link load, PFC
+    pauses, each flow's effective rate and path latency — so
     :meth:`cost` prices any segment size without routing again.
     """
 
@@ -204,69 +198,184 @@ class RoutedStep:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class RingRoute:
+    """One step of a ring routed as fabric link ids.
+
+    Edges are flow-major in ring-position order, each flow's links in
+    path order — the order the flow solver walks ``Flow`` paths.
+    """
+
+    flow_ids: np.ndarray  # ring position of each inter-node pair
+    hops: np.ndarray  # links on each flow's path (2 or 6)
+    edge_flow: np.ndarray  # flow index of each edge
+    edge_link: np.ndarray  # fabric link id of each edge
+
+    def check_up(self, fabric: ClosFabric) -> None:
+        """Raise ``RuntimeError`` naming the first flow routed over a down
+        link, as the flow solver does for a ``Flow``."""
+        for edge, link in fabric.built_links(self.edge_link.tolist()):
+            if not link.up:
+                flow = self.flow_ids[self.edge_flow[edge]]
+                raise RuntimeError(f"flow {flow} routed over down link {link.name}")
+
+
+def ring_route(fabric: ClosFabric, nodes: Sequence[int]) -> RingRoute:
+    """Route one step of the ring over ``nodes`` as link ids.
+
+    Ring position i sends to position i+1 on rail 0 with ECMP flow id i;
+    same-host pairs move over NVLink, not the fabric, and get no flow.
+    On a fabric with no link down, a same-pod pair is
+    ``(nic_up(src), nic_down(dst))`` for the whole ring at once.  Every
+    other pair (cross-pod, naming a node off the fabric, or any pair of
+    a degraded fabric) is routed in ring order by
+    :meth:`~repro.network.topology.ClosFabric.path_ids`, which raises
+    where :meth:`~repro.network.topology.ClosFabric.path` would.
+    """
+    src = np.asarray(nodes, dtype=np.intp)
+    dst = np.roll(src, -1)
+    flow_ids = np.flatnonzero(src != dst)
+    src, dst = src[flow_ids], dst[flow_ids]
+    npp = fabric.nodes_per_pod
+    by_path = (
+        (src // npp != dst // npp)
+        | (np.minimum(src, dst) < 0)
+        | (np.maximum(src, dst) >= fabric.n_nodes)
+    )
+    if fabric.degraded():
+        by_path[:] = True
+    slow = np.flatnonzero(by_path)
+    routes = [
+        fabric.path_ids(s, d, 0, f)
+        for s, d, f in zip(src[slow].tolist(), dst[slow].tolist(), flow_ids[slow].tolist())
+    ]
+    hops = np.full(len(flow_ids), 2, dtype=np.intp)
+    hops[slow] = [len(route) for route in routes]
+    first = np.cumsum(hops) - hops
+    edge_link = np.empty(int(hops.sum()), dtype=np.intp)
+    fast = ~by_path
+    edge_link[first[fast]] = fabric.nic_up(src[fast], 0)
+    edge_link[first[fast] + 1] = fabric.nic_down(dst[fast], 0)
+    for start, route in zip(first[slow].tolist(), routes):
+        edge_link[start:start + len(route)] = route
+    edge_flow = np.repeat(np.arange(len(flow_ids)), hops)
+    return RingRoute(flow_ids, hops, edge_flow, edge_link)
+
+
+def price_route(
+    fabric: ClosFabric,
+    route: RingRoute,
+    demand: float,
+    software_latency: float,
+    cc_efficiency: float,
+    penalty: Optional[PfcPenaltyModel],
+) -> RoutedStep:
+    """Water-fill and price one routed ring step, every flow offering ``demand``.
+
+    Raises before pricing, as the flow solver does, if a flow crosses a
+    built link that is down (:meth:`RingRoute.check_up`).
+    """
+    if not 0 < cc_efficiency <= 1:
+        raise ValueError("cc_efficiency must be in (0, 1]")
+    n_flows = len(route.flow_ids)
+    if not n_flows:
+        return RoutedStep(0, 0.0, 0.0, 0, software_latency, ())
+    route.check_up(fabric)
+    # Links numbered densely in id order: only min and bincount read the
+    # numbering, so it leaves every float as the flow solver's.
+    links, edge_link = np.unique(route.edge_link, return_inverse=True)
+    bandwidth = fabric.link_bandwidths(links)
+    demands = np.full(n_flows, float(demand))
+    rates = _waterfill(demands, route.edge_flow, edge_link, bandwidth)
+    return _price(
+        route.flow_ids, rates, demands, route.edge_flow, edge_link, bandwidth,
+        _PATH_LATENCY[route.hops], software_latency, cc_efficiency, penalty,
+    )
+
+
 def route_step(
     flows: Sequence[Flow],
     software_latency: float,
     cc_efficiency: float,
     penalty: Optional[PfcPenaltyModel],
 ) -> RoutedStep:
-    """Water-fill one ring step whose pair transfers are ``flows``.
+    """Water-fill one step whose pair transfers are the routed ``flows``.
 
-    The flows share links max-min fairly (one
+    The ``Flow`` adapter of :func:`price_route` (the pipeline hop and
+    tests use it): the rates come from one
     :func:`~repro.network.flow.max_min_fair_rates` solve, which also
-    stores each flow's rate).  A flow's ``demand`` caps it at its NIC
-    line rate; an unbounded (infinite) demand offers no load, so PFC
-    penalties never apply to it.
+    stores each flow's rate, and the same pricer then derives the step.
+    A flow's ``demand`` caps it at its NIC line rate; an unbounded
+    (infinite) demand offers no load, so PFC penalties never apply to it.
     """
     if not 0 < cc_efficiency <= 1:
         raise ValueError("cc_efficiency must be in (0, 1]")
     if not flows:
         return RoutedStep(0, 0.0, 0.0, 0, software_latency, ())
     max_min_fair_rates(flows)
-
-    load: Dict[Link, int] = {}
-    for flow in flows:
-        for link in flow.path:
-            load[link] = load.get(link, 0) + 1
-    max_link_load = max(load.values())
-
-    # PFC pauses trigger on the *offered* wire load (what the NICs try
-    # to push); the realized per-flow goodput then derates by both the
-    # congestion-control efficiency and the pause fraction.
-    paused = 0
-    priced: List[Tuple[int, float, float]] = []
-    effective: Dict[Link, float] = {}
-    offered: Dict[Link, float] = {}
-    for flow in flows:
-        capped = math.isfinite(flow.demand)
-        ratio = 0.0
-        if capped:
-            ratio = max(load[l] * flow.demand / l.bandwidth for l in flow.path)
-        pause = penalty.pause_fraction(ratio) if penalty is not None else 0.0
-        if pause > 0.0:
-            paused += 1
-        rate = flow.rate * cc_efficiency * (1.0 - pause)
-        for link in flow.path:
-            effective[link] = effective.get(link, 0.0) + rate
-            if capped:
-                offered[link] = (
-                    offered.get(link, 0.0) + flow.demand * cc_efficiency * (1.0 - pause)
-                )
-        latency = sum(l.latency for l in flow.path) + software_latency
-        if pause > 0.0:
-            latency += penalty.retransmit_latency
-        priced.append((flow.flow_id, rate, latency))
-    utilization = max(min(1.0, effective[l] / l.bandwidth) for l in load)
-    oversubscription = max(
-        (value / link.bandwidth for link, value in offered.items()), default=0.0
+    _, edge_flow, edge_link, bandwidth = _index_links(flows)
+    return _price(
+        np.array([f.flow_id for f in flows]),
+        np.array([f.rate for f in flows]),
+        np.array([f.demand for f in flows]),
+        edge_flow, edge_link, bandwidth,
+        np.array([sum(link.latency for link in f.path) for f in flows]),
+        software_latency, cc_efficiency, penalty,
     )
+
+
+def _price(
+    flow_ids: np.ndarray,
+    rates: np.ndarray,
+    demand: np.ndarray,
+    edge_flow: np.ndarray,
+    edge_link: np.ndarray,
+    bandwidth: np.ndarray,
+    path_latency: np.ndarray,
+    software_latency: float,
+    cc_efficiency: float,
+    penalty: Optional[PfcPenaltyModel],
+) -> RoutedStep:
+    """A water-filled step's :class:`RoutedStep`, from its edge arrays.
+
+    PFC pauses trigger on the *offered* wire load (what the NICs try to
+    push); the realized per-flow goodput then derates by both the
+    congestion-control efficiency and the pause fraction.  Per-link sums
+    use unbuffered ``np.add.at`` over the flow-major edges, so each float
+    is added in the order a per-flow loop adds it.
+    """
+    n_links = len(bandwidth)
+    load = np.bincount(edge_link, minlength=n_links)
+    capped = np.isfinite(demand)
+    # A capped flow's worst link ratio; all ratios are positive.
+    ratio = np.zeros(len(flow_ids))
+    np.maximum.at(ratio, edge_flow, load[edge_link] * demand[edge_flow] / bandwidth[edge_link])
+    ratio[~capped] = 0.0
+    pause = np.zeros(len(flow_ids))
+    if penalty is not None:
+        for i in np.flatnonzero(ratio > 1.0).tolist():  # no pause at or below 1.0
+            pause[i] = penalty.pause_fraction(float(ratio[i]))
+    paused = pause > 0.0
+    rate = rates * cc_efficiency * (1.0 - pause)
+    effective = np.zeros(n_links)
+    np.add.at(effective, edge_link, rate[edge_flow])
+    offered = np.zeros(n_links)
+    capped_edge = capped[edge_flow]
+    np.add.at(
+        offered,
+        edge_link[capped_edge],
+        (demand * cc_efficiency * (1.0 - pause))[edge_flow[capped_edge]],
+    )
+    latency = path_latency + software_latency
+    if penalty is not None:
+        latency[paused] += penalty.retransmit_latency
     return RoutedStep(
-        max_link_load=max_link_load,
-        utilization=utilization,
-        oversubscription=oversubscription,
-        paused_flows=paused,
+        max_link_load=int(load.max()),
+        utilization=float(np.minimum(1.0, effective / bandwidth).max()),
+        oversubscription=float((offered / bandwidth).max()),
+        paused_flows=int(paused.sum()),
         software_latency=software_latency,
-        flows=tuple(priced),
+        flows=tuple(zip(flow_ids.tolist(), rate.tolist(), latency.tolist())),
     )
 
 
@@ -275,7 +384,7 @@ class FabricCostModel:
     """Prices ring collectives by routing their flows over a fabric.
 
     Each ring step of an n-node collective is n neighbour-pair flows
-    (same-host pairs skipped, see :func:`ring_flows`), each demanding
+    (same-host pairs skipped, see :func:`ring_route`), each demanding
     the NIC line rate and shared max-min across the CLOS links, with
     :data:`RING_SOFTWARE_LATENCY` per step and
     :data:`DEFAULT_PFC_PENALTY`; steps are identical, so one routing
@@ -291,6 +400,8 @@ class FabricCostModel:
             raise ValueError("cc_efficiency must be in (0, 1]")
         if self.nic_rate is None:
             self.nic_rate = self.fabric.nic_rate
+        if not self.nic_rate > 0:
+            raise ValueError(f"nic_rate must be positive, got {self.nic_rate}")
 
     def route(self, nodes: Tuple[int, ...]) -> RoutedStep:
         """One step of the ring over ``nodes``, routed once per fabric state.
@@ -303,8 +414,10 @@ class FabricCostModel:
         key = (nodes, self.cc_efficiency, self.nic_rate, self.fabric.fingerprint())
         return get_cache("fabric_ring").lookup(
             key,
-            lambda: route_step(
-                ring_flows(self.fabric, nodes, self.nic_rate),
+            lambda: price_route(
+                self.fabric,
+                ring_route(self.fabric, nodes),
+                self.nic_rate,
                 RING_SOFTWARE_LATENCY,
                 self.cc_efficiency,
                 DEFAULT_PFC_PENALTY,
@@ -443,6 +556,8 @@ def fabric_collective_cost(
     not part of the key, and telemetry is emitted only when the price is
     computed fresh — a memo hit is not a new routed collective.
     """
+    if gpus_per_node < 1:
+        raise ValueError(f"gpus_per_node must be at least 1, got {gpus_per_node}")
     ranks = ranks if isinstance(ranks, range) else tuple(ranks)
     key = (kind, float(size), ranks, gpus_per_node, cc_efficiency, nic_rate, fabric.fingerprint())
 

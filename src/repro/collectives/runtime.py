@@ -4,8 +4,8 @@ The analytic alpha–beta models in :mod:`repro.collectives.primitives`
 price collectives in closed form.  This module *executes* a ring
 collective step by step on the simulation kernel: every step moves each
 segment over the fabric cost model's routed step
-(:func:`~repro.collectives.fabric.ring_flows` priced by
-:func:`~repro.collectives.fabric.route_step`) with max-min
+(:func:`~repro.collectives.fabric.ring_route` priced by
+:func:`~repro.collectives.fabric.price_route`) with max-min
 bandwidth sharing — both a validation of the closed forms (they must
 agree on a clean fabric) and the tool for studying collectives under
 degraded links, background traffic, or heterogeneous paths.  The
@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..network.flow import check_links_up
 from ..network.topology import ClosFabric
 from ..sim import Process, Simulator
-from .fabric import ring_flows, ring_steps, route_step
+from .fabric import price_route, ring_route, ring_steps
 
 # Per-step launch overhead of the executed ring (NCCL's step barrier).
 SOFTWARE_LATENCY = 7e-6
@@ -97,14 +96,16 @@ class RingCollectiveRuntime:
         # The ring's steps are identical: one routing and one price serve
         # them all.  A link taken down mid-collective fails the next step
         # that crosses it instead of reusing the price.
-        flows = ring_flows(self.fabric, self.node_of_rank, float("inf"))
-        cost = route_step(flows, SOFTWARE_LATENCY, 1.0, None).cost(size / n)
+        route = ring_route(self.fabric, self.node_of_rank)
+        cost = price_route(
+            self.fabric, route, float("inf"), SOFTWARE_LATENCY, 1.0, None
+        ).cost(size / n)
         steps: List[RingStepResult] = []
         done = {"t": 0.0}
 
         def driver():
             for step in range(n_steps):
-                check_links_up(flows)
+                route.check_up(self.fabric)
                 steps.append(
                     RingStepResult(
                         step,

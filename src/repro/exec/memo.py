@@ -27,6 +27,8 @@ from typing import Any, Callable, Dict, Iterable, Optional, Tuple, TypeVar
 
 F = TypeVar("F", bound=Callable[..., Any])
 
+_MISSING = object()  # a lookup miss, distinct from any cached value
+
 
 class MemoCache:
     """One named memoization cache with hit/miss/eviction counters.
@@ -48,13 +50,18 @@ class MemoCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: Any) -> Any:
-        """The cached value (refreshing recency); KeyError on a miss."""
+    def get(self, key: Any, default: Any = None) -> Any:
+        """The cached value, refreshing its recency; ``default`` on a miss.
+
+        Hashes ``key`` once, and once more to refresh an LRU hit.
+        """
         if self.maxsize is None:
             # Unbounded caches never evict, so recency is meaningless —
             # skip the pop/re-insert churn on the hot lookup path.
-            return self.store[key]
-        value = self.store.pop(key)  # KeyError propagates on miss
+            return self.store.get(key, default)
+        value = self.store.pop(key, _MISSING)
+        if value is _MISSING:
+            return default
         self.store[key] = value  # re-insert: most recently used
         return value
 
@@ -67,20 +74,21 @@ class MemoCache:
             del self.store[oldest]
             self.evictions += 1
 
-    def lookup(self, key: Any, compute: Callable[[], Any]) -> Any:
-        """The value cached under ``key``; on a miss, ``compute()`` it and
-        keep it.  An unhashable key bypasses the cache (counted as a miss).
+    def lookup(self, key: Any, compute: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
+        """The value cached under ``key``; on a miss, ``compute(*args,
+        **kwargs)`` it and keep it.  An unhashable key bypasses the cache
+        (counted as a miss).
         """
         try:
-            hit = key in self.store
+            value = self.get(key, _MISSING)
         except TypeError:
             self.misses += 1
-            return compute()
-        if hit:
+            return compute(*args, **kwargs)
+        if value is not _MISSING:
             self.hits += 1
-            return self.get(key)
+            return value
         self.misses += 1
-        value = compute()
+        value = compute(*args, **kwargs)
         self.put(key, value)
         return value
 
@@ -124,7 +132,7 @@ def memoized(name: str, maxsize: Optional[int] = None) -> Callable[[F], F]:
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             key = args if not kwargs else (args, tuple(sorted(kwargs.items())))
-            return cache.lookup(key, lambda: fn(*args, **kwargs))
+            return cache.lookup(key, fn, *args, **kwargs)
 
         wrapper.cache = cache  # type: ignore[attr-defined]
         return wrapper  # type: ignore[return-value]

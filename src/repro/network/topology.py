@@ -19,7 +19,9 @@ rings do) stays on one rail: two hops inside a pod, six hops across pods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exec.memo import memoized
 from .link import Link
@@ -55,22 +57,33 @@ class _LinkGraph:
 
 @dataclass(eq=False)  # identity equality: same-config fabrics can differ in link state
 class ClosFabric:
-    """A fabric's shape, placement arithmetic and (built lazily) its links.
+    """A fabric's shape, placement arithmetic, link ids and (built lazily) links.
 
     ``pod_of``, ``same_tor``, ``hops`` and ``nodes_in_pod`` answer by
-    arithmetic.  Links are built on demand, at two grains.  A route
-    (:meth:`path`) builds only the ``(src, dst)`` bundles of parallel
-    :class:`~repro.network.link.Link` objects it picks from, the first
-    time it picks from each.  The whole graph — ``links`` and
-    ``parallel_links``, about 49k links at 12,288 GPUs — is built the
-    first time one of them is read (by :meth:`set_link_state`, a test
-    or a link counter), and that build reuses every bundle a route
-    already made, so each link has one ``Link`` object however it was
-    first reached.  An analytic comm model builds none.
+    arithmetic, and so do link ids: every link has an integer id in four
+    blocks — the NIC up-links by (node, rail), the NIC down-links
+    likewise, both directions of every member of each ToR<->agg bundle by
+    (pod, rail, agg, member), and both directions of every member of each
+    agg<->spine bundle by (pod, agg, spine, member).  :meth:`path_ids`
+    routes a flow as ids and builds nothing; :meth:`link_bandwidths`
+    gives their capacities.
+
+    :class:`~repro.network.link.Link` objects are built on demand, at two
+    grains.  :meth:`path` builds only the bundles of parallel links it
+    picks from, the first time it picks from each.  The whole graph —
+    ``links`` and ``parallel_links``, about 49k links at 12,288 GPUs — is
+    built the first time one of them is read (by :meth:`set_link_state`,
+    a test or a link counter), and that build reuses every bundle a route
+    already made, so each link id has one ``Link`` object however it was
+    first reached.  An analytic comm model and the index ring router
+    build none.
 
     The fabric owns its links' up/down state: :meth:`set_link_state` is
     the one writer, and it records the down links in one sorted tuple
     that :meth:`fingerprint`, :meth:`degraded` and routing all read.
+    Pricing by id reads a built link's own ``up`` and ``bandwidth``
+    (:meth:`built_links`), so a direct write to a built ``Link`` is seen
+    too; every link's latency is :data:`LINK_LATENCY`.
     """
 
     n_nodes: int
@@ -92,15 +105,28 @@ class ClosFabric:
             raise ValueError("fabric needs at least one node")
         if self.rails < 1 or self.nodes_per_pod < 1:
             raise ValueError("rails and nodes_per_pod must be positive")
+        for name in ("aggs_per_pod", "n_spines", "tor_uplinks_per_agg", "agg_uplinks_per_spine"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.nic_rate >= 0:
+            raise ValueError(f"nic_rate must be >= 0 (0 derives it), got {self.nic_rate}")
         self._tor = tor_role(split_downlinks=self.split_tor_downlinks)
         self._agg = agg_role()
         if self.nic_rate == 0.0:
             self.nic_rate = self._tor.downlink_rate
+        # Link-id blocks: the first id of the ToR<->agg and agg<->spine
+        # blocks, and each one's offset from a link to its reverse.
+        nic_links = self.n_nodes * self.rails
+        self._tor_down = self.n_pods * self.rails * self.aggs_per_pod * self.tor_uplinks_per_agg
+        self._spine_down = (
+            self.n_pods * self.aggs_per_pod * self.n_spines * self.agg_uplinks_per_spine
+        )
+        self._tor_base = 2 * nic_links
+        self._spine_base = self._tor_base + 2 * self._tor_down
         # Down links as sorted (src, dst, parallel index) entries.
         self._down: Tuple[Tuple[str, str, int], ...] = ()
-        # The bundles built so far, (src, dst) -> [Link]; after a full
-        # build, the same dict object as ``parallel_links``.
-        self._bundles: Dict[Tuple[str, str], List[Link]] = {}
+        # Every Link built so far, by link id.
+        self._links: Dict[int, Link] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -115,15 +141,48 @@ class ClosFabric:
     def tor_name(self, pod: int, rail: int) -> str:
         return f"tor{pod}.{rail}"
 
-    def _bundle(self, src: str, dst: str, count: int, bandwidth: float) -> List[Link]:
-        """The ``src -> dst`` bundle of ``count`` links, built on first use."""
-        bundle = self._bundles.get((src, dst))
-        if bundle is None:
-            bundle = self._bundles[(src, dst)] = [
-                Link(src=src, dst=dst, bandwidth=bandwidth, latency=LINK_LATENCY)
-                for _ in range(count)
-            ]
-        return bundle
+    def nic_up(self, node, rail: int):
+        """Id of ``node``'s NIC -> ToR link on ``rail`` (``node`` may be an array)."""
+        return node * self.rails + rail
+
+    def nic_down(self, node, rail: int):
+        """Id of the ToR -> NIC link of ``node`` on ``rail`` (``node`` may be an array)."""
+        return (self.n_nodes + node) * self.rails + rail
+
+    def _tor_agg(self, pod: int, rail: int, agg: int) -> int:
+        """First id of the ToR -> agg bundle; ``+ self._tor_down`` is agg -> ToR."""
+        return self._tor_base + (
+            (pod * self.rails + rail) * self.aggs_per_pod + agg
+        ) * self.tor_uplinks_per_agg
+
+    def _agg_spine(self, pod: int, agg: int, spine: int) -> int:
+        """First id of the agg -> spine bundle; ``+ self._spine_down`` is spine -> agg."""
+        return self._spine_base + (
+            (pod * self.aggs_per_pod + agg) * self.n_spines + spine
+        ) * self.agg_uplinks_per_spine
+
+    def link_bandwidths(self, ids: np.ndarray) -> np.ndarray:
+        """Capacity of each link id: a built ``Link``'s own ``bandwidth``,
+        else the NIC, ToR-uplink or agg-uplink rate of the id's block."""
+        bandwidth = np.where(
+            ids < self._tor_base,
+            self.nic_rate,
+            np.where(ids < self._spine_base, self._tor.uplink_rate, self._agg.uplink_rate),
+        )
+        for position, link in self.built_links(ids.tolist()):
+            bandwidth[position] = link.bandwidth
+        return bandwidth
+
+    def _bundle(self, src: str, dst: str, first: int, count: int, bandwidth: float) -> List[Link]:
+        """The ``src -> dst`` bundle, links ``first .. first + count - 1``,
+        built on first use."""
+        links = self._links
+        if first not in links:
+            for index in range(count):
+                links[first + index] = Link(
+                    src=src, dst=dst, bandwidth=bandwidth, latency=LINK_LATENCY
+                )
+        return [links[first + index] for index in range(count)]
 
     def _build(self) -> None:
         self.links: Dict[Tuple[str, str], Link] = {}
@@ -131,32 +190,46 @@ class ClosFabric:
         for node in range(self.n_nodes):
             pod = node // self.nodes_per_pod
             for rail in range(self.rails):
-                tor = self.tor_name(pod, rail)
-                self._add_duplex(f"node{node}.nic{rail}", tor, 1, self.nic_rate)
+                self._add_duplex(
+                    f"node{node}.nic{rail}", self.tor_name(pod, rail),
+                    self.nic_up(node, rail), self.nic_down(node, rail), 1, self.nic_rate,
+                )
 
         for pod in range(self.n_pods):
             for rail in range(self.rails):
                 tor = self.tor_name(pod, rail)
                 for a in range(self.aggs_per_pod):
-                    agg = f"agg{pod}.{a}"
-                    self._add_duplex(tor, agg, self.tor_uplinks_per_agg, self._tor.uplink_rate)
+                    first = self._tor_agg(pod, rail, a)
+                    self._add_duplex(
+                        tor, f"agg{pod}.{a}", first, first + self._tor_down,
+                        self.tor_uplinks_per_agg, self._tor.uplink_rate,
+                    )
             for a in range(self.aggs_per_pod):
                 agg = f"agg{pod}.{a}"
                 for s in range(self.n_spines):
-                    spine = f"spine{s}"
-                    self._add_duplex(agg, spine, self.agg_uplinks_per_spine, self._agg.uplink_rate)
-        self._bundles = self.parallel_links
+                    first = self._agg_spine(pod, a, s)
+                    self._add_duplex(
+                        agg, f"spine{s}", first, first + self._spine_down,
+                        self.agg_uplinks_per_spine, self._agg.uplink_rate,
+                    )
 
-    def _add_duplex(self, a: str, b: str, count: int, bandwidth: float) -> None:
-        """Both directions' bundles between ``a`` and ``b`` into the graph.
+    def _add_duplex(
+        self, a: str, b: str, forward: int, reverse: int, count: int, bandwidth: float
+    ) -> None:
+        """Both directions' bundles between ``a`` and ``b`` into the graph,
+        ``a -> b`` from link id ``forward`` and ``b -> a`` from ``reverse``.
 
         A NIC link is keyed by its ``(src, dst)``; a switch uplink, one of
         a parallel bundle, by ``("src#index", dst)`` to keep links distinct.
         """
         nic = a.startswith("node")
+        bundles = {
+            (a, b): self._bundle(a, b, forward, count, bandwidth),
+            (b, a): self._bundle(b, a, reverse, count, bandwidth),
+        }
+        self.parallel_links.update(bundles)
         for index in range(count):
-            for src, dst in ((a, b), (b, a)):
-                bundle = self.parallel_links[(src, dst)] = self._bundle(src, dst, count, bandwidth)
+            for (src, dst), bundle in bundles.items():
                 self.links[(src, dst) if nic else (f"{src}#{index}", dst)] = bundle[index]
 
     # -- queries ------------------------------------------------------------
@@ -171,9 +244,10 @@ class ClosFabric:
         ``index`` counts the parallel links between the two devices (a
         NIC link has only index 0).  This is the only writer of a fabric
         link's ``up`` flag: a direct ``link.up = False`` leaves routing
-        and :meth:`fingerprint` healthy, so the flow solver raises on the
-        first flow routed over that link instead of pricing it.  Degrade
-        only a private fabric, never a :func:`shared_fabric` one.
+        and :meth:`fingerprint` healthy, so the flow solver and the ring
+        router (through :meth:`built_links`) raise on the first flow
+        routed over that link instead of pricing it.  Degrade only a private
+        fabric, never a :func:`shared_fabric` one.
         """
         links = self.parallel_links.get((src, dst), ())
         if not 0 <= index < len(links):
@@ -236,20 +310,26 @@ class ClosFabric:
             return 2  # nic -> tor -> nic
         return 6  # nic -> tor -> agg -> spine -> agg -> tor -> nic
 
-    def _pick(self, src: str, dst: str, flow_id: int, count: int, bandwidth: float) -> Link:
-        candidates = self._bundle(src, dst, count, bandwidth)
-        if self._down:
-            candidates = [
-                l for i, l in enumerate(candidates) if (src, dst, i) not in self._down
-            ]
-            if not candidates:
-                raise RuntimeError(f"no live link {src} -> {dst}")
-        return candidates[ecmp_choice(flow_id, src, dst, len(candidates))]
+    def built_links(self, link_ids: Sequence[int]) -> List[Tuple[int, Link]]:
+        """``(position, Link)`` of each of ``link_ids`` whose ``Link`` is built.
 
-    def path(self, src: int, dst: int, rail: int, flow_id: int = 0) -> List[Link]:
-        """ECMP-resolved link path for a rail-aligned flow.
+        Where a link is built, its ``Link`` is the record of its state:
+        :meth:`set_link_state` builds the whole graph before it writes,
+        so a link never built was never written, and a direct write to a
+        built link (``up``, ``bandwidth``) is seen here.
+        """
+        if not self._links:
+            return []
+        get = self._links.get
+        return [(i, link) for i, link in enumerate(map(get, link_ids)) if link is not None]
 
-        Builds only the bundles it picks from (see the class docstring).
+    def _hops(
+        self, src: int, dst: int, rail: int, flow_id: int
+    ) -> List[Tuple[str, str, int, int, float]]:
+        """The bundles a rail-aligned flow crosses, in path order, as
+        ``(src device, dst device, first link id, members, bandwidth)``.
+
+        ECMP picks the agg and spine switches by hashing device names.
         """
         self._check_node(src)
         self._check_node(dst)
@@ -263,23 +343,52 @@ class ClosFabric:
         src_tor = self.tor_name(src_pod, rail)
         dst_tor = self.tor_name(dst_pod, rail)
         nic = self.nic_rate
-        if src_pod == dst_pod:
-            return [
-                self._pick(src_nic, src_tor, flow_id, 1, nic),
-                self._pick(src_tor, dst_nic, flow_id, 1, nic),
-            ]
+        up = (src_nic, src_tor, self.nic_up(src, rail), 1, nic)
+        down = (dst_tor, dst_nic, self.nic_down(dst, rail), 1, nic)
+        if src_pod == dst_pod:  # then dst_tor is src_tor
+            return [up, down]
         tors, tor_rate = self.tor_uplinks_per_agg, self._tor.uplink_rate
         aggs, agg_rate = self.agg_uplinks_per_spine, self._agg.uplink_rate
-        agg_up = f"agg{src_pod}.{ecmp_choice(flow_id, src_tor, 'aggsel', self.aggs_per_pod)}"
-        spine = f"spine{ecmp_choice(flow_id, agg_up, 'spinesel', self.n_spines)}"
-        agg_down = f"agg{dst_pod}.{ecmp_choice(flow_id, spine, 'aggdown', self.aggs_per_pod)}"
+        a_up = ecmp_choice(flow_id, src_tor, "aggsel", self.aggs_per_pod)
+        agg_up = f"agg{src_pod}.{a_up}"
+        s = ecmp_choice(flow_id, agg_up, "spinesel", self.n_spines)
+        spine = f"spine{s}"
+        a_down = ecmp_choice(flow_id, spine, "aggdown", self.aggs_per_pod)
+        agg_down = f"agg{dst_pod}.{a_down}"
         return [
-            self._pick(src_nic, src_tor, flow_id, 1, nic),
-            self._pick(src_tor, agg_up, flow_id, tors, tor_rate),
-            self._pick(agg_up, spine, flow_id, aggs, agg_rate),
-            self._pick(spine, agg_down, flow_id, aggs, agg_rate),
-            self._pick(agg_down, dst_tor, flow_id, tors, tor_rate),
-            self._pick(dst_tor, dst_nic, flow_id, 1, nic),
+            up,
+            (src_tor, agg_up, self._tor_agg(src_pod, rail, a_up), tors, tor_rate),
+            (agg_up, spine, self._agg_spine(src_pod, a_up, s), aggs, agg_rate),
+            (spine, agg_down, self._agg_spine(dst_pod, a_down, s) + self._spine_down, aggs, agg_rate),
+            (agg_down, dst_tor, self._tor_agg(dst_pod, rail, a_down) + self._tor_down, tors, tor_rate),
+            down,
+        ]
+
+    def _pick(self, src: str, dst: str, flow_id: int, count: int) -> int:
+        """The member of the ``src -> dst`` bundle a flow's ECMP hash picks,
+        skipping the members :meth:`set_link_state` took down."""
+        if not self._down:
+            return ecmp_choice(flow_id, src, dst, count)
+        live = [i for i in range(count) if (src, dst, i) not in self._down]
+        if not live:
+            raise RuntimeError(f"no live link {src} -> {dst}")
+        return live[ecmp_choice(flow_id, src, dst, len(live))]
+
+    def path(self, src: int, dst: int, rail: int, flow_id: int = 0) -> List[Link]:
+        """ECMP-resolved link path for a rail-aligned flow.
+
+        Builds only the bundles it picks from (see the class docstring).
+        """
+        return [
+            self._bundle(a, b, first, count, bandwidth)[self._pick(a, b, flow_id, count)]
+            for a, b, first, count, bandwidth in self._hops(src, dst, rail, flow_id)
+        ]
+
+    def path_ids(self, src: int, dst: int, rail: int, flow_id: int = 0) -> List[int]:
+        """The link ids of :meth:`path`'s route: same picks and errors, no ``Link``."""
+        return [
+            first + self._pick(a, b, flow_id, count)
+            for a, b, first, count, _ in self._hops(src, dst, rail, flow_id)
         ]
 
 

@@ -14,7 +14,6 @@ from repro.collectives import (
     fabric_collective_cost,
     ring_all_gather,
     ring_all_reduce,
-    ring_flows,
     route_step,
     validate_backend,
 )
@@ -25,6 +24,7 @@ from repro.network import ClosFabric, Flow, Link
 from repro.network.topology import LINK_LATENCY
 from repro.parallel import ParallelPlan
 from tests.metrics import counter, reset_cache
+from tests.oracles.fabric import ring_flows
 
 
 def _fabric(n_nodes=16, nodes_per_pod=8):

@@ -94,17 +94,17 @@ def test_link_taken_down_mid_collective_raises():
 
 
 def test_run_solves_max_min_once_per_collective(fabric, monkeypatch):
-    # The solver is patched where the shared step pricer calls it.
+    # The water-fill is patched where the shared ring router calls it.
     from repro.collectives import fabric as fabric_module
 
     solved = []
-    real = fabric_module.max_min_fair_rates
+    real = fabric_module._waterfill
 
-    def counting(flows):
-        solved.append(len(flows))
-        return real(flows)
+    def counting(demand, *edges):
+        solved.append(len(demand))
+        return real(demand, *edges)
 
-    monkeypatch.setattr(fabric_module, "max_min_fair_rates", counting)
+    monkeypatch.setattr(fabric_module, "_waterfill", counting)
     run = make_runtime(fabric, [0, 1, 2, 3]).run("all_reduce", 2e9)
     assert len(run.steps) == 6
     assert solved == [4]  # one solve of the four ring flows serves every step

@@ -127,6 +127,42 @@ def test_memo_cache_evicts_least_recently_used():
     assert cache.get("a") == 1 and cache.get("c") == 3
 
 
+class CountingKey:
+    """A key that counts how often it is hashed."""
+
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 7
+
+    def __eq__(self, other):
+        return self is other
+
+
+def test_memo_hit_hashes_its_key_once_or_twice_on_an_lru():
+    for maxsize, most in ((None, 1), (2, 2)):
+        cache = MemoCache(f"test-hashes-{maxsize}", maxsize=maxsize)
+        key = CountingKey()
+        assert cache.lookup(key, lambda: 1) == 1
+        key.hashes = 0
+        assert cache.lookup(key, lambda: 2) == 1  # a hit
+        assert key.hashes <= most and cache.hits == 1
+
+
+def test_memoized_hit_hashes_its_arguments_once():
+    @memoized("test-dummy-hashes")
+    def ident(x):
+        return x
+
+    key = CountingKey()
+    assert ident(key) is key
+    key.hashes = 0
+    assert ident(key) is key
+    assert key.hashes == 1
+
+
 def test_memo_cache_unbounded_by_default():
     cache = MemoCache("test-unbounded")
     for i in range(1000):

@@ -123,6 +123,23 @@ def test_link_validation():
 def test_fabric_validation():
     with pytest.raises(ValueError):
         ClosFabric(n_nodes=0)
+    # Each bad shape field is named when the fabric is built, not at the
+    # first route that reaches it.
+    for field, value in (
+        ("aggs_per_pod", 0),
+        ("n_spines", 0),
+        ("tor_uplinks_per_agg", 0),
+        ("agg_uplinks_per_spine", -1),
+        ("nic_rate", -5.0),
+        ("nic_rate", float("nan")),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ClosFabric(n_nodes=8, nodes_per_pod=4, **{field: value})
+    assert ClosFabric(n_nodes=8, nic_rate=0.0).nic_rate > 0  # 0 derives it
+    from repro.collectives import fabric_collective_cost
+
+    with pytest.raises(ValueError, match="^gpus_per_node must be at least 1"):
+        fabric_collective_cost("all_gather", 1e9, range(8), make_fabric(8), gpus_per_node=0)
 
 
 # -- lazy link graph -------------------------------------------------------------
