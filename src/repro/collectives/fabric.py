@@ -119,18 +119,16 @@ DEFAULT_PFC_PENALTY = PfcPenaltyModel()
 class RoutedStepCost:
     """Routing outcome of one ring step (all pair transfers concurrent).
 
-    ``utilization`` and ``oversubscription`` are derived from the
-    *effective* rates actually charged to the transfers — after
-    congestion-control efficiency and PFC pause derating — so the
-    ``network``-lane gauges report realized link load, not the
-    pre-derate fair-share allocation.
+    ``utilization`` is derived from the *effective* rates actually
+    charged to the transfers — after congestion-control efficiency and
+    PFC pause derating — so the ``network``-lane gauges report realized
+    link load, not the pre-derate fair-share allocation.
     """
 
     duration: float  # slowest flow's completion time
     n_flows: int  # inter-node flows (same-host pairs are skipped)
     max_link_load: int  # flows sharing the most-loaded link
     utilization: float  # worst link's effective-rate utilization
-    oversubscription: float  # worst effective offered-load / capacity (0 if unbounded demand)
     paused_flows: int  # flows paying a PFC penalty
     slowest_flow: int  # index of the flow setting the duration
 
@@ -170,7 +168,6 @@ class RoutedStep:
 
     max_link_load: int  # flows sharing the most-loaded link
     utilization: float  # worst link's effective-rate utilization
-    oversubscription: float  # worst effective offered-load / capacity (0 if unbounded demand)
     paused_flows: int  # flows paying a PFC penalty
     software_latency: float  # a flowless step's whole price
     flows: Tuple[Tuple[int, float, float], ...]  # (flow id, effective rate, latency)
@@ -181,7 +178,7 @@ class RoutedStep:
         if segment_bytes < 0:
             raise ValueError("segment_bytes must be non-negative")
         if not self.flows:
-            return RoutedStepCost(self.software_latency, 0, 0, 0.0, 0.0, 0, 0)
+            return RoutedStepCost(self.software_latency, 0, 0, 0.0, 0, 0)
         duration, slowest = 0.0, 0
         for flow_id, rate, latency in self.flows:
             t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + latency
@@ -192,7 +189,6 @@ class RoutedStep:
             n_flows=len(self.flows),
             max_link_load=self.max_link_load,
             utilization=self.utilization,
-            oversubscription=self.oversubscription,
             paused_flows=self.paused_flows,
             slowest_flow=slowest,
         )
@@ -279,7 +275,7 @@ def price_route(
         raise ValueError("cc_efficiency must be in (0, 1]")
     n_flows = len(route.flow_ids)
     if not n_flows:
-        return RoutedStep(0, 0.0, 0.0, 0, software_latency, ())
+        return RoutedStep(0, 0.0, 0, software_latency, ())
     route.check_up(fabric)
     # Links numbered densely in id order: only min and bincount read the
     # numbering, so it leaves every float as the flow solver's.
@@ -311,7 +307,7 @@ def route_step(
     if not 0 < cc_efficiency <= 1:
         raise ValueError("cc_efficiency must be in (0, 1]")
     if not flows:
-        return RoutedStep(0, 0.0, 0.0, 0, software_latency, ())
+        return RoutedStep(0, 0.0, 0, software_latency, ())
     max_min_fair_rates(flows)
     _, edge_flow, edge_link, bandwidth = _index_links(flows)
     return _price(
@@ -340,17 +336,16 @@ def _price(
 
     PFC pauses trigger on the *offered* wire load (what the NICs try to
     push); the realized per-flow goodput then derates by both the
-    congestion-control efficiency and the pause fraction.  Per-link sums
-    use unbuffered ``np.add.at`` over the flow-major edges, so each float
-    is added in the order a per-flow loop adds it.
+    congestion-control efficiency and the pause fraction.  The per-link
+    effective-rate sum uses unbuffered ``np.add.at`` over the flow-major
+    edges, so each float is added in the order a per-flow loop adds it.
     """
     n_links = len(bandwidth)
     load = np.bincount(edge_link, minlength=n_links)
-    capped = np.isfinite(demand)
-    # A capped flow's worst link ratio; all ratios are positive.
+    # A capped (finite-demand) flow's worst link ratio; all ratios are positive.
     ratio = np.zeros(len(flow_ids))
     np.maximum.at(ratio, edge_flow, load[edge_link] * demand[edge_flow] / bandwidth[edge_link])
-    ratio[~capped] = 0.0
+    ratio[~np.isfinite(demand)] = 0.0
     pause = np.zeros(len(flow_ids))
     if penalty is not None:
         for i in np.flatnonzero(ratio > 1.0).tolist():  # no pause at or below 1.0
@@ -359,20 +354,12 @@ def _price(
     rate = rates * cc_efficiency * (1.0 - pause)
     effective = np.zeros(n_links)
     np.add.at(effective, edge_link, rate[edge_flow])
-    offered = np.zeros(n_links)
-    capped_edge = capped[edge_flow]
-    np.add.at(
-        offered,
-        edge_link[capped_edge],
-        (demand * cc_efficiency * (1.0 - pause))[edge_flow[capped_edge]],
-    )
     latency = path_latency + software_latency
     if penalty is not None:
         latency[paused] += penalty.retransmit_latency
     return RoutedStep(
         max_link_load=int(load.max()),
         utilization=float(np.minimum(1.0, effective / bandwidth).max()),
-        oversubscription=float((offered / bandwidth).max()),
         paused_flows=int(paused.sum()),
         software_latency=software_latency,
         flows=tuple(zip(flow_ids.tolist(), rate.tolist(), latency.tolist())),
@@ -443,7 +430,7 @@ class FabricCostModel:
         n_steps = ring_steps(kind, n)
         if n == 1 or size == 0:
             cost = FabricCollectiveCost(
-                kind, float(size), n, 0, RoutedStepCost(0.0, 0, 0, 0.0, 0.0, 0, 0), 0.0
+                kind, float(size), n, 0, RoutedStepCost(0.0, 0, 0, 0.0, 0, 0), 0.0
             )
         else:
             step = self.route(nodes).cost(size / n)

@@ -68,7 +68,7 @@ def interleaved_schedule(p: int, v: int, m: int, stage: int) -> List[PipelineTas
     _validate(p, v, m, stage)
     if v == 1:
         return one_f_one_b_schedule(p, m, stage)
-    _validate_interleaving(p, m)
+    validate_shape(p, v, m)
     total = m * v
     warmup = min((p - stage - 1) * 2 + (v - 1) * p, total)
 
@@ -144,9 +144,7 @@ def compile_schedule(p: int, v: int, m: int) -> CompiledSchedule:
     dependency's position on its stage.  Memoized per shape in a
     bounded cache; ``clear_caches()`` empties it.
     """
-    _validate(p, v, m, 0)
-    if v > 1:
-        _validate_interleaving(p, m)
+    validate_shape(p, v, m)
     total = m * v
     n = 2 * total
     stage = np.arange(p)[:, None]
@@ -203,8 +201,11 @@ def lamb_bubble_reduction(v: int, p: int, m: int, batch_scale: int = 4) -> float
     return 1.0 - after / before
 
 
-def _validate_interleaving(p: int, m: int) -> None:
-    if m % p != 0:
+def validate_shape(p: int, v: int, m: int) -> None:
+    """Raise ``ValueError`` unless a (p, v, m) schedule can run: every
+    count at least 1 and, when interleaving, ``m`` a multiple of ``p``."""
+    _validate(p, v, m, 0)
+    if v > 1 and m % p != 0:
         raise ValueError(f"interleaving requires microbatches ({m}) % stages ({p}) == 0")
 
 

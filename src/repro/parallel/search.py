@@ -282,7 +282,7 @@ def search_plans(
         (
             IterationEngine(
                 model, plan, features, gpu=gpu, backend=backend, profile=profile
-            ).analytic_bounds(global_batch).lower,
+            ).analytic_bounds(global_batch),
             index,
             plan,
         )

@@ -18,6 +18,7 @@ from ..core.features import FeatureSet
 from ..hardware.gpu import GpuSpec
 from ..model.memory import fits
 from ..model.transformer import ModelSpec
+from .pipeline import validate_shape
 from .plan import ParallelPlan
 
 
@@ -74,11 +75,9 @@ def candidate_plans(
 def feasible(model: ModelSpec, plan: ParallelPlan, gpu: GpuSpec, global_batch: int) -> bool:
     """Memory + batch-divisibility feasibility."""
     try:
-        m = plan.n_microbatches(global_batch)
+        validate_shape(plan.pp, plan.vpp, plan.n_microbatches(global_batch))
     except ValueError:
         return False
-    if plan.vpp > 1 and m % plan.pp != 0:
-        return False  # interleaving constraint
     return fits(
         model,
         gpu,

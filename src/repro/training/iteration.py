@@ -24,40 +24,17 @@ from ..hardware.gpu import AMPERE, GpuSpec
 from ..model.blocks import activation_bytes, block_cost, embedding_cost, logits_block_cost
 from ..model.flops import iteration_model_flops
 from ..model.transformer import ModelSpec
-from ..parallel.pipeline import PHASES, compile_schedule, interleaved_schedule, schedule_slots
+from ..parallel.pipeline import (
+    PHASES,
+    compile_schedule,
+    interleaved_schedule,
+    schedule_slots,
+    validate_shape,
+)
 from ..parallel.plan import ParallelPlan
 from ..parallel.zero import dp_comm_events, optimizer_step_time
 from .datapipe import data_pipeline_cost, overlap_window
 from .overlap import dp_exposed_time, pp_policy, tp_exposed_per_layer
-
-
-@dataclass(frozen=True)
-class IterationBounds:
-    """Closed-form brackets on :meth:`IterationEngine.simulate` time.
-
-    Computed without executing the pipeline task graph (and, on the
-    fabric backend, without routing), so they cost microseconds instead
-    of milliseconds.  The guarantees (for the default ``simulate``
-    arguments — uniform stage speeds, zero perturbation) are:
-
-    * ``lower <= simulate(global_batch).iteration_time <= upper``
-
-    ``upper`` is ``math.inf`` on the fabric backend, which has no cheap
-    upper bound (a routed price has no closed-form ceiling).  Component
-    floors (``compute_floor``, ``bubble_floor``, ``comm_floor``) are the
-    analytic terms the lower bound is built from; each is individually a
-    valid floor on its phase of the iteration.
-    """
-
-    lower: float
-    upper: float
-    compute_floor: float  # busiest stage's serial compute (pipeline phase)
-    bubble_floor: float  # warm-up + cool-down dependency chains
-    comm_floor: float  # exposed DP communication (alpha-beta models)
-
-    def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
-            raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +86,6 @@ class IterationEngine:
         features: FeatureSet,
         gpu: GpuSpec = AMPERE,
         comm_model: Optional[GroupCommModel] = None,
-        peak_flops: Optional[float] = None,
         backend: str = "analytic",
         profile: Optional[object] = None,
     ) -> None:
@@ -121,9 +97,9 @@ class IterationEngine:
         :class:`~repro.calibration.CalibratedProfile` (duck-typed to avoid
         an import cycle): its fitted constants override the ``gpu`` spec
         and — for a comm model built here — the collective parameters,
-        without editing any catalog source.  ``peak_flops`` still refers
-        to the *datasheet* peak for MFU accounting, so a profile changes
-        predicted times, never the MFU denominator.
+        without editing any catalog source.  It never fits
+        ``gpu.peak_flops``, the *datasheet* peak of the MFU denominator,
+        so a profile changes predicted times, never that denominator.
         """
         validate_backend(backend)
         self.base_model = model
@@ -133,7 +109,6 @@ class IterationEngine:
         if profile is not None:
             gpu = profile.apply_gpu(gpu)
         self.gpu = gpu
-        self.peak_flops = peak_flops or gpu.peak_flops
         if comm_model is None:
             comm_kwargs = {"backend": backend}
             if profile is not None:
@@ -299,24 +274,18 @@ class IterationEngine:
     def pp_send_counts(self, m: int) -> list:
         """Pipeline sends each stage's NIC carries per iteration.
 
-        Derived from :meth:`_task_sends` so the accounting matches the
-        executed schedule exactly: the last stage's final forward chunk
-        and the first stage's first backward chunk never leave the GPU,
-        so edge stages send fewer than ``2 * m * vpp`` activations.
+        Every stage runs ``m·v`` forwards and ``m·v`` backwards, and each
+        sends its output on but for the two kept on the GPU (see
+        :meth:`_task_sends`): the last stage's final forward chunk feeds
+        the loss and the first stage's first backward chunk has no
+        upstream stage.  So stage ``s`` sends ``m·(2v − [s = p−1] −
+        [s = 0])``, the interleaved schedule's count in Megatron-LM
+        (Narayanan et al., 2021).
         """
         if m < 1:
             raise ValueError("m must be >= 1")
         p, v = self.plan.pp, self.plan.vpp
-        return [
-            m
-            * sum(
-                1
-                for kind in ("F", "B")
-                for chunk in range(v)
-                if self._task_sends(stage, kind, chunk)
-            )
-            for stage in range(p)
-        ]
+        return [m * (2 * v - (s == p - 1) - (s == 0)) for s in range(p)]
 
     # -- analytic bounds (no task-graph execution) ---------------------------------
 
@@ -349,37 +318,30 @@ class IterationEngine:
         optimizer = optimizer_step_time(self.base_model, self.plan, self.gpu.memory_bandwidth)
         return data, dp, optimizer
 
-    def analytic_bounds(self, global_batch: int) -> IterationBounds:
-        """Admissible lower / pessimistic upper bracket on ``simulate``.
+    def analytic_bounds(self, global_batch: int) -> float:
+        """Admissible lower bound on ``simulate(global_batch).iteration_time``.
 
         Everything outside the pipeline phase (data stall, exposed DP
-        communication, optimizer step) is closed-form and priced exactly.
-        The pipeline makespan is bracketed:
-
-        * **Lower** — every stage's schedule begins with the forward of
-          (micro-batch 0, chunk 0) and ends with the backward of (last
-          micro-batch, chunk 0), so the makespan is at least the warm-up
-          chain into the last stage (``(p-1)`` forwards + p2p hops), plus
-          that stage's serial work (``m·v·(F+B)`` + logits extras), plus
-          the cool-down chain back to stage 0 (``(p-1)`` backwards + p2p
-          hops).  With ``v`` interleaved chunks the chain terms carry the
-          classic ``(p-1)/(v·m)`` bubble fraction.  DP exposure is
-          floored at the overlap model's value (the NIC-spill term of
-          ``simulate`` can only add).
-        * **Upper** — at any instant before completion some stage is
-          either computing or a p2p transfer is in flight, so the
-          makespan never exceeds the sum of all stages' serial work plus
-          every dependency edge's transfer time; DP exposure is capped
-          at the total collective time (everything spills).
+        communication, optimizer step) is closed-form and priced exactly;
+        DP exposure is floored at the overlap model's value (the
+        NIC-spill term of ``simulate`` can only add).  The pipeline
+        makespan is floored by the busiest stage's serial work and by a
+        dependency chain: every stage's schedule begins with the forward
+        of (micro-batch 0, chunk 0) and ends with the backward of (last
+        micro-batch, chunk 0), so the makespan is at least the warm-up
+        chain into the last stage (``(p-1)`` forwards + p2p hops), plus
+        that stage's serial work (``m·v·(F+B)`` + logits extras), plus
+        the cool-down chain back to stage 0 (``(p-1)`` backwards + p2p
+        hops).  With ``v`` interleaved chunks the chain terms carry the
+        classic ``(p-1)/(v·m)`` bubble fraction.
 
         On the fabric backend nothing is routed: the DP collectives and
         the p2p hop are floored by
         :meth:`~repro.collectives.groups.GroupCommModel.dp_collective_floor`
         and :meth:`~repro.collectives.groups.GroupCommModel.pp_p2p_floor`
         (a one-host ring or same-host hop keeps its exact analytic
-        price), and ``upper`` is ``math.inf``.  The lower bound stays
-        admissible because every term it floors only grows with the
-        prices it replaces:
+        price).  The bound stays admissible because every term it floors
+        only grows with the prices it replaces:
 
         * no routed flow outruns its NIC x cc demand (the water-fill never
           exceeds a flow's demand, and a PFC pause only derates it);
@@ -392,14 +354,16 @@ class IterationEngine:
         * the data stall shrinks as grad sync grows, so it is floored at
           an unbounded hide window.
 
-        Bounds hold for the default ``simulate`` arguments (uniform
-        stage speeds, no perturbation) — the configuration
-        :func:`~repro.parallel.search.search_plans` prices.
+        A batch or schedule shape ``simulate`` cannot run raises the same
+        ``ValueError`` here.  The bound holds for the default ``simulate``
+        arguments (uniform stage speeds, no perturbation) — the
+        configuration :func:`~repro.parallel.search.search_plans` prices.
         """
         plan = self.plan
         routed = self.backend == "fabric"
         m = plan.n_microbatches(global_batch)
         p, v = plan.pp, plan.vpp
+        validate_shape(p, v, m)
         F, B = self.f_chunk, self.b_chunk
         p2p = 0.0
         if p > 1:
@@ -409,32 +373,11 @@ class IterationEngine:
         stage_work = m * v * (F + B)
         busy_last = stage_work + m * logits
         busy_first = stage_work + m * self.embed_extra + (m * logits if p == 1 else 0.0)
-        compute_floor = max(busy_first, busy_last)
-        bubble_floor = (p - 1) * (F + B + 2.0 * p2p)
-        pipeline_lower = max(compute_floor, busy_last + bubble_floor)
+        bubble = (p - 1) * (F + B + 2.0 * p2p)
+        pipeline = max(busy_first, busy_last + bubble)
 
         data, dp, optimizer = self._dp_phase_times(global_batch, floor=routed)
-        base = data.exposed_stall + optimizer
-        upper = math.inf
-        if not routed:
-            # Upper: all serial work anywhere + every edge's transfer + the
-            # worst-case sender-side blocking of each actual send.
-            sends = sum(self.pp_send_counts(m)) if p > 1 else 0
-            total_busy = (
-                p * stage_work + m * self.embed_extra + m * logits + sends * p2p
-            )
-            pipeline_upper = total_busy + 2.0 * m * v * p * p2p
-            upper = base + pipeline_upper + dp.total_comm
-        # At an exact tie (v = m = 1, no p2p time, no extras) the two sums
-        # can round one ulp apart; keep them ordered in floating point.
-        lower = min(base + pipeline_lower + dp.exposed, upper)
-        return IterationBounds(
-            lower=lower,
-            upper=upper,
-            compute_floor=compute_floor,
-            bubble_floor=bubble_floor,
-            comm_floor=dp.exposed,
-        )
+        return data.exposed_stall + optimizer + pipeline + dp.exposed
 
     # -- full iteration ------------------------------------------------------------
 
@@ -476,7 +419,7 @@ class IterationEngine:
 
         total = data.exposed_stall + pipeline + dp_exposed + optimizer + perturbation
         flops = iteration_model_flops(self.base_model, global_batch)
-        mfu = flops / total / (plan.world_size * self.peak_flops)
+        mfu = flops / total / (plan.world_size * self.gpu.peak_flops)
         tokens = global_batch * self.base_model.seq_len / total
         return IterationResult(
             iteration_time=total,

@@ -31,7 +31,7 @@ def test_engine_profile_overrides_gpu_and_comm():
     assert calibrated.comm.cc_efficiency == 0.85
     assert calibrated.comm.inter_node_latency == 20e-6
     # MFU accounting still uses the datasheet peak
-    assert calibrated.peak_flops == default.peak_flops == AMPERE.peak_flops
+    assert calibrated.gpu.peak_flops == default.gpu.peak_flops == AMPERE.peak_flops
     t_default = default.simulate(16).iteration_time
     t_calibrated = calibrated.simulate(16).iteration_time
     assert t_calibrated > t_default  # derated efficiency -> slower

@@ -111,7 +111,6 @@ def test_congested_cross_pod_ring_step_is_pinned():
     assert cost.step.paused_flows == 27
     assert cost.step.slowest_flow == 1
     assert cost.step.max_link_load == 4
-    assert cost.step.oversubscription == 1.656
     assert cost.time == 0.09719503381642512
 
 
@@ -175,19 +174,17 @@ def test_utilization_reports_effective_rates():
     flows = [Flow(0, [link], demand=10.0)]
     cost = route_step(flows, RING_SOFTWARE_LATENCY, 0.5, None).cost(1e3)
     assert cost.utilization == pytest.approx(0.5)
-    assert cost.oversubscription == pytest.approx(0.5)
 
 
-def test_oversubscription_reports_derated_offered_load():
-    # demand 30 on a 10 B/s link: the raw 3.0x ratio triggers the PFC
-    # pause (0.1/excess -> 20% paused), and the *reported* gauges then
-    # reflect what is actually pushed and charged after derating.
+def test_offered_load_pauses_and_derates_utilization():
+    # demand 30 on a 10 B/s link: the raw 3.0x offered ratio triggers the
+    # PFC pause (0.1/excess -> 20% paused), and the reported utilization
+    # then reflects the rate actually charged after derating.
     penalty = PfcPenaltyModel(pause_per_excess=0.1, retransmit_latency=0.0)
     link = Link(src="a", dst="b", bandwidth=10.0, latency=1e-6)
     flows = [Flow(0, [link], demand=30.0)]
     cost = route_step(flows, RING_SOFTWARE_LATENCY, 1.0, penalty).cost(1e3)
     assert cost.paused_flows == 1
-    assert cost.oversubscription == pytest.approx(30.0 * 0.8 / 10.0)  # 2.4, not 3.0
     assert cost.utilization == pytest.approx(10.0 * 0.8 / 10.0)
 
 
@@ -195,7 +192,6 @@ def test_unbounded_demand_never_pays_pfc():
     flows = ring_flows(_fabric(), range(8), float("inf"))
     cost = route_step(flows, RING_SOFTWARE_LATENCY, 1.0, PfcPenaltyModel()).cost(1e6)
     assert cost.paused_flows == 0
-    assert cost.oversubscription == 0.0
 
 
 # -- backend dispatch ----------------------------------------------------------

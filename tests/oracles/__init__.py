@@ -25,4 +25,12 @@ optimized production paths are held to.
 * :mod:`tests.oracles.gates` — the smoke job's scenario gates over
   :func:`repro.scheduler.run_policy` and
   :func:`repro.observability.diagnosis.run_scenario`.
+* :mod:`tests.oracles.placement` — the scan-based placement queries
+  (pods of a job, pod load, contention, alive and claimable hosts)
+  behind :class:`repro.scheduler.placement.PlacementMap`'s maintained
+  counts.
+* :mod:`tests.oracles.bounds` — the pessimistic upper bound on one
+  iteration, the ceiling that the plan search's admissible floor
+  :meth:`repro.training.iteration.IterationEngine.analytic_bounds` is
+  bracketed and dominance-checked against.
 """

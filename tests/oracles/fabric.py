@@ -51,7 +51,7 @@ def route_step(
     if not 0 < cc_efficiency <= 1:
         raise ValueError("cc_efficiency must be in (0, 1]")
     if not flows:
-        return RoutedStep(0, 0.0, 0.0, 0, software_latency, ())
+        return RoutedStep(0, 0.0, 0, software_latency, ())
     max_min_fair_rates(flows)
 
     load: Dict[Link, int] = {}
@@ -63,11 +63,9 @@ def route_step(
     paused = 0
     priced: List[Tuple[int, float, float]] = []
     effective: Dict[Link, float] = {}
-    offered: Dict[Link, float] = {}
     for flow in flows:
-        capped = math.isfinite(flow.demand)
         ratio = 0.0
-        if capped:
+        if math.isfinite(flow.demand):
             ratio = max(load[l] * flow.demand / l.bandwidth for l in flow.path)
         pause = penalty.pause_fraction(ratio) if penalty is not None else 0.0
         if pause > 0.0:
@@ -75,22 +73,14 @@ def route_step(
         rate = flow.rate * cc_efficiency * (1.0 - pause)
         for link in flow.path:
             effective[link] = effective.get(link, 0.0) + rate
-            if capped:
-                offered[link] = (
-                    offered.get(link, 0.0) + flow.demand * cc_efficiency * (1.0 - pause)
-                )
         latency = sum(l.latency for l in flow.path) + software_latency
         if pause > 0.0:
             latency += penalty.retransmit_latency
         priced.append((flow.flow_id, rate, latency))
     utilization = max(min(1.0, effective[l] / l.bandwidth) for l in load)
-    oversubscription = max(
-        (value / link.bandwidth for link, value in offered.items()), default=0.0
-    )
     return RoutedStep(
         max_link_load=max_link_load,
         utilization=utilization,
-        oversubscription=oversubscription,
         paused_flows=paused,
         software_latency=software_latency,
         flows=tuple(priced),

@@ -27,6 +27,7 @@ from repro.parallel.search import (
 from repro.parallel.tuner import candidate_plans, evaluate_plan, feasible
 from repro.training.iteration import IterationEngine
 from tests.metrics import counter, gauge_series
+from tests.oracles.bounds import upper_bound
 
 
 # -- exactness: pruned search == exhaustive search ----------------------------
@@ -88,10 +89,10 @@ def test_search_parallel_matches_serial():
 def test_serial_search_never_prices_a_dominated_candidate(
     name, n_gpus, batch, features, top_k, max_micro_batch
 ):
-    """A candidate with ``top_k`` feasible rivals whose upper bound lies
-    below its lower bound cannot reach the top-k; the best-first ladder
-    prices all such rivals first, so the serial search never prices it —
-    and the pruned top-k is the exhaustive one."""
+    """A candidate with ``top_k`` feasible rivals whose upper bound (the
+    test oracle's) lies below its lower bound cannot reach the top-k; the
+    best-first ladder prices all such rivals first, so the serial search
+    never prices it — and the pruned top-k is the exhaustive one."""
     model = MODEL_CATALOG[name]
     plans = sorted(
         (
@@ -116,7 +117,9 @@ def test_serial_search_never_prices_a_dominated_candidate(
     )
     assert pruned.top == brute.top
 
-    bounds = [IterationEngine(model, p, features).analytic_bounds(batch) for p in plans]
+    engines = [IterationEngine(model, p, features) for p in plans]
+    lower = [engine.analytic_bounds(batch) for engine in engines]
+    upper = [upper_bound(engine, batch) for engine in engines]
     priced = [
         span.attr("candidate")
         for span in hub.spans("exec")
@@ -124,9 +127,7 @@ def test_serial_search_never_prices_a_dominated_candidate(
     ]
     assert len(priced) == pruned.stats.evaluated
     for i in priced:
-        certified = sum(
-            1 for j, b in enumerate(bounds) if j != i and b.upper < bounds[i].lower
-        )
+        certified = sum(1 for j, u in enumerate(upper) if j != i and u < lower[i])
         assert certified < top_k, (plans[i], certified)
 
 
@@ -157,6 +158,31 @@ def test_1024_gpu_search_prunes_majority_of_engine_calls(monkeypatch):
     assert pruned_calls <= 0.5 * brute_calls  # ...at <= half the engine work
 
 
+# -- the ladder ---------------------------------------------------------------
+
+# (model, GPUs, batch, features, top_k, feasible, evaluated per backend).
+LADDER = [
+    ("gpt-175b", 1024, 768, MEGASCALE_ISO_BATCH, 5, 79, {"analytic": 10, "fabric": 10}),
+    ("gpt-175b", 3072, 6144, MEGATRON_LM, 3, 196, {"analytic": 17, "fabric": 19}),
+    ("gpt-175b", 12288, 6144, MEGASCALE_ISO_BATCH, 5, 181, {"analytic": 16, "fabric": 10}),
+    ("gpt-530b", 2240, 2240, MEGATRON_LM, 3, 21, {"analytic": 6, "fabric": 6}),
+]
+
+
+@pytest.mark.parametrize("backend", ["analytic", "fabric"])
+@pytest.mark.parametrize("name,n_gpus,batch,features,top_k,n_feasible,evaluated", LADDER)
+def test_ladder_prices_pinned_candidate_counts(
+    name, n_gpus, batch, features, top_k, n_feasible, evaluated, backend
+):
+    """The lower bound orders the ladder, and the ladder decides how many
+    candidates the search prices.  A bound change that keeps every
+    leaderboard exact but reorders the ladder moves these counts."""
+    stats = search_plans(
+        MODEL_CATALOG[name], n_gpus, batch, features=features, top_k=top_k, backend=backend
+    ).stats
+    assert (stats.feasible, stats.evaluated) == (n_feasible, evaluated[backend])
+
+
 # -- admissibility: lower <= exact <= upper -----------------------------------
 
 
@@ -169,11 +195,12 @@ def test_bounds_bracket_exact_engine_time(model, n_gpus, batch, features):
     ]
     assert plans
     for plan in plans:
-        bounds = IterationEngine(model, plan, features).analytic_bounds(batch)
+        engine = IterationEngine(model, plan, features)
+        lower, upper = engine.analytic_bounds(batch), upper_bound(engine, batch)
         exact = evaluate_plan(plan, model, features, AMPERE, batch).iteration_time
-        assert bounds.lower <= exact + 1e-9, f"inadmissible lower bound for {plan}"
-        assert exact <= bounds.upper + 1e-9, f"upper bound below exact for {plan}"
-        assert bounds.lower <= bounds.upper
+        assert lower <= exact + 1e-9, f"inadmissible lower bound for {plan}"
+        assert exact <= upper + 1e-9, f"upper bound below exact for {plan}"
+        assert lower <= upper
 
 
 @settings(max_examples=15, deadline=None)
@@ -200,13 +227,11 @@ def test_fabric_bounds_admissible_and_pruned_fabric_search_exact(
     fabric = ClosFabric(n_nodes=-(-n_gpus // 8), nodes_per_pod=nodes_per_pod)
     comm = GroupCommModel(plan=plan, fabric=fabric, backend="fabric")
     engine = IterationEngine(model, plan, MEGASCALE_ISO_BATCH, comm_model=comm)
-    bounds = engine.analytic_bounds(batch)
     exact = engine.simulate(batch).iteration_time
     # The floors are exact in floating point; the bound sums its terms in
     # another order than ``simulate``, which can round a tight (pp=1)
     # bound up to two ulps over, on either backend.
-    assert bounds.lower <= exact * (1 + 1e-15)
-    assert bounds.upper == math.inf
+    assert engine.analytic_bounds(batch) <= exact * (1 + 1e-15)
 
 
 def test_cold_fabric_bounds_route_nothing(monkeypatch):
@@ -249,8 +274,20 @@ def test_cold_fabric_bounds_route_nothing(monkeypatch):
 
 def test_analytic_bounds_validate_inputs():
     engine = IterationEngine(GPT_13B, ParallelPlan(dp=4, tp=2, pp=2), MEGASCALE_ISO_BATCH)
-    bounds = engine.analytic_bounds(64)
-    assert 0 < bounds.compute_floor <= bounds.lower <= bounds.upper
+    floor = engine.analytic_bounds(64)
+    assert isinstance(floor, float) and 0 < floor <= upper_bound(engine, 64)
+    # The bound refuses every shape ``simulate`` cannot run, with its error.
+    with pytest.raises(ValueError, match="not divisible into micro-batches"):
+        engine.analytic_bounds(66)
+    interleaved = IterationEngine(
+        GPT_175B, ParallelPlan(dp=2, tp=8, pp=8, vpp=2), MEGASCALE_ISO_BATCH
+    )
+    for price in (interleaved.analytic_bounds, interleaved.simulate):
+        with pytest.raises(
+            ValueError, match=r"^interleaving requires microbatches \(4\) % stages \(8\) == 0$"
+        ):
+            price(8)
+    assert interleaved.analytic_bounds(16) > 0  # m = 8 runs
 
 
 # -- canonical order ----------------------------------------------------------

@@ -78,7 +78,7 @@ def _pipeline_shapes(draw):
     F=st.floats(1e-3, 10.0),
     B=st.floats(1e-3, 10.0),
 )
-# A tie (v = m = 1) whose lower-bound sum rounded one ulp above the upper.
+# One micro-batch: the whole pipeline phase is the warm-up and cool-down chains.
 @example(shape=(6, 1, 1), F=1.0, B=2.7353998875211243)
 def test_pipeline_makespan_matches_bubble_theory(shape, F, B):
     # Megatron-LM's interleaved bubble (Narayanan et al. 2021): with no p2p
@@ -90,8 +90,11 @@ def test_pipeline_makespan_matches_bubble_theory(shape, F, B):
     engine.p2p_time = engine.embed_extra = engine.logits_fwd = engine.logits_bwd = 0.0
     expected = m * v * (F + B) * (1 + bubble_fraction(p, v, m))
     assert engine.pipeline_makespan(m)[0] == pytest.approx(expected, rel=1e-12)
-    bounds = engine.analytic_bounds(global_batch=m)
-    assert bounds.compute_floor + bounds.bubble_floor == pytest.approx(expected, rel=1e-12)
+    # Outside the pipeline phase the bound prices the step exactly.
+    data, dp, optimizer = engine._dp_phase_times(m)
+    floor = engine.analytic_bounds(global_batch=m)
+    assert floor == pytest.approx(data.exposed_stall + optimizer + dp.exposed + expected, rel=1e-12)
+    assert floor == pytest.approx(engine.simulate(m).iteration_time, rel=1e-12)
 
 
 def test_straggler_detection_pipeline_round_trip():

@@ -166,19 +166,18 @@ def test_pp_send_counts_exclude_edge_chunks(engines):
     assert sum(counts) == 2 * m * (8 * 6 - 1)
 
 
-def test_pp_send_counts_match_task_sends_predicate(engines):
-    engine = engines["megascale"]
-    m = 3
-    brute = [
-        m
-        * sum(
-            engine._task_sends(s, kind, c)
-            for kind in ("F", "B")
-            for c in range(engine.plan.vpp)
-        )
-        for s in range(engine.plan.pp)
-    ]
-    assert engine.pp_send_counts(m) == brute
+def test_pp_send_counts_match_task_sends_predicate():
+    # The closed form counts what the executed schedule sends: every
+    # (kind, chunk) task per micro-batch that _task_sends lets leave the GPU.
+    for pp, vpp in [(8, 6), (4, 3), (3, 1), (2, 2), (2, 1), (1, 1)]:
+        plan = ParallelPlan(dp=1, tp=8, pp=pp, vpp=vpp)
+        engine = IterationEngine(GPT_175B, plan, MEGASCALE)
+        for m in (1, 3):
+            brute = [
+                m * sum(engine._task_sends(s, kind, c) for kind in ("F", "B") for c in range(vpp))
+                for s in range(pp)
+            ]
+            assert engine.pp_send_counts(m) == brute, (pp, vpp, m)
     with pytest.raises(ValueError):
         engine.pp_send_counts(0)
 
