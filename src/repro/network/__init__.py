@@ -8,12 +8,12 @@ from .congestion import (
     SwiftControl,
     simulate_bottleneck,
 )
-from .ecmp import ConflictStats, conflict_stats, expected_conflict_stats, port_split_benefit
+from .ecmp import ConflictStats, expected_conflict_stats, port_split_benefit
 from .flapping import FlapEvent, flap_downtime_in_window
 from .flow import Flow, max_min_fair_rates
 from .link import Link
 from .pfc import PfcState
-from .routing import ecmp_choice, hash_flows_onto_uplinks
+from .routing import ecmp_choice, ecmp_choices
 from .switch import TOMAHAWK4, SwitchSpec, agg_role, tor_role
 from .topology import ClosFabric, shared_fabric
 from .transfers import Transfer, TransferEngine
@@ -50,11 +50,10 @@ __all__ = [
     "TransferEngine",
     "ValidationReport",
     "agg_role",
-    "conflict_stats",
     "ecmp_choice",
+    "ecmp_choices",
     "expected_conflict_stats",
     "flap_downtime_in_window",
-    "hash_flows_onto_uplinks",
     "max_min_fair_rates",
     "port_split_benefit",
     "shared_fabric",

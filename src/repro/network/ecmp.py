@@ -13,12 +13,11 @@ Two mitigations from the paper, both quantifiable here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..exec.memo import memoized
-from .routing import hash_flows_onto_uplinks
+from .routing import ecmp_choices
 
 
 @dataclass(frozen=True)
@@ -31,47 +30,7 @@ class ConflictStats:
     max_load: int
     mean_flow_throughput: float  # fraction of demand achieved, averaged
     min_flow_throughput: float
-    conflict_probability: float  # P(at least one flow degraded)
-
-
-def conflict_stats(
-    flow_ids: Sequence[int],
-    n_uplinks: int,
-    uplink_to_flow_rate: float = 1.0,
-    src: str = "tor",
-    dst: str = "agg",
-) -> ConflictStats:
-    """Evaluate one concrete hashing outcome.
-
-    ``uplink_to_flow_rate`` is the ratio of uplink bandwidth to each
-    flow's full demand: 1.0 models unsplit ports (400G flows on 400G
-    uplinks), 2.0 models the paper's split ports (200G flows on 400G
-    uplinks).
-    """
-    if not flow_ids:
-        raise ValueError("need at least one flow")
-    buckets = hash_flows_onto_uplinks(flow_ids, src, dst, n_uplinks)
-    throughputs = []
-    degraded = 0
-    for flows in buckets.values():
-        load = len(flows)
-        if load == 0:
-            continue
-        # Flows on a shared uplink split its bandwidth equally.
-        share = min(1.0, uplink_to_flow_rate / load)
-        throughputs.extend([share] * load)
-        if share < 1.0:
-            degraded += load
-    arr = np.asarray(throughputs)
-    return ConflictStats(
-        n_flows=len(flow_ids),
-        n_uplinks=n_uplinks,
-        uplink_to_flow_rate=uplink_to_flow_rate,
-        max_load=max(len(v) for v in buckets.values()),
-        mean_flow_throughput=float(arr.mean()),
-        min_flow_throughput=float(arr.min()),
-        conflict_probability=degraded / len(flow_ids),
-    )
+    conflict_probability: float  # P(a flow is degraded): degraded flows / n_flows
 
 
 def expected_conflict_stats(
@@ -81,26 +40,44 @@ def expected_conflict_stats(
     trials: int = 200,
     seed: int = 0,
 ) -> ConflictStats:
-    """Monte-Carlo average over random flow 5-tuples (fresh ids per trial)."""
+    """Monte-Carlo average over random flow 5-tuples (fresh ids per trial).
+
+    Each trial hashes ``n_flows`` fresh ids onto ``n_uplinks`` ToR
+    uplinks; flows on a shared uplink split its bandwidth equally.
+    ``uplink_to_flow_rate`` is the ratio of uplink bandwidth to each
+    flow's full demand: 1.0 models unsplit ports (400G flows on 400G
+    uplinks), 2.0 models the paper's split ports (200G flows on 400G
+    uplinks).  All trials are priced in one array pass, one row each.
+    """
+    if n_flows < 1:
+        raise ValueError(f"n_flows must be at least 1, got {n_flows}")
+    if n_uplinks < 1:
+        raise ValueError(f"n_uplinks must be at least 1, got {n_uplinks}")
+    if not uplink_to_flow_rate > 0:  # NaN too: it would price as no conflict
+        raise ValueError(f"uplink_to_flow_rate must be > 0, got {uplink_to_flow_rate}")
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    means, mins, probs, max_loads = [], [], [], []
-    for _ in range(trials):
-        ids = rng.integers(0, 2**31, size=n_flows).tolist()
-        s = conflict_stats(ids, n_uplinks, uplink_to_flow_rate)
-        means.append(s.mean_flow_throughput)
-        mins.append(s.min_flow_throughput)
-        probs.append(s.conflict_probability)
-        max_loads.append(s.max_load)
+    uplinks = np.empty((trials, n_flows), dtype=np.uint32)
+    for row in uplinks:
+        row[:] = ecmp_choices(rng.integers(0, 2**31, size=n_flows).tolist(), "tor", "agg", n_uplinks)
+    # A sorted row lists its flows uplink by uplink, so its shares sum in
+    # the same order as a per-trial list of them would.
+    uplinks.sort(axis=1)
+    # Number each (trial, uplink) bucket apart, so a load counts one row.
+    buckets = uplinks + np.arange(0, trials * n_uplinks, n_uplinks)[:, None]
+    _, bucket, sizes = np.unique(buckets.ravel(), return_inverse=True, return_counts=True)
+    loads = sizes[bucket].reshape(trials, n_flows)
+    shares = np.minimum(1.0, uplink_to_flow_rate / loads)
+    degraded = np.count_nonzero(shares < 1.0, axis=1)
     return ConflictStats(
         n_flows=n_flows,
         n_uplinks=n_uplinks,
         uplink_to_flow_rate=uplink_to_flow_rate,
-        max_load=int(np.mean(max_loads).round()),
-        mean_flow_throughput=float(np.mean(means)),
-        min_flow_throughput=float(np.mean(mins)),
-        conflict_probability=float(np.mean(probs)),
+        max_load=int(np.mean(loads.max(axis=1)).round()),
+        mean_flow_throughput=float(np.mean(shares.mean(axis=1))),
+        min_flow_throughput=float(np.mean(shares.min(axis=1))),
+        conflict_probability=float(np.mean(degraded / n_flows)),
     )
 
 

@@ -10,7 +10,9 @@ of §3.6).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence
+from typing import Iterable
+
+import numpy as np
 
 
 def ecmp_choice(flow_id: int, src: str, dst: str, n_choices: int) -> int:
@@ -23,9 +25,14 @@ def ecmp_choice(flow_id: int, src: str, dst: str, n_choices: int) -> int:
     return int.from_bytes(digest[:4], "little") % n_choices
 
 
-def hash_flows_onto_uplinks(flow_ids: Sequence[int], src: str, dst: str, n_uplinks: int) -> Dict[int, List[int]]:
-    """Map uplink index -> flows hashed onto it."""
-    buckets: Dict[int, List[int]] = {i: [] for i in range(n_uplinks)}
-    for fid in flow_ids:
-        buckets[ecmp_choice(fid, src, dst, n_uplinks)].append(fid)
-    return buckets
+def ecmp_choices(flow_ids: Iterable[int], src: str, dst: str, n_choices: int) -> np.ndarray:
+    """:func:`ecmp_choice` of every flow id, as one uint32 array.
+
+    Each key is hashed once and the first four digest bytes of all of
+    them are read as little-endian words in one ``np.frombuffer``.
+    ``n_choices`` must fit in a uint32.
+    """
+    if n_choices < 1:
+        raise ValueError("need at least one next-hop choice")
+    words = b"".join([hashlib.md5(f"{flow_id}:{src}:{dst}".encode()).digest()[:4] for flow_id in flow_ids])
+    return np.frombuffer(words, dtype="<u4") % n_choices

@@ -3,6 +3,9 @@ optimized production paths are held to.
 
 * :mod:`tests.oracles.flow` — the per-flow max-min water-fill (§3.6
   bandwidth sharing) behind :func:`repro.network.flow.max_min_fair_rates`.
+* :mod:`tests.oracles.ecmp` — the per-trial ECMP conflict model (§3.6
+  hash conflicts: a dict of uplink buckets per trial) behind
+  :func:`repro.network.ecmp.expected_conflict_stats`'s array pass.
 * :mod:`tests.oracles.fabric` — the ``Link``-list ring router and
   ``Link``-keyed step pricer behind
   :func:`repro.collectives.fabric.ring_route` and
