@@ -85,12 +85,16 @@ def scenario_name(text: str) -> str:
     return text
 
 
-def _add_job_args(parser: argparse.ArgumentParser) -> None:
+def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     from .model import MODEL_CATALOG
 
     parser.add_argument("--gpus", type=positive_int, default=1024)
     parser.add_argument("--batch", type=positive_int, default=768)
     parser.add_argument("--model", choices=sorted(MODEL_CATALOG), default="gpt-175b")
+
+
+def _add_job_args(parser: argparse.ArgumentParser) -> None:
+    _add_workload_args(parser)
     parser.add_argument("--tp", type=positive_int, default=8)
     parser.add_argument("--pp", type=positive_int, default=8)
     parser.add_argument("--vpp", type=positive_int, default=6)
@@ -653,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("tune", help="auto-tune 3D parallelism (exact bound-and-prune search)")
-    _add_job_args(p)
+    _add_workload_args(p)
     _add_backend_arg(p)
     p.add_argument("--top", type=positive_int, default=5)
     p.add_argument("--gpus-per-node", type=positive_int, default=8,

@@ -8,18 +8,25 @@ the engine as rarely as possible, with two mechanisms:
 
 1. **An admissible lower bound** —
    :meth:`~repro.training.iteration.IterationEngine.analytic_bounds`
-   floors every candidate's exact iteration time with closed forms, at
-   microseconds per candidate.  The bound depends on the backend: on
-   ``"analytic"`` its communication terms are the exact prices; on
-   ``"fabric"`` they are alpha-beta floors at NIC x cc that route
-   nothing, so only the candidates the search prices are routed.
-2. **Best-first branch-and-bound** — one ladder holds every feasible
-   candidate sorted by ``(lower bound, canonical index)`` and is priced
-   in that order.  Once ``top_k`` candidates are priced, the incumbent
-   (the k-th best exact time so far) certifies out every candidate whose
-   lower bound lies above it; since the ladder ascends in lower bound
-   and the incumbent only falls, the first such candidate ends the
-   search.
+   floors every candidate's exact iteration time with closed forms.  The
+   bound depends on the backend: on ``"analytic"`` its communication
+   terms are the exact prices; on ``"fabric"`` they are alpha-beta
+   floors at NIC x cc that route nothing, so only the candidates the
+   search prices are routed.  Its pipeline term at a free p2p hop,
+   :meth:`~repro.training.iteration.IterationEngine.comm_free_floor`,
+   floors it in turn from per-chunk compute alone, with no comm-model
+   call.
+2. **Best-first branch-and-bound** — a heap of ``(floor, canonical
+   index)`` holds every feasible candidate, first at its comm-free
+   floor.  A candidate that reaches the front unpruned goes back in at
+   its full lower bound, and one that reaches the front with its full
+   bound is priced, so candidates are priced in ``(lower bound,
+   canonical index)`` order while only those that come to compete are
+   floored in full.  Once ``top_k`` candidates are priced, the
+   incumbent (the k-th best exact time so far) certifies out every
+   candidate whose floor lies above it; since the front holds the least
+   floor left and the incumbent only falls, the first such front ends
+   the search.
 
 Because every candidate shares ``world_size == n_gpus``, the reference
 FLOPs and the peak FLOPs, ranking by MFU descending is *exactly* ranking
@@ -41,6 +48,7 @@ from __future__ import annotations
 import functools
 from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from typing import Callable, List, Optional, Tuple
 
 from ..core.features import MEGASCALE_ISO_BATCH, FeatureSet
@@ -277,50 +285,58 @@ def search_plans(
         else None
     )
 
-    # One ladder of (lower bound, canonical index, plan), cheapest floor first.
-    ladder = sorted(
-        (
-            IterationEngine(
-                model, plan, features, gpu=gpu, backend=backend, profile=profile
-            ).analytic_bounds(global_batch),
-            index,
-            plan,
-        )
-        for index, plan in enumerate(screened)
-    )
+    # The best-first ladder, a heap of (floor, canonical index) filled
+    # lazily: every candidate enters at its comm-free floor, which never
+    # exceeds its full floor, and goes back in at the full floor
+    # (``analytic_bounds``) when it reaches the front unpruned, its engine
+    # dropped.  So candidates leave resolved in the order of their
+    # ``(full floor, canonical index)``, the order they are priced in.
+    engines: List[Optional[IterationEngine]] = [
+        IterationEngine(model, plan, features, gpu=gpu, backend=backend, profile=profile)
+        for plan in screened
+    ]
+    ladder = [
+        (engine.comm_free_floor(global_batch), index)
+        for index, engine in enumerate(engines)
+    ]
+    heapify(ladder)
     incumbent = _Incumbent(top_k)
     priced: List[Tuple[float, int, TunedPlan]] = []
     batch_size = 1 if workers == 0 else max(2 * workers, 4)
     batch_stats: List[SweepStats] = []
-    cursor = 0
-    while cursor < len(ladder):
-        # The ladder ascends in lower bound and the incumbent only falls,
-        # so the first candidate the incumbent prunes ends the search.
-        end = cursor
-        while end < min(cursor + batch_size, len(ladder)) and (
-            exhaustive or not incumbent.prunes(ladder[end][0])
+    while ladder:
+        # The front holds the least floor left and the incumbent only
+        # falls, so a front the incumbent prunes ends the search.
+        batch: List[int] = []
+        while ladder and len(batch) < batch_size and (
+            exhaustive or not incumbent.prunes(ladder[0][0])
         ):
-            end += 1
-        if end == cursor:
+            index = ladder[0][1]
+            engine = engines[index]
+            if engine is None:
+                heappop(ladder)
+                batch.append(index)
+            else:
+                engines[index] = None
+                heapreplace(ladder, (engine.analytic_bounds(global_batch), index))
+        if not batch:
             break
-        batch = ladder[cursor:end]
-        cursor = end
         results, sweep_stats = run_tasks(
             price,
-            [plan for _, _, plan in batch],
+            [screened[index] for index in batch],
             workers=workers,
             cache=cache,
             cache_key=key_fn,
         )
         batch_stats.append(sweep_stats)
-        for (_, index, _), tuned in zip(batch, results):
+        for index, tuned in zip(batch, results):
             priced.append((tuned.iteration_time, index, tuned))
             if incumbent.add(tuned.iteration_time, index):
                 best = incumbent.best
                 kth = incumbent.threshold if incumbent.threshold is not None else best
                 stats.incumbent.append((len(priced), best, kth))  # type: ignore[arg-type]
 
-    stats.bound_pruned = len(ladder) - cursor
+    stats.bound_pruned = len(ladder)
     stats.exec_stats = SweepStats.merge(batch_stats)
     stats.persistent_hits = stats.exec_stats.persistent_hits
     stats.evaluated = stats.exec_stats.n_tasks - stats.persistent_hits

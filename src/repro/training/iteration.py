@@ -359,25 +359,47 @@ class IterationEngine:
         arguments (uniform stage speeds, no perturbation) — the
         configuration :func:`~repro.parallel.search.search_plans` prices.
         """
-        plan = self.plan
         routed = self.backend == "fabric"
-        m = plan.n_microbatches(global_batch)
-        p, v = plan.pp, plan.vpp
-        validate_shape(p, v, m)
-        F, B = self.f_chunk, self.b_chunk
+        m = self._microbatches(global_batch)
         p2p = 0.0
-        if p > 1:
+        if self.plan.pp > 1:
             p2p = self.comm.pp_p2p_floor(self.p2p_bytes) if routed else self.p2p_time
-        logits = self.logits_fwd + self.logits_bwd
+        pipeline = self._pipeline_floor(m, p2p)
 
+        data, dp, optimizer = self._dp_phase_times(global_batch, floor=routed)
+        return data.exposed_stall + optimizer + pipeline + dp.exposed
+
+    def comm_free_floor(self, global_batch: int) -> float:
+        """A floor on :meth:`analytic_bounds` that makes no comm-model call.
+
+        It is the bound's pipeline term at a free p2p hop: the busiest
+        stage's serial work and the ``(p-1)`` warm-up/cool-down chain
+        around the last stage, per-chunk compute only.  It never exceeds
+        :meth:`analytic_bounds` in floating point: that bound is the same
+        formula at a hop of at least zero, plus terms that are never
+        negative, and IEEE addition, multiplication by a non-negative
+        number and ``max`` are monotone.  It raises the bound's errors.
+        """
+        return self._pipeline_floor(self._microbatches(global_batch), 0.0)
+
+    def _microbatches(self, global_batch: int) -> int:
+        """Micro-batches per step, or the ``ValueError`` of a shape that
+        ``simulate`` cannot run."""
+        m = self.plan.n_microbatches(global_batch)
+        validate_shape(self.plan.pp, self.plan.vpp, m)
+        return m
+
+    def _pipeline_floor(self, m: int, p2p: float) -> float:
+        """Floor on the pipeline makespan at ``m`` micro-batches and a
+        ``p2p``-second hop (see :meth:`analytic_bounds`)."""
+        p, v = self.plan.pp, self.plan.vpp
+        F, B = self.f_chunk, self.b_chunk
+        logits = self.logits_fwd + self.logits_bwd
         stage_work = m * v * (F + B)
         busy_last = stage_work + m * logits
         busy_first = stage_work + m * self.embed_extra + (m * logits if p == 1 else 0.0)
         bubble = (p - 1) * (F + B + 2.0 * p2p)
-        pipeline = max(busy_first, busy_last + bubble)
-
-        data, dp, optimizer = self._dp_phase_times(global_batch, floor=routed)
-        return data.exposed_stall + optimizer + pipeline + dp.exposed
+        return max(busy_first, busy_last + bubble)
 
     # -- full iteration ------------------------------------------------------------
 

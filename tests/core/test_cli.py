@@ -209,6 +209,7 @@ def saved(tmp_path_factory):
         (["tune", "--model", "X"], "--model"),
         (["compare", "--tp", "0"], "--tp"),
         (["compare", "--pp", "0"], "--pp"),
+        (["tune", "--model", "gpt-13b", "--gpus", "16", "--batch", "64", "--tp", "8"], "--tp"),
         (["validate", "--gpus-per-node", "0"], "--gpus-per-node"),
         (["tune", "--gpus-per-node", "0"], "--gpus-per-node"),
         (["calibrate", "--check", "--drift-tolerance", "nan"], "--drift-tolerance"),
@@ -247,7 +248,7 @@ def saved(tmp_path_factory):
     ],
     ids=[
         "negative-spares", "spares-without-correlated", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
-        "zero-tp", "zero-pp", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
+        "zero-tp", "zero-pp", "tune-plan-flag", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
         "nan-drift-tolerance", "negative-drift-tolerance", "nan-max-rel-error",
         "inf-max-rel-error", "nan-weeks", "inf-weeks", "nan-days",
         "zero-max-evals", "negative-max-evals", "abbreviated-seeds",

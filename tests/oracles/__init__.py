@@ -36,4 +36,7 @@ optimized production paths are held to.
   iteration, the ceiling that the plan search's admissible floor
   :meth:`repro.training.iteration.IterationEngine.analytic_bounds` is
   bracketed and dominance-checked against.
+* :mod:`tests.oracles.search` — the eager plan-search ladder (every
+  candidate floored in full up front, then sorted) behind
+  :func:`repro.parallel.search.search_plans`'s lazily filled heap.
 """

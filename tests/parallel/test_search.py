@@ -2,11 +2,15 @@
 admissibility, pruning."""
 
 import math
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.search as search_module
+from repro.calibration import CalibratedProfile, default_fixture_dir
 from repro.collectives import GroupCommModel
 from repro.core.features import MEGASCALE_ISO_BATCH, MEGATRON_LM
 from repro.exec import PersistentMemo
@@ -27,7 +31,10 @@ from repro.parallel.search import (
 from repro.parallel.tuner import candidate_plans, evaluate_plan, feasible
 from repro.training.iteration import IterationEngine
 from tests.metrics import counter, gauge_series
+from tests.oracles import search as search_oracle
 from tests.oracles.bounds import upper_bound
+
+PROFILE_PATH = os.path.join(default_fixture_dir(), "profile.json")
 
 
 # -- exactness: pruned search == exhaustive search ----------------------------
@@ -167,20 +174,110 @@ LADDER = [
     ("gpt-175b", 12288, 6144, MEGASCALE_ISO_BATCH, 5, 181, {"analytic": 16, "fabric": 10}),
     ("gpt-530b", 2240, 2240, MEGATRON_LM, 3, 21, {"analytic": 6, "fabric": 6}),
 ]
+# Full floors (``analytic_bounds`` calls) each LADDER search computes.
+RESOLVED = {
+    ("gpt-175b", 1024): {"analytic": 31, "fabric": 31},
+    ("gpt-175b", 3072): {"analytic": 77, "fabric": 77},
+    ("gpt-175b", 12288): {"analytic": 63, "fabric": 52},
+    ("gpt-530b", 2240): {"analytic": 11, "fabric": 11},
+}
 
 
 @pytest.mark.parametrize("backend", ["analytic", "fabric"])
 @pytest.mark.parametrize("name,n_gpus,batch,features,top_k,n_feasible,evaluated", LADDER)
 def test_ladder_prices_pinned_candidate_counts(
-    name, n_gpus, batch, features, top_k, n_feasible, evaluated, backend
+    name, n_gpus, batch, features, top_k, n_feasible, evaluated, backend, monkeypatch
 ):
     """The lower bound orders the ladder, and the ladder decides how many
     candidates the search prices.  A bound change that keeps every
-    leaderboard exact but reorders the ladder moves these counts."""
+    leaderboard exact but reorders the ladder moves these counts; so does
+    a ladder that floors more candidates in full than reach its front."""
+    calls = {"n": 0}
+    real_bounds = IterationEngine.analytic_bounds
+
+    def counting_bounds(self, global_batch):
+        calls["n"] += 1
+        return real_bounds(self, global_batch)
+
+    monkeypatch.setattr(IterationEngine, "analytic_bounds", counting_bounds)
     stats = search_plans(
         MODEL_CATALOG[name], n_gpus, batch, features=features, top_k=top_k, backend=backend
     ).stats
     assert (stats.feasible, stats.evaluated) == (n_feasible, evaluated[backend])
+    assert calls["n"] == RESOLVED[name, n_gpus][backend]
+
+
+# -- the lazy ladder prices as the eager one ----------------------------------
+
+
+def _searched(search, module, model, n_gpus, batch, **kwargs):
+    """(leaderboard, stats, plans in the order priced) of one search whose
+    module prices through ``module.run_tasks``; the error message of a
+    query with no feasible plan instead."""
+    order = []
+    real_run_tasks = module.run_tasks
+
+    def recording_run_tasks(fn, items, **kw):
+        order.extend(repr(plan) for plan in items)
+        return real_run_tasks(fn, items, **kw)
+
+    try:
+        with mock.patch.object(module, "run_tasks", recording_run_tasks):
+            result = search(model, n_gpus, batch, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    s = result.stats
+    board = [(repr(t.plan), t.iteration_time, t.mfu) for t in result.top]
+    return board, (s.enumerated, s.feasible, s.bound_pruned, s.evaluated, s.incumbent), order
+
+
+def _assert_lazy_equals_eager(*query, **kwargs):
+    lazy = _searched(search_plans, search_module, *query, **kwargs)
+    eager = _searched(search_oracle.eager_search_plans, search_oracle, *query, **kwargs)
+    assert lazy == eager
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    backend=st.sampled_from(["analytic", "fabric"]),
+    name=st.sampled_from(sorted(MODEL_CATALOG)),
+    batch_per_gpu=st.sampled_from([0.5, 1, 2]),
+    features=st.sampled_from([MEGASCALE_ISO_BATCH, MEGATRON_LM]),
+    top_k=st.integers(1, 6),
+    exhaustive=st.booleans(),
+)
+def test_lazy_ladder_prices_as_the_eager_ladder(
+    data, backend, name, batch_per_gpu, features, top_k, exhaustive
+):
+    """Floored in full only at the front, the ladder prices the candidates
+    the eager one does, in its order: the same leaderboard, accounting and
+    incumbent trajectory, on both backends, pruned and exhaustive."""
+    sizes = [8, 16, 32, 64, 128, 256, 512, 768, 1024]
+    if backend == "analytic":
+        sizes += [2048, 3072]
+    n_gpus = data.draw(st.sampled_from(sizes), label="n_gpus")
+    _assert_lazy_equals_eager(
+        MODEL_CATALOG[name], n_gpus, int(n_gpus * batch_per_gpu), features=features,
+        top_k=top_k, exhaustive=exhaustive, backend=backend,
+    )
+
+
+@pytest.mark.parametrize("backend", ["analytic", "fabric"])
+@pytest.mark.parametrize(
+    "name,n_gpus,batch,kwargs",
+    [
+        ("gpt-175b", 12288, 6144, {"top_k": 5}),
+        ("gpt-175b", 1024, 768, {"top_k": 5, "workers": 2}),
+        ("gpt-13b", 64, 128, {"top_k": 3, "workers": 2, "features": MEGATRON_LM}),
+    ],
+    ids=["pinned-12288", "workers-2", "workers-2-megatron"],
+)
+def test_lazy_ladder_equals_the_eager_ladder_on_pinned_queries(
+    name, n_gpus, batch, kwargs, backend
+):
+    """The paper-scale query, and batched pricing over worker processes."""
+    _assert_lazy_equals_eager(MODEL_CATALOG[name], n_gpus, batch, backend=backend, **kwargs)
 
 
 # -- admissibility: lower <= exact <= upper -----------------------------------
@@ -201,6 +298,30 @@ def test_bounds_bracket_exact_engine_time(model, n_gpus, batch, features):
         assert lower <= exact + 1e-9, f"inadmissible lower bound for {plan}"
         assert exact <= upper + 1e-9, f"upper bound below exact for {plan}"
         assert lower <= upper
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    backend=st.sampled_from(["analytic", "fabric"]),
+    name=st.sampled_from(sorted(MODEL_CATALOG)),
+    n_gpus=st.sampled_from([8, 16, 64, 256, 1024, 2048, 3072, 6144, 12288]),
+    batch_per_gpu=st.sampled_from([0.5, 1, 2]),
+    features=st.sampled_from([MEGASCALE_ISO_BATCH, MEGATRON_LM]),
+    calibrated=st.booleans(),
+)
+def test_comm_free_floor_never_exceeds_the_full_floor(
+    backend, name, n_gpus, batch_per_gpu, features, calibrated
+):
+    """The lazy ladder's order is exact only if no candidate's comm-free
+    floor lies above its full floor: checked with no tolerance on every
+    feasible candidate, with and without the committed calibration."""
+    model, batch = MODEL_CATALOG[name], int(n_gpus * batch_per_gpu)
+    profile = CalibratedProfile.load(PROFILE_PATH) if calibrated else None
+    for plan in candidate_plans(model, n_gpus):
+        if plan.pp > PP_LIMIT or not feasible(model, plan, AMPERE, batch):
+            continue
+        engine = IterationEngine(model, plan, features, backend=backend, profile=profile)
+        assert engine.comm_free_floor(batch) <= engine.analytic_bounds(batch), plan
 
 
 @settings(max_examples=15, deadline=None)
@@ -288,6 +409,20 @@ def test_analytic_bounds_validate_inputs():
         ):
             price(8)
     assert interleaved.analytic_bounds(16) > 0  # m = 8 runs
+
+
+def test_comm_free_floor_calls_no_comm_model_and_refuses_what_the_bound_refuses():
+    engine = IterationEngine(
+        GPT_175B, ParallelPlan(dp=48, tp=8, pp=8, vpp=4), MEGASCALE_ISO_BATCH, backend="fabric"
+    )
+    engine.comm = None  # any comm-model call would raise
+    assert 0 < engine.comm_free_floor(3072)
+    with pytest.raises(ValueError, match="not divisible into micro-batches"):
+        engine.comm_free_floor(3073)
+    with pytest.raises(
+        ValueError, match=r"^interleaving requires microbatches \(12\) % stages \(8\) == 0$"
+    ):
+        engine.comm_free_floor(576)
 
 
 # -- canonical order ----------------------------------------------------------
