@@ -370,9 +370,7 @@ def cmd_tune(args) -> int:
         n_gpus=args.gpus,
         global_batch=args.batch,
         top_k=args.top,
-        gpus_per_node=args.gpus_per_node,
         max_micro_batch=args.max_micro_batch,
-        workers=args.workers,
         hub=hub,
         cache=cache,
         exhaustive=args.exhaustive,
@@ -660,12 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p)
     _add_backend_arg(p)
     p.add_argument("--top", type=positive_int, default=5)
-    p.add_argument("--gpus-per-node", type=positive_int, default=8,
-                   help="node size constraining tensor parallelism")
     p.add_argument("--max-micro-batch", type=positive_int, default=2,
                    help="largest micro-batch size searched")
-    p.add_argument("--workers", type=non_negative_int, default=0,
-                   help="worker processes for candidate evaluation (0 = serial)")
     p.add_argument("--exhaustive", action="store_true",
                    help="price every feasible candidate (disables pruning; "
                         "useful to verify the pruned search)")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -91,31 +91,4 @@ class SweepStats:
             workers=workers,
             caches={name: CacheReport(*counts) for name, counts in counters.items()},
             persistent_hits=persistent_hits,
-        )
-
-    @staticmethod
-    def merge(parts: Iterable["SweepStats"]) -> "SweepStats":
-        """Sum reports from sequential batches of one logical sweep.
-
-        ``workers`` comes from the first part (batches of one search run
-        share an executor configuration).
-        """
-        parts = list(parts)
-        if not parts:
-            return SweepStats(n_tasks=0, workers=0)
-        caches: Dict[str, CacheReport] = {}
-        for part in parts:
-            for name, report in part.caches.items():
-                prev = caches.get(name, CacheReport())
-                caches[name] = replace(
-                    prev,
-                    hits=prev.hits + report.hits,
-                    misses=prev.misses + report.misses,
-                    evictions=prev.evictions + report.evictions,
-                )
-        return SweepStats(
-            n_tasks=sum(p.n_tasks for p in parts),
-            workers=parts[0].workers,
-            caches=caches,
-            persistent_hits=sum(p.persistent_hits for p in parts),
         )

@@ -20,9 +20,9 @@ the engine as rarely as possible, with two mechanisms:
    index)`` holds every feasible candidate, first at its comm-free
    floor.  A candidate that reaches the front unpruned goes back in at
    its full lower bound, and one that reaches the front with its full
-   bound is priced, so candidates are priced in ``(lower bound,
-   canonical index)`` order while only those that come to compete are
-   floored in full.  Once ``top_k`` candidates are priced, the
+   bound is priced by the engine that floored it, so candidates are
+   priced in ``(lower bound, canonical index)`` order while only those
+   that come to compete are floored in full.  Once ``top_k`` candidates are priced, the
    incumbent (the k-th best exact time so far) certifies out every
    candidate whose floor lies above it; since the front holds the least
    floor left and the incumbent only falls, the first such front ends
@@ -45,18 +45,17 @@ emitted as spans and counters on the ``exec`` telemetry lane.
 
 from __future__ import annotations
 
-import functools
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.features import MEGASCALE_ISO_BATCH, FeatureSet
-from ..exec import PersistentMemo, SweepStats, run_tasks
+from ..exec import PersistentMemo
 from ..hardware.gpu import AMPERE, GpuSpec
 from ..model.transformer import ModelSpec
 from .plan import ParallelPlan
-from .tuner import TunedPlan, candidate_plans, evaluate_plan, feasible
+from .tuner import TunedPlan, candidate_plans, feasible
 
 # The deepest pipeline the search considers.
 PP_LIMIT = 64
@@ -93,19 +92,12 @@ class SearchStats:
     bound_pruned: int = 0  # lower bound above the incumbent
     evaluated: int = 0  # full IterationEngine.simulate pricings
     persistent_hits: int = 0  # answered from the cross-run disk cache
-    workers: int = 0
     incumbent: List[Tuple[int, float, float]] = field(default_factory=list)
-    exec_stats: Optional[SweepStats] = None
 
     @property
     def priced(self) -> int:
         """Candidates with an exact time (engine or persistent cache)."""
         return self.evaluated + self.persistent_hits
-
-    @property
-    def brute_force_evaluations(self) -> int:
-        """Engine calls an exhaustive search would make."""
-        return self.feasible
 
     @property
     def prune_rate(self) -> float:
@@ -152,17 +144,13 @@ def plan_cache_key(
 
     Built from the dataclass reprs — every field that influences the
     engine's answer is part of the key, including the cost ``backend``
-    and any calibration ``profile`` overrides (appended only when set,
-    so pre-existing cache entries keyed without a profile stay valid).
-    The cost-model *code* version is handled separately by the memo's
-    fingerprint.
+    and the calibration ``profile``.  The cost-model *code* version is
+    handled separately by the memo's fingerprint.
     """
-    key = f"tuned-plan:{model!r}|{plan!r}|{features!r}|{gpu!r}|gb={global_batch}"
-    if backend != "analytic":
-        key += f"|backend={backend}"
-    if profile is not None:
-        key += f"|profile={profile!r}"
-    return key
+    return (
+        f"tuned-plan:{model!r}|{plan!r}|{features!r}|{gpu!r}|gb={global_batch}"
+        f"|backend={backend}|profile={profile!r}"
+    )
 
 
 class _Incumbent:
@@ -208,9 +196,7 @@ def search_plans(
     features: FeatureSet = MEGASCALE_ISO_BATCH,
     gpu: GpuSpec = AMPERE,
     top_k: int = 5,
-    gpus_per_node: int = 8,
     max_micro_batch: int = 2,
-    workers: int = 0,
     hub=None,
     cache: Optional[PersistentMemo] = None,
     exhaustive: bool = False,
@@ -227,14 +213,11 @@ def search_plans(
     what ``exhaustive=True`` does (the benchmark records its expected
     leaderboards that way).
 
-    ``gpus_per_node`` and ``max_micro_batch`` widen or narrow the space
-    itself (forwarded to :func:`~repro.parallel.tuner.candidate_plans`).
-    ``workers`` fans exact pricing out in batches over worker processes
-    via :mod:`repro.exec` — the result is identical, but a batch can
-    price a few more candidates than the fully sequential search.
-    ``cache`` (a :class:`~repro.exec.memo.PersistentMemo`) carries priced
-    points across runs; ``hub`` collects search telemetry on the ``exec``
-    lane.  ``backend`` selects the collective cost model (``"analytic"``
+    ``max_micro_batch`` widens or narrows the space itself (forwarded to
+    :func:`~repro.parallel.tuner.candidate_plans`).  ``cache`` (a
+    :class:`~repro.exec.memo.PersistentMemo`) carries priced points
+    across runs; ``hub`` collects search telemetry on the ``exec`` lane.
+    ``backend`` selects the collective cost model (``"analytic"``
     alpha-beta forms or ``"fabric"`` flow-level routing, see
     :data:`~repro.collectives.primitives.COST_BACKENDS`).  ``profile`` (a
     :class:`~repro.calibration.CalibratedProfile`) applies fitted
@@ -247,12 +230,8 @@ def search_plans(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
 
-    stats = SearchStats(workers=workers)
-    enumerated = list(
-        candidate_plans(
-            model, n_gpus, gpus_per_node=gpus_per_node, max_micro_batch=max_micro_batch
-        )
-    )
+    stats = SearchStats()
+    enumerated = list(candidate_plans(model, n_gpus, max_micro_batch=max_micro_batch))
     stats.enumerated = len(enumerated)
     screened = [
         plan
@@ -266,80 +245,53 @@ def search_plans(
             f"no feasible plan for {model.name} on {n_gpus} GPUs at batch {global_batch}"
         )
 
-    price: Callable[[ParallelPlan], TunedPlan] = functools.partial(
-        evaluate_plan,
-        model=model,
-        features=features,
-        gpu=gpu,
-        global_batch=global_batch,
-        backend=backend,
-        profile=profile,
-    )
-    key_fn = (
-        (
-            lambda plan: plan_cache_key(
-                model, plan, features, gpu, global_batch, backend, profile=profile
-            )
-        )
-        if cache is not None
-        else None
-    )
-
-    # The best-first ladder, a heap of (floor, canonical index) filled
-    # lazily: every candidate enters at its comm-free floor, which never
-    # exceeds its full floor, and goes back in at the full floor
-    # (``analytic_bounds``) when it reaches the front unpruned, its engine
-    # dropped.  So candidates leave resolved in the order of their
-    # ``(full floor, canonical index)``, the order they are priced in.
+    # The best-first ladder, a heap of (floor, canonical index, full)
+    # filled lazily: every candidate enters at its comm-free floor, which
+    # never exceeds its full floor, and goes back in at the full floor
+    # (``analytic_bounds``) when it reaches the front unpruned.  So
+    # candidates leave in the order of their ``(full floor, canonical
+    # index)``, each priced by the engine that floored it.
     engines: List[Optional[IterationEngine]] = [
         IterationEngine(model, plan, features, gpu=gpu, backend=backend, profile=profile)
         for plan in screened
     ]
     ladder = [
-        (engine.comm_free_floor(global_batch), index)
+        (engine.comm_free_floor(global_batch), index, False)
         for index, engine in enumerate(engines)
     ]
     heapify(ladder)
     incumbent = _Incumbent(top_k)
     priced: List[Tuple[float, int, TunedPlan]] = []
-    batch_size = 1 if workers == 0 else max(2 * workers, 4)
-    batch_stats: List[SweepStats] = []
-    while ladder:
-        # The front holds the least floor left and the incumbent only
-        # falls, so a front the incumbent prunes ends the search.
-        batch: List[int] = []
-        while ladder and len(batch) < batch_size and (
-            exhaustive or not incumbent.prunes(ladder[0][0])
-        ):
-            index = ladder[0][1]
-            engine = engines[index]
-            if engine is None:
-                heappop(ladder)
-                batch.append(index)
-            else:
-                engines[index] = None
-                heapreplace(ladder, (engine.analytic_bounds(global_batch), index))
-        if not batch:
-            break
-        results, sweep_stats = run_tasks(
-            price,
-            [screened[index] for index in batch],
-            workers=workers,
-            cache=cache,
-            cache_key=key_fn,
-        )
-        batch_stats.append(sweep_stats)
-        for index, tuned in zip(batch, results):
-            priced.append((tuned.iteration_time, index, tuned))
-            if incumbent.add(tuned.iteration_time, index):
-                best = incumbent.best
-                kth = incumbent.threshold if incumbent.threshold is not None else best
-                stats.incumbent.append((len(priced), best, kth))  # type: ignore[arg-type]
-
+    # The front holds the least floor left and the incumbent only falls,
+    # so a front the incumbent prunes ends the search.
+    while ladder and (exhaustive or not incumbent.prunes(ladder[0][0])):
+        _, index, full = ladder[0]
+        engine = engines[index]
+        if not full:
+            heapreplace(ladder, (engine.analytic_bounds(global_batch), index, True))
+            continue
+        heappop(ladder)
+        engines[index] = None
+        tuned = None
+        if cache is not None:
+            key = plan_cache_key(
+                model, engine.plan, features, gpu, global_batch, backend, profile
+            )
+            tuned = cache.get(key)
+        if tuned is None:
+            outcome = engine.simulate(global_batch)
+            tuned = TunedPlan(engine.plan, outcome.mfu, outcome.iteration_time)
+            stats.evaluated += 1
+            if cache is not None:
+                cache.put(key, tuned)
+        else:
+            stats.persistent_hits += 1
+        priced.append((tuned.iteration_time, index, tuned))
+        if incumbent.add(tuned.iteration_time, index):
+            best = incumbent.best
+            kth = incumbent.threshold if incumbent.threshold is not None else best
+            stats.incumbent.append((len(priced), best, kth))  # type: ignore[arg-type]
     stats.bound_pruned = len(ladder)
-    stats.exec_stats = SweepStats.merge(batch_stats)
-    stats.persistent_hits = stats.exec_stats.persistent_hits
-    stats.evaluated = stats.exec_stats.n_tasks - stats.persistent_hits
 
     # Final ranking: iteration time ascending, canonical order on exact
     # ties — identical to stable-sorting an exhaustive evaluation.

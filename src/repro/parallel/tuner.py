@@ -2,11 +2,10 @@
 
 The paper fixes its 3D configurations by expert choice (Table 1).  The
 tuner automates that choice: this module enumerates feasible plans
-(memory check, divisibility constraints, TP confined to one node) and
-prices one with the iteration engine;
-:func:`repro.parallel.search.search_plans` ranks them by MFU.  Useful
-both as a library feature and as an ablation harness for "what if we
-had chosen differently".
+(memory check, divisibility constraints, TP confined to one node), and
+:func:`repro.parallel.search.search_plans` prices and ranks them by
+MFU.  Useful both as a library feature and as an ablation harness for
+"what if we had chosen differently".
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..core.features import FeatureSet
 from ..hardware.gpu import GpuSpec
+from ..hardware.node import NodeSpec
 from ..model.memory import fits
 from ..model.transformer import ModelSpec
 from .pipeline import validate_shape
@@ -35,22 +34,20 @@ class TunedPlan:
 
 
 def candidate_plans(
-    model: ModelSpec,
-    n_gpus: int,
-    gpus_per_node: int = 8,
-    max_micro_batch: int = 2,
+    model: ModelSpec, n_gpus: int, max_micro_batch: int = 2
 ) -> Iterator[ParallelPlan]:
     """All structurally valid plans for (model, n_gpus).
 
     Constraints enforced:
-    * tp divides the per-node GPU count (TP stays on NVLink);
+    * tp divides the GPU count of the host the engine prices
+      (``NodeSpec().gpus_per_node``), so TP stays on NVLink;
     * pp divides the layer count; vpp chunks divide layers/pp;
     * dp = n_gpus / (tp * pp) is a positive integer.
     """
     if n_gpus < 1:
         raise ValueError("n_gpus must be >= 1")
-    tps = [t for t in (1, 2, 4, 8) if t <= gpus_per_node and gpus_per_node % t == 0]
-    for tp in tps:
+    host = NodeSpec().gpus_per_node
+    for tp in (t for t in range(1, host + 1) if host % t == 0):
         if n_gpus % tp != 0:
             continue
         for pp in range(1, min(model.n_layers, n_gpus // tp) + 1):
@@ -89,26 +86,3 @@ def feasible(model: ModelSpec, plan: ParallelPlan, gpu: GpuSpec, global_batch: i
         zero_stage=plan.zero_stage,
         recompute=plan.recompute,
     )
-
-
-def evaluate_plan(
-    plan: ParallelPlan,
-    model: ModelSpec,
-    features: FeatureSet,
-    gpu: GpuSpec,
-    global_batch: int,
-    backend: str = "analytic",
-    profile=None,
-) -> TunedPlan:
-    """Price one candidate with the iteration engine.
-
-    Module-level (not a closure) so the sweep executor can ship it to
-    worker processes (``profile``, a frozen dataclass, pickles along).
-    """
-    from ..training.iteration import IterationEngine  # avoid import cycle
-
-    engine = IterationEngine(
-        model, plan, features, gpu=gpu, backend=backend, profile=profile
-    )
-    outcome = engine.simulate(global_batch)
-    return TunedPlan(plan=plan, mfu=outcome.mfu, iteration_time=outcome.iteration_time)

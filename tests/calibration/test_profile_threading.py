@@ -85,7 +85,7 @@ def test_plan_cache_key_profile_segment():
     with_profile = plan_cache_key(
         GPT_13B, plan, MEGASCALE_ISO_BATCH, AMPERE, 32, profile=PROFILE
     )
-    assert with_none == base  # pre-existing cache entries stay valid
+    assert with_none == base
     assert with_profile != base
     assert "profile=" in with_profile and "unit-test" in with_profile
 

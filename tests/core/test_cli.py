@@ -212,6 +212,8 @@ def saved(tmp_path_factory):
         (["tune", "--model", "gpt-13b", "--gpus", "16", "--batch", "64", "--tp", "8"], "--tp"),
         (["validate", "--gpus-per-node", "0"], "--gpus-per-node"),
         (["tune", "--gpus-per-node", "0"], "--gpus-per-node"),
+        (["tune", "--gpus-per-node", "4"], "--gpus-per-node"),
+        (["tune", "--workers", "2"], "--workers"),
         (["calibrate", "--check", "--drift-tolerance", "nan"], "--drift-tolerance"),
         (["calibrate", "--check", "--drift-tolerance", "-1"], "--drift-tolerance"),
         (_SMALL_VALIDATE + ["--max-rel-error", "nan"], "--max-rel-error"),
@@ -249,6 +251,7 @@ def saved(tmp_path_factory):
     ids=[
         "negative-spares", "spares-without-correlated", "missing-trace", "zero-seeds", "negative-weeks", "unknown-model",
         "zero-tp", "zero-pp", "tune-plan-flag", "validate-zero-gpus-per-node", "tune-zero-gpus-per-node",
+        "tune-gpus-per-node", "tune-workers",
         "nan-drift-tolerance", "negative-drift-tolerance", "nan-max-rel-error",
         "inf-max-rel-error", "nan-weeks", "inf-weeks", "nan-days",
         "zero-max-evals", "negative-max-evals", "abbreviated-seeds",

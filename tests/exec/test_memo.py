@@ -210,17 +210,6 @@ def test_sweep_stats_reports_evictions():
     assert "3 evicted" in stats.describe()
 
 
-def test_sweep_stats_merge_sums_batches():
-    a = SweepStats.from_counters({"x": (1, 2)}, n_tasks=3, workers=2, persistent_hits=1)
-    b = SweepStats.from_counters({"x": (3, 4), "y": (5, 0)}, n_tasks=2, workers=2)
-    merged = SweepStats.merge([a, b])
-    assert merged.n_tasks == 5 and merged.workers == 2
-    assert merged.caches["x"] == CacheReport(hits=4, misses=6)
-    assert merged.caches["y"].hits == 5
-    assert merged.persistent_hits == 1
-    assert SweepStats.merge([]).n_tasks == 0
-
-
 # -- persistent cross-run memo ------------------------------------------------
 
 

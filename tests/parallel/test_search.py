@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.parallel.search as search_module
 from repro.calibration import CalibratedProfile, default_fixture_dir
 from repro.collectives import GroupCommModel
 from repro.core.features import MEGASCALE_ISO_BATCH, MEGATRON_LM
@@ -28,7 +27,7 @@ from repro.parallel.search import (
     plan_cache_key,
     search_plans,
 )
-from repro.parallel.tuner import candidate_plans, evaluate_plan, feasible
+from repro.parallel.tuner import candidate_plans, feasible
 from repro.training.iteration import IterationEngine
 from tests.metrics import counter, gauge_series
 from tests.oracles import search as search_oracle
@@ -78,12 +77,6 @@ def test_pruned_matches_exhaustive_across_top_k():
         assert len(pruned.top) == min(top_k, pruned.stats.feasible)
 
 
-def test_search_parallel_matches_serial():
-    serial = search_plans(GPT_13B, 16, 64, top_k=5, workers=0)
-    parallel = search_plans(GPT_13B, 16, 64, top_k=5, workers=2)
-    assert parallel.top == serial.top
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     name=st.sampled_from(["gpt-7b", "gpt-13b", "gpt-30b", "gpt-175b"]),
@@ -98,8 +91,8 @@ def test_serial_search_never_prices_a_dominated_candidate(
 ):
     """A candidate with ``top_k`` feasible rivals whose upper bound (the
     test oracle's) lies below its lower bound cannot reach the top-k; the
-    best-first ladder prices all such rivals first, so the serial search
-    never prices it — and the pruned top-k is the exhaustive one."""
+    best-first ladder prices all such rivals first, so the search never
+    prices it — and the pruned top-k is the exhaustive one."""
     model = MODEL_CATALOG[name]
     plans = sorted(
         (
@@ -159,10 +152,32 @@ def test_1024_gpu_search_prunes_majority_of_engine_calls(monkeypatch):
     calls["n"] = 0
     brute = search_plans(GPT_175B, 1024, 768, top_k=5, exhaustive=True)
     brute_calls = calls["n"]
-    assert brute_calls == pruned.stats.brute_force_evaluations == brute.stats.feasible
+    assert brute_calls == brute.stats.feasible
 
     assert pruned.top == brute.top  # identical top-k...
     assert pruned_calls <= 0.5 * brute_calls  # ...at <= half the engine work
+
+
+@pytest.mark.parametrize("backend", ["analytic", "fabric"])
+def test_search_builds_one_engine_per_feasible_candidate(backend, monkeypatch):
+    """The engine that floors a candidate also prices it: one build per
+    feasible candidate, one ``simulate`` per candidate priced."""
+    calls = {"init": 0, "simulate": 0}
+    real_init, real_simulate = IterationEngine.__init__, IterationEngine.simulate
+
+    def counting_init(self, *args, **kwargs):
+        calls["init"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_simulate(self, *args, **kwargs):
+        calls["simulate"] += 1
+        return real_simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(IterationEngine, "__init__", counting_init)
+    monkeypatch.setattr(IterationEngine, "simulate", counting_simulate)
+    stats = search_plans(GPT_175B, 1024, 768, top_k=5, backend=backend).stats
+    assert stats.evaluated > 0
+    assert (calls["init"], calls["simulate"]) == (stats.feasible, stats.evaluated)
 
 
 # -- the ladder ---------------------------------------------------------------
@@ -210,19 +225,20 @@ def test_ladder_prices_pinned_candidate_counts(
 # -- the lazy ladder prices as the eager one ----------------------------------
 
 
-def _searched(search, module, model, n_gpus, batch, **kwargs):
-    """(leaderboard, stats, plans in the order priced) of one search whose
-    module prices through ``module.run_tasks``; the error message of a
-    query with no feasible plan instead."""
+def _searched(search, model, n_gpus, batch, **kwargs):
+    """(leaderboard, stats, the plans priced with their prices, in order)
+    of one search; the error message of a query with no feasible plan
+    instead."""
     order = []
-    real_run_tasks = module.run_tasks
+    real_simulate = IterationEngine.simulate
 
-    def recording_run_tasks(fn, items, **kw):
-        order.extend(repr(plan) for plan in items)
-        return real_run_tasks(fn, items, **kw)
+    def recording_simulate(self, global_batch):
+        outcome = real_simulate(self, global_batch)
+        order.append((repr(self.plan), outcome.iteration_time, outcome.mfu))
+        return outcome
 
     try:
-        with mock.patch.object(module, "run_tasks", recording_run_tasks):
+        with mock.patch.object(IterationEngine, "simulate", recording_simulate):
             result = search(model, n_gpus, batch, **kwargs)
     except ValueError as exc:
         return str(exc)
@@ -232,8 +248,10 @@ def _searched(search, module, model, n_gpus, batch, **kwargs):
 
 
 def _assert_lazy_equals_eager(*query, **kwargs):
-    lazy = _searched(search_plans, search_module, *query, **kwargs)
-    eager = _searched(search_oracle.eager_search_plans, search_oracle, *query, **kwargs)
+    """The search prices each candidate with the engine that floored it,
+    the oracle with a fresh one: the same plans, order and prices."""
+    lazy = _searched(search_plans, *query, **kwargs)
+    eager = _searched(search_oracle.eager_search_plans, *query, **kwargs)
     assert lazy == eager
 
 
@@ -268,15 +286,15 @@ def test_lazy_ladder_prices_as_the_eager_ladder(
     "name,n_gpus,batch,kwargs",
     [
         ("gpt-175b", 12288, 6144, {"top_k": 5}),
-        ("gpt-175b", 1024, 768, {"top_k": 5, "workers": 2}),
-        ("gpt-13b", 64, 128, {"top_k": 3, "workers": 2, "features": MEGATRON_LM}),
+        ("gpt-175b", 1024, 768, {"top_k": 5}),
+        ("gpt-13b", 64, 128, {"top_k": 3, "features": MEGATRON_LM}),
     ],
     ids=["pinned-12288", "workers-2", "workers-2-megatron"],
 )
 def test_lazy_ladder_equals_the_eager_ladder_on_pinned_queries(
     name, n_gpus, batch, kwargs, backend
 ):
-    """The paper-scale query, and batched pricing over worker processes."""
+    """The paper-scale query and two smaller ones."""
     _assert_lazy_equals_eager(MODEL_CATALOG[name], n_gpus, batch, backend=backend, **kwargs)
 
 
@@ -294,7 +312,7 @@ def test_bounds_bracket_exact_engine_time(model, n_gpus, batch, features):
     for plan in plans:
         engine = IterationEngine(model, plan, features)
         lower, upper = engine.analytic_bounds(batch), upper_bound(engine, batch)
-        exact = evaluate_plan(plan, model, features, AMPERE, batch).iteration_time
+        exact = engine.simulate(batch).iteration_time
         assert lower <= exact + 1e-9, f"inadmissible lower bound for {plan}"
         assert exact <= upper + 1e-9, f"upper bound below exact for {plan}"
         assert lower <= upper

@@ -58,7 +58,7 @@ CLI_RUNS = [
     (["tune", "--model", "gpt-13b", "--gpus", "64", "--batch", "128",
       "--cache-dir", "tune-cache"], 0),
     (["tune", "--model", "gpt-13b", "--gpus", "64", "--batch", "128",
-      "--cache-dir", "tune-cache", "--workers", "2"], 0),
+      "--cache-dir", "tune-cache"], 0),
     (["calibrate", "--check", "--report", "calibration.json"], 0),
     (["calibrate", "--fit", "--max-evals", "5", "--profile", "profile.json",
       "--save-profile"], 0),
@@ -66,6 +66,8 @@ CLI_RUNS = [
     (["calibrate", "--check", "--baseline", "short-baseline.json"], 1),
     # A flag value argparse rejects: one ``repro: error:`` line, status 2.
     (["tune", "--tp", "0"], 2),
+    # The search runs in one process: ``tune`` has no worker flag.
+    (["tune", "--workers", "2"], 2),
     # A spare pool without --correlated, which alone has a finite one.
     (["production", "--spares", "0"], 2),
 ]

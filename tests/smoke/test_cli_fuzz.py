@@ -38,13 +38,11 @@ _WORKLOAD = {"--gpus": (-4, 256), "--batch": (-4, 1024)}
 _JOB = {**_WORKLOAD, "--tp": (-2, 16), "--pp": (-2, 16), "--vpp": (-2, 8)}
 
 # The count flags of each command and the range each value is drawn from:
-# zero and negatives included, clusters of at most 256 GPUs, and
-# ``--workers`` kept serial.
+# zero and negatives included, and clusters of at most 256 GPUs.
 COUNT_FLAGS = {
     "compare": _JOB,
     "init": _JOB,
-    "tune": {**_WORKLOAD, "--top": (-2, 8), "--gpus-per-node": (-2, 16),
-             "--max-micro-batch": (-2, 4), "--workers": (-2, 0)},
+    "tune": {**_WORKLOAD, "--top": (-2, 8), "--max-micro-batch": (-2, 4)},
     "validate": {"--gpus": (-4, 256), "--gpus-per-node": (-2, 16), "--nodes": (-2, 32),
                  "--nodes-per-pod": (-2, 64), "--group-size": (-2, 16),
                  "--trials": (-2, 50), "--seed": (-2, 4)},
