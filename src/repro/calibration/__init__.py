@@ -16,9 +16,7 @@ See docs/api.md, "Calibration & validation".
 
 from .fit import (
     FIT_PARAMS,
-    AnchorPrediction,
     CalibratedProfile,
-    FitResult,
     IDENTITY_PROFILE,
     default_profile_constants,
     fit_profile,
@@ -33,27 +31,13 @@ from .fixtures import (
     load_fixture,
     sc21_hardware_flops,
 )
-from .report import (
-    DEFAULT_DRIFT_TOLERANCE,
-    CalibrationReport,
-    DriftViolation,
-    ReportRow,
-    calibration_report,
-    check_drift,
-    load_baseline,
-)
+from .report import calibration_report, check_drift, load_baseline
 
 __all__ = [
     "Anchor",
-    "AnchorPrediction",
     "CalibratedProfile",
-    "CalibrationReport",
-    "DEFAULT_DRIFT_TOLERANCE",
-    "DriftViolation",
     "FIT_PARAMS",
-    "FitResult",
     "IDENTITY_PROFILE",
-    "ReportRow",
     "calibration_report",
     "check_drift",
     "default_fixture_dir",

@@ -5,7 +5,7 @@ efficiency curve (``gemm_eff_max``, ``gemm_flops_half``,
 ``kernel_launch_overhead``) and the collective parameters
 (``cc_efficiency``, ``inter_node_latency``).  It is applied per run —
 threaded through :class:`~repro.training.iteration.IterationEngine`,
-:class:`~repro.core.megascale.TrainingSystem` and
+:class:`~repro.core.system.TrainingSystem` and
 :func:`~repro.parallel.search.search_plans` as ``profile=`` — so the catalog
 source in :mod:`repro.hardware.gpu` is never edited.
 
@@ -26,8 +26,10 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..collectives.primitives import DEFAULT_CC_EFFICIENCY, INTER_NODE_LATENCY
 from ..core.features import MEGASCALE_ISO_BATCH, MEGATRON_LM, FeatureSet
 from ..hardware.gpu import AMPERE, GpuSpec
+from ..training.iteration import IterationEngine
 from ..training.stragglers import expected_job_slowdown
 from .fixtures import Anchor
 
@@ -141,8 +143,6 @@ IDENTITY_PROFILE = CalibratedProfile(source="identity")
 
 def default_profile_constants(gpu: GpuSpec = AMPERE) -> Dict[str, float]:
     """The catalog values the fit starts from (and tests compare against)."""
-    from ..collectives.primitives import DEFAULT_CC_EFFICIENCY, INTER_NODE_LATENCY
-
     return {
         "gemm_eff_max": gpu.gemm_eff_max,
         "gemm_flops_half": gpu.gemm_flops_half,
@@ -181,8 +181,6 @@ def predict_anchor(
     rows carry the straggler-lottery expectation (the baseline has no
     diagnostics/eviction); ``megascale`` and ``plain`` rows run clean.
     """
-    from ..training.iteration import IterationEngine  # avoid import cycle
-
     engine = IterationEngine(
         anchor.model,
         anchor.plan,

@@ -28,6 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..hardware.gpu import AMPERE
 from ..model.flops import iteration_model_flops
 from ..model.transformer import MODEL_CATALOG, ModelSpec
 from ..parallel.plan import ParallelPlan
@@ -191,8 +192,6 @@ def _anchors_from_fixture(payload: dict) -> List[Anchor]:
         if row.get("derive_iteration_time") and metric == "mfu":
             # Same datapoint re-expressed in seconds: the engine's native
             # output unit, so the residual is directly a wall-time error.
-            from ..hardware.gpu import AMPERE
-
             flops = iteration_model_flops(model, row["global_batch"])
             seconds = flops / (
                 float(row["published"]) / 100.0 * n_gpus * AMPERE.peak_flops

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..exec import run_tasks
+from ..exec.executor import run_tasks
 from .fit import (
     AnchorPrediction,
     CalibratedProfile,

@@ -32,8 +32,6 @@ import math
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are one ``repro: error:`` line and
@@ -76,7 +74,7 @@ def scenario_name(text: str) -> str:
     The scenario table is imported only when the flag is given, so
     building the parser loads no observability module.
     """
-    from .observability.diagnosis import SCENARIOS
+    from .observability.diagnosis.scenarios import SCENARIOS
 
     if text not in SCENARIOS:
         raise argparse.ArgumentTypeError(
@@ -86,7 +84,7 @@ def scenario_name(text: str) -> str:
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    from .model import MODEL_CATALOG
+    from .model.transformer import MODEL_CATALOG
 
     parser.add_argument("--gpus", type=positive_int, default=1024)
     parser.add_argument("--batch", type=positive_int, default=768)
@@ -122,7 +120,8 @@ def _job_from(args) -> "TrainingJob":
 
 
 def cmd_compare(args) -> int:
-    from .core import compare, render_table
+    from .core.report import render_table
+    from .core.system import compare
 
     result = compare(_job_from(args), backend=args.backend)
     print(render_table([result.baseline, result.megascale]))
@@ -133,8 +132,9 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     import functools
 
-    from .core import compare, job_175b
-    from .exec import run_tasks
+    from .core.config import job_175b
+    from .core.system import compare
+    from .exec.executor import run_tasks
 
     hub = _make_hub(args, "sweep")
     compare_fn = compare
@@ -159,8 +159,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    from .core import ablation_sequence, job_175b
-    from .training import IterationEngine
+    from .core.config import job_175b
+    from .core.features import ablation_sequence
+    from .training.iteration import IterationEngine
 
     job = job_175b(n_gpus=256, global_batch=256)
     plan = job.plan()
@@ -175,8 +176,8 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_init(args) -> int:
-    from .collectives import paper_sequence
-    from .parallel import plan_for_gpus
+    from .collectives.init import paper_sequence
+    from .parallel.plan import plan_for_gpus
 
     plan = plan_for_gpus(args.gpus, tp=args.tp, pp=args.pp, vpp=args.vpp)
     for name, seconds in paper_sequence(plan).items():
@@ -188,7 +189,7 @@ def _make_hub(args, job_name: str):
     """A TelemetryHub when ``--trace`` was given, else None."""
     if not getattr(args, "trace", None):
         return None
-    from .observability import TelemetryHub
+    from .observability.telemetry import TelemetryHub
 
     return TelemetryHub(job_name=job_name)
 
@@ -216,7 +217,7 @@ def _telemetry_prologue(hub, model, plan, global_batch: int, seed: int) -> None:
     from .core.features import MEGASCALE_ISO_BATCH
     from .network.congestion import simulate_bottleneck
     from .network.topology import ClosFabric
-    from .training import TrainingRunner
+    from .training.runner import TrainingRunner
 
     runner = TrainingRunner(
         model, plan, MEGASCALE_ISO_BATCH, global_batch=global_batch, seed=seed
@@ -232,9 +233,13 @@ def _telemetry_prologue(hub, model, plan, global_batch: int, seed: int) -> None:
 
 
 def cmd_production(args) -> int:
-    from .fault import CheckpointPlanner, FaultInjector, ProductionRun
-    from .model import MODEL_CATALOG
-    from .parallel import plan_for_gpus
+    import numpy as np
+
+    from .fault.checkpoint import CheckpointPlanner
+    from .fault.driver import ProductionRun
+    from .fault.faults import FaultInjector
+    from .model.transformer import MODEL_CATALOG
+    from .parallel.plan import plan_for_gpus
 
     if args.spares is not None and not args.correlated:
         raise ValueError(
@@ -246,7 +251,8 @@ def cmd_production(args) -> int:
     spares = None
     integrity = None
     if args.correlated:
-        from .fault import FLAKY_HDFS, CorrelatedFaultInjector
+        from .fault.checkpoint import FLAKY_HDFS
+        from .fault.domains import CorrelatedFaultInjector
 
         injector = CorrelatedFaultInjector(n_nodes=n_nodes, rng=np.random.default_rng(args.seed))
         spares = 16 if args.spares is None else args.spares
@@ -284,7 +290,7 @@ def cmd_production(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    from .scheduler import run_policy
+    from .scheduler.scenarios import run_policy
 
     hub = _make_hub(args, "schedule")
     report, scheduler = run_policy(args.seed, args.policy, days=args.days, hub=hub)
@@ -339,7 +345,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .observability.diagnosis import diagnose_files, diagnose_hub, run_scenario
+    from .observability.diagnosis.engine import diagnose_files, diagnose_hub
+    from .observability.diagnosis.scenarios import run_scenario
 
     if args.trace is not None:
         report = diagnose_files(args.trace, metrics_path=args.metrics)
@@ -354,15 +361,15 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from .model import MODEL_CATALOG
-    from .parallel import search_plans
+    from .model.transformer import MODEL_CATALOG
+    from .parallel.search import search_plans
 
     hub = _make_hub(args, "tune")
     cache = None
     if args.cache_dir:
         import os
 
-        from .exec import PersistentMemo
+        from .exec.memo import PersistentMemo
 
         cache = PersistentMemo(os.path.join(args.cache_dir, "plan-search.pkl"))
     result = search_plans(
@@ -389,13 +396,13 @@ def cmd_tune(args) -> int:
 def cmd_mc(args) -> int:
     import time
 
-    from .montecarlo import CampaignSpec, run_campaign
+    from .montecarlo.engine import CampaignSpec, run_campaign
 
     cache = None
     if args.cache_dir:
         import os
 
-        from .exec import PersistentMemo
+        from .exec.memo import PersistentMemo
 
         cache = PersistentMemo(os.path.join(args.cache_dir, "mc-campaign.pkl"))
     spec = CampaignSpec(n_nodes=args.nodes, policy=args.policy)
@@ -449,15 +456,9 @@ def cmd_validate(args) -> int:
 def cmd_calibrate(args) -> int:
     import os
 
-    from .calibration import (
-        CalibratedProfile,
-        calibration_report,
-        check_drift,
-        default_fixture_dir,
-        fit_profile,
-        load_anchors,
-        load_baseline,
-    )
+    from .calibration.fit import CalibratedProfile, fit_profile
+    from .calibration.fixtures import default_fixture_dir, load_anchors
+    from .calibration.report import calibration_report, check_drift, load_baseline
 
     fixture_dir = args.fixtures or default_fixture_dir()
     profile_path = args.profile or os.path.join(fixture_dir, "profile.json")

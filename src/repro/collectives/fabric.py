@@ -42,7 +42,7 @@ uncongested price is a floor on every routed one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -171,19 +171,28 @@ class RoutedStep:
     paused_flows: int  # flows paying a PFC penalty
     software_latency: float  # a flowless step's whole price
     flows: Tuple[Tuple[int, float, float], ...]  # (flow id, effective rate, latency)
+    # ``flows`` as (rates, latencies) arrays, for :meth:`cost`.
+    _columns: Tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _, rates, latencies = zip(*self.flows) if self.flows else ((), (), ())
+        object.__setattr__(self, "_columns", (np.array(rates, float), np.array(latencies, float)))
 
     def cost(self, segment_bytes: float) -> RoutedStepCost:
         """This step with every flow moving ``segment_bytes``: it ends
-        when the slowest flow finishes."""
+        when the slowest flow finishes, the first one in ``flows`` order
+        on a tie.  Each flow's time is ``segment_bytes / rate + latency``
+        (just its latency at zero bytes), in one array expression."""
         if segment_bytes < 0:
             raise ValueError("segment_bytes must be non-negative")
         if not self.flows:
             return RoutedStepCost(self.software_latency, 0, 0, 0.0, 0, 0)
-        duration, slowest = 0.0, 0
-        for flow_id, rate, latency in self.flows:
-            t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + latency
-            if t > duration:
-                duration, slowest = t, flow_id
+        rates, latencies = self._columns
+        times = segment_bytes / rates + latencies if segment_bytes > 0 else latencies
+        first = int(times.argmax())
+        duration, slowest = float(times[first]), self.flows[first][0]
+        if not duration > 0.0:  # no flow outlasts an empty step
+            duration, slowest = 0.0, 0
         return RoutedStepCost(
             duration=duration,
             n_flows=len(self.flows),
@@ -549,7 +558,12 @@ def fabric_collective_cost(
     key = (kind, float(size), ranks, gpus_per_node, cc_efficiency, nic_rate, fabric.fingerprint())
 
     def price() -> FabricCollectiveCost:
-        nodes = tuple(rank // gpus_per_node for rank in ranks)
+        index = (
+            np.arange(ranks.start, ranks.stop, ranks.step)
+            if isinstance(ranks, range)
+            else np.array(ranks, dtype=np.intp)
+        )
+        nodes = tuple((index // gpus_per_node).tolist())
         model = FabricCostModel(fabric, cc_efficiency=cc_efficiency, nic_rate=nic_rate)
         return model.collective_cost(kind, size, nodes, hub=hub)
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import Process, Resource, Simulator
+from ..sim.engine import Simulator
+from ..sim.process import Process
+from ..sim.resources import Resource
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..network.topology import ClosFabric
-from ..sim import Process, Simulator
+from ..sim.engine import Simulator
+from ..sim.process import Process
 from .fabric import price_route, ring_route, ring_steps
 
 # Per-step launch overhead of the executed ring (NCCL's step barrier).

@@ -1,35 +1,13 @@
 """Public facade: jobs, systems, feature presets, reports."""
 
-from .config import TrainingJob, job_175b, job_530b
-from .features import (
-    MEGASCALE,
-    MEGASCALE_ISO_BATCH,
-    MEGATRON_LM,
-    FeatureSet,
-    ablation_sequence,
-)
-from .jobfile import job_from_dict, job_to_dict, load_job, save_job
-from .megascale import TrainingSystem, compare, megascale, megatron_lm
-from .report import Comparison, JobReport, render_table
+from .. import lazy_exports
 
-__all__ = [
-    "Comparison",
-    "FeatureSet",
-    "JobReport",
-    "MEGASCALE",
-    "MEGASCALE_ISO_BATCH",
-    "MEGATRON_LM",
-    "TrainingJob",
-    "TrainingSystem",
-    "ablation_sequence",
-    "compare",
-    "job_175b",
-    "job_from_dict",
-    "job_to_dict",
-    "load_job",
-    "save_job",
-    "job_530b",
-    "megascale",
-    "megatron_lm",
-    "render_table",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "config": ("TrainingJob", "job_175b", "job_530b"),
+    "features": (
+        "FeatureSet", "MEGASCALE", "MEGASCALE_ISO_BATCH", "MEGATRON_LM", "ablation_sequence",
+    ),
+    "jobfile": ("load_job", "save_job"),
+    "report": ("Comparison", "JobReport", "render_table"),
+    "system": ("TrainingSystem", "compare", "megascale", "megatron_lm"),
+})

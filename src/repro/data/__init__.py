@@ -2,7 +2,6 @@
 
 from .loader import (
     LoaderConfig,
-    LoaderStats,
     simulate_redundant_loading,
     simulate_tree_loading,
 )
@@ -10,7 +9,6 @@ from .shm import SharedMemoryBuffer
 
 __all__ = [
     "LoaderConfig",
-    "LoaderStats",
     "SharedMemoryBuffer",
     "simulate_redundant_loading",
     "simulate_tree_loading",

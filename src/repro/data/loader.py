@@ -18,7 +18,9 @@ from typing import List
 
 import numpy as np
 
-from ..sim import AllOf, Process, Resource, Simulator
+from ..sim.engine import Simulator
+from ..sim.process import AllOf, Process
+from ..sim.resources import Resource
 from .shm import SharedMemoryBuffer
 
 

@@ -21,30 +21,18 @@ Usage::
     print(stats.describe())
 """
 
-from .executor import SweepExecutor, run_tasks
-from .memo import (
-    MemoCache,
-    PersistentMemo,
-    cache_snapshot,
-    clear_caches,
-    cost_model_fingerprint,
-    get_cache,
-    memoized,
-    registered_caches,
-)
-from .stats import CacheReport, SweepStats
+from .. import lazy_exports
 
-__all__ = [
-    "CacheReport",
-    "MemoCache",
-    "PersistentMemo",
-    "SweepExecutor",
-    "SweepStats",
-    "cache_snapshot",
-    "clear_caches",
-    "cost_model_fingerprint",
-    "get_cache",
-    "memoized",
-    "registered_caches",
-    "run_tasks",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "executor": ("SweepExecutor", "run_tasks"),
+    "memo": (
+        "MemoCache",
+        "PersistentMemo",
+        "clear_caches",
+        "cost_model_fingerprint",
+        "get_cache",
+        "memoized",
+        "registered_caches",
+    ),
+    "stats": ("CacheReport", "SweepStats"),
+})

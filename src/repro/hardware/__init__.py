@@ -1,15 +1,9 @@
 """The hardware spec catalog: frozen GPU, NIC and host datasheets."""
 
-from .gpu import AMPERE, GPU_CATALOG, HOPPER, GpuSpec
-from .nic import CX6_200G, NicSpec
-from .node import NodeSpec
+from .. import lazy_exports
 
-__all__ = [
-    "AMPERE",
-    "CX6_200G",
-    "GPU_CATALOG",
-    "GpuSpec",
-    "HOPPER",
-    "NicSpec",
-    "NodeSpec",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "gpu": ("AMPERE", "GPU_CATALOG", "HOPPER", "GpuSpec"),
+    "nic": ("CX6_200G", "NicSpec"),
+    "node": ("NodeSpec",),
+})

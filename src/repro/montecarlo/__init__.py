@@ -7,30 +7,13 @@ with bootstrap confidence intervals.  See :mod:`repro.montecarlo.engine`
 for the layer-by-layer design and the determinism contract.
 """
 
-from .engine import (
-    SCENARIOS,
-    CampaignSpec,
-    SeedTask,
-    run_campaign,
-)
-from .result import (
-    BOOTSTRAP_RESAMPLES,
-    BOOTSTRAP_SEED,
-    CampaignResult,
-    DigestSummary,
-    MetricSummary,
-    bootstrap_ci,
-)
+from .engine import CampaignSpec, run_campaign
+from .result import CampaignResult, MetricSummary, bootstrap_ci
 
 __all__ = [
-    "SCENARIOS",
     "CampaignSpec",
-    "SeedTask",
     "run_campaign",
-    "BOOTSTRAP_RESAMPLES",
-    "BOOTSTRAP_SEED",
     "CampaignResult",
-    "DigestSummary",
     "MetricSummary",
     "bootstrap_ci",
 ]

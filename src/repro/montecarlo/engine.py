@@ -42,7 +42,7 @@ from ..exec.memo import PersistentMemo, memoized
 from ..fault.checkpoint import FLAKY_HDFS, CheckpointPlanner
 from ..fault.domains import CorrelatedFaultInjector, DomainTopology
 from ..fault.driver import ProductionRun, ProductionRunConfig
-from ..model import GPT_175B
+from ..model.transformer import GPT_175B
 from ..observability.telemetry import PercentileDigest
 from ..parallel.plan import plan_for_gpus
 from ..scheduler.scenarios import run_policy

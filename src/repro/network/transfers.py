@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..sim import Event, Simulator
+from ..sim.engine import Event, Simulator
 from .flow import Flow, max_min_fair_rates
 from .link import Link
 

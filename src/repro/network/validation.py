@@ -15,13 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from ..collectives.fabric import fabric_collective_cost
+from ..collectives.primitives import (
+    DEFAULT_CC_EFFICIENCY,
+    INTER_NODE_LATENCY,
+    ring_all_gather,
+    ring_all_reduce,
+    ring_reduce_scatter,
+)
 from .ecmp import port_split_benefit
 from .topology import ClosFabric, shared_fabric
-
-# 0.90, kept literal here: importing repro.collectives at module scope
-# would close an import cycle (collectives.fabric imports repro.network
-# submodules); a unit test pins it to the collectives constant.
-DEFAULT_CC_EFFICIENCY = 0.90
 
 
 @dataclass(frozen=True)
@@ -113,16 +116,6 @@ def validation_report(
     placements; the fabric backend routes the actual paths.  Requires at
     least two pods so the cross-pod placement exists.
     """
-    # Imported here, not at module scope: collectives.fabric itself
-    # imports repro.network submodules.
-    from ..collectives.fabric import fabric_collective_cost
-    from ..collectives.primitives import (
-        INTER_NODE_LATENCY,
-        ring_all_gather,
-        ring_all_reduce,
-        ring_reduce_scatter,
-    )
-
     analytic_fns = {
         "all_gather": ring_all_gather,
         "reduce_scatter": ring_reduce_scatter,

@@ -1,91 +1,26 @@
 """Observability tools: CUDA-event timers, heat maps, timelines, 3D viz."""
 
-from .cuda_events import SEGMENTS, CudaEventTimer, EventRecord, EventStreamer
-from .hang import HangDiagnosis, localize_hang, simulate_timeout_logs
-from .heatmap import (
-    HeatmapResult,
-    analyze,
-    consistent_peak_mfu,
-    render_ascii,
-    straggler_machines,
-)
-from .mfu_analysis import (
-    DeclineAttribution,
-    SegmentTrend,
-    attribute_decline,
-    launch_skew_trend,
-    segment_trends,
-)
-from .export import (
-    dump_telemetry,
-    hub_to_chrome_trace,
-    lane_recorder,
-    lane_summary,
-    load_trace_document,
-)
-from .diagnosis import (
-    DiagnosisEngine,
-    DiagnosisReport,
-    Finding,
-    TelemetryView,
-    diagnose_files,
-    diagnose_hub,
-)
-from .monitors import HealthFinding, MillisecondMonitor, SecondLevelMonitor
-from .report import TimerReport, diagnose
-from .telemetry import (
-    SUBSYSTEM_LANES,
-    Instant,
-    MetricsRegistry,
-    PercentileDigest,
-    TelemetryHub,
-)
-from .timeline import DistributedTimeline, TimelineEvent
-from .viz3d import DependencyGraph, RankView, rank_view, render
+from .. import lazy_exports
 
-__all__ = [
-    "CudaEventTimer",
-    "DeclineAttribution",
-    "DependencyGraph",
-    "TimerReport",
-    "DiagnosisEngine",
-    "DiagnosisReport",
-    "Finding",
-    "TelemetryView",
-    "diagnose_files",
-    "diagnose_hub",
-    "Instant",
-    "MetricsRegistry",
-    "PercentileDigest",
-    "SUBSYSTEM_LANES",
-    "TelemetryHub",
-    "dump_telemetry",
-    "hub_to_chrome_trace",
-    "lane_recorder",
-    "lane_summary",
-    "load_trace_document",
-    "diagnose",
-    "DistributedTimeline",
-    "EventRecord",
-    "EventStreamer",
-    "HangDiagnosis",
-    "HealthFinding",
-    "MillisecondMonitor",
-    "SecondLevelMonitor",
-    "HeatmapResult",
-    "RankView",
-    "SEGMENTS",
-    "SegmentTrend",
-    "TimelineEvent",
-    "analyze",
-    "attribute_decline",
-    "consistent_peak_mfu",
-    "launch_skew_trend",
-    "localize_hang",
-    "rank_view",
-    "render",
-    "render_ascii",
-    "segment_trends",
-    "simulate_timeout_logs",
-    "straggler_machines",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "cuda_events": ("SEGMENTS", "CudaEventTimer", "EventStreamer"),
+    "diagnosis.engine": (
+        "DiagnosisEngine", "DiagnosisReport", "Finding", "diagnose_files", "diagnose_hub",
+    ),
+    "diagnosis.view": ("TelemetryView",),
+    "export": (
+        "dump_telemetry",
+        "hub_to_chrome_trace",
+        "lane_recorder",
+        "lane_summary",
+        "load_trace_document",
+    ),
+    "hang": ("localize_hang", "simulate_timeout_logs"),
+    "heatmap": ("analyze", "consistent_peak_mfu", "render_ascii", "straggler_machines"),
+    "mfu_analysis": ("attribute_decline", "launch_skew_trend"),
+    "monitors": ("HealthFinding", "MillisecondMonitor", "SecondLevelMonitor"),
+    "report": ("diagnose",),
+    "telemetry": ("SUBSYSTEM_LANES", "MetricsRegistry", "PercentileDigest", "TelemetryHub"),
+    "timeline": ("DistributedTimeline",),
+    "viz3d": ("DependencyGraph", "rank_view", "render"),
+})

@@ -26,18 +26,14 @@ so a gate can assert the top-ranked finding blames the right one.
 
 from .baselines import (
     TERMS,
-    ExpectedIteration,
-    ObservedIteration,
-    ResidualRow,
-    ResidualWindow,
     decompose,
     extract_expectation,
     extract_iterations,
     plan_change_windows,
     residual_windows,
 )
-from .correlate import Candidate, overlap_score
-from .detectors import AnomalyWindow, cusum_changepoints, detect_shifts
+from .correlate import overlap_score
+from .detectors import cusum_changepoints, detect_shifts
 from .engine import (
     DiagnosisEngine,
     DiagnosisReport,
@@ -53,15 +49,9 @@ from .scenarios import (
 from .view import TelemetryView
 
 __all__ = [
-    "AnomalyWindow",
-    "Candidate",
     "DiagnosisEngine",
     "DiagnosisReport",
-    "ExpectedIteration",
     "Finding",
-    "ObservedIteration",
-    "ResidualRow",
-    "ResidualWindow",
     "SCENARIOS",
     "TERMS",
     "TRUE_CAUSE",

@@ -68,7 +68,7 @@ def run_scenario(name: str, seed: int = 0, n_steps: int = 24) -> TelemetryHub:
     from ...core.features import MEGASCALE_ISO_BATCH
     from ...fault.driver import emit_incident_telemetry
     from ...fault.faults import NIC_DOWN, FaultEvent
-    from ...model import GPT_13B
+    from ...model.transformer import GPT_13B
     from ...network.congestion import simulate_bottleneck
     from ...network.topology import ClosFabric
     from ...parallel.plan import ParallelPlan

@@ -3,7 +3,6 @@
 from .adam import Adam
 from .convergence import (
     Batcher,
-    TrainingCurve,
     curves_match,
     make_markov_corpus,
     train_lm,
@@ -18,7 +17,6 @@ __all__ = [
     "Lamb",
     "LmConfig",
     "TinyTransformerLM",
-    "TrainingCurve",
     "Zero2Trainer",
     "causal_mask",
     "curves_match",

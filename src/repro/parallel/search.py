@@ -51,9 +51,10 @@ from heapq import heapify, heappop, heapreplace
 from typing import List, Optional, Tuple
 
 from ..core.features import MEGASCALE_ISO_BATCH, FeatureSet
-from ..exec import PersistentMemo
+from ..exec.memo import PersistentMemo
 from ..hardware.gpu import AMPERE, GpuSpec
 from ..model.transformer import ModelSpec
+from ..training.iteration import IterationEngine
 from .plan import ParallelPlan
 from .tuner import TunedPlan, candidate_plans, feasible
 
@@ -225,8 +226,6 @@ def search_plans(
     of the persistent-cache key, so calibrated and default prices never
     mix.
     """
-    from ..training.iteration import IterationEngine  # avoid import cycle
-
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
 

@@ -16,35 +16,12 @@ is the control plane over a cluster of node indices (the index space of
 * :mod:`repro.scheduler.scenarios` — the multi-tenant chaos scenario
 """
 
-from .job import JobSpec, JobState, JobStatus
-from .placement import PlacementError, PlacementMap
-from .scheduler import (
-    ClusterScheduler,
-    GoodputSegment,
-    JobSummary,
-    MultiJobReport,
-    SchedulerConfig,
-    SchedulerDecision,
-)
-from .scenarios import build_scheduler, run_policy
-from .spare_pool import ARBITRATION_POLICIES, SpareClaim, SpareGrant, SparePool
+from .. import lazy_exports
 
-__all__ = [
-    "ARBITRATION_POLICIES",
-    "ClusterScheduler",
-    "GoodputSegment",
-    "JobSpec",
-    "JobState",
-    "JobStatus",
-    "JobSummary",
-    "MultiJobReport",
-    "PlacementError",
-    "PlacementMap",
-    "SchedulerConfig",
-    "SchedulerDecision",
-    "SpareClaim",
-    "SpareGrant",
-    "SparePool",
-    "build_scheduler",
-    "run_policy",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "job": ("JobSpec", "JobState"),
+    "placement": ("PlacementMap",),
+    "scheduler": ("ClusterScheduler", "MultiJobReport", "SchedulerConfig"),
+    "scenarios": ("run_policy",),
+    "spare_pool": ("SpareClaim", "SparePool"),
+})

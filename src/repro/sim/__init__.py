@@ -1,18 +1,10 @@
 """Discrete-event simulation kernel used by every MegaScale subsystem."""
 
-from .engine import Event, SimulationError, Simulator, Timeout
-from .process import AllOf, Process
-from .resources import Resource
-from .trace import Span, TraceRecorder
+from .. import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "Event",
-    "Process",
-    "Resource",
-    "SimulationError",
-    "Simulator",
-    "Span",
-    "Timeout",
-    "TraceRecorder",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "engine": ("Event", "SimulationError", "Simulator"),
+    "process": ("AllOf", "Process"),
+    "resources": ("Resource",),
+    "trace": ("TraceRecorder",),
+})

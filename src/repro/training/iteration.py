@@ -126,6 +126,9 @@ class IterationEngine:
             attention_window=features.sliding_window,
         )
         self._build_task_times()
+        # (global_batch, exact DP phase) that analytic_bounds priced on the
+        # analytic backend, where its DP phase is exact: simulate reuses it.
+        self._bounded_dp_phase: Optional[Tuple[int, tuple]] = None
 
     # -- static per-task costs ------------------------------------------------
 
@@ -324,16 +327,19 @@ class IterationEngine:
         Everything outside the pipeline phase (data stall, exposed DP
         communication, optimizer step) is closed-form and priced exactly;
         DP exposure is floored at the overlap model's value (the
-        NIC-spill term of ``simulate`` can only add).  The pipeline
-        makespan is floored by the busiest stage's serial work and by a
-        dependency chain: every stage's schedule begins with the forward
-        of (micro-batch 0, chunk 0) and ends with the backward of (last
-        micro-batch, chunk 0), so the makespan is at least the warm-up
-        chain into the last stage (``(p-1)`` forwards + p2p hops), plus
-        that stage's serial work (``m·v·(F+B)`` + logits extras), plus
-        the cool-down chain back to stage 0 (``(p-1)`` backwards + p2p
-        hops).  With ``v`` interleaved chunks the chain terms carry the
-        classic ``(p-1)/(v·m)`` bubble fraction.
+        NIC-spill term of ``simulate`` can only add).  On the analytic
+        backend that DP phase is exact, and a later ``simulate`` of the
+        same batch on this engine reuses it instead of pricing it again.
+        The pipeline makespan is floored by the busiest stage's serial
+        work and by a dependency chain: every stage's schedule begins
+        with the forward of (micro-batch 0, chunk 0) and ends with the
+        backward of (last micro-batch, chunk 0), so the makespan is at
+        least the warm-up chain into the last stage (``(p-1)`` forwards
+        + p2p hops), plus that stage's serial work (``m·v·(F+B)`` +
+        logits extras), plus the cool-down chain back to stage 0
+        (``(p-1)`` backwards + p2p hops).  With ``v`` interleaved chunks
+        the chain terms carry the classic ``(p-1)/(v·m)`` bubble
+        fraction.
 
         On the fabric backend nothing is routed: the DP collectives and
         the p2p hop are floored by
@@ -366,7 +372,10 @@ class IterationEngine:
             p2p = self.comm.pp_p2p_floor(self.p2p_bytes) if routed else self.p2p_time
         pipeline = self._pipeline_floor(m, p2p)
 
-        data, dp, optimizer = self._dp_phase_times(global_batch, floor=routed)
+        phase = self._dp_phase_times(global_batch, floor=routed)
+        if not routed:
+            self._bounded_dp_phase = (global_batch, phase)
+        data, dp, optimizer = phase
         return data.exposed_stall + optimizer + pipeline + dp.exposed
 
     def comm_free_floor(self, global_batch: int) -> float:
@@ -423,7 +432,11 @@ class IterationEngine:
         speeds = [s * speed_factor for s in speeds]
         pipeline, busy = self.pipeline_makespan(m, speeds)
 
-        data, dp, optimizer = self._dp_phase_times(global_batch)
+        bounded = self._bounded_dp_phase
+        if bounded is not None and bounded[0] == global_batch:
+            data, dp, optimizer = bounded[1]
+        else:
+            data, dp, optimizer = self._dp_phase_times(global_batch)
         # Hidden DP traffic still needs NIC-seconds, and the NIC is also
         # carrying pipeline p2p transfers; if the pipeline phase is too
         # short to absorb both, the excess surfaces on the critical path.

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from ..core.config import TrainingJob
-from ..core.megascale import compare
 from ..core.report import Comparison
-from ..exec import PersistentMemo, SweepStats, run_tasks
+from ..core.system import compare
+from ..exec.executor import run_tasks
+from ..exec.memo import PersistentMemo
+from ..exec.stats import SweepStats
 
 
 def job_cache_key(kind: str, fn: Callable, job: TrainingJob) -> str:

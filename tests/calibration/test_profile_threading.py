@@ -7,7 +7,7 @@ from repro.collectives.groups import build_comm_model
 from repro.collectives.primitives import INTER_NODE_LATENCY
 from repro.core.config import TrainingJob
 from repro.core.features import MEGASCALE_ISO_BATCH
-from repro.core.megascale import compare, megascale
+from repro.core.system import compare, megascale
 from repro.hardware import AMPERE
 from repro.model import GPT_13B
 from repro.parallel import ParallelPlan

@@ -6,7 +6,9 @@
 over ``ClosFabric.path``, priced with ``Link``-keyed dicts) — compared
 with ``==``, field by field — or raise the same exception type with the
 same message, on healthy fabrics and on fabrics with links taken down
-through ``set_link_state`` or written directly.
+through ``set_link_state`` or written directly.  A routed step's
+array-priced :meth:`~repro.collectives.fabric.RoutedStep.cost` is held
+to the oracle's per-flow loop bit for bit.
 """
 
 import numpy as np
@@ -18,12 +20,13 @@ from repro.collectives.fabric import (
     DEFAULT_PFC_PENALTY,
     RING_SOFTWARE_LATENCY,
     PfcPenaltyModel,
+    RoutedStep,
     price_route,
     ring_route,
 )
 from repro.collectives.runtime import SOFTWARE_LATENCY, RingCollectiveRuntime
 from repro.network import ClosFabric
-from tests.oracles.fabric import routed_step
+from tests.oracles.fabric import routed_step, step_cost
 
 PENALTIES = [
     None,
@@ -184,3 +187,27 @@ def test_runtime_raises_on_a_link_written_down_mid_collective():
     with pytest.raises(RuntimeError, match="flow 2 routed over down link tor0.0->node3.nic0"):
         runtime.run("all_gather", 4e9, sim=sim)
     assert not fabric.degraded()
+
+
+# A few shared values make ties between flows common.
+_RATES = st.sampled_from([1e9, 2.25e10, 2.5e10]) | st.floats(1e-3, 1e13)
+_LATENCIES = st.sampled_from([0.0, 12e-6, 16e-6, 112e-6]) | st.floats(0.0, 1e-2)
+_SEGMENTS = st.sampled_from([0.0, 1.0, 1e9]) | st.floats(0.0, 1e12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    flows=st.lists(st.tuples(st.integers(0, 10_000), _RATES, _LATENCIES), max_size=12),
+    segment_bytes=_SEGMENTS,
+)
+def test_step_cost_is_the_per_flow_loop_bit_for_bit(flows, segment_bytes):
+    step = RoutedStep(3, 0.5, 1, RING_SOFTWARE_LATENCY, tuple(flows))
+    cost = step.cost(segment_bytes)
+    if not flows:
+        assert (cost.duration, cost.slowest_flow) == (RING_SOFTWARE_LATENCY, 0)
+        return
+    duration, slowest = step_cost(step, segment_bytes)
+    assert cost.duration.hex() == duration.hex()
+    assert cost.slowest_flow == slowest
+    assert cost.n_flows == len(flows)
+

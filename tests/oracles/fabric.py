@@ -12,6 +12,8 @@ link ids.  :func:`routed_step` composes the two; the properties in
 :func:`repro.collectives.fabric.ring_route` plus
 :func:`~repro.collectives.fabric.price_route` to it with ``==`` — the
 same ``RoutedStep``, or the same exception type and message.
+:func:`step_cost` is the per-flow loop behind the array expression of
+:meth:`repro.collectives.fabric.RoutedStep.cost`.
 """
 
 from __future__ import annotations
@@ -99,3 +101,15 @@ def routed_step(
     return route_step(
         ring_flows(fabric, nodes, demand), software_latency, cc_efficiency, penalty
     )
+
+
+def step_cost(step: RoutedStep, segment_bytes: float) -> Tuple[float, int]:
+    """(duration, slowest flow id) of ``step`` with every flow moving
+    ``segment_bytes``, walking its flows in order: the first flow to
+    reach the largest time sets the duration."""
+    duration, slowest = 0.0, 0
+    for flow_id, rate, latency in step.flows:
+        t = (segment_bytes / rate if segment_bytes > 0 else 0.0) + latency
+        if t > duration:
+            duration, slowest = t, flow_id
+    return duration, slowest

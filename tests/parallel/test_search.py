@@ -180,6 +180,32 @@ def test_search_builds_one_engine_per_feasible_candidate(backend, monkeypatch):
     assert (calls["init"], calls["simulate"]) == (stats.feasible, stats.evaluated)
 
 
+@pytest.mark.parametrize("backend", ["analytic", "fabric"])
+def test_search_prices_a_dp_phase_once_per_full_floor_on_the_analytic_backend(
+    backend, monkeypatch
+):
+    """The analytic bound prices the DP phase exactly, and ``simulate``
+    reuses it: one ``_dp_phase_times`` call per full floor.  The fabric
+    bound floors that phase, so there ``simulate`` prices it again."""
+    calls = {"bounds": 0, "dp_phase": 0}
+    real_bounds, real_phase = IterationEngine.analytic_bounds, IterationEngine._dp_phase_times
+
+    def counting_bounds(self, global_batch):
+        calls["bounds"] += 1
+        return real_bounds(self, global_batch)
+
+    def counting_phase(self, *args, **kwargs):
+        calls["dp_phase"] += 1
+        return real_phase(self, *args, **kwargs)
+
+    monkeypatch.setattr(IterationEngine, "analytic_bounds", counting_bounds)
+    monkeypatch.setattr(IterationEngine, "_dp_phase_times", counting_phase)
+    stats = search_plans(GPT_175B, 1024, 768, top_k=5, backend=backend).stats
+    assert stats.evaluated > 0
+    repriced = stats.evaluated if backend == "fabric" else 0
+    assert calls["dp_phase"] == calls["bounds"] + repriced
+
+
 # -- the ladder ---------------------------------------------------------------
 
 # (model, GPUs, batch, features, top_k, feasible, evaluated per backend).
